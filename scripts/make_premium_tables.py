@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Reproduce the premium decomposition tables: PMI / LEC / NECPR split for the
-reference stock, across risk aversions and block sizes.
+reference stock of configs/reference.cfg, across risk aversions and block sizes.
 
 Usage: python3 scripts/make_premium_tables.py [out_dir]
 """
@@ -8,27 +8,12 @@ Usage: python3 scripts/make_premium_tables.py [out_dir]
 import csv
 import os
 import sys
+from dataclasses import replace
 
-from blocktrade import (
-    ConstantVolume,
-    LiquidationProblem,
-    MarketParams,
-    PowerLawCost,
-    PowerLawImpact,
-)
+from blocktrade.config import parse_config
 from blocktrade.pricing import price_finite
-from blocktrade.solver import SolveOptions
 
-
-def make_problem(gamma=1e-6, q0=500_000.0):
-    return LiquidationProblem(
-        q0=q0,
-        horizon=1.0,
-        market=MarketParams(s0=40.0, sigma=0.5, gamma=gamma, psi=0.004),
-        volume=ConstantVolume(5_000_000.0),
-        cost=PowerLawCost(eta=0.02, phi=0.65),
-        impact=PowerLawImpact(k=4.5e-6, beta=0.75),
-    )
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs", "reference.cfg")
 
 
 def bp(decomp, part):
@@ -46,11 +31,12 @@ def emit(path, header, rows):
 def main():
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "."
     os.makedirs(out_dir, exist_ok=True)
-    opts = SolveOptions(n_steps=1000)
+    cfg = parse_config(CONFIG)
+    base, opts = cfg.problem, cfg.solve
 
     rows = []
     for gamma in (5e-7, 1e-6, 2e-6):
-        d = price_finite(make_problem(gamma=gamma), opts)
+        d = price_finite(replace(base, market=replace(base.market, gamma=gamma)), opts)
         rows.append(
             [
                 f"{gamma:g}",
@@ -74,7 +60,7 @@ def main():
 
     rows = []
     for q0 in (250_000.0, 500_000.0, 1_000_000.0):
-        d = price_finite(make_problem(q0=q0), opts)
+        d = price_finite(replace(base, q0=q0), opts)
         rows.append(
             [
                 f"{q0:.0f}",

@@ -1,46 +1,33 @@
 #!/usr/bin/env python3
-"""Solve the reference liquidation problem for three risk aversions and write
-the trading curves side by side, ready for plotting.
+"""Solve the reference problem of configs/reference.cfg for three risk
+aversions and write the trading curves side by side, ready for plotting.
 
 Usage: python3 scripts/make_trading_curves.py [out.csv]
 """
 
 import csv
+import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from blocktrade import (
-    ConstantVolume,
-    LiquidationProblem,
-    MarketParams,
-    PowerLawCost,
-    PowerLawImpact,
-)
+from blocktrade.config import parse_config
 from blocktrade.objective import eval_I
-from blocktrade.solver import SolveOptions, newton_solve
+from blocktrade.solver import newton_solve
 
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs", "reference.cfg")
 GAMMAS = (5e-7, 1e-6, 2e-6)
-
-
-def make_problem(gamma):
-    return LiquidationProblem(
-        q0=500_000.0,
-        horizon=1.0,
-        market=MarketParams(s0=40.0, sigma=0.5, gamma=gamma, psi=0.004),
-        volume=ConstantVolume(5_000_000.0),
-        cost=PowerLawCost(eta=0.02, phi=0.65),
-        impact=PowerLawImpact(k=4.5e-6, beta=0.75),
-    )
 
 
 def main():
     out = sys.argv[1] if len(sys.argv) > 1 else "trading_curves.csv"
-    opts = SolveOptions(n_steps=1000)
+    cfg = parse_config(CONFIG)
+    base, opts = cfg.problem, cfg.solve
     curves = {}
     times = None
     for gamma in GAMMAS:
-        problem = make_problem(gamma)
+        problem = replace(base, market=replace(base.market, gamma=gamma))
         traj = newton_solve(problem, opts)
         curves[gamma] = traj.q
         times = traj.grid.times

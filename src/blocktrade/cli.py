@@ -74,7 +74,7 @@ def write_value_grid_csv(path: str, grid: ValueGrid) -> None:
 
 def _write_json(path: str, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

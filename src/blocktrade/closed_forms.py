@@ -156,5 +156,5 @@ def theta_infinity_quadrature(problem: LiquidationProblem, q: float) -> float:
     m = problem.market
     scale = m.gamma * m.sigma**2 / (2.0 * problem.volume.rate)
     ham = hamiltonian_of(problem.cost)
-    value, _ = quad(lambda x: float(ham.inverse(scale * x * x)), 0.0, q, epsrel=1e-9, limit=200)
+    value, _ = quad(lambda x: ham.inverse(scale * x * x), 0.0, q, epsrel=1e-9, limit=200)
     return value

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .market_model import CustomCost, ExecutionCostModel, PowerLawCost
+from .market_model import CustomCost, ExecutionCostModel, PowerLawCost, _elementwise
 
 __all__ = [
     "PowerLawHamiltonian",
@@ -108,10 +108,11 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
 class NumericHamiltonian:
     """Transform computed by bracketed golden-section maximization.
 
-    Scalar-only. The bracket starts at ``bracket_init`` and doubles until the
-    objective turns over; more than 60 doublings means the transform is
-    unbounded (L fails superlinearity). For ``CustomCost`` the bracket cannot
-    leave the sampled participation range.
+    Takes a scalar or an array, maximizing once per element. The bracket
+    starts at ``bracket_init`` and doubles until the objective turns over;
+    more than 60 doublings means the transform is unbounded (L fails
+    superlinearity). For ``CustomCost`` the bracket cannot leave the sampled
+    participation range.
     """
 
     cost: ExecutionCostModel
@@ -151,29 +152,25 @@ class NumericHamiltonian:
         rho_star = _golden_max(g, 0.0, hi, self.rho_tol)
         return rho_star, g(rho_star)
 
-    def value(self, p) -> float:
-        rho, val = self._maximize(abs(float(p)))
-        return val
+    def _value(self, p: float) -> float:
+        return self._maximize(abs(p))[1]
 
-    def slope(self, p) -> float:
-        p = float(p)
+    def _slope(self, p: float) -> float:
         rho, _ = self._maximize(abs(p))
         return math.copysign(rho, p) if p != 0.0 else 0.0
 
-    def curvature(self, p) -> float:
-        p = float(p)
+    def _curvature(self, p: float) -> float:
         h = 1e-6 * max(1.0, abs(p))
-        return (self.slope(p + h) - self.slope(p - h)) / (2.0 * h)
+        return (self._slope(p + h) - self._slope(p - h)) / (2.0 * h)
 
-    def inverse(self, x) -> float:
-        x = float(x)
+    def _inverse(self, x: float) -> float:
         if x < 0:
             raise ValueError("x must be nonnegative")
         if x == 0.0:
             return 0.0
         hi = 1.0
         doublings = 0
-        while self.value(hi) < x:
+        while self._value(hi) < x:
             hi *= 2.0
             doublings += 1
             if doublings > _MAX_DOUBLINGS:
@@ -182,11 +179,23 @@ class NumericHamiltonian:
         tol = 1e-12 * max(1.0, x)
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if self.value(mid) < x:
+            if self._value(mid) < x:
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi)
+
+    def value(self, p):
+        return _elementwise(self._value, p)
+
+    def slope(self, p):
+        return _elementwise(self._slope, p)
+
+    def curvature(self, p):
+        return _elementwise(self._curvature, p)
+
+    def inverse(self, x):
+        return _elementwise(self._inverse, x)
 
 
 Hamiltonian = Union[PowerLawHamiltonian, NumericHamiltonian]
@@ -198,16 +207,3 @@ def hamiltonian_of(cost: ExecutionCostModel) -> Hamiltonian:
         return PowerLawHamiltonian(eta=cost.eta, phi=cost.phi)
     return NumericHamiltonian(cost=cost)
 
-
-def slope_values(ham: Hamiltonian, p: np.ndarray) -> np.ndarray:
-    """Vectorized H' for solver internals."""
-    if isinstance(ham, PowerLawHamiltonian):
-        return ham.slope(p)
-    return np.array([ham.slope(x) for x in np.asarray(p, dtype=float)])
-
-
-def curvature_values(ham: Hamiltonian, p: np.ndarray) -> np.ndarray:
-    """Vectorized H'' for solver internals."""
-    if isinstance(ham, PowerLawHamiltonian):
-        return ham.curvature(p)
-    return np.array([ham.curvature(x) for x in np.asarray(p, dtype=float)])

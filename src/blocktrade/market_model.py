@@ -9,6 +9,7 @@ the pricing formulas rely on.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -30,8 +31,17 @@ __all__ = [
     "Check",
     "ValidationReport",
     "validate",
-    "cost_values",
 ]
+
+
+def _elementwise(fn, x):
+    """Apply a scalar function to a scalar (giving a float) or to every element
+    of an array (giving an array of the same shape)."""
+    if not isinstance(x, float):  # plain floats skip numpy: inner solvers call per point
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return float(fn(float(x)))
 
 
 @dataclass(frozen=True)
@@ -51,31 +61,25 @@ class CustomCost:
 
     ``fn`` must be even, strictly convex, superlinear and zero at zero; the
     hypotheses are checked by sampling (see :func:`validate`). Evaluation is
-    restricted to ``|rho| <= sample_bound``.
+    restricted to ``|rho| <= sample_bound``, element by element on arrays.
     """
 
     fn: Callable[[float], float]
     sample_bound: float
 
     def __call__(self, rho):
+        return _elementwise(self._in_range, rho)
+
+    def _in_range(self, rho: float) -> float:
         if abs(rho) > self.sample_bound:
             raise ValueError(
                 f"participation rate {rho!r} outside sampled range "
                 f"[-{self.sample_bound}, {self.sample_bound}]"
             )
-        return float(self.fn(float(rho)))
+        return self.fn(rho)
 
 
 ExecutionCostModel = Union[PowerLawCost, CustomCost]
-
-
-def cost_values(cost: ExecutionCostModel, rhos) -> np.ndarray:
-    """Evaluate a cost model on an array of participation rates."""
-    rhos = np.asarray(rhos, dtype=float)
-    if isinstance(cost, PowerLawCost):
-        return cost(rhos)
-    flat = np.array([cost(r) for r in rhos.ravel()])
-    return flat.reshape(rhos.shape)
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ class CustomImpact:
     fn: Callable[[float], float]
 
     def __call__(self, q):
-        return float(self.fn(float(q)))
+        return _elementwise(self.fn, q)
 
     def integral(self, q: float) -> float:
         if q < 0:
@@ -273,14 +277,16 @@ def _superlinearity_points(cost: ExecutionCostModel) -> list[float]:
 def _cost_checks(cost: ExecutionCostModel) -> list[Check]:
     checks = []
     if isinstance(cost, PowerLawCost):
-        checks.append(Check("cost.eta", cost.eta > 0, f"eta={cost.eta}"))
-        checks.append(Check("cost.phi", cost.phi > 0, f"phi={cost.phi}"))
-        if not (cost.eta > 0 and cost.phi > 0):
+        eta_ok = 0 < cost.eta < math.inf
+        phi_ok = 0 < cost.phi < math.inf
+        checks.append(Check("cost.eta", eta_ok, f"eta={cost.eta}"))
+        checks.append(Check("cost.phi", phi_ok, f"phi={cost.phi}"))
+        if not (eta_ok and phi_ok):
             return checks
     grid = _cost_sample_grid(cost)
-    values = cost_values(cost, grid)
+    values = cost(grid)
 
-    checks.append(Check("cost.zero_at_zero", abs(float(cost(0.0))) <= 1e-300))
+    checks.append(Check("cost.zero_at_zero", abs(cost(0.0)) <= 1e-300))
 
     sym_err = np.max(np.abs(values - values[::-1]))
     sym_tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
@@ -290,7 +296,7 @@ def _cost_checks(cost: ExecutionCostModel) -> list[Check]:
     checks.append(Check("cost.increasing", bool(np.all(np.diff(pos) > 0))))
 
     pts = _superlinearity_points(cost)
-    slopes = [float(cost(r)) / r for r in pts]
+    slopes = (cost(np.array(pts)) / pts).tolist()
     checks.append(
         Check(
             "cost.superlinear",
@@ -299,38 +305,32 @@ def _cost_checks(cost: ExecutionCostModel) -> list[Check]:
         )
     )
 
-    # midpoint strict convexity on a thinned grid (all pairs is quadratic blowup)
+    # midpoint strict convexity over all pairs of a thinned grid
     coarse = grid[::5]
-    cv = cost_values(cost, coarse)
-    convex = True
-    for i in range(len(coarse)):
-        for j in range(i + 1, len(coarse)):
-            mid = float(cost(0.5 * (coarse[i] + coarse[j])))
-            if not mid < 0.5 * (cv[i] + cv[j]):
-                convex = False
-                break
-        if not convex:
-            break
-    checks.append(Check("cost.strictly_convex", convex))
+    cv = cost(coarse)
+    i, j = np.triu_indices(len(coarse), k=1)
+    mid = cost(0.5 * (coarse[i] + coarse[j]))
+    checks.append(Check("cost.strictly_convex", bool(np.all(mid < 0.5 * (cv[i] + cv[j])))))
     return checks
 
 
 def _impact_checks(impact: PermanentImpactModel, q_scale: float) -> list[Check]:
     checks = []
     if isinstance(impact, PowerLawImpact):
-        checks.append(Check("impact.k", impact.k >= 0, f"k={impact.k}"))
-        checks.append(
-            Check("impact.beta", 0 < impact.beta <= 1, f"beta={impact.beta}")
-        )
-        if not (impact.k >= 0 and 0 < impact.beta <= 1):
+        k_ok = 0 <= impact.k < math.inf
+        beta_ok = 0 < impact.beta <= 1
+        checks.append(Check("impact.k", k_ok, f"k={impact.k}"))
+        checks.append(Check("impact.beta", beta_ok, f"beta={impact.beta}"))
+        if not (k_ok and beta_ok):
             return checks
     span = max(q_scale, 1.0)
     grid = np.linspace(0.0, span, 201)
-    values = np.array([float(impact(x)) for x in grid])
+    values = impact(grid)
 
-    checks.append(Check("impact.zero_at_zero", abs(float(impact(0.0))) <= 1e-300))
+    checks.append(Check("impact.zero_at_zero", abs(impact(0.0)) <= 1e-300))
 
-    odd_err = max(abs(float(impact(x)) + float(impact(-x))) for x in grid[1::20])
+    odd_pts = grid[1::20]
+    odd_err = float(np.max(np.abs(impact(odd_pts) + impact(-odd_pts))))
     odd_tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
     checks.append(Check("impact.odd", odd_err <= odd_tol, f"max |F(x)+F(-x)| {odd_err:.3g}"))
 
@@ -370,18 +370,21 @@ def validate(problem: LiquidationProblem) -> ValidationReport:
     """Check every modelling hypothesis; collect results instead of raising.
 
     A q0 of exactly zero is accepted as the degenerate empty liquidation
-    (solver and pricing short-circuit it); negative inventories fail.
+    (solver and pricing short-circuit it); negative inventories fail, and so
+    does every infinite or NaN parameter.
     """
     m = problem.market
+    q0_ok = 0 <= problem.q0 < math.inf
     checks = [
-        Check("problem.q0", problem.q0 >= 0, f"q0={problem.q0}"),
-        Check("problem.horizon", problem.horizon > 0, f"horizon={problem.horizon}"),
-        Check("market.s0", m.s0 > 0, f"s0={m.s0}"),
-        Check("market.sigma", m.sigma > 0, f"sigma={m.sigma}"),
-        Check("market.gamma", m.gamma > 0, f"gamma={m.gamma}"),
-        Check("market.psi", m.psi >= 0, f"psi={m.psi}"),
+        Check("problem.q0", q0_ok, f"q0={problem.q0}"),
+        Check("problem.horizon", 0 < problem.horizon < math.inf, f"horizon={problem.horizon}"),
+        Check("market.s0", 0 < m.s0 < math.inf, f"s0={m.s0}"),
+        Check("market.sigma", 0 < m.sigma < math.inf, f"sigma={m.sigma}"),
+        Check("market.gamma", 0 < m.gamma < math.inf, f"gamma={m.gamma}"),
+        Check("market.psi", 0 <= m.psi < math.inf, f"psi={m.psi}"),
     ]
     checks.extend(_cost_checks(problem.cost))
-    checks.extend(_impact_checks(problem.impact, problem.q0))
+    # a non-finite q0 has failed above; sample the impact on the unit range instead
+    checks.extend(_impact_checks(problem.impact, problem.q0 if q0_ok else 0.0))
     checks.extend(_volume_checks(problem.volume, problem.horizon))
     return ValidationReport(tuple(checks))

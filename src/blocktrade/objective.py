@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_model import LiquidationProblem, cost_values
+from .market_model import LiquidationProblem
 from .solver import Trajectory
 
 __all__ = [
@@ -69,24 +69,27 @@ def _check_grid(problem: LiquidationProblem, traj: Trajectory, full_horizon: boo
         raise ValueError("full-horizon trajectory must start at t=0")
 
 
-def eval_I(problem: LiquidationProblem, traj: Trajectory, psi: float = 0.0) -> float:
-    """Execution costs plus half the risk-aversion-weighted cash variance.
+def _cell_sums(problem: LiquidationProblem, traj: Trajectory) -> tuple[float, float, float]:
+    """Per-cell sums of the quadrature: cost times volume, |v| and the q**2 trapezoid.
 
-    Quadrature matches the discrete scheme: the speed is constant per cell
-    (one cost term per cell, volume sampled at the right endpoint) and the
-    squared inventory is integrated by the trapezoid rule.
+    The speed is constant per cell (one cost term per cell, volume sampled at
+    the right endpoint), matching the discrete scheme; the squared inventory
+    is integrated by the trapezoid rule. Each sum still needs a factor tau.
     """
-    _check_grid(problem, traj, full_horizon=False)
-    tau = traj.grid.tau
     vol = np.asarray(problem.volume(traj.grid.times[1:]), dtype=float)
-    rho = traj.v / vol
-    cost_term = tau * float(np.sum(vol * cost_values(problem.cost, rho)))
-    linear_term = psi * tau * float(np.sum(np.abs(traj.v)))
+    cost = float(np.sum(vol * problem.cost(traj.v / vol)))
+    speed = float(np.sum(np.abs(traj.v)))
+    q_sq = float(np.sum(0.5 * (traj.q[:-1] ** 2 + traj.q[1:] ** 2)))
+    return cost, speed, q_sq
+
+
+def eval_I(problem: LiquidationProblem, traj: Trajectory, psi: float = 0.0) -> float:
+    """Execution costs plus half the risk-aversion-weighted cash variance."""
+    _check_grid(problem, traj, full_horizon=False)
+    cost, speed, q_sq = _cell_sums(problem, traj)
+    tau = traj.grid.tau
     m = problem.market
-    risk_term = 0.5 * m.gamma * m.sigma**2 * tau * float(
-        np.sum(0.5 * (traj.q[:-1] ** 2 + traj.q[1:] ** 2))
-    )
-    return cost_term + linear_term + risk_term
+    return tau * cost + psi * tau * speed + 0.5 * m.gamma * m.sigma**2 * tau * q_sq
 
 
 def cash_moments(problem: LiquidationProblem, traj: Trajectory) -> CashDistribution:
@@ -95,16 +98,15 @@ def cash_moments(problem: LiquidationProblem, traj: Trajectory) -> CashDistribut
     q0 = float(traj.q[0])
     if abs(float(traj.q[-1])) > 1e-9 * (q0 + 1.0):
         raise ValueError("trajectory does not liquidate (terminal inventory nonzero)")
+    cost, speed, q_sq = _cell_sums(problem, traj)
     m = problem.market
     tau = traj.grid.tau
-    vol = np.asarray(problem.volume(traj.grid.times[1:]), dtype=float)
-    rho = traj.v / vol
 
     mtm = q0 * m.s0
     pmi = problem.impact.integral(q0)
-    exec_nonlinear = tau * float(np.sum(vol * cost_values(problem.cost, rho)))
-    exec_linear = m.psi * tau * float(np.sum(np.abs(traj.v)))
-    variance = m.sigma**2 * tau * float(np.sum(0.5 * (traj.q[:-1] ** 2 + traj.q[1:] ** 2)))
+    exec_nonlinear = tau * cost
+    exec_linear = m.psi * tau * speed
+    variance = m.sigma**2 * tau * q_sq
 
     mean = mtm - pmi - exec_nonlinear - exec_linear
     return CashDistribution(

@@ -36,12 +36,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .legendre import (
-    SingularCurvatureError,
-    curvature_values,
-    hamiltonian_of,
-    slope_values,
-)
+from .legendre import SingularCurvatureError, hamiltonian_of
 from .market_model import LiquidationProblem, PowerLawCost
 
 __all__ = [
@@ -165,7 +160,7 @@ def _residual_arrays(problem, ham, grid, vol, q, p):
     tau = grid.tau
     ksq = problem.market.gamma * problem.market.sigma**2
     rp = p[1:] - p[:-1] - tau * ksq * q[1:]
-    rq = q[1:] - q[:-1] - tau * vol * slope_values(ham, p[:-1])
+    rq = q[1:] - q[:-1] - tau * vol * ham.slope(p[:-1])
     return rp, rq
 
 
@@ -215,31 +210,15 @@ def _direction_by_banded(c, e, b):
     what double precision can cancel.
     """
     J = len(c)
-    n = 2 * J
-    diag = np.zeros(n)
-    sup = np.zeros(n)
-    sub = np.zeros(n)
-    rhs = np.zeros(n)
-    for j in range(J):
-        r = 2 * j
-        diag[r] = -c[j]
-        if j >= 1:
-            sub[r - 1] = -1.0  # dq_j
-        if j <= J - 2:
-            sup[r + 1] = 1.0  # dq_{j+1}
-        rhs[r] = e[j]
-        r = 2 * j + 1
-        sub[r - 1] = -1.0  # dp_j
-        if j <= J - 2:
-            diag[r] = -b  # dq_{j+1}
-            sup[r + 1] = 1.0  # dp_{j+1}
-        else:
-            diag[r] = 1.0  # dp_J
-        rhs[r] = 0.0
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[1:]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[:-1]
+    # row 2j: dq_{j+1} - dq_j - c_j dp_j = e_j;  row 2j+1: dp_{j+1} - dp_j - b dq_{j+1} = 0
+    ab = np.zeros((3, 2 * J))
+    ab[0, 1:-1] = 1.0  # dq_{j+1} in the q-rows, dp_{j+1} in the p-rows
+    ab[1, 0::2] = -np.asarray(c)  # dp_j in the q-rows
+    ab[1, 1:-1:2] = -b  # dq_{j+1} in the p-rows
+    ab[1, -1] = 1.0  # dp_J in the last p-row
+    ab[2, :-1] = -1.0  # dq_j in the q-rows, dp_j in the p-rows
+    rhs = np.zeros(2 * J)
+    rhs[0::2] = e
     x = solve_banded((1, 1), ab, rhs)
     dq = np.zeros(J + 1)
     dq[1:J] = x[1 : 2 * J - 2 : 2]
@@ -299,11 +278,13 @@ def _solve_on_grid(problem: LiquidationProblem, grid: Grid, q_start: float, opts
     current = max(float(np.max(np.abs(rp))), float(np.max(np.abs(rq))))
 
     iterations = 0
-    while current > tol:
+    while not current <= tol:  # a NaN residual never counts as converged
+        if not math.isfinite(current):
+            raise NonConvergenceError("non-finite residual", current, iterations)
         if iterations >= opts.max_iter:
             raise NonConvergenceError("Newton iteration stalled", current, iterations)
 
-        c = (tau * vol * curvature_values(ham, p[:-1])).tolist()
+        c = (tau * vol * ham.curvature(p[:-1])).tolist()
         e = (-rq).tolist()
         try:
             dq, dp = _newton_direction(c, e, b, current, tol)

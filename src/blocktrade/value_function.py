@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .closed_forms import theta_infinity
-from .legendre import PowerLawHamiltonian, hamiltonian_of
-from .market_model import ConstantVolume, LiquidationProblem, cost_values
+from .legendre import hamiltonian_of
+from .market_model import ConstantVolume, LiquidationProblem
 from .objective import eval_I
 from .solver import NonConvergenceError, SolveOptions, newton_solve, solve_from
 
@@ -155,11 +155,7 @@ def hj_residual(grid: ValueGrid, problem: Optional[LiquidationProblem] = None) -
     m = problem.market
     q_int = q[1:-1]
     t_int = t[1:-1]
-    slope_int = dth_dq[1:-1, :]
-    if isinstance(ham, PowerLawHamiltonian):
-        h_of_slope = ham.value(slope_int)
-    else:
-        h_of_slope = np.array([[ham.value(x) for x in row] for row in slope_int])
+    h_of_slope = ham.value(dth_dq[1:-1, :])
     vol_int = np.asarray(problem.volume(t_int), dtype=float)[:, None]
     risk = 0.5 * m.gamma * m.sigma**2 * q_int[None, :] ** 2
 
@@ -221,7 +217,7 @@ def check_structure(grid: ValueGrid, tol_scale: float = 1e-9) -> StructureReport
     remaining = problem.horizon - grid.t_nodes
     vol_lo, vol_hi = problem.volume.lo, problem.volume.hi
     rho = grid.q_nodes[None, :] / (vol_hi * remaining[:, None])
-    bound = vol_lo * remaining[:, None] * cost_values(problem.cost, rho)
+    bound = vol_lo * remaining[:, None] * problem.cost(rho)
     summarize("singularity_bound", th - bound)
 
     return StructureReport(tuple(checks))

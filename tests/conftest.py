@@ -1,49 +1,32 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from blocktrade import (
-    ConstantVolume,
-    LiquidationProblem,
-    MarketParams,
-    PowerLawCost,
-    PowerLawImpact,
-)
+from blocktrade import PowerLawCost
+from blocktrade.config import parse_config
 
-# Reference configuration used throughout: a liquid large-cap stock, prices in
-# currency per share, times in days. Daily volume 5M shares, block of 500k.
-REF_S0 = 40.0
-REF_SIGMA = 0.5
-REF_GAMMA = 1e-6
-REF_PSI = 0.004
-REF_VOLUME = 5_000_000.0
-REF_Q0 = 500_000.0
-REF_ETA = 0.02
-REF_PHI = 0.65
-REF_K = 4.5e-6
-REF_BETA = 0.75
+# The reference stock of configs/reference.cfg: a liquid large-cap stock,
+# prices in currency per share, times in days. Daily volume 5M shares, block
+# of 500k.
+REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
+_REFERENCE = parse_config(REFERENCE_CONFIG).problem
 
 
-def make_reference_problem(gamma=REF_GAMMA, q0=REF_Q0, horizon=1.0, psi=REF_PSI):
-    return LiquidationProblem(
-        q0=q0,
-        horizon=horizon,
-        market=MarketParams(s0=REF_S0, sigma=REF_SIGMA, gamma=gamma, psi=psi),
-        volume=ConstantVolume(REF_VOLUME),
-        cost=PowerLawCost(eta=REF_ETA, phi=REF_PHI),
-        impact=PowerLawImpact(k=REF_K, beta=REF_BETA),
-    )
+def _changed(obj, **changes):
+    return replace(obj, **{k: v for k, v in changes.items() if v is not None})
 
 
-def make_quadratic_problem(eta=0.01, gamma=REF_GAMMA, q0=REF_Q0, horizon=1.0, psi=REF_PSI):
+def make_reference_problem(gamma=None, q0=None, horizon=None, psi=None):
+    """The reference problem; an argument left as None keeps the config's value."""
+    problem = _changed(_REFERENCE, q0=q0, horizon=horizon)
+    return replace(problem, market=_changed(problem.market, gamma=gamma, psi=psi))
+
+
+def make_quadratic_problem(eta=0.01, **changes):
     """Quadratic-cost variant with a closed-form optimal curve."""
-    return LiquidationProblem(
-        q0=q0,
-        horizon=horizon,
-        market=MarketParams(s0=REF_S0, sigma=REF_SIGMA, gamma=gamma, psi=psi),
-        volume=ConstantVolume(REF_VOLUME),
-        cost=PowerLawCost(eta=eta, phi=1.0),
-        impact=PowerLawImpact(k=REF_K, beta=REF_BETA),
-    )
+    return replace(make_reference_problem(**changes), cost=PowerLawCost(eta=eta, phi=1.0))
 
 
 @pytest.fixture

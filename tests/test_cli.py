@@ -266,3 +266,21 @@ def test_implied_gamma_needs_quote(tmp_path, capsys):
     code, payload = run_cli(capsys, "implied-gamma", "--config", write_config(tmp_path, text))
     assert code == 1
     assert "quoted_premium" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("key", ["problem.horizon", "market.sigma"])
+def test_non_finite_input_exits_with_config_error(tmp_path, capsys, key):
+    text = "\n".join(f"{key} = inf" if l.startswith(key + " ") else l for l in BASE_CONFIG.splitlines())
+    out_dir = tmp_path / "out"
+    code, payload = run_cli(capsys, "solve", "--config", write_config(tmp_path, text), "--out-dir", str(out_dir))
+    assert code == 1
+    assert payload["error"]["type"] == "ConfigError"
+    assert key in payload["error"]["message"]
+    assert not out_dir.exists()
+
+
+def test_json_artifacts_refuse_nan(tmp_path):
+    from blocktrade.cli import _write_json
+
+    with pytest.raises(ValueError):
+        _write_json(str(tmp_path / "bad.json"), {"objective": float("nan")})

@@ -123,3 +123,13 @@ def test_transform_even_and_convex_property(p):
     assert ham.value(p) >= 0.0
     # midpoint convexity against 0
     assert ham.value(0.5 * p) <= 0.5 * ham.value(p) + 1e-12
+
+
+def test_numeric_transform_evaluates_arrays_element_by_element():
+    ham = NumericHamiltonian(CustomCost(lambda r: 0.02 * abs(r) ** 1.65, 1e6))
+    p = np.array([[-0.3, 0.0, 0.05], [0.2, 0.7, 1.1]])
+    for method, x in ((ham.value, p), (ham.slope, p), (ham.curvature, p), (ham.inverse, np.abs(p))):
+        values = method(x)
+        assert values.shape == x.shape
+        assert np.array_equal(values, [[method(v) for v in row] for row in x])
+        assert isinstance(method(0.2), float)

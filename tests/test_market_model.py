@@ -149,3 +149,48 @@ def test_constant_volume_broadcasts():
     curve = ConstantVolume(5e6)
     assert curve(0.3) == 5e6
     assert np.all(curve(np.linspace(0, 1, 5)) == 5e6)
+
+
+def test_custom_models_evaluate_arrays_element_by_element():
+    cost = CustomCost(fn=lambda r: 0.5 * (math.cosh(2.0 * r) - 1.0), sample_bound=10.0)
+    impact = CustomImpact(fn=math.tanh)
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    for model in (cost, impact):
+        values = model(x)
+        assert values.shape == x.shape
+        assert np.array_equal(values, [[model(v) for v in row] for row in x])
+        assert isinstance(model(1.5), float)
+        assert isinstance(model(np.float64(1.5)), float)
+        assert model(np.array([])).shape == (0,)
+
+
+def test_custom_cost_range_check_applies_to_every_element():
+    cost = CustomCost(fn=lambda r: r * r, sample_bound=2.0)
+    assert np.array_equal(cost(np.array([-2.0, 0.5, 2.0])), [4.0, 0.25, 4.0])
+    with pytest.raises(ValueError, match="outside sampled range"):
+        cost(np.array([0.0, 1.0, -2.5, 1.5]))
+
+
+def test_nonconvex_custom_cost_fails_convexity_check():
+    # even, increasing and superlinear, but 3 tanh|r| bends the sum concave near r = 0.66
+    bent = CustomCost(fn=lambda r: r * r + 3.0 * math.tanh(abs(r)), sample_bound=10.0)
+    report = validate(replace(make_reference_problem(), cost=bent))
+    assert [c.name for c in report.failures()] == ["cost.strictly_convex"]
+    convex = CustomCost(fn=lambda r: r * r + 2.0 * math.tanh(abs(r)), sample_bound=10.0)
+    assert validate(replace(make_reference_problem(), cost=convex)).ok
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "check",
+    ["problem.q0", "problem.horizon", "market.s0", "market.sigma", "market.gamma",
+     "market.psi", "cost.eta", "cost.phi", "impact.k", "impact.beta"],
+)
+def test_validate_rejects_non_finite_inputs(check, value):
+    owner, name = check.split(".")
+    base = make_reference_problem()
+    if owner == "problem":
+        problem = replace(base, **{name: value})
+    else:
+        problem = replace(base, **{owner: replace(getattr(base, owner), **{name: value})})
+    assert check in [c.name for c in validate(problem).failures()]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -9,6 +11,8 @@ from blocktrade.solver import (
     Grid,
     NonConvergenceError,
     SolveOptions,
+    _direction_by_banded,
+    _linear_defect,
     discrete_residual,
     initial_guess,
     newton_solve,
@@ -193,3 +197,30 @@ def test_piecewise_volume_solve():
     traj = newton_solve(problem, SolveOptions(n_steps=500))
     assert traj.max_residual <= 1e-10 * problem.q0
     assert np.all(np.diff(traj.q) <= 1e-9 * problem.q0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("horizon", math.inf), ("sigma", math.inf), ("gamma", math.nan)]
+)
+def test_non_finite_problem_raises_instead_of_converging(reference_problem, field, value):
+    # unvalidated input: the residual is NaN from the start and must not count as converged
+    if field == "horizon":
+        problem = replace(reference_problem, horizon=value)
+    else:
+        problem = replace(reference_problem, market=replace(reference_problem.market, **{field: value}))
+    # arithmetic on infinities warns; what is checked here is the typed error
+    with np.errstate(all="ignore"), pytest.raises(NonConvergenceError):
+        newton_solve(problem, SolveOptions(n_steps=100))
+
+
+@pytest.mark.parametrize("J", [2, 3, 1000])
+def test_banded_direction_solves_linearized_system(J):
+    rng = np.random.default_rng(J)
+    c = rng.uniform(0.1, 2.0, J).tolist()
+    e = rng.normal(size=J).tolist()
+    b = 0.3
+    dq, dp = _direction_by_banded(c, e, b)
+    assert dq.shape == dp.shape == (J + 1,)
+    assert dq[0] == 0.0 and dq[-1] == 0.0
+    scale = max(1.0, float(np.max(np.abs(dq))), float(np.max(np.abs(dp))))
+    assert _linear_defect(c, e, b, dq, dp) <= 1e-13 * scale
