@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .montecarlo import simulate_cash
+from .montecarlo import SEED_SCHEME, simulate_cash
 from .objective import cash_moments, eval_I
 from .pricing import implied_gamma, price_finite
 from .solver import Grid, Trajectory, newton_solve
@@ -160,6 +160,10 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str) -> dict:
     traj = newton_solve(cfg.problem, cfg.solve)
     result = simulate_cash(cfg.problem, traj, cfg.mc, keep_samples=cfg.dump_paths)
     analytic = cash_moments(cfg.problem, traj)
+    # the verdict against the analytic law; null where a single path or a
+    # riskless schedule leaves it undefined
+    z_mean = (result.mean - analytic.mean) / result.se_mean if result.se_mean > 0 else None
+    ratio = result.variance / analytic.variance if analytic.variance > 0 else None
     payload = {
         "analytic": {"mean": analytic.mean, "variance": analytic.variance},
         "empirical": {
@@ -169,8 +173,11 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str) -> dict:
             "se_variance": result.se_variance,
             "excess_kurtosis": result.excess_kurtosis,
         },
+        "z_mean": z_mean,
+        "variance_ratio": ratio,
         "n_paths": result.n_paths,
         "seed": cfg.mc.seed,
+        "seed_scheme": SEED_SCHEME,
     }
     path = os.path.join(out_dir, "simulation.json")
     _write_json(path, payload)

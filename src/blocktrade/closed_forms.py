@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .legendre import hamiltonian_of
 from .market_model import ConstantVolume, LiquidationProblem, PowerLawCost
@@ -153,6 +152,8 @@ def theta_infinity_quadrature(problem: LiquidationProblem, q: float) -> float:
         raise ValueError("q must be nonnegative")
     if q == 0:
         return 0.0
+    from scipy.integrate import quad  # lazy: scipy.integrate dominates import time
+
     m = problem.market
     scale = m.gamma * m.sigma**2 / (2.0 * problem.volume.rate)
     ham = hamiltonian_of(problem.cost)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "PowerLawCost",
@@ -117,6 +116,8 @@ class CustomImpact:
             raise ValueError("q must be nonnegative")
         if q == 0:
             return 0.0
+        from scipy.integrate import quad  # lazy: scipy.integrate dominates import time
+
         value, _ = quad(self.fn, 0.0, q, epsrel=1e-10, limit=200)
         return value
 

@@ -8,11 +8,18 @@ every substep (it is the increment of the impact antiderivative along the
 schedule), which removes the integrable singularity of the per-share impact
 at the first trade; the cash integral is left-endpoint Euler, with substeps
 controlling its bias.
+
+Paths are simulated in fixed blocks of ``BLOCK_PATHS``. Block ``b`` draws from
+its own stream, child ``b`` of ``SeedSequence(seed).spawn``, so the blocks run
+on parallel threads and the samples depend only on the seed, the path count
+and the substep count, never on the number of CPUs (seed scheme 2; scheme 1
+was a single ``default_rng(seed)`` stream over all paths).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +28,18 @@ import numpy as np
 from .market_model import LiquidationProblem
 from .solver import Trajectory
 
-__all__ = ["SimulationConfig", "SimulationResult", "simulate_cash"]
+__all__ = [
+    "BLOCK_PATHS",
+    "MAX_PATHS",
+    "SEED_SCHEME",
+    "SimulationConfig",
+    "SimulationResult",
+    "simulate_cash",
+]
+
+BLOCK_PATHS = 50_000  # paths per random stream and per unit of thread work
+MAX_PATHS = 10_000_000  # 80 MB of terminal wealth; guards against a typo
+SEED_SCHEME = 2
 
 
 @dataclass(frozen=True)
@@ -31,10 +49,12 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be positive")
+        if not 1 <= self.n_paths <= MAX_PATHS:
+            raise ValueError(f"n_paths must be in [1, {MAX_PATHS}], got {self.n_paths}")
         if self.n_substeps < 1:
             raise ValueError("n_substeps must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +70,43 @@ class SimulationResult:
     samples: Optional[np.ndarray] = None
 
 
+def _schedule(problem: LiquidationProblem, traj: Trajectory, n_sub: int):
+    """Per-substep speed, cost rate and exact impact drift of the price."""
+    tau_sub = traj.grid.tau / n_sub
+    offsets = np.tile(np.arange(n_sub) * tau_sub, traj.grid.n_steps)
+    v = np.repeat(traj.v, n_sub)
+    t_left = np.repeat(traj.grid.times[:-1], n_sub) + offsets
+    q_left = np.repeat(traj.q[:-1], n_sub) - v * offsets
+    q_right = q_left - v * tau_sub
+    vol = problem.volume(t_left)
+    cost_rate = vol * problem.cost(v / vol) + problem.market.psi * np.abs(v)
+    impact = problem.impact(float(traj.q[0]) - np.stack((q_right, q_left)))
+    drift = -(impact[0] - impact[1])
+    return v.tolist(), cost_rate.tolist(), drift.tolist()
+
+
+def _simulate_block(schedule, s0, sigma, tau_sub, q_end, seed_seq, out):
+    """Euler paths of one block; writes their terminal wealth into ``out``."""
+    rng = np.random.default_rng(seed_seq)
+    n = len(out)
+    prices = np.full(n, s0)
+    cash = np.zeros(n)
+    flow = np.empty(n)
+    z = np.empty(n)
+    noise = sigma * math.sqrt(tau_sub)
+    for v, cost_rate, drift in zip(*schedule):
+        np.multiply(prices, v, out=flow)
+        flow -= cost_rate
+        flow *= tau_sub
+        cash += flow
+        rng.standard_normal(out=z)
+        z *= noise
+        z += drift
+        prices += z
+    np.multiply(prices, q_end, out=out)
+    out += cash
+
+
 def simulate_cash(
     problem: LiquidationProblem,
     traj: Trajectory,
@@ -61,34 +118,34 @@ def simulate_cash(
     Each trajectory cell is split into ``n_substeps`` Euler steps with
     Gaussian increments; statistics are reproducible for a fixed seed. For a
     liquidating trajectory the terminal inventory is zero and the wealth is
-    just the cash.
+    just the cash. Blocks of ``BLOCK_PATHS`` paths run on up to
+    ``os.cpu_count()`` threads, the calling thread among them.
     """
-    rng = np.random.default_rng(cfg.seed)
     m = problem.market
-    times = traj.grid.times
+    schedule = _schedule(problem, traj, cfg.n_substeps)
     tau_sub = traj.grid.tau / cfg.n_substeps
-    sqrt_dt = math.sqrt(tau_sub)
-    q_ref = float(traj.q[0])
+    q_end = float(traj.q[-1])
+    n_blocks = -(-cfg.n_paths // BLOCK_PATHS)
+    streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
+    wealth = np.empty(cfg.n_paths)
+    n_threads = min(os.cpu_count() or 1, n_blocks)
 
-    prices = np.full(cfg.n_paths, m.s0)
-    cash = np.zeros(cfg.n_paths)
-    for j in range(traj.grid.n_steps):
-        v = float(traj.v[j])
-        cost_rate = 0.0
-        for i in range(cfg.n_substeps):
-            t_left = times[j] + i * tau_sub
-            q_left = traj.q[j] - v * (i * tau_sub)
-            q_right = q_left - v * tau_sub
-            vol = float(problem.volume(t_left))
-            cost_rate = vol * float(problem.cost(v / vol)) + m.psi * abs(v)
-            drift = -(
-                float(problem.impact(q_ref - q_right))
-                - float(problem.impact(q_ref - q_left))
-            )
-            cash += (v * prices - cost_rate) * tau_sub
-            prices += m.sigma * sqrt_dt * rng.standard_normal(cfg.n_paths) + drift
+    def run_share(k):
+        for b in range(k, n_blocks, n_threads):
+            block = wealth[b * BLOCK_PATHS : (b + 1) * BLOCK_PATHS]
+            _simulate_block(schedule, m.s0, m.sigma, tau_sub, q_end, streams[b], block)
 
-    wealth = cash + float(traj.q[-1]) * prices
+    if n_threads == 1:
+        run_share(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_threads - 1) as pool:
+            futures = [pool.submit(run_share, k) for k in range(1, n_threads)]
+            run_share(0)
+            for future in futures:
+                future.result()
+
     mean = float(np.mean(wealth))
     variance = float(np.var(wealth, ddof=1)) if cfg.n_paths > 1 else 0.0
     se_mean = math.sqrt(variance / cfg.n_paths)

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import blocktrade
 from blocktrade.cli import main, read_trajectory_csv
 from blocktrade.config import ConfigError, parse_config
 from blocktrade.objective import eval_I
@@ -284,3 +288,45 @@ def test_json_artifacts_refuse_nan(tmp_path):
 
     with pytest.raises(ValueError):
         _write_json(str(tmp_path / "bad.json"), {"objective": float("nan")})
+
+
+def test_simulation_json_reports_its_verdict(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _ = run_cli(capsys, "simulate", "--config", write_config(tmp_path), "--out-dir", str(out))
+    assert code == 0
+    payload = json.loads((out / "simulation.json").read_text())
+    assert payload["seed_scheme"] == 2
+    empirical, analytic = payload["empirical"], payload["analytic"]
+    assert payload["z_mean"] == (empirical["mean"] - analytic["mean"]) / empirical["se_mean"]
+    assert payload["variance_ratio"] == empirical["variance"] / analytic["variance"]
+    assert abs(payload["z_mean"]) < 4.0
+
+    # one path has no standard error, so no z-score; the artifact stays strict JSON
+    text = BASE_CONFIG.replace("mc.n_paths = 5000", "mc.n_paths = 1")
+    code, _ = run_cli(capsys, "simulate", "--config", write_config(tmp_path, text, "one.cfg"), "--out-dir", str(out))
+    assert code == 0
+    assert json.loads((out / "simulation.json").read_text())["z_mean"] is None
+
+
+def test_negative_seed_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr("blocktrade.cli.newton_solve", no_solve)
+    cfg_path = write_config(tmp_path)
+    code, payload = run_cli(capsys, "simulate", "--config", cfg_path, "--seed", "-1")
+    assert code == 1
+    assert payload["error"] == {"type": "ValueError", "message": "seed must be non-negative, got -1"}
+
+    text = BASE_CONFIG.replace("mc.seed = 42", "mc.seed = -1")
+    code, payload = run_cli(capsys, "simulate", "--config", write_config(tmp_path, text, "neg.cfg"))
+    assert code == 1
+    assert payload["error"]["type"] == "ConfigError"
+    assert "seed must be non-negative" in payload["error"]["message"]
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(blocktrade.__file__))
+    code = "import sys, blocktrade.cli; sys.exit('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,8 +1,12 @@
-import numpy as np
-import pytest
+import sys
+import threading
 from dataclasses import replace
 
-from blocktrade.montecarlo import SimulationConfig, simulate_cash
+import numpy as np
+import pytest
+
+from blocktrade import montecarlo
+from blocktrade.montecarlo import BLOCK_PATHS, MAX_PATHS, SimulationConfig, simulate_cash
 from blocktrade.objective import cash_moments
 from blocktrade.solver import Grid, SolveOptions, Trajectory, newton_solve
 from conftest import make_reference_problem
@@ -19,6 +23,14 @@ def test_config_rejects_nonpositive_counts():
         SimulationConfig(n_paths=0)
     with pytest.raises(ValueError):
         SimulationConfig(n_substeps=0)
+
+
+def test_config_bounds_path_count_and_seed():
+    assert SimulationConfig(n_paths=MAX_PATHS).n_paths == MAX_PATHS  # a config, no allocation
+    with pytest.raises(ValueError, match="n_paths"):
+        SimulationConfig(n_paths=MAX_PATHS + 1)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SimulationConfig(seed=-1)
 
 
 def test_zero_volatility_paths_are_deterministic(solved):
@@ -104,3 +116,72 @@ def test_samples_only_kept_on_request(solved):
     assert simulate_cash(problem, traj, cfg).samples is None
     kept = simulate_cash(problem, traj, cfg, keep_samples=True)
     assert kept.samples is not None and len(kept.samples) == 16
+
+
+def _holding(problem, n_steps):
+    grid = Grid(n_steps=n_steps, t_start=0.0, t_end=1.0)
+    q = np.full(n_steps + 1, problem.q0)
+    return Trajectory(grid=grid, q=q, p=np.zeros(n_steps + 1), v=np.zeros(n_steps))
+
+
+@pytest.mark.parametrize("n_paths", [1, 4, 50_000, 50_001, 100_000])
+def test_samples_come_in_path_order_from_one_stream_per_block(solved, n_paths):
+    # holding the block leaves only the Brownian increments, so each path's
+    # wealth can be rebuilt from its block's spawned stream
+    problem, _ = solved
+    hold = _holding(problem, n_steps=3)
+    cfg = SimulationConfig(n_paths=n_paths, n_substeps=2, seed=17)
+    samples = simulate_cash(problem, hold, cfg, keep_samples=True).samples
+    assert samples.shape == (n_paths,)
+
+    noise = problem.market.sigma * np.sqrt(hold.grid.tau / cfg.n_substeps)
+    n_blocks = -(-n_paths // BLOCK_PATHS)
+    expected = []
+    for b, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_blocks)):
+        rng = np.random.default_rng(stream)
+        size = min(BLOCK_PATHS, n_paths - b * BLOCK_PATHS)
+        prices = np.full(size, problem.market.s0)
+        for _ in range(hold.grid.n_steps * cfg.n_substeps):
+            prices += noise * rng.standard_normal(size)
+        expected.append(problem.q0 * prices)
+    np.testing.assert_array_equal(samples, np.concatenate(expected))
+
+
+def test_samples_do_not_depend_on_cpu_count(solved, monkeypatch):
+    problem, _ = solved
+    short = newton_solve(problem, SolveOptions(n_steps=10))
+    cfg = SimulationConfig(n_paths=2 * BLOCK_PATHS + 7, n_substeps=2, seed=5)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # 3 threads on fewer cores, switching often
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+            runs.append(simulate_cash(problem, short, cfg, keep_samples=True).samples)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(runs[0], runs[1])
+    np.testing.assert_array_equal(runs[0], runs[2])
+
+
+def test_block_threads_are_joined(solved, monkeypatch):
+    problem, _ = solved
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    before = threading.active_count()
+    simulate_cash(problem, _holding(problem, 4), SimulationConfig(n_paths=2 * BLOCK_PATHS, seed=1))
+    assert threading.active_count() == before
+
+
+def test_worker_exception_reaches_the_caller(solved, monkeypatch):
+    problem, _ = solved
+    run_block = montecarlo._simulate_block
+
+    def failing(*args):
+        if args[-2].spawn_key == (1,):  # block 1 runs on the worker thread
+            raise RuntimeError("block 1 failed")
+        run_block(*args)
+
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_simulate_block", failing)
+    with pytest.raises(RuntimeError, match="block 1 failed"):
+        simulate_cash(problem, _holding(problem, 2), SimulationConfig(n_paths=2 * BLOCK_PATHS))
