@@ -25,9 +25,10 @@ from .pricing import implied_gamma, price_finite
 from .solver import Grid, Trajectory, newton_solve
 from .value_function import ValueGrid, build_grid, check_structure, hj_residual
 
-__all__ = ["main", "run_command", "write_trajectory_csv", "read_trajectory_csv"]
+__all__ = ["main", "run_command", "write_trajectory_csv", "read_trajectory_csv", "write_paths_csv"]
 
 COMMANDS = ("solve", "price", "decompose", "grid", "simulate", "implied-gamma")
+PATHS_BLOCK = 50_000  # rows of paths.csv formatted per write
 
 
 def _fmt(x: float) -> str:
@@ -70,6 +71,15 @@ def write_value_grid_csv(path: str, grid: ValueGrid) -> None:
         writer.writerow(["t"] + [_fmt(q) for q in grid.q_nodes])
         for i, t in enumerate(grid.t_nodes):
             writer.writerow([_fmt(t)] + [_fmt(x) for x in grid.values[i]])
+
+
+def write_paths_csv(path: str, samples: np.ndarray) -> None:
+    """Header path,wealth; the bytes ``csv.writer`` gives, formatted a block of rows at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write("path,wealth\r\n")
+        for start in range(0, len(samples), PATHS_BLOCK):
+            block = samples[start : start + PATHS_BLOCK].tolist()
+            fh.write("".join(f"{i},{_fmt(x)}\r\n" for i, x in enumerate(block, start)))
 
 
 def _write_json(path: str, payload) -> None:
@@ -132,6 +142,10 @@ def _cmd_decompose(cfg: RunConfig, out_dir: str) -> dict:
     return {"decomposition": path}
 
 
+class FailedCellsError(RuntimeError):
+    """Grid cells failed to converge; the grid and its report are written regardless."""
+
+
 def _cmd_grid(cfg: RunConfig, out_dir: str) -> dict:
     T = cfg.problem.horizon
     epsilon = cfg.grid_epsilon if cfg.grid_epsilon is not None else 0.05 * T
@@ -142,17 +156,33 @@ def _cmd_grid(cfg: RunConfig, out_dir: str) -> dict:
     grid_path = os.path.join(out_dir, "value_grid.csv")
     write_value_grid_csv(grid_path, grid)
 
-    report = hj_residual(grid)
-    structure = check_structure(grid)
+    failed = int(grid.failed.sum())
     payload = {
-        "hj_max_abs": report.max_abs,
-        "hj_max_normalized": report.max_normalized,
-        "hj_argmax": {"t": report.argmax[0], "q": report.argmax[1]},
-        "structure": [dataclasses.asdict(c) for c in structure.checks],
-        "structure_ok": structure.ok,
+        "failed_cells": failed,
+        "newton_iterations": {"total": int(grid.iterations.sum()), "max": int(grid.iterations.max())},
+        # the HJ and structure checks need every cell; with failures they are null
+        "hj_max_abs": None,
+        "hj_max_normalized": None,
+        "hj_argmax": None,
+        "structure": None,
+        "structure_ok": None,
     }
+    if not failed:
+        report = hj_residual(grid)
+        structure = check_structure(grid)
+        payload.update(
+            hj_max_abs=report.max_abs,
+            hj_max_normalized=report.max_normalized,
+            hj_argmax={"t": report.argmax[0], "q": report.argmax[1]},
+            structure=[dataclasses.asdict(c) for c in structure.checks],
+            structure_ok=structure.ok,
+        )
     report_path = os.path.join(out_dir, "hj_report.json")
     _write_json(report_path, payload)
+    if failed:
+        raise FailedCellsError(
+            f"{failed} of {grid.failed.size} grid cells did not converge; see {report_path}"
+        )
     return {"grid": grid_path, "report": report_path}
 
 
@@ -184,11 +214,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str) -> dict:
     artifacts = {"simulation": path}
     if cfg.dump_paths and result.samples is not None:
         paths_csv = os.path.join(out_dir, "paths.csv")
-        with open(paths_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "wealth"])
-            for i, x in enumerate(result.samples):
-                writer.writerow([i, _fmt(x)])
+        write_paths_csv(paths_csv, result.samples)
         artifacts["paths"] = paths_csv
     return artifacts
 

@@ -23,6 +23,7 @@ from .market_model import (
 )
 from .montecarlo import SimulationConfig
 from .solver import SolveOptions
+from .value_function import MAX_GRID_NODES
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
@@ -215,6 +216,10 @@ def parse_config(path: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+    for key in ("grid.n_t", "grid.n_q"):
+        if not 3 <= pairs.get(key, 3) <= MAX_GRID_NODES:
+            raise ConfigError(f"{path}: {key} must lie in [3, {MAX_GRID_NODES}], got {pairs[key]}")
 
     return RunConfig(
         problem=problem,

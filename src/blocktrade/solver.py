@@ -20,11 +20,25 @@ Newton iteration solves the linearized recurrences
 
 with dq[0] = dq[J] = 0 and e[j] the local defect of the q-recurrence, by
 affine shooting: the whole chain is an affine function of the single unknown
-dp[0], so two forward passes (dp[0] = 0 and dp[0] = 1) pin it down. The
-p-recurrence holds exactly along every iterate by construction, hence
+dp[0], so two forward passes (dp[0] = 0 and dp[0] = 1) pin it down. Over long
+horizons the homogeneous mode of the forward pass grows past what double
+precision can cancel, so a direction that misses the linearized system by more
+than a threshold is replaced by a pivoted tridiagonal solve of the same system.
+The p-recurrence holds exactly along every iterate by construction, hence
 convergence is declared on the q-residual alone (the p-residual is reported
 too and stays at rounding level). A step-halving line search guards the early
 iterations, where the power-law H' has strongly varying curvature.
+
+Solves run in blocks of members that share the problem, the horizon and the
+step count; each member has its own start (t_hat, q_hat), hence its own tau,
+volume row and tolerance. One Newton loop serves the whole block. The two
+shooting chains of every member are stepped side by side, five numpy calls per
+cell, which are the IEEE operations of the scalar recurrence, and every rule
+(direction, fallback, line search, stopping) is applied per member. A member's
+result is therefore bit for bit what it gets when solved alone; a single member
+steps its chains on Python floats, which is faster at that width. Members
+leave the block as they converge or fail, and a failing member never stops the
+others. ``newton_solve`` and ``solve_from`` are one-member blocks.
 """
 
 from __future__ import annotations
@@ -34,12 +48,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .legendre import SingularCurvatureError, hamiltonian_of
 from .market_model import LiquidationProblem, PowerLawCost
 
 __all__ = [
+    "MAX_STEPS",
     "Grid",
     "Trajectory",
     "SolveOptions",
@@ -50,6 +64,9 @@ __all__ = [
     "newton_solve",
     "solve_from",
 ]
+
+
+MAX_STEPS = 1_000_000  # a block holds members * (n_steps + 1) doubles per array
 
 
 class NonConvergenceError(RuntimeError):
@@ -110,8 +127,8 @@ class SolveOptions:
     max_halvings: int = 20
 
     def __post_init__(self):
-        if self.n_steps < 2:
-            raise ValueError("n_steps must be at least 2")
+        if not 2 <= self.n_steps <= MAX_STEPS:
+            raise ValueError(f"n_steps must lie in [2, {MAX_STEPS}], got {self.n_steps}")
         if self.newton_tol is not None and not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
         if self.max_iter < 1:
@@ -156,59 +173,93 @@ def initial_guess(problem: LiquidationProblem, grid: Grid, q_start: Optional[flo
     return Trajectory(grid=grid, q=q, p=p, v=_speeds(grid, q))
 
 
-def _residual_arrays(problem, ham, grid, vol, q, p):
-    tau = grid.tau
-    ksq = problem.market.gamma * problem.market.sigma**2
-    rp = p[1:] - p[:-1] - tau * ksq * q[1:]
-    rq = q[1:] - q[:-1] - tau * vol * ham.slope(p[:-1])
+def _residual_arrays(ham, tau_ksq, tau_vol, q, p):
+    """Defects of both recurrences along the last axis, one row per member."""
+    rp = p[..., 1:] - p[..., :-1] - tau_ksq * q[..., 1:]
+    rq = q[..., 1:] - q[..., :-1] - tau_vol * ham.slope(p[..., :-1])
     return rp, rq
+
+
+def _max_abs(a, b):
+    """Per-row max(|a|, |b|); a NaN anywhere in a row gives NaN."""
+    return np.maximum(np.max(np.abs(a), axis=-1), np.max(np.abs(b), axis=-1))
 
 
 def discrete_residual(problem: LiquidationProblem, traj: Trajectory) -> ResidualReport:
     """Recompute the defects of both recurrences for a given trajectory."""
     ham = hamiltonian_of(problem.cost)
+    tau = traj.grid.tau
     vol = np.asarray(problem.volume(traj.grid.times[1:]), dtype=float)
-    rp, rq = _residual_arrays(problem, ham, traj.grid, vol, traj.q, traj.p)
+    ksq = problem.market.gamma * problem.market.sigma**2
+    rp, rq = _residual_arrays(ham, tau * ksq, tau * vol, traj.q, traj.p)
     return ResidualReport(p_residual=rp, q_residual=rq)
 
 
 def _propagate(c, e, b, dp_start):
-    """Forward pass of the linearized recurrences for a given dp[0]."""
+    """Forward pass of the linearized recurrences of one member, on Python floats."""
     dq = [0.0]
     dp = [dp_start]
+    append_q, append_p = dq.append, dp.append
     dqj = 0.0
     dpj = dp_start
     for cj, ej in zip(c, e):
         dqj = dqj + cj * dpj + ej
         dpj = dpj + b * dqj
-        dq.append(dqj)
-        dp.append(dpj)
-    return np.asarray(dq), np.asarray(dp)
+        append_q(dqj)
+        append_p(dpj)
+    return np.fromiter(dq, float, len(dq)), np.fromiter(dp, float, len(dp))
 
 
-def _direction_by_shooting(c, e, b):
+def _propagate_block(c, e, b):
+    """Forward passes of every member at once, the chains side by side.
+
+    Column k of the (J+1, 2K) work arrays starts at dp[0] = 0 and column K + k
+    at dp[0] = 1, both for member k. Each cell takes five in-place calls that
+    repeat the scalar recurrence's operations in its order, so every column is
+    bit for bit its ``_propagate`` chain. Returns (2K, J+1) arrays.
+    """
+    K, J = c.shape
+    cc = np.empty((J, 2 * K))
+    ee = np.empty((J, 2 * K))
+    cc[:, :K] = cc[:, K:] = c.T
+    ee[:, :K] = ee[:, K:] = e.T
+    bb = np.concatenate((b, b))
+    dq = np.zeros((J + 1, 2 * K))
+    dp = np.zeros((J + 1, 2 * K))
+    dp[0, K:] = 1.0
+    tmp = np.empty(2 * K)
+    dq_rows, dp_rows = list(dq), list(dp)
+    for cj, ej, dq_j, dq_next, dp_j, dp_next in zip(
+        cc, ee, dq_rows, dq_rows[1:], dp_rows, dp_rows[1:]
+    ):
+        np.multiply(cj, dp_j, out=tmp)
+        np.add(dq_j, tmp, out=dq_next)
+        np.add(dq_next, ej, out=dq_next)
+        np.multiply(bb, dq_next, out=tmp)
+        np.add(dp_j, tmp, out=dp_next)
+    return np.ascontiguousarray(dq.T), np.ascontiguousarray(dp.T)
+
+
+def _shooting_chains(c, e, b):
+    """Both forward passes of every member: rows :K start at dp[0] = 0, rows K: at 1."""
+    if len(b) > 1:
+        return _propagate_block(c, e, b)
+    c, e, b = c[0].tolist(), e[0].tolist(), float(b[0])
     dq0, dp0 = _propagate(c, e, b, 0.0)
     dq1, dp1 = _propagate(c, e, b, 1.0)
-    with np.errstate(all="ignore"):
-        denom = dq1[-1] - dq0[-1]
-        if not np.isfinite(denom) or denom == 0.0 or not np.isfinite(dq0[-1]):
-            return None
-        s = -dq0[-1] / denom
-        dq = dq0 + s * (dq1 - dq0)
-        dp = dp0 + s * (dp1 - dp0)
-    dq[0] = 0.0
-    dq[-1] = 0.0  # boundary is exact; cancel the rounding of the affine combination
-    return dq, dp
+    return np.stack((dq0, dq1)), np.stack((dp0, dp1))
 
 
 def _direction_by_banded(c, e, b):
-    """Direct tridiagonal solve of the same linearized system.
+    """Direct tridiagonal solve of the same linearized system, for one member.
 
     Unknowns interleaved as (dp_0, dq_1, dp_1, ..., dq_{J-1}, dp_{J-1}, dp_J);
     the boundary values dq_0 = dq_J = 0 are eliminated. Stable for long
     horizons, where the homogeneous mode of the forward propagation grows past
     what double precision can cancel.
     """
+    from scipy.linalg import solve_banded  # lazy: only the fallback needs scipy.linalg
+
     J = len(c)
     # row 2j: dq_{j+1} - dq_j - c_j dp_j = e_j;  row 2j+1: dp_{j+1} - dp_j - b dq_{j+1} = 0
     ab = np.zeros((3, 2 * J))
@@ -229,112 +280,218 @@ def _direction_by_banded(c, e, b):
 
 
 def _linear_defect(c, e, b, dq, dp):
-    """How well a candidate direction satisfies the linearized recurrences."""
-    c = np.asarray(c)
-    e = np.asarray(e)
-    rq = dq[1:] - dq[:-1] - c * dp[:-1] - e
-    rp = dp[1:] - dp[:-1] - b * dq[1:]
-    with np.errstate(invalid="ignore"):
-        defect = max(float(np.max(np.abs(rq))), float(np.max(np.abs(rp))))
-    return defect if np.isfinite(defect) else math.inf
+    """How well a direction satisfies the linearized recurrences, per row."""
+    rq = dq[..., 1:] - dq[..., :-1] - c * dp[..., :-1] - e
+    rp = dp[..., 1:] - dp[..., :-1] - b * dq[..., 1:]
+    return _max_abs(rq, rp)
 
 
 def _newton_direction(c, e, b, current, tol):
-    """Affine shooting first; banded fallback when cancellation wrecks the chain.
+    """Affine shooting first; per member, a banded fallback when cancellation wrecks the chain.
 
     Over long horizons the homogeneous mode of the forward pass grows
     exponentially and the final affine combination differences astronomically
     large numbers, leaving rounding noise where the correction should be. The
     defect of the candidate against the linearized system measures that damage
     directly; past the useful threshold the same system is re-solved by a
-    pivoted tridiagonal factorization.
+    pivoted tridiagonal factorization. Returns dq, dp and the mask of members
+    whose linearization is singular (their rows are meaningless).
     """
-    direction = _direction_by_shooting(c, e, b)
-    threshold = max(0.01 * current, 0.1 * tol)
-    if direction is not None and _linear_defect(c, e, b, *direction) <= threshold:
-        return direction
-    dq, dp = _direction_by_banded(c, e, b)
-    dq[0] = 0.0
-    dq[-1] = 0.0
-    return dq, dp
-
-
-def _solve_on_grid(problem: LiquidationProblem, grid: Grid, q_start: float, opts: SolveOptions) -> Trajectory:
-    if isinstance(problem.cost, PowerLawCost) and problem.cost.phi > 1.0:
-        raise SingularCurvatureError(
-            "the Newton path needs finite H'' at p=0; power-law exponents above 1 "
-            "are only supported through the closed forms"
-        )
-    ham = hamiltonian_of(problem.cost)
-    tau = grid.tau
-    b = tau * problem.market.gamma * problem.market.sigma**2
-    vol = np.asarray(problem.volume(grid.times[1:]), dtype=float)
-    tol = opts.newton_tol if opts.newton_tol is not None else 1e-10 * q_start
-    tol = max(tol, 1e-300)
-
-    guess = initial_guess(problem, grid, q_start)
-    q, p = guess.q.copy(), guess.p.copy()
-    rp, rq = _residual_arrays(problem, ham, grid, vol, q, p)
-    current = max(float(np.max(np.abs(rp))), float(np.max(np.abs(rq))))
-
-    iterations = 0
-    while not current <= tol:  # a NaN residual never counts as converged
-        if not math.isfinite(current):
-            raise NonConvergenceError("non-finite residual", current, iterations)
-        if iterations >= opts.max_iter:
-            raise NonConvergenceError("Newton iteration stalled", current, iterations)
-
-        c = (tau * vol * ham.curvature(p[:-1])).tolist()
-        e = (-rq).tolist()
+    K = len(b)
+    dq_chains, dp_chains = _shooting_chains(c, e, b)
+    with np.errstate(all="ignore"):
+        dq0, dq1 = dq_chains[:K], dq_chains[K:]
+        dp0, dp1 = dp_chains[:K], dp_chains[K:]
+        denom = dq1[:, -1] - dq0[:, -1]
+        s = (-dq0[:, -1] / denom)[:, None]
+        dq = dq0 + s * (dq1 - dq0)
+        dp = dp0 + s * (dp1 - dp0)
+        dq[:, 0] = 0.0
+        dq[:, -1] = 0.0  # boundary is exact; cancel the rounding of the affine combination
+        defect = _linear_defect(c, e, b[:, None], dq, dp)
+    usable = np.isfinite(denom) & (denom != 0.0) & np.isfinite(dq0[:, -1])
+    threshold = np.maximum(0.01 * current, 0.1 * tol)
+    singular = np.zeros(K, dtype=bool)
+    for k in np.flatnonzero(~(usable & (defect <= threshold))):
         try:
-            dq, dp = _newton_direction(c, e, b, current, tol)
+            dq[k], dp[k] = _direction_by_banded(c[k], e[k], b[k])
         except np.linalg.LinAlgError:
-            raise NonConvergenceError(
-                "degenerate linearization (H'' vanishes along the whole path)",
-                current,
-                iterations,
-            ) from None
+            singular[k] = True
+    return dq, dp, singular
 
-        alpha = 1.0
-        best = None
-        accepted = None
-        for _ in range(opts.max_halvings + 1):
-            qc = q + alpha * dq
-            pc = p + alpha * dp
-            with np.errstate(all="ignore"):
-                rpc, rqc = _residual_arrays(problem, ham, grid, vol, qc, pc)
-                m = max(float(np.max(np.abs(rpc))), float(np.max(np.abs(rqc))))
-            if math.isfinite(m):
-                if m < current:
-                    accepted = (qc, pc, rpc, rqc, m)
-                    break
-                if best is None or m < best[4]:
-                    best = (qc, pc, rpc, rqc, m)
-            alpha *= 0.5
-        if accepted is None:
-            if best is None:
-                raise NonConvergenceError(
-                    "line search found no finite candidate", current, iterations
-                )
-            accepted = best  # no halving improved; take the least-bad step, max_iter guards
-        q, p, rp, rq, current = accepted
-        iterations += 1
 
+class _Block:
+    """Row-per-member arrays of the members still iterating, and what is fixed per member."""
+
+    __slots__ = ("member", "tol", "b", "tau_ksq", "tau_vol", "q", "p", "rq", "current")
+
+    def __init__(self, **rows):
+        for name, value in rows.items():
+            setattr(self, name, value)
+
+    def keep(self, mask):
+        """Drop the rows where ``mask`` is False; the kept rows are copied out of the old arrays."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name)[mask])
+
+    def candidate(self, ham, rows, alpha, dq, dp):
+        """Trial point rows + alpha * direction with its q-residual and max residual."""
+        qc = self.q[rows] + alpha * dq[rows]
+        pc = self.p[rows] + alpha * dp[rows]
+        with np.errstate(all="ignore"):
+            rpc, rqc = _residual_arrays(ham, self.tau_ksq[rows], self.tau_vol[rows], qc, pc)
+            m = _max_abs(rpc, rqc)
+        return qc, pc, rqc, m
+
+    def take(self, rows, qc, pc, rqc, m):
+        self.q[rows], self.p[rows], self.rq[rows], self.current[rows] = qc, pc, rqc, m
+
+
+def _line_search(ham, block, dq, dp, max_halvings):
+    """Halve each member's step until its residual falls; update ``block`` in place.
+
+    A member that no halving improves takes its least-bad finite step
+    (``max_iter`` guards against stalling). Returns the mask of members
+    for which no halving gave a finite residual.
+    """
+    K = len(block.member)
+    pending = np.ones(K, dtype=bool)
+    best = np.full(K, np.inf)  # least-bad finite residual so far, and its step
+    best_alpha = np.zeros(K)
+    alpha = 1.0
+    for _ in range(max_halvings + 1):
+        whole = pending.all()
+        rows = slice(None) if whole else np.flatnonzero(pending)
+        qc, pc, rqc, m = block.candidate(ham, rows, alpha, dq, dp)
+        accept = m < block.current[rows]  # a non-finite m never passes
+        if whole and accept.all():
+            block.q, block.p, block.rq, block.current = qc, pc, rqc, m
+            return np.zeros(K, dtype=bool)
+        rows = np.arange(K)[rows]
+        block.take(rows[accept], qc[accept], pc[accept], rqc[accept], m[accept])
+        pending[rows[accept]] = False
+        better = ~accept & (m < best[rows])
+        best[rows[better]] = m[better]
+        best_alpha[rows[better]] = alpha
+        alpha *= 0.5
+    found = np.isfinite(best)
+    fallback = np.flatnonzero(pending & found)
+    if fallback.size:
+        block.take(fallback, *block.candidate(ham, fallback, best_alpha[fallback, None], dq, dp))
+    return pending & ~found
+
+
+def _trajectory(grid, q, p, iterations, residual):
+    q, p = q.copy(), p.copy()  # a row view would keep the whole block's array alive
     return Trajectory(
         grid=grid,
         q=q,
         p=p,
         v=_speeds(grid, q),
         iterations=iterations,
-        max_residual=current,
+        max_residual=float(residual),
     )
+
+
+def _solve_batch(problem: LiquidationProblem, t_starts, q_starts, opts: SolveOptions) -> list:
+    """Solve from each (t_starts[k], q_starts[k]) to zero at the horizon, in one Newton loop.
+
+    Returns, in member order, each member's ``Trajectory`` or the
+    ``NonConvergenceError`` it failed with. Live members share the iteration
+    counter, so a member's count is the loop's count when it leaves.
+    """
+    if isinstance(problem.cost, PowerLawCost) and problem.cost.phi > 1.0:
+        raise SingularCurvatureError(
+            "the Newton path needs finite H'' at p=0; power-law exponents above 1 "
+            "are only supported through the closed forms"
+        )
+    ham = hamiltonian_of(problem.cost)
+    market = problem.market
+    ksq = market.gamma * market.sigma**2
+    grids = [Grid(n_steps=opts.n_steps, t_start=t, t_end=problem.horizon) for t in t_starts]
+    guesses = [initial_guess(problem, grid, q) for grid, q in zip(grids, q_starts)]
+    tau = np.array([grid.tau for grid in grids])
+    vol = np.array([problem.volume(grid.times[1:]) for grid in grids], dtype=float)
+    if opts.newton_tol is not None:
+        tol = np.full(len(grids), opts.newton_tol)
+    else:
+        tol = 1e-10 * np.asarray(q_starts, dtype=float)
+    block = _Block(
+        member=np.arange(len(grids)),
+        tol=np.maximum(tol, 1e-300),
+        b=tau * market.gamma * market.sigma**2,
+        tau_ksq=(tau * ksq)[:, None],
+        tau_vol=tau[:, None] * vol,
+        q=np.array([guess.q for guess in guesses]),
+        p=np.array([guess.p for guess in guesses]),
+    )
+    del guesses, vol
+    rp, block.rq = _residual_arrays(ham, block.tau_ksq, block.tau_vol, block.q, block.p)
+    block.current = _max_abs(rp, block.rq)
+    del rp
+
+    results = [None] * len(grids)
+
+    def record(k, message=None):
+        """Store row k's result: its trajectory, or the error named by ``message``."""
+        member = block.member[k]
+        if message is None:
+            results[member] = _trajectory(
+                grids[member], block.q[k], block.p[k], iterations, block.current[k]
+            )
+        else:
+            results[member] = NonConvergenceError(message, float(block.current[k]), iterations)
+
+    def drop(mask, message):
+        """Fail the rows under ``mask``; True while members are left."""
+        for k in np.flatnonzero(mask):
+            record(k, message)
+        block.keep(~mask)
+        return bool(block.member.size)
+
+    iterations = 0
+    while True:
+        current = block.current
+        going = np.isfinite(current) & (current > block.tol)  # a NaN residual never converges
+        if iterations >= opts.max_iter:
+            going[:] = False
+        if not going.all():
+            for k in np.flatnonzero(~going):
+                if current[k] <= block.tol[k]:
+                    record(k)
+                elif not math.isfinite(current[k]):
+                    record(k, "non-finite residual")
+                else:
+                    record(k, "Newton iteration stalled")
+            if not going.any():
+                break
+            block.keep(going)
+
+        c = block.tau_vol * ham.curvature(block.p[:, :-1])
+        dq, dp, singular = _newton_direction(c, -block.rq, block.b, block.current, block.tol)
+        del c
+        if singular.any():
+            if not drop(singular, "degenerate linearization (H'' vanishes along the whole path)"):
+                break
+            dq, dp = dq[~singular], dp[~singular]
+        stuck = _line_search(ham, block, dq, dp, opts.max_halvings)
+        del dq, dp
+        if stuck.any() and not drop(stuck, "line search found no finite candidate"):
+            break
+        iterations += 1
+    return results
+
+
+def _solve_one(problem: LiquidationProblem, t_start: float, q_start: float, opts: SolveOptions) -> Trajectory:
+    (result,) = _solve_batch(problem, [t_start], [q_start], opts)
+    if isinstance(result, NonConvergenceError):
+        raise result
+    return result
 
 
 def newton_solve(problem: LiquidationProblem, opts: Optional[SolveOptions] = None) -> Trajectory:
     """Solve the full-horizon liquidation problem."""
-    opts = opts or SolveOptions()
-    grid = Grid(n_steps=opts.n_steps, t_start=0.0, t_end=problem.horizon)
-    return _solve_on_grid(problem, grid, problem.q0, opts)
+    return _solve_one(problem, 0.0, problem.q0, opts or SolveOptions())
 
 
 def solve_from(
@@ -344,10 +501,8 @@ def solve_from(
     opts: Optional[SolveOptions] = None,
 ) -> Trajectory:
     """Optimal trajectory from inventory q_hat at time t_hat to zero at the horizon."""
-    opts = opts or SolveOptions()
     if not 0.0 <= t_hat < problem.horizon:
         raise ValueError("t_hat must lie in [0, horizon)")
     if q_hat < 0:
         raise ValueError("q_hat must be nonnegative")
-    grid = Grid(n_steps=opts.n_steps, t_start=t_hat, t_end=problem.horizon)
-    return _solve_on_grid(problem, grid, q_hat, opts)
+    return _solve_one(problem, t_hat, q_hat, opts or SolveOptions())

@@ -22,9 +22,11 @@ from .closed_forms import theta_infinity
 from .legendre import hamiltonian_of
 from .market_model import ConstantVolume, LiquidationProblem
 from .objective import eval_I
-from .solver import NonConvergenceError, SolveOptions, newton_solve, solve_from
+from .solver import NonConvergenceError, SolveOptions, _solve_batch, newton_solve
 
 __all__ = [
+    "BATCH_MEMBERS",
+    "MAX_GRID_NODES",
     "ValueGrid",
     "HJResidualReport",
     "PropertyCheck",
@@ -37,9 +39,21 @@ __all__ = [
 ]
 
 
+BATCH_MEMBERS = 64  # cells solved together in one Newton block
+# A block holds BATCH_MEMBERS * (n_steps + 1) doubles per array at most: past
+# the default step count the block shrinks so its memory stays put.
+_BLOCK_DOUBLES = BATCH_MEMBERS * 1001
+MAX_GRID_NODES = 1000  # per axis
+
+
 @dataclass(frozen=True, eq=False)
 class ValueGrid:
-    """Liquidation values on t_nodes x q_nodes, with a per-cell failure mask."""
+    """Liquidation values on t_nodes x q_nodes, with a per-cell failure mask.
+
+    ``build_grid`` fills ``iterations`` with each cell's Newton iteration count
+    (at failure, for a failed cell; 0 on the zero-inventory column, which needs
+    no solve). A grid assembled by hand may leave it None.
+    """
 
     t_nodes: np.ndarray
     q_nodes: np.ndarray
@@ -47,6 +61,7 @@ class ValueGrid:
     epsilon: float
     problem: LiquidationProblem
     failed: np.ndarray
+    iterations: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +108,10 @@ def build_grid(
     opts: Optional[SolveOptions] = None,
     epsilon: Optional[float] = None,
 ) -> ValueGrid:
-    """Fill the grid cell by cell; the zero-inventory column is exact without solving.
+    """Fill the grid in blocks of cells; the zero-inventory column is exact without solving.
 
-    Solver failures do not abort the build: the cell is masked and left NaN.
+    Every cell's result is bit for bit its own ``solve_from``. Solver failures
+    do not abort the build: the cell is masked and left NaN.
     """
     opts = opts or SolveOptions()
     T = problem.horizon
@@ -104,6 +120,8 @@ def build_grid(
         raise ValueError("safety margin must be at least 1% of the horizon")
     t_nodes = np.asarray(t_nodes, dtype=float)
     q_nodes = np.asarray(q_nodes, dtype=float)
+    if max(len(t_nodes), len(q_nodes)) > MAX_GRID_NODES:
+        raise ValueError(f"a grid axis may have at most {MAX_GRID_NODES} nodes")
     if np.any(np.diff(t_nodes) <= 0) or np.any(np.diff(q_nodes) <= 0):
         raise ValueError("grid nodes must be strictly increasing")
     if t_nodes[0] < 0 or t_nodes[-1] > T - epsilon + 1e-12 * T:
@@ -113,16 +131,21 @@ def build_grid(
 
     values = np.zeros((len(t_nodes), len(q_nodes)))
     failed = np.zeros_like(values, dtype=bool)
-    for i, t in enumerate(t_nodes):
-        for k, q in enumerate(q_nodes):
-            if q == 0.0:
-                continue
-            try:
-                traj = solve_from(problem, t, q, opts)
-                values[i, k] = eval_I(problem, traj, psi=0.0)
-            except NonConvergenceError:
+    iterations = np.zeros_like(values, dtype=int)
+    cells = [(i, k) for i in range(len(t_nodes)) for k in range(len(q_nodes)) if q_nodes[k] != 0.0]
+    size = max(1, min(BATCH_MEMBERS, _BLOCK_DOUBLES // (opts.n_steps + 1)))
+    for start in range(0, len(cells), size):
+        block = cells[start : start + size]
+        results = _solve_batch(
+            problem, [t_nodes[i] for i, _ in block], [q_nodes[k] for _, k in block], opts
+        )
+        for (i, k), result in zip(block, results):
+            iterations[i, k] = result.iterations
+            if isinstance(result, NonConvergenceError):
                 values[i, k] = np.nan
                 failed[i, k] = True
+            else:
+                values[i, k] = eval_I(problem, result, psi=0.0)
     return ValueGrid(
         t_nodes=t_nodes,
         q_nodes=q_nodes,
@@ -130,6 +153,7 @@ def build_grid(
         epsilon=epsilon,
         problem=problem,
         failed=failed,
+        iterations=iterations,
     )
 
 
@@ -242,11 +266,12 @@ def asymptotic_convergence(
     opts = opts or SolveOptions()
     tau_ref = horizons[0] / opts.n_steps
 
+    # SolveOptions bounds every scaled step count before the first solve runs
+    scaled = [replace(opts, n_steps=max(opts.n_steps, math.ceil(T / tau_ref))) for T in horizons]
+
     values = []
-    for T in horizons:
-        n = max(opts.n_steps, math.ceil(T / tau_ref))
+    for T, probe_opts in zip(horizons, scaled):
         probe = replace(problem, horizon=T, q0=q)
-        probe_opts = replace(opts, n_steps=n)
         if q == 0.0:
             values.append(0.0)
             continue

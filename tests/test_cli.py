@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import blocktrade
-from blocktrade.cli import main, read_trajectory_csv
+from blocktrade import cli
+from blocktrade.cli import main, read_trajectory_csv, write_paths_csv
 from blocktrade.config import ConfigError, parse_config
 from blocktrade.objective import eval_I
+from conftest import REFERENCE_CONFIG
 
 BASE_CONFIG = """\
 # reference liquid-stock configuration
@@ -330,3 +332,64 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     code = "import sys, blocktrade.cli; sys.exit('scipy.integrate' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_and_a_reference_solve_leave_scipy_linalg_unloaded():
+    src = os.path.dirname(os.path.dirname(blocktrade.__file__))
+    code = (
+        "import sys, blocktrade.cli\n"
+        "from blocktrade.config import parse_config\n"
+        "from blocktrade.solver import newton_solve\n"
+        f"cfg = parse_config({REFERENCE_CONFIG!r})\n"
+        "newton_solve(cfg.problem, cfg.solve)\n"
+        "sys.exit('scipy.linalg' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_grid_report_counts_iterations_and_failed_cells(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _ = run_cli(capsys, "grid", "--config", write_config(tmp_path), "--out-dir", str(out), "--n-steps", "300")
+    assert code == 0
+    report = json.loads((out / "hj_report.json").read_text())
+    assert report["failed_cells"] == 0
+    iterations = report["newton_iterations"]
+    assert 1 <= iterations["max"] <= 50 and iterations["max"] < iterations["total"] <= 20 * 50
+
+    # one Newton step is too few for every cell: the run writes both artifacts, then fails
+    text = BASE_CONFIG + "solve.max_iter = 1\n"
+    out = tmp_path / "failed"
+    code, payload = run_cli(capsys, "grid", "--config", write_config(tmp_path, text, "one.cfg"), "--out-dir", str(out), "--n-steps", "300")
+    assert code == 1
+    assert payload["error"]["type"] == "FailedCellsError"
+    assert (out / "value_grid.csv").exists()
+    report = json.loads((out / "hj_report.json").read_text())
+    assert report["failed_cells"] == 20  # 5 x 5 nodes less the zero-inventory column
+    assert report["newton_iterations"] == {"total": 20, "max": 1}
+    assert report["hj_max_normalized"] is None and report["structure_ok"] is None
+
+
+def test_paths_csv_is_the_csv_writer_output_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "PATHS_BLOCK", 4)
+    samples = np.array([-1.5e7, 0.1, 1e-300, 2.0 / 3.0, -0.0, 123456789.125, 5e20, -7.0, 1.0, 3.3])
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["path", "wealth"])
+        for i, x in enumerate(samples):
+            writer.writerow([i, format(float(x), ".17g")])
+    written = tmp_path / "paths.csv"
+    write_paths_csv(str(written), samples)
+    assert written.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [("grid.n_t = 1001", "grid.n_t"), ("grid.n_q = 2", "grid.n_q"), ("solve.n_steps = 1000001", "n_steps")],
+)
+def test_size_bounds_are_config_errors(tmp_path, line, key):
+    name = line.split(" =")[0]
+    text = "\n".join(l for l in BASE_CONFIG.splitlines() if not l.startswith(name + " ")) + f"\n{line}\n"
+    with pytest.raises(ConfigError, match=key):
+        parse_config(write_config(tmp_path, text))

@@ -7,12 +7,17 @@ from dataclasses import replace
 from blocktrade.closed_forms import ac_trajectory
 from blocktrade.market_model import LiquidationProblem, MarketParams, PowerLawCost
 from blocktrade.objective import eval_I
+from blocktrade import solver
 from blocktrade.solver import (
+    MAX_STEPS,
     Grid,
     NonConvergenceError,
     SolveOptions,
     _direction_by_banded,
     _linear_defect,
+    _propagate,
+    _propagate_block,
+    _solve_batch,
     discrete_residual,
     initial_guess,
     newton_solve,
@@ -224,3 +229,82 @@ def test_banded_direction_solves_linearized_system(J):
     assert dq[0] == 0.0 and dq[-1] == 0.0
     scale = max(1.0, float(np.max(np.abs(dq))), float(np.max(np.abs(dp))))
     assert _linear_defect(c, e, b, dq, dp) <= 1e-13 * scale
+
+
+def assert_same_outcome(batched, alone):
+    """A block member's result is bit for bit its solo solve's, error or trajectory."""
+    assert type(batched) is type(alone)
+    if isinstance(alone, NonConvergenceError):
+        assert str(batched) == str(alone)
+        assert (batched.residual, batched.iterations) == (alone.residual, alone.iterations)
+        return
+    assert batched.grid == alone.grid
+    for name in ("q", "p", "v"):
+        assert np.array_equal(getattr(batched, name), getattr(alone, name))
+    assert (batched.iterations, batched.max_residual) == (alone.iterations, alone.max_residual)
+
+
+def solo(problem, t, q, opts):
+    try:
+        return solve_from(problem, t, q, opts)
+    except NonConvergenceError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("K", [2, 5])
+def test_block_kernel_equals_the_scalar_loop(K):
+    rng = np.random.default_rng(K)
+    J = 300
+    c = rng.uniform(0.0, 3.0, (K, J))
+    e = rng.normal(size=(K, J)) * 10.0 ** rng.uniform(-8, 3, (K, J))
+    b = rng.uniform(0.01, 2.0, K)
+    dq, dp = _propagate_block(c, e, b)
+    assert dq.shape == dp.shape == (2 * K, J + 1)
+    for k in range(K):
+        for chain, start in ((k, 0.0), (K + k, 1.0)):
+            dq_alone, dp_alone = _propagate(c[k].tolist(), e[k].tolist(), float(b[k]), start)
+            assert np.array_equal(dq[chain], dq_alone)
+            assert np.array_equal(dp[chain], dp_alone)
+
+
+def test_long_horizon_batch_takes_the_fallback_and_matches_solo_solves(monkeypatch):
+    # at T = 20 the shooting chains lose the correction to cancellation
+    problem = make_reference_problem(horizon=20.0)
+    opts = SolveOptions(n_steps=400)
+    starts = [(0.0, 5e5), (5.0, 2e5), (10.0, 1e6), (0.0, 5e4)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _direction_by_banded(*args)
+
+    monkeypatch.setattr(solver, "_direction_by_banded", counted)
+    batched = _solve_batch(problem, *zip(*starts), opts)
+    assert calls
+    for result, (t, q) in zip(batched, starts):
+        assert_same_outcome(result, solo(problem, t, q, opts))
+
+
+def test_failing_member_is_returned_and_leaves_the_others_bit_identical(reference_problem):
+    # alone, the 2e6 block needs 8 iterations and the others at most 7
+    opts = SolveOptions(n_steps=200, max_iter=7)
+    starts = [(0.0, 5e5), (0.5, 1e5), (0.0, 2e6), (0.8, 5e3)]
+    batched = _solve_batch(reference_problem, *zip(*starts), opts)
+    assert [isinstance(r, NonConvergenceError) for r in batched] == [False, False, True, False]
+    for result, (t, q) in zip(batched, starts):
+        assert_same_outcome(result, solo(reference_problem, t, q, opts))
+
+
+def test_returned_trajectories_own_their_arrays(reference_problem):
+    starts = [(0.0, 5e5), (0.2, 3e5), (0.4, 1e5)]
+    batched = _solve_batch(reference_problem, *zip(*starts), SolveOptions(n_steps=100))
+    for traj in batched:
+        assert traj.q.base is None and traj.p.base is None  # no view pins the block
+    for a, b in zip(batched, batched[1:]):
+        assert not np.shares_memory(a.q, b.q) and not np.shares_memory(a.p, b.p)
+
+
+def test_step_count_is_bounded():
+    assert SolveOptions(n_steps=MAX_STEPS).n_steps == MAX_STEPS
+    with pytest.raises(ValueError, match="n_steps"):
+        SolveOptions(n_steps=MAX_STEPS + 1)

@@ -4,8 +4,18 @@ from dataclasses import replace
 
 from blocktrade.closed_forms import ac_trajectory, theta_infinity
 from blocktrade.objective import eval_I
-from blocktrade.solver import Grid, SolveOptions, Trajectory, newton_solve, solve_from
+from blocktrade import value_function
+from blocktrade.solver import (
+    MAX_STEPS,
+    Grid,
+    NonConvergenceError,
+    SolveOptions,
+    Trajectory,
+    newton_solve,
+    solve_from,
+)
 from blocktrade.value_function import (
+    BATCH_MEMBERS,
     ValueGrid,
     asymptotic_convergence,
     build_grid,
@@ -167,3 +177,42 @@ def test_asymptotic_convergence_zero_inventory(reference_problem):
     result = asymptotic_convergence(reference_problem, 0.0, [0.5, 1.0], SolveOptions(n_steps=200))
     assert np.all(result.values == 0.0)
     assert result.limit == 0.0
+
+
+@pytest.mark.parametrize("max_iter", [50, 6])
+def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter):
+    opts = SolveOptions(n_steps=100, max_iter=max_iter)
+    t_nodes = np.linspace(0.0, 0.9, 9)
+    q_nodes = np.linspace(0.0, 2 * reference_problem.q0, 9)
+    assert len(t_nodes) * (len(q_nodes) - 1) > BATCH_MEMBERS  # more than one block
+    grid = build_grid(reference_problem, t_nodes, q_nodes, opts)
+    values = np.zeros_like(grid.values)
+    failed = np.zeros_like(grid.failed)
+    iterations = np.zeros_like(grid.iterations)
+    for i, t in enumerate(t_nodes):
+        for k, q in enumerate(q_nodes[1:], start=1):
+            try:
+                traj = solve_from(reference_problem, t, q, opts)
+            except NonConvergenceError as exc:
+                values[i, k], failed[i, k], iterations[i, k] = np.nan, True, exc.iterations
+            else:
+                values[i, k], iterations[i, k] = eval_I(reference_problem, traj, psi=0.0), traj.iterations
+    assert np.array_equal(grid.values, values, equal_nan=True)
+    assert np.array_equal(grid.failed, failed)
+    assert np.array_equal(grid.iterations, iterations)
+    assert failed.any() == (max_iter == 6)
+
+
+def test_grid_and_step_sizes_are_bounded(reference_problem, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(value_function, "_solve_batch", no_solve)
+    monkeypatch.setattr(value_function, "newton_solve", no_solve)
+    too_many = np.linspace(0.0, 0.5, value_function.MAX_GRID_NODES + 1)
+    with pytest.raises(ValueError, match="at most"):
+        build_grid(reference_problem, too_many, [0.0, 1e5], OPTS)
+    # the last horizon would need 2e6 steps at the first one's resolution
+    with pytest.raises(ValueError, match="n_steps"):
+        asymptotic_convergence(reference_problem, 1e5, [1e-6, 1.0], SolveOptions(n_steps=2))
+    assert MAX_STEPS < 2_000_000
