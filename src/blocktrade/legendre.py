@@ -3,21 +3,21 @@
 The convex conjugate ``H(p) = sup_rho (rho * p - L(rho))`` maps a dual price
 into the best trade-off achievable against the cost density L. Its derivative
 returns the optimal participation rate at that dual price, which is what the
-trading-curve solver consumes. Power-law costs get closed forms; anything else
-goes through a derivative-free inner maximization (golden section), since no
-smoothness of L beyond convexity is assumed.
+trading-curve solver consumes. Power-law costs get closed forms. Any other
+cost goes through one bisection in the rate, run on the whole array at once:
+the argmax solves L'(rho) = |p|, with L' a symmetric secant, so no smoothness
+of L beyond convexity is assumed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, wraps
 from typing import Union
 
 import numpy as np
 
-from .market_model import CustomCost, ExecutionCostModel, PowerLawCost, _elementwise
+from .market_model import CustomCost, ExecutionCostModel, PowerLawCost, _on_array
 
 __all__ = [
     "PowerLawHamiltonian",
@@ -28,12 +28,13 @@ __all__ = [
     "SingularCurvatureError",
 ]
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_DOUBLINGS = 60
+_SECANT_STEP = 1e-5
+_HALVINGS = 54  # the root lies in (hi/2, hi], so 54 halvings of [0, hi] reach one ulp
+_MAX_STEPS = 1074  # halvings of 1 down to the smallest positive double
 
 
 class UnboundedTransformError(ValueError):
-    """The inner maximization does not peak: L is not superlinear."""
+    """The transform does not peak: the slope of L stops growing (not superlinear)."""
 
 
 class SingularCurvatureError(ValueError):
@@ -87,115 +88,84 @@ class PowerLawHamiltonian:
         return scale * np.asarray(x, dtype=float) ** (phi / (1.0 + phi))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _scalar_or_array(method):
+    """Run a method written for float arrays on a scalar (giving a float) or any array."""
+
+    @wraps(method)
+    def wrapped(self, x):
+        return _on_array(partial(method, self), x)
+
+    return wrapped
 
 
 @dataclass(frozen=True)
 class NumericHamiltonian:
-    """Transform computed by bracketed golden-section maximization.
+    """Transform computed by one bisection in the rate, on a whole array at once.
 
-    Takes a scalar or an array, maximizing once per element. The bracket
-    starts at ``bracket_init`` and doubles until the objective turns over;
-    more than 60 doublings means the transform is unbounded (L fails
-    superlinearity). For ``CustomCost`` the bracket cannot leave the sampled
-    participation range.
+    The argmax of ``rho * |p| - L(rho)`` is the rate where the symmetric secant
+    of L, nondecreasing for any convex L, reaches |p|. Each element's bracket
+    moves from 1 by factors of 2, then takes ``_HALVINGS`` fixed halvings. For
+    ``CustomCost`` the secant stays inside the sampled participation range. A
+    root beyond the largest rate tried raises ``UnboundedTransformError`` if the
+    secant stopped growing there (L is not superlinear), ``ValueError`` if not.
     """
 
     cost: ExecutionCostModel
-    bracket_init: float = 1.0
-    rho_tol: float = 1e-12
 
-    def _max_rho(self) -> float:
-        if isinstance(self.cost, CustomCost):
-            return self.cost.sample_bound
-        return math.inf
+    def _cost_slope(self, rho):
+        h = _SECANT_STEP
+        rise = self.cost(rho * (1.0 + h)) - self.cost(rho * (1.0 - h))
+        return np.divide(rise, rho, out=np.zeros_like(rise), where=rho > 0) / (2.0 * h)
 
-    def _maximize(self, p_abs: float) -> tuple[float, float]:
-        # evenness of L: for p >= 0 the argmax of rho*p - L(rho) is at rho >= 0
-        cost = self.cost
-
-        def g(rho):
-            return rho * p_abs - cost(rho)
-
-        cap = self._max_rho()
-        b = min(self.bracket_init, cap)
-        doublings = 0
-        while 2.0 * b <= cap and g(2.0 * b) >= g(b):
-            b *= 2.0
-            doublings += 1
-            if doublings > _MAX_DOUBLINGS:
-                raise UnboundedTransformError(
-                    "transform bracket grew past 2**60 doublings: "
-                    "cost function is not superlinear"
-                )
-        hi = 2.0 * b
-        if hi > cap:
-            if g(cap) > g(0.5 * cap):
-                raise ValueError(
-                    "transform argmax lies outside the sampled participation range"
-                )
-            hi = cap
-        rho_star = _golden_max(g, 0.0, hi, self.rho_tol)
-        return rho_star, g(rho_star)
-
-    def _value(self, p: float) -> float:
-        return self._maximize(abs(p))[1]
-
-    def _slope(self, p: float) -> float:
-        rho, _ = self._maximize(abs(p))
-        return math.copysign(rho, p) if p != 0.0 else 0.0
-
-    def _curvature(self, p: float) -> float:
-        h = 1e-6 * max(1.0, abs(p))
-        return (self._slope(p + h) - self._slope(p - h)) / (2.0 * h)
-
-    def _inverse(self, x: float) -> float:
-        if x < 0:
-            raise ValueError("x must be nonnegative")
-        if x == 0.0:
-            return 0.0
-        hi = 1.0
-        doublings = 0
-        while self._value(hi) < x:
-            hi *= 2.0
-            doublings += 1
-            if doublings > _MAX_DOUBLINGS:
-                raise UnboundedTransformError("could not bracket the inverse")
-        lo = 0.0
-        tol = 1e-12 * max(1.0, x)
-        while hi - lo > tol:
+    def _root(self, f, target):
+        """Smallest rho >= 0 with f(rho) >= target, elementwise, for nondecreasing f."""
+        bound = self.cost.sample_bound if isinstance(self.cost, CustomCost) else np.finfo(float).max
+        cap = bound / (1.0 + 2.0 * _SECANT_STEP)
+        x = np.full(target.shape, min(1.0, cap))
+        fx = f(x)
+        down = (fx >= target) & (target > 0)
+        for _ in range(_MAX_STEPS):
+            move = np.where(down, fx >= target, fx < target)
+            if np.any(move & ~down & (x >= cap)):
+                at_cap, below_cap = f(np.array([cap, 0.5 * cap]))
+                if at_cap <= below_cap:
+                    raise UnboundedTransformError("cost slope stops growing: cost function is not superlinear")
+                raise ValueError("transform argmax lies outside the sampled participation range")
+            if not move.any():
+                break
+            x = np.where(move, np.where(down, 0.5 * x, np.minimum(2.0 * x, cap)), x)
+            fx = f(x)
+        lo, hi = np.zeros_like(x), np.where(down, 2.0 * x, x)
+        for _ in range(_HALVINGS):
             mid = 0.5 * (lo + hi)
-            if self._value(mid) < x:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            below = f(mid) < target
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return np.where(target > 0, hi, 0.0)
 
+    @_scalar_or_array
     def value(self, p):
-        return _elementwise(self._value, p)
+        rho = np.abs(self.slope(p))
+        return rho * np.abs(p) - self.cost(rho)
 
+    @_scalar_or_array
     def slope(self, p):
-        return _elementwise(self._slope, p)
+        """Optimal participation rate at dual price p: the rate where L' is |p|."""
+        return np.sign(p) * self._root(self._cost_slope, np.abs(p))
 
+    @_scalar_or_array
     def curvature(self, p):
-        return _elementwise(self._curvature, p)
+        h = 1e-6 * np.maximum(1.0, np.abs(p))
+        up, down = self.slope(np.array([p + h, p - h]))
+        return (up - down) / (2.0 * h)
 
+    @_scalar_or_array
     def inverse(self, x):
-        return _elementwise(self._inverse, x)
+        """Inverse of H on the nonnegative half-line: L' at the rate where H reaches x."""
+        if np.any(x < 0):
+            raise ValueError("x must be nonnegative")
+        # rho * L'(rho) - L(rho) is H at p = L'(rho), nondecreasing in rho
+        rho = self._root(lambda r: r * self._cost_slope(r) - self.cost(r), x)
+        return self._cost_slope(rho)
 
 
 Hamiltonian = Union[PowerLawHamiltonian, NumericHamiltonian]

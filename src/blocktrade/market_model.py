@@ -33,14 +33,17 @@ __all__ = [
 ]
 
 
+def _on_array(fn, x):
+    """Apply an array function to x as a float array; a scalar input gives a float."""
+    out = fn(np.asarray(x, dtype=float))
+    return out if np.ndim(out) else float(out)
+
+
 def _elementwise(fn, x):
-    """Apply a scalar function to a scalar (giving a float) or to every element
-    of an array (giving an array of the same shape)."""
-    if not isinstance(x, float):  # plain floats skip numpy: inner solvers call per point
-        x = np.asarray(x, dtype=float)
-        if x.ndim:
-            return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return float(fn(float(x)))
+    """Apply a scalar function to every element of x, with the shape rule of :func:`_on_array`."""
+    return _on_array(
+        lambda a: np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape), x
+    )
 
 
 @dataclass(frozen=True)
@@ -67,15 +70,14 @@ class CustomCost:
     sample_bound: float
 
     def __call__(self, rho):
-        return _elementwise(self._in_range, rho)
-
-    def _in_range(self, rho: float) -> float:
-        if abs(rho) > self.sample_bound:
+        rho = np.asarray(rho, dtype=float)
+        outside = rho[np.abs(rho) > self.sample_bound]
+        if outside.size:
             raise ValueError(
-                f"participation rate {rho!r} outside sampled range "
+                f"participation rate {float(outside[0])!r} outside sampled range "
                 f"[-{self.sample_bound}, {self.sample_bound}]"
             )
-        return self.fn(rho)
+        return _elementwise(self.fn, rho)
 
 
 ExecutionCostModel = Union[PowerLawCost, CustomCost]

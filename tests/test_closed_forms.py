@@ -159,5 +159,5 @@ def test_theta_infinity_custom_cost_equals_power_law(reference_problem):
     problem = replace(reference_problem, cost=custom)
     for q in (1e4, 5e5):
         assert theta_infinity(problem, q) == pytest.approx(
-            theta_infinity(reference_problem, q), rel=1e-6
+            theta_infinity(reference_problem, q), rel=1e-9
         )

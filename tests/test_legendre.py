@@ -133,3 +133,51 @@ def test_numeric_transform_evaluates_arrays_element_by_element():
         assert values.shape == x.shape
         assert np.array_equal(values, [[method(v) for v in row] for row in x])
         assert isinstance(method(0.2), float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    eta=st.floats(1e-4, 10.0),
+    phi=st.floats(0.1, 1.0),
+    p_abs=st.floats(1e-4, 50.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_numeric_transform_matches_power_law_property(eta, phi, p_abs, sign):
+    p = sign * p_abs
+    cost = CustomCost(lambda r: eta * abs(r) ** (1 + phi), 1e300)
+    numeric, closed = NumericHamiltonian(cost), PowerLawHamiltonian(eta=eta, phi=phi)
+    rho = numeric.slope(p)
+    assert rho == pytest.approx(closed.slope(p), rel=1e-9)
+    assert numeric.value(p) == pytest.approx(closed.value(p), rel=1e-9)
+    assert rho * p - cost(rho) == pytest.approx(closed.value(p), rel=1e-9)
+    assert numeric.inverse(numeric.value(p)) == pytest.approx(p_abs, rel=1e-9)
+
+
+class _CountingCost:
+    def __init__(self, cost):
+        self.cost, self.calls = cost, 0
+
+    def __call__(self, rho):
+        self.calls += 1
+        return self.cost(rho)
+
+
+def test_numeric_slope_makes_the_same_cost_calls_for_any_array_size():
+    calls = []
+    for n in (10, 1000):
+        counter = _CountingCost(CustomCost(lambda r: 0.02 * abs(r) ** 1.65, 1e6))
+        rates = NumericHamiltonian(counter).slope(np.linspace(0.01, 5.0, n))
+        assert rates.shape == (n,)
+        calls.append(counter.calls)
+    assert calls[0] == calls[1]
+
+
+def test_array_with_one_bad_element_raises():
+    unbounded = NumericHamiltonian(CustomCost(fn=abs, sample_bound=1e30))
+    with pytest.raises(UnboundedTransformError):
+        unbounded.value(np.array([0.5, 2.0]))
+    # the argmax of rho * 2 - rho**2 is rho = 1, past a sampled range of 0.5
+    capped = NumericHamiltonian(CustomCost(fn=lambda r: r * r, sample_bound=0.5))
+    assert capped.slope(np.array([0.1, 0.5])) == pytest.approx([0.05, 0.25], rel=1e-12)
+    with pytest.raises(ValueError, match="outside the sampled participation range"):
+        capped.slope(np.array([0.1, 2.0, 0.5]))

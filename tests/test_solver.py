@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocktrade.closed_forms import ac_trajectory
-from blocktrade.market_model import LiquidationProblem, MarketParams, PowerLawCost
+from blocktrade.market_model import CustomCost, LiquidationProblem, MarketParams, PowerLawCost
 from blocktrade.objective import eval_I
 from blocktrade import solver
 from blocktrade.solver import (
@@ -308,3 +310,29 @@ def test_step_count_is_bounded():
     assert SolveOptions(n_steps=MAX_STEPS).n_steps == MAX_STEPS
     with pytest.raises(ValueError, match="n_steps"):
         SolveOptions(n_steps=MAX_STEPS + 1)
+
+
+@pytest.mark.parametrize("sample_bound", [10.0, 1e6])
+@pytest.mark.parametrize("phi", [0.65, 1.0])
+def test_custom_cost_copy_of_a_power_law_solves_to_its_necpr(phi, sample_bound):
+    power = replace(make_reference_problem(), cost=PowerLawCost(eta=0.02, phi=phi))
+    custom = replace(power, cost=CustomCost(lambda r: 0.02 * abs(r) ** (1 + phi), sample_bound))
+    opts = SolveOptions(n_steps=100)
+    expected = eval_I(power, newton_solve(power, opts))
+    traj = newton_solve(custom, opts)
+    assert traj.max_residual <= 1e-10 * custom.q0
+    assert eval_I(custom, traj) == pytest.approx(expected, rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mu=st.floats(0.5, 2.0), phi=st.floats(0.3, 0.9))
+def test_discrete_necpr_scale_law_property(mu, phi):
+    # with lam = mu ** ((1 + phi) / (phi - 1)), scaling q by lam and time by mu
+    # multiplies the cost and the risk term of every cell by lam**(1+phi) * mu**-phi
+    problem = replace(make_reference_problem(), cost=PowerLawCost(eta=0.02, phi=phi))
+    lam = mu ** ((1.0 + phi) / (phi - 1.0))
+    scaled = replace(problem, q0=lam * problem.q0, horizon=mu * problem.horizon)
+    necpr = eval_I(problem, newton_solve(problem))
+    assert eval_I(scaled, newton_solve(scaled)) == pytest.approx(
+        lam ** (1.0 + phi) * mu ** (-phi) * necpr, rel=1e-12
+    )
