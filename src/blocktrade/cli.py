@@ -102,6 +102,8 @@ def _cmd_solve(cfg: RunConfig, out_dir: str) -> dict:
         "max_residual": traj.max_residual,
         "iterations": traj.iterations,
         "n_steps": traj.grid.n_steps,
+        "history": list(traj.history),
+        "no_descent": traj.no_descent,
     }
     summary_path = os.path.join(out_dir, "solve_summary.json")
     _write_json(summary_path, summary)

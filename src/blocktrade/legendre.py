@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _SECANT_STEP = 1e-5
+_BEND_STEP = 1e-4  # relative step of the difference of secant slopes that gives L''
+_TINY = np.finfo(float).tiny  # a secant already at |p| here puts the argmax at 0
 _HALVINGS = 54  # the root lies in (hi/2, hi], so 54 halvings of [0, hi] reach one ulp
 _MAX_STEPS = 1074  # halvings of 1 down to the smallest positive double
 
@@ -117,13 +119,22 @@ class NumericHamiltonian:
         rise = self.cost(rho * (1.0 + h)) - self.cost(rho * (1.0 - h))
         return np.divide(rise, rho, out=np.zeros_like(rise), where=rho > 0) / (2.0 * h)
 
+    @property
+    def _cap(self):
+        """Largest rate whose secant stays inside the sampled participation range."""
+        bound = self.cost.sample_bound if isinstance(self.cost, CustomCost) else np.finfo(float).max
+        return bound / (1.0 + 2.0 * _SECANT_STEP)
+
     def _root(self, f, target):
         """Smallest rho >= 0 with f(rho) >= target, elementwise, for nondecreasing f."""
-        bound = self.cost.sample_bound if isinstance(self.cost, CustomCost) else np.finfo(float).max
-        cap = bound / (1.0 + 2.0 * _SECANT_STEP)
+        cap = self._cap
         x = np.full(target.shape, min(1.0, cap))
         fx = f(x)
         down = (fx >= target) & (target > 0)
+        if down.any():  # the root is 0 where f reaches the target at the smallest normal rate
+            zero = np.zeros_like(down)
+            zero[down] = f(np.full(np.count_nonzero(down), _TINY)) >= target[down]
+            target, down = np.where(zero, 0.0, target), down & ~zero
         for _ in range(_MAX_STEPS):
             move = np.where(down, fx >= target, fx < target)
             if np.any(move & ~down & (x >= cap)):
@@ -154,9 +165,18 @@ class NumericHamiltonian:
 
     @_scalar_or_array
     def curvature(self, p):
-        h = 1e-6 * np.maximum(1.0, np.abs(p))
-        up, down = self.slope(np.array([p + h, p - h]))
-        return (up - down) / (2.0 * h)
+        """H''(p) = 1 / L''(rho) at rho = H'(p), L'' a central difference of the secant slope."""
+        rho = np.abs(self.slope(p))
+        hi, lo = np.minimum(rho * (1.0 + _BEND_STEP), self._cap), rho * (1.0 - _BEND_STEP)
+        with np.errstate(divide="ignore", invalid="ignore"):  # rho = 0 is handled below
+            out = np.asarray((hi - lo) / (self._cost_slope(hi) - self._cost_slope(lo)))
+        at_zero = rho == 0.0  # there, difference H' itself across p
+        if at_zero.any():
+            pz = p[at_zero]
+            h = 1e-6 * np.maximum(1.0, np.abs(pz))
+            up, down = self.slope(np.array([pz + h, pz - h]))
+            out[at_zero] = (up - down) / (2.0 * h)
+        return out
 
     @_scalar_or_array
     def inverse(self, x):

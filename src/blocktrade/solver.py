@@ -23,7 +23,8 @@ affine shooting: the whole chain is an affine function of the single unknown
 dp[0], so two forward passes (dp[0] = 0 and dp[0] = 1) pin it down. Over long
 horizons the homogeneous mode of the forward pass grows past what double
 precision can cancel, so a direction that misses the linearized system by more
-than a threshold is replaced by a pivoted tridiagonal solve of the same system.
+than a threshold is replaced by a pivoted tridiagonal solve of the same system
+(LAPACK ``?gtsv``).
 The p-recurrence holds exactly along every iterate by construction, hence
 convergence is declared on the q-residual alone (the p-residual is reported
 too and stays at rounding level). A step-halving line search guards the early
@@ -36,9 +37,10 @@ shooting chains of every member are stepped side by side, five numpy calls per
 cell, which are the IEEE operations of the scalar recurrence, and every rule
 (direction, fallback, line search, stopping) is applied per member. A member's
 result is therefore bit for bit what it gets when solved alone; a single member
-steps its chains on Python floats, which is faster at that width. Members
-leave the block as they converge or fail, and a failing member never stops the
-others. ``newton_solve`` and ``solve_from`` are one-member blocks.
+steps both of its chains in one pass on Python floats, which is faster at that
+width. Members leave the block as they converge or fail, and a failing member
+never stops the others. ``newton_solve`` and ``solve_from`` are one-member
+blocks.
 """
 
 from __future__ import annotations
@@ -70,12 +72,24 @@ MAX_STEPS = 1_000_000  # a block holds members * (n_steps + 1) doubles per array
 
 
 class NonConvergenceError(RuntimeError):
-    """Newton iteration did not reach the residual tolerance."""
+    """Newton iteration did not reach the residual tolerance.
 
-    def __init__(self, message: str, residual: float, iterations: int):
+    ``history`` and ``no_descent`` are as in :class:`Trajectory`.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        residual: float,
+        iterations: int,
+        history: tuple = (),
+        no_descent: int = 0,
+    ):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
         self.residual = residual
         self.iterations = iterations
+        self.history = history
+        self.no_descent = no_descent
 
 
 @dataclass(frozen=True)
@@ -106,7 +120,9 @@ class Trajectory:
     """Discretized trading curve with its dual price and implied speeds.
 
     ``v[j]`` is the (constant) selling speed on the cell (t_j, t_{j+1}],
-    i.e. ``(q[j] - q[j+1]) / tau``.
+    i.e. ``(q[j] - q[j+1]) / tau``. ``history`` holds the max residual after
+    each Newton iteration, and ``no_descent`` counts the iterations in which
+    no step length lowered the residual, so the least-bad step was taken.
     """
 
     grid: Grid
@@ -115,6 +131,8 @@ class Trajectory:
     v: np.ndarray
     iterations: int = 0
     max_residual: float = 0.0
+    history: tuple = ()
+    no_descent: int = 0
 
 
 @dataclass(frozen=True)
@@ -195,19 +213,27 @@ def discrete_residual(problem: LiquidationProblem, traj: Trajectory) -> Residual
     return ResidualReport(p_residual=rp, q_residual=rq)
 
 
-def _propagate(c, e, b, dp_start):
-    """Forward pass of the linearized recurrences of one member, on Python floats."""
-    dq = [0.0]
-    dp = [dp_start]
-    append_q, append_p = dq.append, dp.append
-    dqj = 0.0
-    dpj = dp_start
-    for cj, ej in zip(c, e):
-        dqj = dqj + cj * dpj + ej
-        dpj = dpj + b * dqj
-        append_q(dqj)
-        append_p(dpj)
-    return np.fromiter(dq, float, len(dq)), np.fromiter(dp, float, len(dp))
+def _propagate(c, e, b):
+    """Both forward passes of one member in one loop on Python floats, in the block kernel's order.
+
+    Row 0 of the (2, J+1) dq and dp starts at dp[0] = 0, row 1 at dp[0] = 1.
+    """
+
+    def steps():
+        dq0, dq1, dp0, dp1 = 0.0, 0.0, 0.0, 1.0
+        yield from (dq0, dq1, dp0, dp1)
+        for cj, ej in zip(c, e):
+            dq0 = dq0 + cj * dp0 + ej
+            dp0 = dp0 + b * dq0
+            dq1 = dq1 + cj * dp1 + ej
+            dp1 = dp1 + b * dq1
+            yield dq0
+            yield dq1
+            yield dp0
+            yield dp1
+
+    chains = np.fromiter(steps(), float, 4 * (len(c) + 1)).reshape(-1, 2, 2).transpose(1, 2, 0)
+    return chains[0], chains[1]
 
 
 def _propagate_block(c, e, b):
@@ -244,39 +270,31 @@ def _shooting_chains(c, e, b):
     """Both forward passes of every member: rows :K start at dp[0] = 0, rows K: at 1."""
     if len(b) > 1:
         return _propagate_block(c, e, b)
-    c, e, b = c[0].tolist(), e[0].tolist(), float(b[0])
-    dq0, dp0 = _propagate(c, e, b, 0.0)
-    dq1, dp1 = _propagate(c, e, b, 1.0)
-    return np.stack((dq0, dq1)), np.stack((dp0, dp1))
+    return _propagate(c[0].tolist(), e[0].tolist(), float(b[0]))
 
 
 def _direction_by_banded(c, e, b):
-    """Direct tridiagonal solve of the same linearized system, for one member.
+    """Direct tridiagonal solve (LAPACK ?gtsv) of the same linearized system, for one member.
 
-    Unknowns interleaved as (dp_0, dq_1, dp_1, ..., dq_{J-1}, dp_{J-1}, dp_J);
-    the boundary values dq_0 = dq_J = 0 are eliminated. Stable for long
-    horizons, where the homogeneous mode of the forward propagation grows past
-    what double precision can cancel.
+    Unknowns interleaved as (dp_0, dq_1, dp_1, ..., dq_{J-1}, dp_{J-1}, dp_J), with
+    dq_0 = dq_J = 0 eliminated. Stable over long horizons, where shooting is not.
     """
-    from scipy.linalg import solve_banded  # lazy: only the fallback needs scipy.linalg
+    from scipy.linalg.lapack import dgtsv  # lazy: only the fallback needs scipy.linalg
 
     J = len(c)
     # row 2j: dq_{j+1} - dq_j - c_j dp_j = e_j;  row 2j+1: dp_{j+1} - dp_j - b dq_{j+1} = 0
-    ab = np.zeros((3, 2 * J))
-    ab[0, 1:-1] = 1.0  # dq_{j+1} in the q-rows, dp_{j+1} in the p-rows
-    ab[1, 0::2] = -np.asarray(c)  # dp_j in the q-rows
-    ab[1, 1:-1:2] = -b  # dq_{j+1} in the p-rows
-    ab[1, -1] = 1.0  # dp_J in the last p-row
-    ab[2, :-1] = -1.0  # dq_j in the q-rows, dp_j in the p-rows
+    sub = np.full(2 * J - 1, -1.0)  # dq_j in the q-rows, dp_j in the p-rows
+    diag = np.empty(2 * J)
+    diag[0::2] = -np.asarray(c)  # dp_j in the q-rows
+    diag[1::2] = -b  # dq_{j+1} in the p-rows
+    diag[-1] = 1.0  # dp_J in the last p-row
+    sup = np.append(np.ones(2 * J - 2), 0.0)  # dq_{j+1}, dp_{j+1}; dq_J is eliminated
     rhs = np.zeros(2 * J)
     rhs[0::2] = e
-    x = solve_banded((1, 1), ab, rhs)
-    dq = np.zeros(J + 1)
-    dq[1:J] = x[1 : 2 * J - 2 : 2]
-    dp = np.empty(J + 1)
-    dp[:J] = x[0 : 2 * J - 1 : 2]
-    dp[J] = x[2 * J - 1]
-    return dq, dp
+    *_, x, info = dgtsv(sub, diag, sup, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return np.concatenate(([0.0], x[1:-1:2], [0.0])), np.append(x[0::2], x[-1])
 
 
 def _linear_defect(c, e, b, dq, dp):
@@ -351,8 +369,8 @@ def _line_search(ham, block, dq, dp, max_halvings):
     """Halve each member's step until its residual falls; update ``block`` in place.
 
     A member that no halving improves takes its least-bad finite step
-    (``max_iter`` guards against stalling). Returns the mask of members
-    for which no halving gave a finite residual.
+    (``max_iter`` guards against stalling). Returns the masks of the members
+    that took that step and of those for which no halving gave a finite residual.
     """
     K = len(block.member)
     pending = np.ones(K, dtype=bool)
@@ -366,7 +384,7 @@ def _line_search(ham, block, dq, dp, max_halvings):
         accept = m < block.current[rows]  # a non-finite m never passes
         if whole and accept.all():
             block.q, block.p, block.rq, block.current = qc, pc, rqc, m
-            return np.zeros(K, dtype=bool)
+            return np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
         rows = np.arange(K)[rows]
         block.take(rows[accept], qc[accept], pc[accept], rqc[accept], m[accept])
         pending[rows[accept]] = False
@@ -378,10 +396,10 @@ def _line_search(ham, block, dq, dp, max_halvings):
     fallback = np.flatnonzero(pending & found)
     if fallback.size:
         block.take(fallback, *block.candidate(ham, fallback, best_alpha[fallback, None], dq, dp))
-    return pending & ~found
+    return pending & found, pending & ~found
 
 
-def _trajectory(grid, q, p, iterations, residual):
+def _trajectory(grid, q, p, iterations, residual, history, no_descent):
     q, p = q.copy(), p.copy()  # a row view would keep the whole block's array alive
     return Trajectory(
         grid=grid,
@@ -390,6 +408,8 @@ def _trajectory(grid, q, p, iterations, residual):
         v=_speeds(grid, q),
         iterations=iterations,
         max_residual=float(residual),
+        history=history,
+        no_descent=no_descent,
     )
 
 
@@ -431,16 +451,20 @@ def _solve_batch(problem: LiquidationProblem, t_starts, q_starts, opts: SolveOpt
     del rp
 
     results = [None] * len(grids)
+    histories = [[] for _ in grids]
+    no_descent = [0] * len(grids)
 
     def record(k, message=None):
         """Store row k's result: its trajectory, or the error named by ``message``."""
         member = block.member[k]
+        trail = (tuple(histories[member]), no_descent[member])
         if message is None:
             results[member] = _trajectory(
-                grids[member], block.q[k], block.p[k], iterations, block.current[k]
+                grids[member], block.q[k], block.p[k], iterations, block.current[k], *trail
             )
         else:
-            results[member] = NonConvergenceError(message, float(block.current[k]), iterations)
+            residual = float(block.current[k])
+            results[member] = NonConvergenceError(message, residual, iterations, *trail)
 
     def drop(mask, message):
         """Fail the rows under ``mask``; True while members are left."""
@@ -474,8 +498,14 @@ def _solve_batch(problem: LiquidationProblem, t_starts, q_starts, opts: SolveOpt
             if not drop(singular, "degenerate linearization (H'' vanishes along the whole path)"):
                 break
             dq, dp = dq[~singular], dp[~singular]
-        stuck = _line_search(ham, block, dq, dp, opts.max_halvings)
+        least_bad, stuck = _line_search(ham, block, dq, dp, opts.max_halvings)
         del dq, dp
+        for member, residual, took_least_bad, failed in zip(
+            block.member.tolist(), block.current.tolist(), least_bad.tolist(), stuck.tolist()
+        ):
+            if not failed:
+                histories[member].append(residual)
+                no_descent[member] += took_least_bad
         if stuck.any() and not drop(stuck, "line search found no finite candidate"):
             break
         iterations += 1

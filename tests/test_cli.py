@@ -113,6 +113,9 @@ def test_solve_round_trip(tmp_path, capsys):
         summary["objective_linear_free"], rel=1e-9
     )
     assert summary["max_residual"] <= 1e-10 * problem.q0
+    assert len(summary["history"]) == summary["iterations"]
+    assert summary["history"][-1] == summary["max_residual"]
+    assert summary["no_descent"] == 0
 
 
 def test_n_steps_override(tmp_path, capsys):

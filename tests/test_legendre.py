@@ -181,3 +181,30 @@ def test_array_with_one_bad_element_raises():
     assert capped.slope(np.array([0.1, 0.5])) == pytest.approx([0.05, 0.25], rel=1e-12)
     with pytest.raises(ValueError, match="outside the sampled participation range"):
         capped.slope(np.array([0.1, 2.0, 0.5]))
+
+
+@pytest.mark.parametrize("phi", [0.65, 1.0])
+def test_numeric_curvature_matches_power_law(phi):
+    numeric = NumericHamiltonian(CustomCost(lambda r: 0.02 * abs(r) ** (1 + phi), 1e6))
+    closed = PowerLawHamiltonian(eta=0.02, phi=phi)
+    p = np.array([-0.05, 0.05, 0.4, 1.5, 10.0])
+    assert numeric.curvature(p) == pytest.approx(closed.curvature(p), rel=1e-4)
+    if phi == 1.0:  # the argmax is 0 at p = 0, where H'' is 1 / (2 eta)
+        assert numeric.curvature(0.0) == pytest.approx(1.0 / (2.0 * 0.02), rel=1e-4)
+
+
+def test_kinked_cost_finds_a_zero_argmax_without_walking_down():
+    # L = |rho| + rho**2 has slope 1 at 0+, so the argmax is 0 for |p| <= 1
+    calls = []
+
+    def kinked(r):
+        calls.append(r)
+        return abs(r) + r * r
+
+    ham = NumericHamiltonian(CustomCost(kinked, 10.0))
+    assert 0.0 <= ham.slope(0.5) <= 1e-300
+    assert len(calls) <= 200
+    assert ham.curvature(0.5) == 0.0
+    # past the kink, L'(rho) = 1 + 2 rho = 1.5 at rho = 0.25
+    assert ham.slope(1.5) == pytest.approx(0.25, rel=1e-9)
+    assert ham.curvature(1.5) == pytest.approx(0.5, rel=1e-6)

@@ -263,10 +263,118 @@ def test_block_kernel_equals_the_scalar_loop(K):
     dq, dp = _propagate_block(c, e, b)
     assert dq.shape == dp.shape == (2 * K, J + 1)
     for k in range(K):
-        for chain, start in ((k, 0.0), (K + k, 1.0)):
-            dq_alone, dp_alone = _propagate(c[k].tolist(), e[k].tolist(), float(b[k]), start)
-            assert np.array_equal(dq[chain], dq_alone)
-            assert np.array_equal(dp[chain], dp_alone)
+        dq_alone, dp_alone = _propagate(c[k].tolist(), e[k].tolist(), float(b[k]))
+        for chain, row in ((k, 0), (K + k, 1)):
+            assert np.array_equal(dq[chain], dq_alone[row])
+            assert np.array_equal(dp[chain], dp_alone[row])
+
+
+# The one-member routines as they were before both chains shared one loop and
+# the fallback called LAPACK ?gtsv directly: the references for bit identity.
+def two_loop_propagate(c, e, b, dp_start):
+    dq, dp = [0.0], [dp_start]
+    dqj, dpj = 0.0, dp_start
+    for cj, ej in zip(c, e):
+        dqj = dqj + cj * dpj + ej
+        dpj = dpj + b * dqj
+        dq.append(dqj)
+        dp.append(dpj)
+    return np.array(dq), np.array(dp)
+
+
+def two_loop_shooting_chains(c, e, b):
+    if len(b) > 1:
+        return _propagate_block(c, e, b)
+    c, e, b = c[0].tolist(), e[0].tolist(), float(b[0])
+    dq0, dp0 = two_loop_propagate(c, e, b, 0.0)
+    dq1, dp1 = two_loop_propagate(c, e, b, 1.0)
+    return np.stack((dq0, dq1)), np.stack((dp0, dp1))
+
+
+def solve_banded_direction(c, e, b):
+    from scipy.linalg import solve_banded
+
+    J = len(c)
+    ab = np.zeros((3, 2 * J))
+    ab[0, 1:-1] = 1.0
+    ab[1, 0::2] = -np.asarray(c)
+    ab[1, 1:-1:2] = -b
+    ab[1, -1] = 1.0
+    ab[2, :-1] = -1.0
+    rhs = np.zeros(2 * J)
+    rhs[0::2] = e
+    x = solve_banded((1, 1), ab, rhs)
+    dq = np.zeros(J + 1)
+    dq[1:J] = x[1 : 2 * J - 2 : 2]
+    dp = np.empty(J + 1)
+    dp[:J] = x[0 : 2 * J - 1 : 2]
+    dp[J] = x[2 * J - 1]
+    return dq, dp
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("J", [2, 3, 1000])
+@pytest.mark.parametrize("overflow", [False, True])
+def test_one_pass_kernel_equals_the_two_loop_chains_bit_for_bit(J, overflow):
+    rng = np.random.default_rng(J)
+    if overflow:  # fast growth; zero curvature times an infinite dp gives NaN
+        c = rng.uniform(0.0, 1e3, J) * (rng.uniform(size=J) > 0.2)
+        e = rng.normal(size=J) * 1e300
+        b = 50.0
+    else:
+        c = rng.uniform(0.0, 3.0, J)
+        e = rng.normal(size=J) * 10.0 ** rng.uniform(-8, 3, J)
+        b = 0.3
+    with np.errstate(all="ignore"):
+        dq, dp = _propagate(c.tolist(), e.tolist(), b)
+        for row, start in ((0, 0.0), (1, 1.0)):
+            dq_ref, dp_ref = two_loop_propagate(c.tolist(), e.tolist(), b, start)
+            assert_same_bits(dq[row], dq_ref)
+            assert_same_bits(dp[row], dp_ref)
+    if overflow and J == 1000:
+        assert np.isinf(dq).any() and np.isnan(dq).any()
+
+
+@pytest.mark.parametrize("J", [2, 3, 1000])
+def test_direct_gtsv_equals_solve_banded_bit_for_bit(J):
+    rng = np.random.default_rng(J)
+    c = rng.uniform(0.0, 2.0, J)
+    e = rng.normal(size=J)
+    for got, expected in zip(_direction_by_banded(c, e, 0.3), solve_banded_direction(c, e, 0.3)):
+        assert_same_bits(got, expected)
+
+
+def test_direct_gtsv_raises_on_a_singular_system():
+    # with H'' = 0 along the whole path no dq depends on dp_0
+    c, e = np.zeros(50), np.ones(50)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded_direction(c, e, 0.3)
+    with pytest.raises(np.linalg.LinAlgError):
+        _direction_by_banded(c, e, 0.3)
+
+
+@pytest.mark.parametrize("horizon", [5.0, 20.0])
+def test_long_horizon_solve_equals_the_two_loop_and_solve_banded_routines(horizon, monkeypatch):
+    problem = make_reference_problem(horizon=horizon)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _direction_by_banded(*args)
+
+    monkeypatch.setattr(solver, "_direction_by_banded", counted)
+    traj = newton_solve(problem)
+    assert calls  # the fallback ran
+    monkeypatch.setattr(solver, "_shooting_chains", two_loop_shooting_chains)
+    monkeypatch.setattr(solver, "_direction_by_banded", solve_banded_direction)
+    before = newton_solve(problem)
+    for name in ("q", "p", "v"):
+        assert_same_bits(getattr(traj, name), getattr(before, name))
+    assert (traj.iterations, traj.max_residual) == (before.iterations, before.max_residual)
 
 
 def test_long_horizon_batch_takes_the_fallback_and_matches_solo_solves(monkeypatch):
@@ -285,6 +393,52 @@ def test_long_horizon_batch_takes_the_fallback_and_matches_solo_solves(monkeypat
     assert calls
     for result, (t, q) in zip(batched, starts):
         assert_same_outcome(result, solo(problem, t, q, opts))
+
+
+def test_history_and_least_bad_steps_explain_a_stall():
+    # shooting's rounding noise keeps this request above the default tolerance
+    problem = make_reference_problem(gamma=7.16e-6, q0=2.92e5, horizon=1.0)
+    with pytest.raises(NonConvergenceError, match="stalled") as info:
+        newton_solve(problem, SolveOptions(n_steps=1000))
+    err = info.value
+    assert len(err.history) == err.iterations == 50
+    assert err.history[-1] == err.residual > 1e-10 * problem.q0
+    assert err.no_descent == 36
+
+
+def test_converged_history_ends_at_the_reported_residual(reference_problem):
+    traj = newton_solve(reference_problem, SolveOptions(n_steps=200))
+    assert len(traj.history) == traj.iterations
+    assert traj.history[-1] == traj.max_residual
+    assert all(a > b for a, b in zip(traj.history, traj.history[1:]))
+    assert traj.no_descent == 0
+
+
+ENVELOPE_PROBLEMS = [
+    make_reference_problem(),
+    replace(make_reference_problem(horizon=0.5, q0=2e5), cost=PowerLawCost(0.02, 0.5)),
+    replace(make_reference_problem(horizon=2.0, gamma=3e-6, q0=1e6), cost=PowerLawCost(0.05, 1.0)),
+    replace(make_reference_problem(horizon=1.5, gamma=5e-7, q0=8e5), cost=PowerLawCost(0.01, 0.8)),
+]
+
+
+@pytest.mark.parametrize("problem", ENVELOPE_PROBLEMS)
+def test_envelope_identity_for_the_inventory_gradient(problem):
+    # the discrete NECPR is the minimum of eval_I over the grid, so its q0
+    # derivative is the solver's dual price plus the first cell's risk term
+    q0 = problem.q0
+    opts = SolveOptions(n_steps=200, newton_tol=1e-12 * q0)
+
+    def necpr(q):
+        shifted = replace(problem, q0=q)
+        return eval_I(shifted, newton_solve(shifted, opts))
+
+    h = 1e-4 * q0
+    central = (necpr(q0 + h) - necpr(q0 - h)) / (2.0 * h)
+    traj = newton_solve(problem, opts)
+    m = problem.market
+    exact = -traj.p[0] + 0.5 * m.gamma * m.sigma**2 * traj.grid.tau * q0
+    assert central == pytest.approx(exact, rel=1e-8)
 
 
 def test_failing_member_is_returned_and_leaves_the_others_bit_identical(reference_problem):
