@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .value_function import ValueGrid, build_grid, check_structure, hj_residual
 
 __all__ = ["main", "run_command", "write_trajectory_csv", "read_trajectory_csv", "write_paths_csv"]
 
-COMMANDS = ("solve", "price", "decompose", "grid", "simulate", "implied-gamma")
 PATHS_BLOCK = 50_000  # rows of paths.csv formatted per write
 
 
@@ -88,10 +86,6 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _decomposition_dict(decomp) -> dict:
-    return dataclasses.asdict(decomp)
-
-
 def _cmd_solve(cfg: RunConfig, out_dir: str) -> dict:
     traj = newton_solve(cfg.problem, cfg.solve)
     curve_path = os.path.join(out_dir, "trajectory.csv")
@@ -111,7 +105,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _cmd_price(cfg: RunConfig, out_dir: str) -> dict:
-    payload = _decomposition_dict(price_finite(cfg.problem, cfg.solve))
+    payload = asdict(price_finite(cfg.problem, cfg.solve))
     if cfg.horizons:
         by_horizon = []
         for T in cfg.horizons:
@@ -176,7 +170,7 @@ def _cmd_grid(cfg: RunConfig, out_dir: str) -> dict:
             hj_max_abs=report.max_abs,
             hj_max_normalized=report.max_normalized,
             hj_argmax={"t": report.argmax[0], "q": report.argmax[1]},
-            structure=[dataclasses.asdict(c) for c in structure.checks],
+            structure=[asdict(c) for c in structure.checks],
             structure_ok=structure.ok,
         )
     report_path = os.path.join(out_dir, "hj_report.json")
@@ -254,18 +248,13 @@ def run_command(command: str, cfg: RunConfig, out_dir: str) -> dict:
     return _DISPATCH[command](cfg, out_dir)
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.n_steps is not None:
-        cfg = replace(cfg, solve=replace(cfg.solve, n_steps=args.n_steps))
-    if args.seed is not None:
-        cfg = replace(cfg, mc=replace(cfg.mc, seed=args.seed))
-    if args.q_list is not None:
-        values = tuple(float(s) for s in args.q_list.split(",") if s.strip())
-        cfg = replace(cfg, q_list=values)
-    if args.horizons is not None:
-        values = tuple(float(s) for s in args.horizons.split(",") if s.strip())
-        cfg = replace(cfg, horizons=values)
-    return cfg
+# flag -> the config key it overrides; the value is parsed and checked as that key is
+_FLAGS = {
+    "--n-steps": "solve.n_steps",
+    "--seed": "mc.seed",
+    "--q-list": "price.q_list",
+    "--horizons": "price.horizons",
+}
 
 
 def main(argv=None) -> int:
@@ -274,20 +263,18 @@ def main(argv=None) -> int:
         description="Optimal liquidation curves and block-trade pricing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run configuration")
         p.add_argument("--out-dir", default=".", help="directory for artifacts")
-        p.add_argument("--n-steps", type=int, default=None, help="override solve.n_steps")
-        p.add_argument("--seed", type=int, default=None, help="override mc.seed")
-        p.add_argument("--q-list", default=None, help="override price.q_list (comma separated)")
-        p.add_argument("--horizons", default=None, help="override price.horizons (comma separated)")
-    args = parser.parse_args(argv)
+        for flag, key in _FLAGS.items():
+            p.add_argument(flag, dest=key, help=f"override {key}")
+    args = vars(parser.parse_args(argv))
+    overrides = [(key, args[key]) for key in _FLAGS.values() if args[key] is not None]
 
     try:
-        cfg = parse_config(args.config)
-        cfg = _apply_overrides(cfg, args)
-        artifacts = run_command(args.command, cfg, args.out_dir)
+        cfg = parse_config(args["config"], overrides)
+        artifacts = run_command(args["command"], cfg, args["out_dir"])
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not crashes
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import hamiltonian_of
-from .market_model import ConstantVolume, LiquidationProblem, PowerLawCost
+from .market_model import ConstantVolume, LiquidationProblem, PowerLawCost, _on_array
 
 __all__ = [
     "ApplicabilityError",
@@ -47,19 +47,17 @@ def _require_ac(problem: LiquidationProblem) -> tuple[float, float]:
 def ac_trajectory(problem: LiquidationProblem, t):
     """Optimal inventory under quadratic costs and constant volume."""
     kappa, horizon = _require_ac(problem)
-    t = np.asarray(t, dtype=float)
-    values = problem.q0 * np.sinh(kappa * (horizon - t)) / np.sinh(kappa * horizon)
-    return values if values.ndim else float(values)
+    return _on_array(
+        lambda a: problem.q0 * np.sinh(kappa * (horizon - a)) / np.sinh(kappa * horizon), t
+    )
 
 
 def ac_speed(problem: LiquidationProblem, t):
     """Selling speed companion to :func:`ac_trajectory`."""
     kappa, horizon = _require_ac(problem)
-    t = np.asarray(t, dtype=float)
-    values = (
-        problem.q0 * kappa * np.cosh(kappa * (horizon - t)) / np.sinh(kappa * horizon)
+    return _on_array(
+        lambda a: problem.q0 * kappa * np.cosh(kappa * (horizon - a)) / np.sinh(kappa * horizon), t
     )
-    return values if values.ndim else float(values)
 
 
 @dataclass(frozen=True)
@@ -105,10 +103,8 @@ def superquadratic_trajectory(params: SuperQuadraticParams, t):
             f"q0={params.q0} exceeds the small-inventory bound {bound}"
         )
     d = params.delta
-    t = np.asarray(t, dtype=float)
-    base = params.q0 ** (d / (2.0 + d)) - params.decay_rate() * t
-    values = np.clip(base, 0.0, None) ** ((2.0 + d) / d)
-    return values if values.ndim else float(values)
+    start, rate = params.q0 ** (d / (2.0 + d)), params.decay_rate()
+    return _on_array(lambda a: np.clip(start - rate * a, 0.0, None) ** ((2.0 + d) / d), t)
 
 
 def _theta_inf_constant(eta: float, phi: float) -> float:

@@ -8,8 +8,9 @@ full schema is documented in the README.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .market_model import (
@@ -127,16 +128,20 @@ def _read_pairs(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in pairs:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            parser, _ = _SCHEMA[key]
-            try:
-                pairs[key] = parser(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+            pairs[key] = _parse_value(key, value, f"{path}:{lineno}")
     return pairs
+
+
+def _parse_value(key: str, text: str, where: str):
+    if key not in _SCHEMA:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    parser, _ = _SCHEMA[key]
+    try:
+        return parser(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
 
 
 def _require(pairs: dict, key: str, path: str):
@@ -145,9 +150,21 @@ def _require(pairs: dict, key: str, path: str):
     return pairs[key]
 
 
-def parse_config(path: str) -> RunConfig:
-    """Parse and validate a run configuration; see the README for the schema."""
+def _options(cls, pairs: dict, section: str):
+    """``cls`` built from the ``section.*`` keys present; its own defaults fill the rest."""
+    keys = {f.name: f"{section}.{f.name}" for f in fields(cls)}
+    return cls(**{name: pairs[key] for name, key in keys.items() if key in pairs})
+
+
+def parse_config(path: str, overrides=()) -> RunConfig:
+    """Parse and validate a run configuration; see the README for the schema.
+
+    ``overrides`` holds (key, text) pairs, each parsed as a file line would be
+    and put in place of the file's value before any check runs.
+    """
     pairs = _read_pairs(path)
+    for key, text in overrides:
+        pairs[key] = _parse_value(key, text, f"{path}: override")
     for key, (_, required) in _SCHEMA.items():
         if required:
             _require(pairs, key, path)
@@ -203,17 +220,8 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: invalid problem, failed checks: {failed}")
 
     try:
-        solve = SolveOptions(
-            n_steps=pairs.get("solve.n_steps", 1000),
-            newton_tol=pairs.get("solve.newton_tol"),
-            max_iter=pairs.get("solve.max_iter", 50),
-            max_halvings=pairs.get("solve.max_halvings", 20),
-        )
-        mc = SimulationConfig(
-            n_paths=pairs.get("mc.n_paths", 100_000),
-            n_substeps=pairs.get("mc.n_substeps", 1),
-            seed=pairs.get("mc.seed", 0),
-        )
+        solve = _options(SolveOptions, pairs, "solve")
+        mc = _options(SimulationConfig, pairs, "mc")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -221,12 +229,20 @@ def parse_config(path: str) -> RunConfig:
         if not 3 <= pairs.get(key, 3) <= MAX_GRID_NODES:
             raise ConfigError(f"{path}: {key} must lie in [3, {MAX_GRID_NODES}], got {pairs[key]}")
 
+    # a negative block or a NaN/inf entry would only fail inside the solve
+    q_list = pairs.get("price.q_list", (problem.q0,))
+    if not all(0 <= q < math.inf for q in q_list):
+        raise ConfigError(f"{path}: price.q_list entries must be finite and >= 0, got {q_list}")
+    horizons = pairs.get("price.horizons")
+    if not all(0 < T < math.inf for T in horizons or ()):
+        raise ConfigError(f"{path}: price.horizons entries must be finite and > 0, got {horizons}")
+
     return RunConfig(
         problem=problem,
         solve=solve,
         mc=mc,
-        q_list=pairs.get("price.q_list", (problem.q0,)),
-        horizons=pairs.get("price.horizons"),
+        q_list=q_list,
+        horizons=horizons,
         quoted_premium=pairs.get("price.quoted_premium"),
         grid_n_t=pairs.get("grid.n_t", 21),
         grid_n_q=pairs.get("grid.n_q", 21),

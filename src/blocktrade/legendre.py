@@ -73,8 +73,7 @@ class PowerLawHamiltonian:
     def curvature(self, p):
         c, e = self.coefficient, self.exponent
         if self.phi == 1.0:
-            out = np.full(np.shape(p), 1.0 / (2.0 * self.eta))
-            return out if out.ndim else float(out)
+            return _on_array(lambda a: np.full(a.shape, 1.0 / (2.0 * self.eta)), p)
         if self.phi > 1.0 and np.any(np.asarray(p) == 0.0):
             raise SingularCurvatureError(
                 f"H'' is singular at p=0 for phi={self.phi} > 1"

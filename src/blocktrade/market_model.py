@@ -146,9 +146,7 @@ class ConstantVolume:
         return np.inf
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        values = np.full(t.shape, self.rate)
-        return values if values.ndim else float(values)
+        return _on_array(lambda a: np.full(a.shape, self.rate), t)
 
 
 @dataclass(frozen=True)
@@ -201,9 +199,7 @@ class PiecewiseLinearVolume:
     def __call__(self, t):
         times = np.array([k[0] for k in self.knots])
         vols = np.array([k[1] for k in self.knots])
-        t = np.asarray(t, dtype=float)
-        values = np.interp(t, times, vols)
-        return values if values.ndim else float(values)
+        return _on_array(lambda a: np.interp(a, times, vols), t)
 
 
 VolumeCurve = Union[ConstantVolume, PiecewiseLinearVolume]

@@ -30,6 +30,7 @@ from .solver import Trajectory
 
 __all__ = [
     "BLOCK_PATHS",
+    "MAX_EULER_STEPS",
     "MAX_PATHS",
     "SEED_SCHEME",
     "SimulationConfig",
@@ -39,6 +40,7 @@ __all__ = [
 
 BLOCK_PATHS = 50_000  # paths per random stream and per unit of thread work
 MAX_PATHS = 10_000_000  # 80 MB of terminal wealth; guards against a typo
+MAX_EULER_STEPS = 1_000_000  # _schedule holds three lists of this many Python floats, ~100 MB
 SEED_SCHEME = 2
 
 
@@ -119,8 +121,12 @@ def simulate_cash(
     Gaussian increments; statistics are reproducible for a fixed seed. For a
     liquidating trajectory the terminal inventory is zero and the wealth is
     just the cash. Blocks of ``BLOCK_PATHS`` paths run on up to
-    ``os.cpu_count()`` threads, the calling thread among them.
+    ``os.cpu_count()`` threads, the calling thread among them. More than
+    ``MAX_EULER_STEPS`` Euler steps per path raise ``ValueError``.
     """
+    n_euler = traj.grid.n_steps * cfg.n_substeps
+    if n_euler > MAX_EULER_STEPS:
+        raise ValueError(f"n_steps * n_substeps must be at most {MAX_EULER_STEPS}, got {n_euler}")
     m = problem.market
     schedule = _schedule(problem, traj, cfg.n_substeps)
     tau_sub = traj.grid.tau / cfg.n_substeps

@@ -29,6 +29,8 @@ __all__ = [
     "implied_gamma",
 ]
 
+GAMMA_BRACKET = (1e-12, 1e-2)  # risk aversions searched by implied_gamma
+
 
 class PremiumFloorError(ValueError):
     """Quoted premium does not exceed the risk-free floor PMI + LEC."""
@@ -57,20 +59,6 @@ def _bp(mtm: float, premium: float) -> float:
     return 1e4 * premium / mtm if mtm > 0 else 0.0
 
 
-def _zero_decomposition() -> PriceDecomposition:
-    return PriceDecomposition(
-        mtm=0.0,
-        pmi=0.0,
-        lec=0.0,
-        necpr_T=0.0,
-        necpr_inf=0.0,
-        price_T=0.0,
-        price_inf=0.0,
-        premium_bp_T=0.0,
-        premium_bp_inf=0.0,
-    )
-
-
 def _assemble(mtm, pmi, lec, necpr_T, necpr_inf) -> PriceDecomposition:
     price_T = mtm - pmi - lec - necpr_T if necpr_T is not None else None
     price_inf = mtm - pmi - lec - necpr_inf if necpr_inf is not None else None
@@ -95,7 +83,7 @@ def price_finite(problem: LiquidationProblem, opts: Optional[SolveOptions] = Non
     """
     q = problem.q0
     if q == 0:
-        return _zero_decomposition()
+        return _assemble(0.0, 0.0, 0.0, 0.0, 0.0)
     traj = newton_solve(problem, opts)
     necpr_T = eval_I(problem, traj, psi=0.0)
     necpr_inf = (
@@ -123,7 +111,7 @@ def price_infinite(
     if q < 0:
         raise ValueError("q must be nonnegative")
     if q == 0:
-        return _zero_decomposition()
+        return _assemble(0.0, 0.0, 0.0, 0.0, 0.0)
     return _assemble(
         mtm=q * s,
         pmi=problem.impact.integral(q),
@@ -139,8 +127,6 @@ def implied_gamma(
     *,
     finite_horizon: bool = False,
     opts: Optional[SolveOptions] = None,
-    gamma_lo: float = 1e-12,
-    gamma_hi: float = 1e-2,
     rel_tol: float = 1e-6,
 ) -> float:
     """Risk aversion implied by a quoted total premium (currency).
@@ -166,7 +152,7 @@ def implied_gamma(
             return eval_I(probe, newton_solve(probe, opts), psi=0.0)
         return theta_infinity(probe, q)
 
-    lo, hi = gamma_lo, gamma_hi
+    lo, hi = GAMMA_BRACKET
     f_lo, f_hi = necpr(lo), necpr(hi)
     if not f_lo <= target <= f_hi:
         raise GammaBracketError(

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,8 +11,10 @@ import pytest
 import blocktrade
 from blocktrade import cli
 from blocktrade.cli import main, read_trajectory_csv, write_paths_csv
-from blocktrade.config import ConfigError, parse_config
+from blocktrade.config import _SCHEMA, ConfigError, parse_config
+from blocktrade.montecarlo import SimulationConfig
 from blocktrade.objective import eval_I
+from blocktrade.solver import SolveOptions
 from conftest import REFERENCE_CONFIG
 
 BASE_CONFIG = """\
@@ -321,13 +324,81 @@ def test_negative_seed_is_rejected_before_the_solve(tmp_path, capsys, monkeypatc
     cfg_path = write_config(tmp_path)
     code, payload = run_cli(capsys, "simulate", "--config", cfg_path, "--seed", "-1")
     assert code == 1
-    assert payload["error"] == {"type": "ValueError", "message": "seed must be non-negative, got -1"}
+    assert payload["error"]["type"] == "ConfigError"
+    assert "seed must be non-negative" in payload["error"]["message"]
 
     text = BASE_CONFIG.replace("mc.seed = 42", "mc.seed = -1")
     code, payload = run_cli(capsys, "simulate", "--config", write_config(tmp_path, text, "neg.cfg"))
     assert code == 1
     assert payload["error"]["type"] == "ConfigError"
     assert "seed must be non-negative" in payload["error"]["message"]
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    for target in ("blocktrade.cli.newton_solve", "blocktrade.pricing.newton_solve"):
+        monkeypatch.setattr(target, no_solve)
+
+
+@pytest.mark.parametrize(
+    "flag, key",
+    [
+        ("--n-steps=abc", "solve.n_steps"),
+        ("--n-steps=2.5", "solve.n_steps"),
+        ("--q-list=,", "price.q_list"),
+        ("--horizons=0.5,x", "price.horizons"),
+    ],
+)
+def test_override_flags_are_parsed_like_config_keys(tmp_path, capsys, no_solve, flag, key):
+    code, payload = run_cli(capsys, "decompose", "--config", write_config(tmp_path), flag)
+    assert code == 1
+    assert payload["error"]["type"] == "ConfigError"
+    assert f"bad value for {key!r}" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("decompose", "price.q_list", "250000, -5e5"),
+        ("decompose", "price.q_list", "nan"),
+        ("price", "price.horizons", "0.5, inf"),
+        ("price", "price.horizons", "0"),
+    ],
+)
+def test_sweep_entries_are_checked_before_any_solve(tmp_path, capsys, no_solve, command, key, value):
+    text = "\n".join(l for l in BASE_CONFIG.splitlines() if not l.startswith(key + " "))
+    in_file = ["--config", write_config(tmp_path, text + f"\n{key} = {value}\n", "sweep.cfg")]
+    flag = "--" + key.split(".")[1].replace("_", "-")
+    as_flag = ["--config", write_config(tmp_path), f"{flag}={value}"]
+    for argv in (in_file, as_flag):
+        code, payload = run_cli(capsys, command, *argv)
+        assert code == 1
+        assert payload["error"]["type"] == "ConfigError"
+        assert key in payload["error"]["message"]
+
+
+def test_overrides_replace_the_file_value_and_absent_knobs_keep_their_defaults(tmp_path):
+    cfg = parse_config(write_config(tmp_path), [("mc.seed", "7"), ("price.q_list", "1e5, 2e5")])
+    assert cfg.mc.seed == 7 and cfg.q_list == (1e5, 2e5)
+    with pytest.raises(ConfigError, match="unknown key 'mc.sed'"):
+        parse_config(write_config(tmp_path), [("mc.sed", "7")])
+    text = "\n".join(l for l in BASE_CONFIG.splitlines() if not l.startswith(("solve.", "mc.")))
+    cfg = parse_config(write_config(tmp_path, text, "bare.cfg"))
+    assert cfg.solve == SolveOptions() and cfg.mc == SimulationConfig()
+
+
+def test_readme_documents_exactly_the_schema_and_the_flags():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    table = readme.split("### Config schema")[1].split("\n###")[0]
+    first_cells = [row.split("|")[1] for row in table.splitlines() if row.startswith("| `")]
+    assert set(re.findall(r"`([a-z]+\.[a-z0-9_]+)`", " ".join(first_cells))) == set(_SCHEMA)
+    flags = readme.split("Flags (all commands):")[1].split("\n\n")[0]
+    assert dict(re.findall(r"`(--[a-z-]+)`\s+\(overrides\s+`([a-z_.]+)`", flags)) == cli._FLAGS
+    assert set(re.findall(r"`(--[a-z-]+)`", flags)) == {"--config", "--out-dir", *cli._FLAGS}
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

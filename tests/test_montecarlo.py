@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from blocktrade import montecarlo
-from blocktrade.montecarlo import BLOCK_PATHS, MAX_PATHS, SimulationConfig, simulate_cash
+from blocktrade.montecarlo import BLOCK_PATHS, MAX_EULER_STEPS, MAX_PATHS, SimulationConfig, simulate_cash
 from blocktrade.objective import cash_moments
 from blocktrade.solver import Grid, SolveOptions, Trajectory, newton_solve
-from conftest import make_reference_problem
+from conftest import linear_trajectory, make_reference_problem
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +31,23 @@ def test_config_bounds_path_count_and_seed():
         SimulationConfig(n_paths=MAX_PATHS + 1)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         SimulationConfig(seed=-1)
+
+
+def test_euler_step_count_is_bounded_before_the_schedule_is_built(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def schedule(*args):
+        raise Reached
+
+    monkeypatch.setattr(montecarlo, "_schedule", schedule)
+    problem = make_reference_problem()
+    traj = linear_trajectory(problem, 1000)
+    limit = MAX_EULER_STEPS // 1000
+    with pytest.raises(ValueError, match="n_steps \\* n_substeps"):
+        simulate_cash(problem, traj, SimulationConfig(n_paths=1, n_substeps=limit + 1))
+    with pytest.raises(Reached):  # the bound itself is allowed
+        simulate_cash(problem, traj, SimulationConfig(n_paths=1, n_substeps=limit))
 
 
 def test_zero_volatility_paths_are_deterministic(solved):
