@@ -107,12 +107,10 @@ def _cmd_solve(cfg: RunConfig, out_dir: str) -> dict:
 def _cmd_price(cfg: RunConfig, out_dir: str) -> dict:
     payload = asdict(price_finite(cfg.problem, cfg.solve))
     if cfg.horizons:
-        by_horizon = []
-        for T in cfg.horizons:
-            probe = replace(cfg.problem, horizon=T)
-            traj = newton_solve(probe, cfg.solve)
-            by_horizon.append({"horizon": T, "necpr": eval_I(probe, traj, psi=0.0)})
-        payload["necpr_by_horizon"] = by_horizon
+        payload["necpr_by_horizon"] = [
+            {"horizon": T, "necpr": price_finite(replace(cfg.problem, horizon=T), cfg.solve).necpr_T}
+            for T in cfg.horizons
+        ]
     path = os.path.join(out_dir, "price.json")
     _write_json(path, payload)
     return {"price": path}
@@ -257,8 +255,15 @@ _FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ``ConfigError``, so it gets the error JSON too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blocktrade",
         description="Optimal liquidation curves and block-trade pricing",
     )
@@ -269,10 +274,10 @@ def main(argv=None) -> int:
         p.add_argument("--out-dir", default=".", help="directory for artifacts")
         for flag, key in _FLAGS.items():
             p.add_argument(flag, dest=key, help=f"override {key}")
-    args = vars(parser.parse_args(argv))
-    overrides = [(key, args[key]) for key in _FLAGS.values() if args[key] is not None]
 
     try:
+        args = vars(parser.parse_args(argv))
+        overrides = [(key, args[key]) for key in _FLAGS.values() if args[key] is not None]
         cfg = parse_config(args["config"], overrides)
         artifacts = run_command(args["command"], cfg, args["out_dir"])
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not crashes

@@ -116,42 +116,41 @@ def _theta_inf_constant(eta: float, phi: float) -> float:
     )
 
 
-def theta_infinity(problem: LiquidationProblem, q: float) -> float:
-    """Liquidation value with no time constraint (constant volume only).
+def _risk_scale(problem: LiquidationProblem, q: float) -> float:
+    """gamma * sigma**2 / (2 V) of the infinite-horizon value, for a constant volume V only.
 
-    Closed form for power-law costs, adaptive quadrature of the inverted
-    transform otherwise. Refused for time-varying volume curves: the limit is
-    only established for a constant curve, and a mean-volume substitute would
-    be an unsupported extrapolation.
+    Refused for time-varying volume curves: the limit is only established for
+    a constant curve, and a mean-volume substitute would be an unsupported
+    extrapolation.
     """
     if not isinstance(problem.volume, ConstantVolume):
         raise ValueError("infinite-horizon value requires a constant volume curve")
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if q == 0:
-        return 0.0
     m = problem.market
-    scale = m.gamma * m.sigma**2 / (2.0 * problem.volume.rate)
-    if isinstance(problem.cost, PowerLawCost):
-        eta, phi = problem.cost.eta, problem.cost.phi
-        return _theta_inf_constant(eta, phi) * scale ** (phi / (1.0 + phi)) * q ** (
-            (1.0 + 3.0 * phi) / (1.0 + phi)
-        )
-    return theta_infinity_quadrature(problem, q)
+    return m.gamma * m.sigma**2 / (2.0 * problem.volume.rate)
+
+
+def theta_infinity(problem: LiquidationProblem, q: float) -> float:
+    """Liquidation value with no time constraint (constant volume only).
+
+    Closed form for power-law costs, adaptive quadrature of the inverted
+    transform otherwise.
+    """
+    if not isinstance(problem.cost, PowerLawCost):
+        return theta_infinity_quadrature(problem, q)
+    scale = _risk_scale(problem, q)
+    eta, phi = problem.cost.eta, problem.cost.phi
+    return _theta_inf_constant(eta, phi) * scale ** (phi / (1.0 + phi)) * q ** (
+        (1.0 + 3.0 * phi) / (1.0 + phi)
+    )
 
 
 def theta_infinity_quadrature(problem: LiquidationProblem, q: float) -> float:
     """Quadrature route to the same value; kept as an independent cross-check."""
-    if not isinstance(problem.volume, ConstantVolume):
-        raise ValueError("infinite-horizon value requires a constant volume curve")
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    if q == 0:
-        return 0.0
+    scale = _risk_scale(problem, q)
     from scipy.integrate import quad  # lazy: scipy.integrate dominates import time
 
-    m = problem.market
-    scale = m.gamma * m.sigma**2 / (2.0 * problem.volume.rate)
     ham = hamiltonian_of(problem.cost)
     value, _ = quad(lambda x: ham.inverse(scale * x * x), 0.0, q, epsrel=1e-9, limit=200)
     return value

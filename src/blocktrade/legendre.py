@@ -76,7 +76,8 @@ class PowerLawHamiltonian:
             return _on_array(lambda a: np.full(a.shape, 1.0 / (2.0 * self.eta)), p)
         if self.phi > 1.0 and np.any(np.asarray(p) == 0.0):
             raise SingularCurvatureError(
-                f"H'' is singular at p=0 for phi={self.phi} > 1"
+                f"H'' is singular at p=0 for phi={self.phi} > 1, so the Newton path cannot "
+                "start; power-law exponents above 1 are only supported through the closed forms"
             )
         return c * e * (e - 1.0) * np.abs(p) ** (e - 2.0)
 

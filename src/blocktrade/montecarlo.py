@@ -121,7 +121,7 @@ def simulate_cash(
     Gaussian increments; statistics are reproducible for a fixed seed. For a
     liquidating trajectory the terminal inventory is zero and the wealth is
     just the cash. Blocks of ``BLOCK_PATHS`` paths run on up to
-    ``os.cpu_count()`` threads, the calling thread among them. More than
+    ``os.cpu_count()`` worker threads. More than
     ``MAX_EULER_STEPS`` Euler steps per path raise ``ValueError``.
     """
     n_euler = traj.grid.n_steps * cfg.n_substeps
@@ -136,21 +136,14 @@ def simulate_cash(
     wealth = np.empty(cfg.n_paths)
     n_threads = min(os.cpu_count() or 1, n_blocks)
 
-    def run_share(k):
-        for b in range(k, n_blocks, n_threads):
-            block = wealth[b * BLOCK_PATHS : (b + 1) * BLOCK_PATHS]
-            _simulate_block(schedule, m.s0, m.sigma, tau_sub, q_end, streams[b], block)
+    def run_block(b):
+        block = wealth[b * BLOCK_PATHS : (b + 1) * BLOCK_PATHS]
+        _simulate_block(schedule, m.s0, m.sigma, tau_sub, q_end, streams[b], block)
 
-    if n_threads == 1:
-        run_share(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor  # lazy: kept out of `import blocktrade.cli`
 
-        with ThreadPoolExecutor(max_workers=n_threads - 1) as pool:
-            futures = [pool.submit(run_share, k) for k in range(1, n_threads)]
-            run_share(0)
-            for future in futures:
-                future.result()
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        list(pool.map(run_block, range(n_blocks)))  # re-raises a block's exception
 
     mean = float(np.mean(wealth))
     variance = float(np.var(wealth, ddof=1)) if cfg.n_paths > 1 else 0.0

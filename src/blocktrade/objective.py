@@ -73,10 +73,11 @@ def _cell_sums(problem: LiquidationProblem, traj: Trajectory) -> tuple[float, fl
     """Per-cell sums of the quadrature: cost times volume, |v| and the q**2 trapezoid.
 
     The speed is constant per cell (one cost term per cell, volume sampled at
-    the right endpoint), matching the discrete scheme; the squared inventory
-    is integrated by the trapezoid rule. Each sum still needs a factor tau.
+    the cell midpoint by ``Grid.cell_volume``), matching the discrete scheme;
+    the squared inventory is integrated by the trapezoid rule. Each sum still
+    needs a factor tau.
     """
-    vol = np.asarray(problem.volume(traj.grid.times[1:]), dtype=float)
+    vol = traj.grid.cell_volume(problem.volume)
     cost = float(np.sum(vol * problem.cost(traj.v / vol)))
     speed = float(np.sum(np.abs(traj.v)))
     q_sq = float(np.sum(0.5 * (traj.q[:-1] ** 2 + traj.q[1:] ** 2)))

@@ -82,8 +82,6 @@ def price_finite(problem: LiquidationProblem, opts: Optional[SolveOptions] = Non
     constant, since it comes for free in closed form.
     """
     q = problem.q0
-    if q == 0:
-        return _assemble(0.0, 0.0, 0.0, 0.0, 0.0)
     traj = newton_solve(problem, opts)
     necpr_T = eval_I(problem, traj, psi=0.0)
     necpr_inf = (
@@ -98,22 +96,14 @@ def price_finite(problem: LiquidationProblem, opts: Optional[SolveOptions] = Non
     )
 
 
-def price_infinite(
-    problem: LiquidationProblem,
-    q: Optional[float] = None,
-    s: Optional[float] = None,
-) -> PriceDecomposition:
+def price_infinite(problem: LiquidationProblem, q: Optional[float] = None) -> PriceDecomposition:
     """Closed-form price with no liquidation deadline (constant volume only)."""
     if q is None:
         q = problem.q0
-    if s is None:
-        s = problem.market.s0
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if q == 0:
-        return _assemble(0.0, 0.0, 0.0, 0.0, 0.0)
     return _assemble(
-        mtm=q * s,
+        mtm=q * problem.market.s0,
         pmi=problem.impact.integral(q),
         lec=problem.market.psi * q,
         necpr_T=None,
@@ -133,11 +123,10 @@ def implied_gamma(
 
     Strips the gamma-independent floor (PMI + LEC) and inverts the strictly
     increasing map gamma -> NECPR by bisection. The default inverts the
-    closed-form infinite-horizon value; ``finite_horizon=True`` swaps in the
-    slow route that re-solves the trading curve at every probe.
+    closed-form infinite-horizon value (constant volume only);
+    ``finite_horizon=True`` swaps in the slow route that re-prices the block
+    with ``price_finite`` at every probe.
     """
-    if not isinstance(problem.volume, ConstantVolume):
-        raise ValueError("implied gamma requires a constant volume curve")
     q = problem.q0
     floor = problem.impact.integral(q) + problem.market.psi * q
     target = quoted_premium - floor
@@ -149,7 +138,7 @@ def implied_gamma(
     def necpr(gamma: float) -> float:
         probe = replace(problem, market=replace(problem.market, gamma=gamma))
         if finite_horizon:
-            return eval_I(probe, newton_solve(probe, opts), psi=0.0)
+            return price_finite(probe, opts).necpr_T
         return theta_infinity(probe, q)
 
     lo, hi = GAMMA_BRACKET

@@ -9,13 +9,14 @@ where H is the Legendre transform of the execution cost function. On a
 uniform grid t_j = j * tau the system is discretized as
 
     p[j+1] = p[j] + tau * gamma * sigma**2 * q[j+1]
-    q[j+1] = q[j] + tau * V[j+1] * H'(p[j])
+    q[j+1] = q[j] + tau * V[j] * H'(p[j])
 
-with the volume curve sampled at the right endpoint of each cell. Both
-boundary values of q are imposed exactly, so the correction step of each
-Newton iteration solves the linearized recurrences
+with V[j] the volume curve at the midpoint of the cell (t_j, t_{j+1}), so the
+scheme is second order in tau for every volume curve. Both boundary values of
+q are imposed exactly, so the correction step of each Newton iteration solves
+the linearized recurrences
 
-    dq[j+1] = dq[j] + tau * V[j+1] * H''(p[j]) * dp[j] + e[j]
+    dq[j+1] = dq[j] + tau * V[j] * H''(p[j]) * dp[j] + e[j]
     dp[j+1] = dp[j] + tau * gamma * sigma**2 * dq[j+1]
 
 with dq[0] = dq[J] = 0 and e[j] the local defect of the q-recurrence, by
@@ -51,8 +52,8 @@ from typing import Optional
 
 import numpy as np
 
-from .legendre import SingularCurvatureError, hamiltonian_of
-from .market_model import LiquidationProblem, PowerLawCost
+from .legendre import hamiltonian_of
+from .market_model import LiquidationProblem
 
 __all__ = [
     "MAX_STEPS",
@@ -113,6 +114,11 @@ class Grid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
+
+    def cell_volume(self, volume) -> np.ndarray:
+        """The volume curve at each cell midpoint: the one sampling the solver and the objective share."""
+        t = self.times
+        return np.asarray(volume(0.5 * (t[:-1] + t[1:])), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +213,7 @@ def discrete_residual(problem: LiquidationProblem, traj: Trajectory) -> Residual
     """Recompute the defects of both recurrences for a given trajectory."""
     ham = hamiltonian_of(problem.cost)
     tau = traj.grid.tau
-    vol = np.asarray(problem.volume(traj.grid.times[1:]), dtype=float)
+    vol = traj.grid.cell_volume(problem.volume)
     ksq = problem.market.gamma * problem.market.sigma**2
     rp, rq = _residual_arrays(ham, tau * ksq, tau * vol, traj.q, traj.p)
     return ResidualReport(p_residual=rp, q_residual=rq)
@@ -420,18 +426,13 @@ def _solve_batch(problem: LiquidationProblem, t_starts, q_starts, opts: SolveOpt
     ``NonConvergenceError`` it failed with. Live members share the iteration
     counter, so a member's count is the loop's count when it leaves.
     """
-    if isinstance(problem.cost, PowerLawCost) and problem.cost.phi > 1.0:
-        raise SingularCurvatureError(
-            "the Newton path needs finite H'' at p=0; power-law exponents above 1 "
-            "are only supported through the closed forms"
-        )
     ham = hamiltonian_of(problem.cost)
     market = problem.market
     ksq = market.gamma * market.sigma**2
     grids = [Grid(n_steps=opts.n_steps, t_start=t, t_end=problem.horizon) for t in t_starts]
     guesses = [initial_guess(problem, grid, q) for grid, q in zip(grids, q_starts)]
     tau = np.array([grid.tau for grid in grids])
-    vol = np.array([problem.volume(grid.times[1:]) for grid in grids], dtype=float)
+    vol = np.array([grid.cell_volume(problem.volume) for grid in grids])
     if opts.newton_tol is not None:
         tol = np.full(len(grids), opts.newton_tol)
     else:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .closed_forms import theta_infinity
 from .legendre import hamiltonian_of
-from .market_model import ConstantVolume, LiquidationProblem
+from .market_model import LiquidationProblem
 from .objective import eval_I
 from .solver import NonConvergenceError, SolveOptions, _solve_batch, newton_solve
 
@@ -157,13 +157,13 @@ def build_grid(
     )
 
 
-def hj_residual(grid: ValueGrid, problem: Optional[LiquidationProblem] = None) -> HJResidualReport:
+def hj_residual(grid: ValueGrid) -> HJResidualReport:
     """Plug central differences of the grid into the Hamilton-Jacobi equation.
 
     The residual is reported both raw and normalized by the local scale of its
     terms, since the raw value spans orders of magnitude across the grid.
     """
-    problem = problem or grid.problem
+    problem = grid.problem
     if grid.values.shape[0] < 3 or grid.values.shape[1] < 3:
         raise ValueError("need at least a 3x3 grid for interior differences")
     if grid.failed.any():
@@ -256,10 +256,10 @@ def asymptotic_convergence(
     """Liquidation values of q over growing horizons against the closed-form limit.
 
     The step count scales with the horizon so every solve runs at the same
-    time resolution.
+    time resolution. The limit comes first, so a volume curve it refuses
+    (anything but constant) fails before any solve.
     """
-    if not isinstance(problem.volume, ConstantVolume):
-        raise ValueError("asymptotic comparison requires a constant volume curve")
+    limit = theta_infinity(problem, q)
     horizons = tuple(float(T) for T in horizons)
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
@@ -272,13 +272,8 @@ def asymptotic_convergence(
     values = []
     for T, probe_opts in zip(horizons, scaled):
         probe = replace(problem, horizon=T, q0=q)
-        if q == 0.0:
-            values.append(0.0)
-            continue
-        traj = newton_solve(probe, probe_opts)
-        values.append(eval_I(probe, traj, psi=0.0))
+        values.append(eval_I(probe, newton_solve(probe, probe_opts), psi=0.0))
     values = np.asarray(values)
-    limit = theta_infinity(replace(problem, q0=q), q)
     return AsymptoticResult(
         horizons=horizons,
         values=values,

@@ -380,6 +380,30 @@ def test_sweep_entries_are_checked_before_any_solve(tmp_path, capsys, no_solve, 
         assert key in payload["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decompose", "--config", REFERENCE_CONFIG, "--q-list", "-5e5"], "--q-list: expected one argument"),
+        (["decompose"], "required: --config"),
+        ([], "required: command"),
+    ],
+)
+def test_argument_errors_answer_with_the_error_json(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ConfigError"
+    assert message in error["message"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: blocktrade")
+
+
 def test_overrides_replace_the_file_value_and_absent_knobs_keep_their_defaults(tmp_path):
     cfg = parse_config(write_config(tmp_path), [("mc.seed", "7"), ("price.q_list", "1e5, 2e5")])
     assert cfg.mc.seed == 7 and cfg.q_list == (1e5, 2e5)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from blocktrade import pricing, value_function
 from blocktrade.closed_forms import theta_infinity
+from blocktrade.market_model import PiecewiseLinearVolume
 from blocktrade.objective import eval_I
 from blocktrade.pricing import (
     GammaBracketError,
@@ -34,6 +36,20 @@ def test_price_zero_block(reference_problem):
     assert d.mtm == d.pmi == d.lec == d.necpr_T == d.price_T == 0.0
     d_inf = price_infinite(reference_problem, q=0.0)
     assert d_inf.price_inf == 0.0
+    assert d_inf.necpr_T is None
+
+
+def test_closed_form_routes_refuse_time_varying_volume_before_any_solve(reference_problem, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(pricing, "newton_solve", no_solve)
+    monkeypatch.setattr(value_function, "newton_solve", no_solve)
+    problem = replace(reference_problem, volume=PiecewiseLinearVolume(((0.0, 4e6), (1.0, 5e6))))
+    with pytest.raises(ValueError, match="constant volume"):
+        implied_gamma(problem, 24175.0 + 2000.0 + 6915.0)
+    with pytest.raises(ValueError, match="constant volume"):
+        value_function.asymptotic_convergence(problem, 5e5, [0.5, 1.0])
 
 
 def test_price_infinite_low_gamma():
