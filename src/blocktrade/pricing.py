@@ -75,6 +75,11 @@ def _assemble(mtm, pmi, lec, necpr_T, necpr_inf) -> PriceDecomposition:
     )
 
 
+def _necpr_T(problem: LiquidationProblem, opts: Optional[SolveOptions]) -> float:
+    """The finite-horizon NECPR: solve the trading curve, then evaluate the objective."""
+    return eval_I(problem, newton_solve(problem, opts), psi=0.0)
+
+
 def price_finite(problem: LiquidationProblem, opts: Optional[SolveOptions] = None) -> PriceDecomposition:
     """Price the block on the problem's horizon via solve-then-evaluate.
 
@@ -82,8 +87,7 @@ def price_finite(problem: LiquidationProblem, opts: Optional[SolveOptions] = Non
     constant, since it comes for free in closed form.
     """
     q = problem.q0
-    traj = newton_solve(problem, opts)
-    necpr_T = eval_I(problem, traj, psi=0.0)
+    necpr_T = _necpr_T(problem, opts)
     necpr_inf = (
         theta_infinity(problem, q) if isinstance(problem.volume, ConstantVolume) else None
     )
@@ -124,8 +128,8 @@ def implied_gamma(
     Strips the gamma-independent floor (PMI + LEC) and inverts the strictly
     increasing map gamma -> NECPR by bisection. The default inverts the
     closed-form infinite-horizon value (constant volume only);
-    ``finite_horizon=True`` swaps in the slow route that re-prices the block
-    with ``price_finite`` at every probe.
+    ``finite_horizon=True`` swaps in the slow route that solves the block's
+    finite-horizon NECPR at every probe, as ``price_finite`` does.
     """
     q = problem.q0
     floor = problem.impact.integral(q) + problem.market.psi * q
@@ -138,7 +142,7 @@ def implied_gamma(
     def necpr(gamma: float) -> float:
         probe = replace(problem, market=replace(problem.market, gamma=gamma))
         if finite_horizon:
-            return price_finite(probe, opts).necpr_T
+            return _necpr_T(probe, opts)
         return theta_infinity(probe, q)
 
     lo, hi = GAMMA_BRACKET

@@ -19,13 +19,14 @@ the linearized recurrences
     dq[j+1] = dq[j] + tau * V[j] * H''(p[j]) * dp[j] + e[j]
     dp[j+1] = dp[j] + tau * gamma * sigma**2 * dq[j+1]
 
-with dq[0] = dq[J] = 0 and e[j] the local defect of the q-recurrence, by
-affine shooting: the whole chain is an affine function of the single unknown
-dp[0], so two forward passes (dp[0] = 0 and dp[0] = 1) pin it down. Over long
-horizons the homogeneous mode of the forward pass grows past what double
-precision can cancel, so a direction that misses the linearized system by more
-than a threshold is replaced by a pivoted tridiagonal solve of the same system
-(LAPACK ``?gtsv``).
+with dq[0] = dq[J] = 0 and e[j] the local defect of the q-recurrence. A block
+solves them by a pivoted tridiagonal factorization (LAPACK ``dgtsv``) of all
+its members at once. A solo solve uses affine shooting: the whole chain is an
+affine function of the single unknown dp[0], so two forward passes (dp[0] = 0
+and dp[0] = 1) pin it down. Over long horizons the homogeneous mode of the
+forward pass grows past what double precision can cancel, so a shooting
+direction that misses the linearized system by more than a threshold is
+replaced by the ``dgtsv`` solve.
 The p-recurrence holds exactly along every iterate by construction, hence
 convergence is declared on the q-residual alone (the p-residual is reported
 too and stays at rounding level). A step-halving line search guards the early
@@ -33,20 +34,24 @@ iterations, where the power-law H' has strongly varying curvature.
 
 Solves run in blocks of members that share the problem, the horizon and the
 step count; each member has its own start (t_hat, q_hat), hence its own tau,
-volume row and tolerance. One Newton loop serves the whole block. The two
-shooting chains of every member are stepped side by side, five numpy calls per
-cell, which are the IEEE operations of the scalar recurrence, and every rule
-(direction, fallback, line search, stopping) is applied per member. A member's
-result is therefore bit for bit what it gets when solved alone; a single member
-steps both of its chains in one pass on Python floats, which is faster at that
-width. Members leave the block as they converge or fail, and a failing member
-never stops the others. ``newton_solve`` and ``solve_from`` are one-member
-blocks.
+volume row and tolerance. One Newton loop serves the whole block. The members'
+tridiagonal systems sit one after another on the diagonal of one system with
+zero coupling entries, so no pivot crosses a member boundary, and every other
+rule (line search, stopping) is applied per member. A block member's result is
+therefore bit for bit what the ``dgtsv`` direction gives it alone: its
+blockmates never affect it. A block keeps that direction when it shrinks to
+one member. Members leave the block as they converge or fail, and a failing
+member never stops the others. ``newton_solve`` and ``solve_from`` are
+one-member blocks, which shoot.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -220,7 +225,7 @@ def discrete_residual(problem: LiquidationProblem, traj: Trajectory) -> Residual
 
 
 def _propagate(c, e, b):
-    """Both forward passes of one member in one loop on Python floats, in the block kernel's order.
+    """Both shooting passes of a solo solve in one loop on Python floats.
 
     Row 0 of the (2, J+1) dq and dp starts at dp[0] = 0, row 1 at dp[0] = 1.
     """
@@ -242,65 +247,53 @@ def _propagate(c, e, b):
     return chains[0], chains[1]
 
 
-def _propagate_block(c, e, b):
-    """Forward passes of every member at once, the chains side by side.
+@functools.lru_cache(maxsize=None)
+def _dgtsv():
+    """LAPACK dgtsv from scipy's compiled extension, without importing ``scipy.linalg`` (0.3 s)."""
+    try:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        path = os.path.join(scipy_dir, "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.dgtsv
+    except Exception:  # a private path: any surprise takes the public import
+        from scipy.linalg.lapack import dgtsv
 
-    Column k of the (J+1, 2K) work arrays starts at dp[0] = 0 and column K + k
-    at dp[0] = 1, both for member k. Each cell takes five in-place calls that
-    repeat the scalar recurrence's operations in its order, so every column is
-    bit for bit its ``_propagate`` chain. Returns (2K, J+1) arrays.
-    """
-    K, J = c.shape
-    cc = np.empty((J, 2 * K))
-    ee = np.empty((J, 2 * K))
-    cc[:, :K] = cc[:, K:] = c.T
-    ee[:, :K] = ee[:, K:] = e.T
-    bb = np.concatenate((b, b))
-    dq = np.zeros((J + 1, 2 * K))
-    dp = np.zeros((J + 1, 2 * K))
-    dp[0, K:] = 1.0
-    tmp = np.empty(2 * K)
-    dq_rows, dp_rows = list(dq), list(dp)
-    for cj, ej, dq_j, dq_next, dp_j, dp_next in zip(
-        cc, ee, dq_rows, dq_rows[1:], dp_rows, dp_rows[1:]
-    ):
-        np.multiply(cj, dp_j, out=tmp)
-        np.add(dq_j, tmp, out=dq_next)
-        np.add(dq_next, ej, out=dq_next)
-        np.multiply(bb, dq_next, out=tmp)
-        np.add(dp_j, tmp, out=dp_next)
-    return np.ascontiguousarray(dq.T), np.ascontiguousarray(dp.T)
-
-
-def _shooting_chains(c, e, b):
-    """Both forward passes of every member: rows :K start at dp[0] = 0, rows K: at 1."""
-    if len(b) > 1:
-        return _propagate_block(c, e, b)
-    return _propagate(c[0].tolist(), e[0].tolist(), float(b[0]))
+        return dgtsv
 
 
 def _direction_by_banded(c, e, b):
-    """Direct tridiagonal solve (LAPACK ?gtsv) of the same linearized system, for one member.
+    """Pivoted tridiagonal solve (LAPACK dgtsv) of every member's linearized system in one call.
 
-    Unknowns interleaved as (dp_0, dq_1, dp_1, ..., dq_{J-1}, dp_{J-1}, dp_J), with
-    dq_0 = dq_J = 0 eliminated. Stable over long horizons, where shooting is not.
+    Per member the unknowns are interleaved as (dp_0, dq_1, dp_1, ..., dq_{J-1},
+    dp_{J-1}, dp_J), with dq_0 = dq_J = 0 eliminated. The members' systems
+    follow one another on the diagonal with zero coupling entries, so no
+    finite pivot crosses a member boundary and each member gets the bits of its
+    one-row call. A singular or non-finite block is re-solved member by member,
+    which marks the singular ones and leaves the others those same bits.
+    Returns (K, J+1) dq and dp and the mask of singular members.
     """
-    from scipy.linalg.lapack import dgtsv  # lazy: only the fallback needs scipy.linalg
-
-    J = len(c)
+    K, J = c.shape
     # row 2j: dq_{j+1} - dq_j - c_j dp_j = e_j;  row 2j+1: dp_{j+1} - dp_j - b dq_{j+1} = 0
-    sub = np.full(2 * J - 1, -1.0)  # dq_j in the q-rows, dp_j in the p-rows
-    diag = np.empty(2 * J)
-    diag[0::2] = -np.asarray(c)  # dp_j in the q-rows
-    diag[1::2] = -b  # dq_{j+1} in the p-rows
-    diag[-1] = 1.0  # dp_J in the last p-row
-    sup = np.append(np.ones(2 * J - 2), 0.0)  # dq_{j+1}, dp_{j+1}; dq_J is eliminated
-    rhs = np.zeros(2 * J)
-    rhs[0::2] = e
-    *_, x, info = dgtsv(sub, diag, sup, rhs)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return np.concatenate(([0.0], x[1:-1:2], [0.0])), np.append(x[0::2], x[-1])
+    sub = np.full((K, 2 * J), -1.0)  # dq_j in the q-rows, dp_j in the p-rows
+    sub[:, -1] = 0.0  # coupling to the next member
+    diag = np.empty((K, 2 * J))
+    diag[:, 0::2] = -c  # dp_j in the q-rows
+    diag[:, 1::2] = -b[:, None]  # dq_{j+1} in the p-rows
+    diag[:, -1] = 1.0  # dp_J in the last p-row
+    sup = np.ones((K, 2 * J))  # dq_{j+1}, dp_{j+1}
+    sup[:, -2:] = 0.0  # dq_J is eliminated; coupling to the next member
+    rhs = np.zeros((K, 2 * J))
+    rhs[:, 0::2] = e
+    *_, x, info = _dgtsv()(sub.ravel()[:-1], diag.ravel(), sup.ravel()[:-1], rhs.ravel(), 1, 1, 1, 1)
+    x = x.reshape(K, 2 * J)
+    if K > 1 and (info != 0 or not np.isfinite(x).all()):
+        alone = [_direction_by_banded(c[k : k + 1], e[k : k + 1], b[k : k + 1]) for k in range(K)]
+        return tuple(np.concatenate(rows) for rows in zip(*alone))
+    dq = np.zeros((K, J + 1))
+    dq[:, 1:J] = x[:, 1:-1:2]
+    return dq, np.append(x[:, 0::2], x[:, -1:], axis=1), np.full(K, info != 0)
 
 
 def _linear_defect(c, e, b, dq, dp):
@@ -310,38 +303,32 @@ def _linear_defect(c, e, b, dq, dp):
     return _max_abs(rq, rp)
 
 
-def _newton_direction(c, e, b, current, tol):
-    """Affine shooting first; per member, a banded fallback when cancellation wrecks the chain.
+def _newton_direction(c, e, b, current, tol, solo):
+    """The correction of every member: one dgtsv call for a block, affine shooting for a solo solve.
 
-    Over long horizons the homogeneous mode of the forward pass grows
-    exponentially and the final affine combination differences astronomically
-    large numbers, leaving rounding noise where the correction should be. The
-    defect of the candidate against the linearized system measures that damage
-    directly; past the useful threshold the same system is re-solved by a
-    pivoted tridiagonal factorization. Returns dq, dp and the mask of members
-    whose linearization is singular (their rows are meaningless).
+    Shooting steps both chains of the one member and combines them. Over long
+    horizons the homogeneous mode of the forward pass grows exponentially and
+    the final affine combination differences astronomically large numbers,
+    leaving rounding noise where the correction should be. The defect of the
+    candidate against the linearized system measures that damage directly;
+    past the useful threshold the same system goes to dgtsv. Returns dq, dp
+    and the mask of members whose linearization is singular (their rows are
+    meaningless).
     """
-    K = len(b)
-    dq_chains, dp_chains = _shooting_chains(c, e, b)
+    if not solo:
+        return _direction_by_banded(c, e, b)
+    (dq0, dq1), (dp0, dp1) = _propagate(c[0].tolist(), e[0].tolist(), float(b[0]))
     with np.errstate(all="ignore"):
-        dq0, dq1 = dq_chains[:K], dq_chains[K:]
-        dp0, dp1 = dp_chains[:K], dp_chains[K:]
-        denom = dq1[:, -1] - dq0[:, -1]
-        s = (-dq0[:, -1] / denom)[:, None]
+        denom = dq1[-1] - dq0[-1]
+        s = -dq0[-1] / denom
         dq = dq0 + s * (dq1 - dq0)
         dp = dp0 + s * (dp1 - dp0)
-        dq[:, 0] = 0.0
-        dq[:, -1] = 0.0  # boundary is exact; cancel the rounding of the affine combination
-        defect = _linear_defect(c, e, b[:, None], dq, dp)
-    usable = np.isfinite(denom) & (denom != 0.0) & np.isfinite(dq0[:, -1])
-    threshold = np.maximum(0.01 * current, 0.1 * tol)
-    singular = np.zeros(K, dtype=bool)
-    for k in np.flatnonzero(~(usable & (defect <= threshold))):
-        try:
-            dq[k], dp[k] = _direction_by_banded(c[k], e[k], b[k])
-        except np.linalg.LinAlgError:
-            singular[k] = True
-    return dq, dp, singular
+        dq[0] = dq[-1] = 0.0  # boundary is exact; cancel the rounding of the affine combination
+        defect = _linear_defect(c[0], e[0], b[0], dq, dp)
+    usable = math.isfinite(denom) and denom != 0.0 and math.isfinite(dq0[-1])
+    if usable and defect <= max(0.01 * current[0], 0.1 * tol[0]):
+        return dq[None], dp[None], np.zeros(1, dtype=bool)
+    return _direction_by_banded(c, e, b)
 
 
 class _Block:
@@ -447,6 +434,7 @@ def _solve_batch(problem: LiquidationProblem, t_starts, q_starts, opts: SolveOpt
         p=np.array([guess.p for guess in guesses]),
     )
     del guesses, vol
+    solo = len(grids) == 1  # a block keeps dgtsv when it shrinks to one member
     rp, block.rq = _residual_arrays(ham, block.tau_ksq, block.tau_vol, block.q, block.p)
     block.current = _max_abs(rp, block.rq)
     del rp
@@ -493,7 +481,7 @@ def _solve_batch(problem: LiquidationProblem, t_starts, q_starts, opts: SolveOpt
             block.keep(going)
 
         c = block.tau_vol * ham.curvature(block.p[:, :-1])
-        dq, dp, singular = _newton_direction(c, -block.rq, block.b, block.current, block.tol)
+        dq, dp, singular = _newton_direction(c, -block.rq, block.b, block.current, block.tol, solo)
         del c
         if singular.any():
             if not drop(singular, "degenerate linearization (H'' vanishes along the whole path)"):

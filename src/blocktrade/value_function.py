@@ -110,8 +110,12 @@ def build_grid(
 ) -> ValueGrid:
     """Fill the grid in blocks of cells; the zero-inventory column is exact without solving.
 
-    Every cell's result is bit for bit its own ``solve_from``. Solver failures
-    do not abort the build: the cell is masked and left NaN.
+    A block takes its Newton directions from one ``dgtsv`` call, and a cell's
+    result is bit for bit what that direction gives it alone, so its
+    blockmates never affect it. It differs from the cell's ``solve_from``,
+    which shoots, only by rounding (the same iterations and failures); a last
+    block that holds a single cell shoots that cell. Solver failures do not
+    abort the build: the cell is masked and left NaN.
     """
     opts = opts or SolveOptions()
     T = problem.horizon

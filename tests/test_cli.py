@@ -446,6 +446,19 @@ def test_cli_and_a_reference_solve_leave_scipy_linalg_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_grid_on_the_reference_config_leaves_scipy_linalg_unloaded(tmp_path):
+    # the blocks take dgtsv, loaded from scipy's LAPACK extension alone
+    src = os.path.dirname(os.path.dirname(blocktrade.__file__))
+    code = (
+        "import sys, blocktrade.cli\n"
+        f"code = blocktrade.cli.main(['grid', '--config', {REFERENCE_CONFIG!r}, '--out-dir', {str(tmp_path)!r}])\n"
+        "sys.exit(code or 'scipy.linalg' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL).returncode == 0
+    assert (tmp_path / "value_grid.csv").exists()
+
+
 def test_grid_report_counts_iterations_and_failed_cells(tmp_path, capsys):
     out = tmp_path / "out"
     code, _ = run_cli(capsys, "grid", "--config", write_config(tmp_path), "--out-dir", str(out), "--n-steps", "300")

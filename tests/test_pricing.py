@@ -100,6 +100,18 @@ def test_implied_gamma_finite_horizon_path(reference_problem):
     assert gamma == pytest.approx(1e-6, rel=0.01)
 
 
+def test_finite_route_never_computes_the_no_deadline_value(reference_problem, monkeypatch):
+    opts = SolveOptions(n_steps=200)
+    quoted = reference_problem.impact.integral(500_000.0) + 2000.0 + 6000.0
+    expected = implied_gamma(reference_problem, quoted, finite_horizon=True, opts=opts, rel_tol=1e-4)
+
+    def refuse(*args):
+        raise AssertionError("theta_infinity ran")
+
+    monkeypatch.setattr(pricing, "theta_infinity", refuse)
+    assert implied_gamma(reference_problem, quoted, finite_horizon=True, opts=opts, rel_tol=1e-4) == expected
+
+
 def test_premium_monotone_and_convex_in_block_size(reference_problem):
     qs = np.linspace(50_000.0, 1_500_000.0, 10)
     premiums = np.array(

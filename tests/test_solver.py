@@ -1,4 +1,8 @@
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +29,6 @@ from blocktrade.solver import (
     _direction_by_banded,
     _linear_defect,
     _propagate,
-    _propagate_block,
     _solve_batch,
     discrete_residual,
     initial_guess,
@@ -230,14 +233,15 @@ def test_non_finite_problem_raises_instead_of_converging(reference_problem, fiel
 @pytest.mark.parametrize("J", [2, 3, 1000])
 def test_banded_direction_solves_linearized_system(J):
     rng = np.random.default_rng(J)
-    c = rng.uniform(0.1, 2.0, J).tolist()
-    e = rng.normal(size=J).tolist()
-    b = 0.3
-    dq, dp = _direction_by_banded(c, e, b)
-    assert dq.shape == dp.shape == (J + 1,)
-    assert dq[0] == 0.0 and dq[-1] == 0.0
+    c = rng.uniform(0.1, 2.0, (1, J))
+    e = rng.normal(size=(1, J))
+    b = np.array([0.3])
+    dq, dp, singular = _direction_by_banded(c, e, b)
+    assert dq.shape == dp.shape == (1, J + 1)
+    assert not singular.any()
+    assert dq[0, 0] == 0.0 and dq[0, -1] == 0.0
     scale = max(1.0, float(np.max(np.abs(dq))), float(np.max(np.abs(dp))))
-    assert _linear_defect(c, e, b, dq, dp) <= 1e-13 * scale
+    assert _linear_defect(c, e, b[:, None], dq, dp)[0] <= 1e-13 * scale
 
 
 def assert_same_outcome(batched, alone):
@@ -260,24 +264,48 @@ def solo(problem, t, q, opts):
         return exc
 
 
+def solo_by_gtsv(problem, t, q, opts):
+    """``solo`` with every direction taken from dgtsv, as a block member's is."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_newton_direction", lambda c, e, b, *_: _direction_by_banded(c, e, b))
+        return solo(problem, t, q, opts)
+
+
+def assert_same_convergence(batched, alone):
+    """Same iteration count and the same failure as the shooting solo solve."""
+    assert type(batched) is type(alone)
+    assert batched.iterations == alone.iterations
+    if isinstance(alone, NonConvergenceError):
+        assert str(batched).split(" (")[0] == str(alone).split(" (")[0]
+
+
+def one_row(direction, k):
+    return tuple(part[k : k + 1] for part in direction)
+
+
+def assert_rows_are_their_one_row_calls(c, e, b):
+    block = _direction_by_banded(c, e, b)
+    for k in range(len(b)):
+        alone = _direction_by_banded(c[k : k + 1], e[k : k + 1], b[k : k + 1])
+        for got, expected in zip(one_row(block, k), alone):
+            assert_same_bits(got, expected)
+    return block
+
+
+@pytest.mark.parametrize("J", [2, 3, 1000])
 @pytest.mark.parametrize("K", [2, 5])
-def test_block_kernel_equals_the_scalar_loop(K):
-    rng = np.random.default_rng(K)
-    J = 300
+def test_block_direction_equals_each_members_one_row_call(K, J):
+    rng = np.random.default_rng(10 * K + J)
     c = rng.uniform(0.0, 3.0, (K, J))
     e = rng.normal(size=(K, J)) * 10.0 ** rng.uniform(-8, 3, (K, J))
     b = rng.uniform(0.01, 2.0, K)
-    dq, dp = _propagate_block(c, e, b)
-    assert dq.shape == dp.shape == (2 * K, J + 1)
-    for k in range(K):
-        dq_alone, dp_alone = _propagate(c[k].tolist(), e[k].tolist(), float(b[k]))
-        for chain, row in ((k, 0), (K + k, 1)):
-            assert np.array_equal(dq[chain], dq_alone[row])
-            assert np.array_equal(dp[chain], dp_alone[row])
+    dq, dp, singular = assert_rows_are_their_one_row_calls(c, e, b)
+    assert dq.shape == dp.shape == (K, J + 1)
+    assert not singular.any()
 
 
-# The one-member routines as they were before both chains shared one loop and
-# the fallback called LAPACK ?gtsv directly: the references for bit identity.
+# The one-member shooting pass as it was before both chains shared one loop,
+# and the direction by scipy's solve_banded: the references for bit identity.
 def two_loop_propagate(c, e, b, dp_start):
     dq, dp = [0.0], [dp_start]
     dqj, dpj = 0.0, dp_start
@@ -290,9 +318,6 @@ def two_loop_propagate(c, e, b, dp_start):
 
 
 def two_loop_shooting_chains(c, e, b):
-    if len(b) > 1:
-        return _propagate_block(c, e, b)
-    c, e, b = c[0].tolist(), e[0].tolist(), float(b[0])
     dq0, dp0 = two_loop_propagate(c, e, b, 0.0)
     dq1, dp1 = two_loop_propagate(c, e, b, 1.0)
     return np.stack((dq0, dq1)), np.stack((dp0, dp1))
@@ -319,9 +344,21 @@ def solve_banded_direction(c, e, b):
     return dq, dp
 
 
+def solve_banded_rows(c, e, b):
+    """``_direction_by_banded`` row by row through solve_banded."""
+    dq, dp = np.zeros((2, len(b), c.shape[1] + 1))
+    singular = np.zeros(len(b), dtype=bool)
+    for k in range(len(b)):
+        try:
+            dq[k], dp[k] = solve_banded_direction(c[k], e[k], b[k])
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return dq, dp, singular
+
+
 def assert_same_bits(a, b):
-    assert a.shape == b.shape
-    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("J", [2, 3, 1000])
@@ -348,20 +385,86 @@ def test_one_pass_kernel_equals_the_two_loop_chains_bit_for_bit(J, overflow):
 
 @pytest.mark.parametrize("J", [2, 3, 1000])
 def test_direct_gtsv_equals_solve_banded_bit_for_bit(J):
+    # one member alone, then three members concatenated into one system
     rng = np.random.default_rng(J)
-    c = rng.uniform(0.0, 2.0, J)
-    e = rng.normal(size=J)
-    for got, expected in zip(_direction_by_banded(c, e, 0.3), solve_banded_direction(c, e, 0.3)):
-        assert_same_bits(got, expected)
+    c = rng.uniform(0.0, 2.0, (3, J))
+    e = rng.normal(size=(3, J))
+    b = np.array([0.3, 1.7, 0.02])
+    for rows in (slice(0, 1), slice(None)):
+        args = c[rows], e[rows], b[rows]
+        for got, expected in zip(_direction_by_banded(*args), solve_banded_rows(*args)):
+            assert_same_bits(got, expected)
 
 
-def test_direct_gtsv_raises_on_a_singular_system():
+def test_direct_gtsv_marks_a_singular_system():
     # with H'' = 0 along the whole path no dq depends on dp_0
-    c, e = np.zeros(50), np.ones(50)
+    c, e = np.zeros((1, 50)), np.ones((1, 50))
     with pytest.raises(np.linalg.LinAlgError):
-        solve_banded_direction(c, e, 0.3)
-    with pytest.raises(np.linalg.LinAlgError):
-        _direction_by_banded(c, e, 0.3)
+        solve_banded_direction(c[0], e[0], 0.3)
+    assert _direction_by_banded(c, e, np.array([0.3]))[2].tolist() == [True]
+
+
+def test_a_singular_member_is_the_only_one_marked():
+    rng = np.random.default_rng(7)
+    c = rng.uniform(0.1, 2.0, (4, 200))
+    c[2] = 0.0
+    e = rng.normal(size=(4, 200))
+    b = np.full(4, 0.3)
+    _, _, singular = assert_rows_are_their_one_row_calls(c, e, b)
+    assert singular.tolist() == [False, False, True, False]
+
+
+def test_overflowing_and_nan_members_leave_their_blockmates_bits():
+    rng = np.random.default_rng(8)
+    K, J = 5, 300
+    c = rng.uniform(0.1, 2.0, (K, J))
+    e = rng.normal(size=(K, J))
+    b = np.full(K, 0.3)
+    e[1], b[1] = rng.normal(size=J) * 1e300, 50.0
+    c[3, 100] = np.nan
+    with np.errstate(all="ignore"):
+        dq, dp, _ = assert_rows_are_their_one_row_calls(c, e, b)
+    assert np.abs(dp[1]).max() > 1e290 and np.isnan(dp[3]).any()
+    assert np.isfinite(dq[[0, 2, 4]]).all() and np.isfinite(dp[[0, 2, 4]]).all()
+
+
+def gtsv_system(n=2000):
+    rng = np.random.default_rng(n)
+    return rng.normal(size=n - 1), rng.uniform(1.0, 3.0, n), rng.normal(size=n - 1), rng.normal(size=n)
+
+
+def test_private_dgtsv_load_equals_scipy_linalg_and_leaves_it_importable():
+    # in a fresh interpreter: the load must not import scipy.linalg, which works afterwards
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    code = (
+        "import sys, numpy as np\n"
+        "from blocktrade.solver import _dgtsv\n"
+        "rng = np.random.default_rng(2000)\n"
+        "n = 2000\n"
+        "args = rng.normal(size=n - 1), rng.uniform(1.0, 3.0, n), rng.normal(size=n - 1), rng.normal(size=n)\n"
+        "private = _dgtsv()(*args)[3]\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "from scipy.linalg.lapack import dgtsv\n"
+        "assert dgtsv(*args)[3].tobytes() == private.tobytes()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_dgtsv_falls_back_to_the_public_import(monkeypatch):
+    from scipy.linalg.lapack import dgtsv
+
+    def refuse(*args, **kwargs):
+        raise ImportError("private path unavailable")
+
+    expected = dgtsv(*gtsv_system())[3]
+    monkeypatch.setattr(importlib.util, "spec_from_file_location", refuse)
+    solver._dgtsv.cache_clear()
+    try:
+        assert solver._dgtsv() is dgtsv
+        assert_same_bits(solver._dgtsv()(*gtsv_system())[3], expected)
+    finally:
+        solver._dgtsv.cache_clear()
 
 
 @pytest.mark.parametrize("horizon", [5.0, 20.0])
@@ -376,8 +479,8 @@ def test_long_horizon_solve_equals_the_two_loop_and_solve_banded_routines(horizo
     monkeypatch.setattr(solver, "_direction_by_banded", counted)
     traj = newton_solve(problem)
     assert calls  # the fallback ran
-    monkeypatch.setattr(solver, "_shooting_chains", two_loop_shooting_chains)
-    monkeypatch.setattr(solver, "_direction_by_banded", solve_banded_direction)
+    monkeypatch.setattr(solver, "_propagate", two_loop_shooting_chains)
+    monkeypatch.setattr(solver, "_direction_by_banded", solve_banded_rows)
     before = newton_solve(problem)
     for name in ("q", "p", "v"):
         assert_same_bits(getattr(traj, name), getattr(before, name))
@@ -385,7 +488,7 @@ def test_long_horizon_solve_equals_the_two_loop_and_solve_banded_routines(horizo
 
 
 def test_long_horizon_batch_takes_the_fallback_and_matches_solo_solves(monkeypatch):
-    # at T = 20 the shooting chains lose the correction to cancellation
+    # at T = 20 a solo solve needs the dgtsv fallback; a block takes dgtsv throughout
     problem = make_reference_problem(horizon=20.0)
     opts = SolveOptions(n_steps=400)
     starts = [(0.0, 5e5), (5.0, 2e5), (10.0, 1e6), (0.0, 5e4)]
@@ -398,8 +501,10 @@ def test_long_horizon_batch_takes_the_fallback_and_matches_solo_solves(monkeypat
     monkeypatch.setattr(solver, "_direction_by_banded", counted)
     batched = _solve_batch(problem, *zip(*starts), opts)
     assert calls
+    monkeypatch.undo()
     for result, (t, q) in zip(batched, starts):
-        assert_same_outcome(result, solo(problem, t, q, opts))
+        assert_same_outcome(result, solo_by_gtsv(problem, t, q, opts))
+        assert_same_convergence(result, solo(problem, t, q, opts))
 
 
 def test_history_and_least_bad_steps_explain_a_stall():
@@ -448,6 +553,24 @@ def test_envelope_identity_for_the_inventory_gradient(problem):
     assert central == pytest.approx(exact, rel=1e-8)
 
 
+@pytest.mark.parametrize("problem", ENVELOPE_PROBLEMS)
+def test_envelope_identity_for_the_risk_aversion_gradient(problem):
+    # gamma enters eval_I only through the risk term, so the derivative of the
+    # minimum is that term's: half sigma**2 tau times the trapezoid of q**2
+    m = problem.market
+    opts = SolveOptions(n_steps=200, newton_tol=1e-12 * problem.q0)
+
+    def necpr(gamma):
+        shifted = replace(problem, market=replace(m, gamma=gamma))
+        return eval_I(shifted, newton_solve(shifted, opts))
+
+    h = 1e-4 * m.gamma
+    central = (necpr(m.gamma + h) - necpr(m.gamma - h)) / (2.0 * h)
+    traj = newton_solve(problem, opts)
+    trapezoid = np.sum(0.5 * (traj.q[:-1] ** 2 + traj.q[1:] ** 2))
+    assert central == pytest.approx(0.5 * m.sigma**2 * traj.grid.tau * trapezoid, rel=1e-8)
+
+
 def test_failing_member_is_returned_and_leaves_the_others_bit_identical(reference_problem):
     # alone, the 2e6 block needs 8 iterations and the others at most 7
     opts = SolveOptions(n_steps=200, max_iter=7)
@@ -455,7 +578,8 @@ def test_failing_member_is_returned_and_leaves_the_others_bit_identical(referenc
     batched = _solve_batch(reference_problem, *zip(*starts), opts)
     assert [isinstance(r, NonConvergenceError) for r in batched] == [False, False, True, False]
     for result, (t, q) in zip(batched, starts):
-        assert_same_outcome(result, solo(reference_problem, t, q, opts))
+        assert_same_outcome(result, solo_by_gtsv(reference_problem, t, q, opts))
+        assert_same_convergence(result, solo(reference_problem, t, q, opts))
 
 
 def test_returned_trajectories_own_their_arrays(reference_problem):

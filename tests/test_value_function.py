@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from blocktrade.closed_forms import ac_trajectory, theta_infinity
 from blocktrade.objective import eval_I
-from blocktrade import value_function
+from blocktrade import solver, value_function
 from blocktrade.solver import (
     MAX_STEPS,
     Grid,
@@ -179,28 +179,41 @@ def test_asymptotic_convergence_zero_inventory(reference_problem):
     assert result.limit == 0.0
 
 
+def solve_from_loop(problem, t_nodes, q_nodes, opts):
+    """Values, failure mask and iteration counts of one ``solve_from`` per cell."""
+    values = np.zeros((len(t_nodes), len(q_nodes)))
+    failed = np.zeros_like(values, dtype=bool)
+    iterations = np.zeros_like(values, dtype=int)
+    for i, t in enumerate(t_nodes):
+        for k, q in enumerate(q_nodes[1:], start=1):
+            try:
+                traj = solve_from(problem, t, q, opts)
+            except NonConvergenceError as exc:
+                values[i, k], failed[i, k], iterations[i, k] = np.nan, True, exc.iterations
+            else:
+                values[i, k], iterations[i, k] = eval_I(problem, traj, psi=0.0), traj.iterations
+    return values, failed, iterations
+
+
 @pytest.mark.parametrize("max_iter", [50, 6])
-def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter):
+def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, monkeypatch):
     opts = SolveOptions(n_steps=100, max_iter=max_iter)
     t_nodes = np.linspace(0.0, 0.9, 9)
     q_nodes = np.linspace(0.0, 2 * reference_problem.q0, 9)
     assert len(t_nodes) * (len(q_nodes) - 1) > BATCH_MEMBERS  # more than one block
     grid = build_grid(reference_problem, t_nodes, q_nodes, opts)
-    values = np.zeros_like(grid.values)
-    failed = np.zeros_like(grid.failed)
-    iterations = np.zeros_like(grid.iterations)
-    for i, t in enumerate(t_nodes):
-        for k, q in enumerate(q_nodes[1:], start=1):
-            try:
-                traj = solve_from(reference_problem, t, q, opts)
-            except NonConvergenceError as exc:
-                values[i, k], failed[i, k], iterations[i, k] = np.nan, True, exc.iterations
-            else:
-                values[i, k], iterations[i, k] = eval_I(reference_problem, traj, psi=0.0), traj.iterations
-    assert np.array_equal(grid.values, values, equal_nan=True)
+    # a solo solve shoots: the same iterations and failures, values to rounding
+    values, failed, iterations = solve_from_loop(reference_problem, t_nodes, q_nodes, opts)
+    assert np.allclose(grid.values, values, rtol=1e-12, atol=0.0, equal_nan=True)
     assert np.array_equal(grid.failed, failed)
     assert np.array_equal(grid.iterations, iterations)
     assert failed.any() == (max_iter == 6)
+    # a block member is bit for bit its solo solve when that takes dgtsv too
+    monkeypatch.setattr(solver, "_newton_direction", lambda c, e, b, *_: solver._direction_by_banded(c, e, b))
+    values, failed, iterations = solve_from_loop(reference_problem, t_nodes, q_nodes, opts)
+    assert np.array_equal(grid.values, values, equal_nan=True)
+    assert np.array_equal(grid.failed, failed)
+    assert np.array_equal(grid.iterations, iterations)
 
 
 def test_grid_and_step_sizes_are_bounded(reference_problem, monkeypatch):
