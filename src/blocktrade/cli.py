@@ -98,6 +98,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str) -> dict:
         "n_steps": traj.grid.n_steps,
         "history": list(traj.history),
         "no_descent": traj.no_descent,
+        "steps": list(traj.steps),
     }
     summary_path = os.path.join(out_dir, "solve_summary.json")
     _write_json(summary_path, summary)
@@ -151,9 +152,11 @@ def _cmd_grid(cfg: RunConfig, out_dir: str) -> dict:
     write_value_grid_csv(grid_path, grid)
 
     failed = int(grid.failed.sum())
+    converged = grid.residuals[~grid.failed & (grid.q_nodes > 0)]
     payload = {
         "failed_cells": failed,
         "newton_iterations": {"total": int(grid.iterations.sum()), "max": int(grid.iterations.max())},
+        "newton_residual": {"max": float(converged.max()) if converged.size else None},
         # the HJ and structure checks need every cell; with failures they are null
         "hj_max_abs": None,
         "hj_max_normalized": None,

@@ -34,15 +34,19 @@ iterations, where the power-law H' has strongly varying curvature.
 
 Solves run in blocks of members that share the problem, the horizon and the
 step count; each member has its own start (t_hat, q_hat), hence its own tau,
-volume row and tolerance. One Newton loop serves the whole block. The members'
-tridiagonal systems sit one after another on the diagonal of one system with
-zero coupling entries, so no pivot crosses a member boundary, and every other
-rule (line search, stopping) is applied per member. A block member's result is
-therefore bit for bit what the ``dgtsv`` direction gives it alone: its
-blockmates never affect it. A block keeps that direction when it shrinks to
-one member. Members leave the block as they converge or fail, and a failing
-member never stops the others. ``newton_solve`` and ``solve_from`` are
-one-member blocks, which shoot.
+volume row and tolerance. One Newton loop serves the whole block. A member
+starts from the straight line from q_hat to zero, or, when the caller hands
+it a converged curve on the same grid (``build_grid`` does, from the
+next-smaller inventory), from that curve scaled to q_hat: continuation in
+inventory. The members' tridiagonal systems sit one after another on the
+diagonal of one system with zero coupling entries, so no pivot crosses a
+member boundary, and every other rule (line search, stopping) is applied per
+member. A block member's result is therefore bit for bit what the ``dgtsv``
+direction gives it alone from the same start: its blockmates never affect it.
+A block keeps that direction when it shrinks to one member. Members leave the
+block as they converge or fail, and a failing member never stops the others.
+``newton_solve`` and ``solve_from`` are one-member blocks from the straight
+line, which shoot.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ MAX_STEPS = 1_000_000  # a block holds members * (n_steps + 1) doubles per array
 class NonConvergenceError(RuntimeError):
     """Newton iteration did not reach the residual tolerance.
 
-    ``history`` and ``no_descent`` are as in :class:`Trajectory`.
+    ``history``, ``no_descent`` and ``steps`` are as in :class:`Trajectory`.
     """
 
     def __init__(
@@ -90,12 +94,14 @@ class NonConvergenceError(RuntimeError):
         iterations: int,
         history: tuple = (),
         no_descent: int = 0,
+        steps: tuple = (),
     ):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
         self.residual = residual
         self.iterations = iterations
         self.history = history
         self.no_descent = no_descent
+        self.steps = steps
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,8 @@ class Trajectory:
 
     ``v[j]`` is the (constant) selling speed on the cell (t_j, t_{j+1}],
     i.e. ``(q[j] - q[j+1]) / tau``. ``history`` holds the max residual after
-    each Newton iteration, and ``no_descent`` counts the iterations in which
+    each Newton iteration and ``steps`` the step length alpha it accepted (1,
+    or 2**-h after h halvings); ``no_descent`` counts the iterations in which
     no step length lowered the residual, so the least-bad step was taken.
     """
 
@@ -144,6 +151,7 @@ class Trajectory:
     max_residual: float = 0.0
     history: tuple = ()
     no_descent: int = 0
+    steps: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -194,12 +202,32 @@ def initial_guess(problem: LiquidationProblem, grid: Grid, q_start: Optional[flo
     """
     if q_start is None:
         q_start = problem.q0
-    j = np.arange(grid.n_steps + 1)
-    q = (1.0 - j / grid.n_steps) * q_start
-    ksq = problem.market.gamma * problem.market.sigma**2
-    p = np.zeros(grid.n_steps + 1)
-    p[1:] = grid.tau * ksq * np.cumsum(q[1:])
+    q, p = _start(grid, problem.market.gamma * problem.market.sigma**2, q_start)
     return Trajectory(grid=grid, q=q, p=p, v=_speeds(grid, q))
+
+
+def _start(grid: Grid, ksq: float, q_start: float, neighbour=None):
+    """A member's starting (q, p): the straight line, or a neighbour's curve scaled to q_start.
+
+    ``neighbour`` is the converged (q, p) of a solve on the same grid from
+    another inventory; its q scaled by s = q_start / q[0] is the start
+    (natural-parameter continuation in inventory), with both boundary values
+    set exactly. p is the forward pass of the p-recurrence from p[0] (0 on
+    the line, s * p[0] for a neighbour), so the starting p-residual vanishes.
+    """
+    if neighbour is None:
+        j = np.arange(grid.n_steps + 1)
+        q = (1.0 - j / grid.n_steps) * q_start
+        p0 = 0.0
+    else:
+        q_left, p_left = neighbour
+        s = q_start / q_left[0]
+        q = s * q_left
+        q[0], q[-1] = q_start, 0.0
+        p0 = s * p_left[0]
+    p = np.full(grid.n_steps + 1, p0)
+    p[1:] += grid.tau * ksq * np.cumsum(q[1:])
+    return q, p
 
 
 def _residual_arrays(ham, tau_ksq, tau_vol, q, p):
@@ -362,11 +390,13 @@ def _line_search(ham, block, dq, dp, max_halvings):
     """Halve each member's step until its residual falls; update ``block`` in place.
 
     A member that no halving improves takes its least-bad finite step
-    (``max_iter`` guards against stalling). Returns the masks of the members
-    that took that step and of those for which no halving gave a finite residual.
+    (``max_iter`` guards against stalling). Returns each member's step length,
+    and the masks of the members that took the least-bad step and of those
+    for which no halving gave a finite residual.
     """
     K = len(block.member)
     pending = np.ones(K, dtype=bool)
+    taken = np.zeros(K)
     best = np.full(K, np.inf)  # least-bad finite residual so far, and its step
     best_alpha = np.zeros(K)
     alpha = 1.0
@@ -377,9 +407,10 @@ def _line_search(ham, block, dq, dp, max_halvings):
         accept = m < block.current[rows]  # a non-finite m never passes
         if whole and accept.all():
             block.q, block.p, block.rq, block.current = qc, pc, rqc, m
-            return np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
+            return np.full(K, alpha), np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
         rows = np.arange(K)[rows]
         block.take(rows[accept], qc[accept], pc[accept], rqc[accept], m[accept])
+        taken[rows[accept]] = alpha
         pending[rows[accept]] = False
         better = ~accept & (m < best[rows])
         best[rows[better]] = m[better]
@@ -389,10 +420,11 @@ def _line_search(ham, block, dq, dp, max_halvings):
     fallback = np.flatnonzero(pending & found)
     if fallback.size:
         block.take(fallback, *block.candidate(ham, fallback, best_alpha[fallback, None], dq, dp))
-    return pending & found, pending & ~found
+        taken[fallback] = best_alpha[fallback]
+    return taken, pending & found, pending & ~found
 
 
-def _trajectory(grid, q, p, iterations, residual, history, no_descent):
+def _trajectory(grid, q, p, iterations, residual, history, no_descent, steps):
     q, p = q.copy(), p.copy()  # a row view would keep the whole block's array alive
     return Trajectory(
         grid=grid,
@@ -403,21 +435,28 @@ def _trajectory(grid, q, p, iterations, residual, history, no_descent):
         max_residual=float(residual),
         history=history,
         no_descent=no_descent,
+        steps=steps,
     )
 
 
-def _solve_batch(problem: LiquidationProblem, t_starts, q_starts, opts: SolveOptions) -> list:
+def _solve_batch(
+    problem: LiquidationProblem, t_starts, q_starts, opts: SolveOptions, neighbours=None
+) -> list:
     """Solve from each (t_starts[k], q_starts[k]) to zero at the horizon, in one Newton loop.
 
-    Returns, in member order, each member's ``Trajectory`` or the
-    ``NonConvergenceError`` it failed with. Live members share the iteration
-    counter, so a member's count is the loop's count when it leaves.
+    ``neighbours[k]``, if given and not None, is a converged (q, p) on member
+    k's grid, which ``_start`` scales into its starting curve; otherwise the
+    member starts from the straight line. Returns, in member order, each
+    member's ``Trajectory`` or the ``NonConvergenceError`` it failed with.
+    Live members share the iteration counter, so a member's count is the
+    loop's count when it leaves.
     """
     ham = hamiltonian_of(problem.cost)
     market = problem.market
     ksq = market.gamma * market.sigma**2
     grids = [Grid(n_steps=opts.n_steps, t_start=t, t_end=problem.horizon) for t in t_starts]
-    guesses = [initial_guess(problem, grid, q) for grid, q in zip(grids, q_starts)]
+    neighbours = neighbours or [None] * len(grids)
+    starts = [_start(grid, ksq, q, n) for grid, q, n in zip(grids, q_starts, neighbours)]
     tau = np.array([grid.tau for grid in grids])
     vol = np.array([grid.cell_volume(problem.volume) for grid in grids])
     if opts.newton_tol is not None:
@@ -430,10 +469,10 @@ def _solve_batch(problem: LiquidationProblem, t_starts, q_starts, opts: SolveOpt
         b=tau * market.gamma * market.sigma**2,
         tau_ksq=(tau * ksq)[:, None],
         tau_vol=tau[:, None] * vol,
-        q=np.array([guess.q for guess in guesses]),
-        p=np.array([guess.p for guess in guesses]),
+        q=np.array([q for q, _ in starts]),
+        p=np.array([p for _, p in starts]),
     )
-    del guesses, vol
+    del starts, vol
     solo = len(grids) == 1  # a block keeps dgtsv when it shrinks to one member
     rp, block.rq = _residual_arrays(ham, block.tau_ksq, block.tau_vol, block.q, block.p)
     block.current = _max_abs(rp, block.rq)
@@ -441,12 +480,13 @@ def _solve_batch(problem: LiquidationProblem, t_starts, q_starts, opts: SolveOpt
 
     results = [None] * len(grids)
     histories = [[] for _ in grids]
+    steps = [[] for _ in grids]
     no_descent = [0] * len(grids)
 
     def record(k, message=None):
         """Store row k's result: its trajectory, or the error named by ``message``."""
         member = block.member[k]
-        trail = (tuple(histories[member]), no_descent[member])
+        trail = (tuple(histories[member]), no_descent[member], tuple(steps[member]))
         if message is None:
             results[member] = _trajectory(
                 grids[member], block.q[k], block.p[k], iterations, block.current[k], *trail
@@ -487,13 +527,14 @@ def _solve_batch(problem: LiquidationProblem, t_starts, q_starts, opts: SolveOpt
             if not drop(singular, "degenerate linearization (H'' vanishes along the whole path)"):
                 break
             dq, dp = dq[~singular], dp[~singular]
-        least_bad, stuck = _line_search(ham, block, dq, dp, opts.max_halvings)
+        alpha, least_bad, stuck = _line_search(ham, block, dq, dp, opts.max_halvings)
         del dq, dp
-        for member, residual, took_least_bad, failed in zip(
-            block.member.tolist(), block.current.tolist(), least_bad.tolist(), stuck.tolist()
+        for member, residual, step, took_least_bad, failed in zip(
+            block.member.tolist(), block.current.tolist(), alpha.tolist(), least_bad.tolist(), stuck.tolist()
         ):
             if not failed:
                 histories[member].append(residual)
+                steps[member].append(step)
                 no_descent[member] += took_least_bad
         if stuck.any() and not drop(stuck, "line search found no finite candidate"):
             break

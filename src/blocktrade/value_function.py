@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-BATCH_MEMBERS = 64  # cells solved together in one Newton block
+BATCH_MEMBERS = 64  # cells solved together in one Newton block, at most
 # A block holds BATCH_MEMBERS * (n_steps + 1) doubles per array at most: past
 # the default step count the block shrinks so its memory stays put.
 _BLOCK_DOUBLES = BATCH_MEMBERS * 1001
@@ -51,8 +51,9 @@ class ValueGrid:
     """Liquidation values on t_nodes x q_nodes, with a per-cell failure mask.
 
     ``build_grid`` fills ``iterations`` with each cell's Newton iteration count
-    (at failure, for a failed cell; 0 on the zero-inventory column, which needs
-    no solve). A grid assembled by hand may leave it None.
+    and ``residuals`` with its final max residual (both at failure, for a
+    failed cell; 0 on the zero-inventory column, which needs no solve). A grid
+    assembled by hand may leave them None.
     """
 
     t_nodes: np.ndarray
@@ -62,6 +63,7 @@ class ValueGrid:
     problem: LiquidationProblem
     failed: np.ndarray
     iterations: Optional[np.ndarray] = None
+    residuals: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,14 +110,21 @@ def build_grid(
     opts: Optional[SolveOptions] = None,
     epsilon: Optional[float] = None,
 ) -> ValueGrid:
-    """Fill the grid in blocks of cells; the zero-inventory column is exact without solving.
+    """Fill the grid one inventory column at a time; the zero-inventory column is exact without solving.
 
-    A block takes its Newton directions from one ``dgtsv`` call, and a cell's
-    result is bit for bit what that direction gives it alone, so its
-    blockmates never affect it. It differs from the cell's ``solve_from``,
-    which shoots, only by rounding (the same iterations and failures); a last
-    block that holds a single cell shoots that cell. Solver failures do not
-    abort the build: the cell is masked and left NaN.
+    The columns are solved in increasing q, each as one or more Newton blocks
+    of at most ``BATCH_MEMBERS`` t-nodes, of even size. A cell starts from
+    the converged curve of the same t-node in the column to its left, scaled
+    by the ratio of the two inventories (continuation in inventory); a cell
+    of the first solved column, or one whose left neighbour failed, starts
+    from the straight line. A block takes its Newton directions from one
+    ``dgtsv`` call, and a cell's result is bit for bit what that direction
+    gives it alone from the same start, so its blockmates never affect it; a
+    block of one cell shoots. A cell agrees with its own ``solve_from``
+    wherever that converges, to rounding; on evenly spaced q-nodes it took no
+    more iterations in every grid measured, while a jump of many orders of
+    magnitude between neighbouring q-nodes can cost more. Solver failures do
+    not abort the build: the cell is masked and left NaN.
     """
     opts = opts or SolveOptions()
     T = problem.horizon
@@ -136,20 +145,23 @@ def build_grid(
     values = np.zeros((len(t_nodes), len(q_nodes)))
     failed = np.zeros_like(values, dtype=bool)
     iterations = np.zeros_like(values, dtype=int)
-    cells = [(i, k) for i in range(len(t_nodes)) for k in range(len(q_nodes)) if q_nodes[k] != 0.0]
+    residuals = np.zeros_like(values)
     size = max(1, min(BATCH_MEMBERS, _BLOCK_DOUBLES // (opts.n_steps + 1)))
-    for start in range(0, len(cells), size):
-        block = cells[start : start + size]
-        results = _solve_batch(
-            problem, [t_nodes[i] for i, _ in block], [q_nodes[k] for _, k in block], opts
-        )
-        for (i, k), result in zip(block, results):
-            iterations[i, k] = result.iterations
-            if isinstance(result, NonConvergenceError):
-                values[i, k] = np.nan
-                failed[i, k] = True
-            else:
-                values[i, k] = eval_I(problem, result, psi=0.0)
+    blocks = np.array_split(np.arange(len(t_nodes)), math.ceil(len(t_nodes) / size))
+    left = [None] * len(t_nodes)  # each t-node's converged (q, p) in the last column solved
+    for k, q in enumerate(q_nodes):
+        if q == 0.0:
+            continue
+        for rows in blocks:
+            results = _solve_batch(problem, t_nodes[rows], [q] * len(rows), opts, [left[i] for i in rows])
+            for i, result in zip(rows, results):
+                iterations[i, k] = result.iterations
+                if isinstance(result, NonConvergenceError):
+                    values[i, k], failed[i, k], residuals[i, k] = np.nan, True, result.residual
+                    left[i] = None
+                else:
+                    values[i, k], residuals[i, k] = eval_I(problem, result, psi=0.0), result.max_residual
+                    left[i] = (result.q, result.p)
     return ValueGrid(
         t_nodes=t_nodes,
         q_nodes=q_nodes,
@@ -158,6 +170,7 @@ def build_grid(
         problem=problem,
         failed=failed,
         iterations=iterations,
+        residuals=residuals,
     )
 
 

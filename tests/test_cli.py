@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blocktrade
 from blocktrade import cli
@@ -119,6 +124,7 @@ def test_solve_round_trip(tmp_path, capsys):
     assert len(summary["history"]) == summary["iterations"]
     assert summary["history"][-1] == summary["max_residual"]
     assert summary["no_descent"] == 0
+    assert summary["steps"] == [1.0] * summary["iterations"]  # no step was halved
 
 
 def test_n_steps_override(tmp_path, capsys):
@@ -467,6 +473,8 @@ def test_grid_report_counts_iterations_and_failed_cells(tmp_path, capsys):
     assert report["failed_cells"] == 0
     iterations = report["newton_iterations"]
     assert 1 <= iterations["max"] <= 50 and iterations["max"] < iterations["total"] <= 20 * 50
+    # each cell converged to its own tolerance, 1e-10 times its inventory
+    assert 0.0 < report["newton_residual"]["max"] <= 1e-10 * 500000
 
     # one Newton step is too few for every cell: the run writes both artifacts, then fails
     text = BASE_CONFIG + "solve.max_iter = 1\n"
@@ -478,6 +486,7 @@ def test_grid_report_counts_iterations_and_failed_cells(tmp_path, capsys):
     report = json.loads((out / "hj_report.json").read_text())
     assert report["failed_cells"] == 20  # 5 x 5 nodes less the zero-inventory column
     assert report["newton_iterations"] == {"total": 20, "max": 1}
+    assert report["newton_residual"] == {"max": None}  # no solved cell converged
     assert report["hj_max_normalized"] is None and report["structure_ok"] is None
 
 
@@ -504,3 +513,49 @@ def test_size_bounds_are_config_errors(tmp_path, line, key):
     text = "\n".join(l for l in BASE_CONFIG.splitlines() if not l.startswith(name + " ")) + f"\n{line}\n"
     with pytest.raises(ConfigError, match=key):
         parse_config(write_config(tmp_path, text))
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+CONFIG_KEYS = [line.split(" = ")[0] for line in BASE_CONFIG.splitlines() if " = " in line]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(list(cli._DISPATCH)),
+    where=st.sampled_from(list(cli._FLAGS) + CONFIG_KEYS),
+    text=st.one_of(
+        st.text(),
+        st.text().map(lambda s: "-" + s),  # argparse reads these as options
+        st.floats().map(str),
+        st.integers().map(str),
+    ),
+)
+def test_any_flag_or_config_value_answers_in_one_json_line(command, where, text):
+    # the commands return at once: this is about the input path alone
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        for name in cli._DISPATCH:
+            patch.setitem(cli._DISPATCH, name, lambda cfg, out_dir: {})
+        argv = [command, "--out-dir", tmp]
+        config = BASE_CONFIG
+        if where in cli._FLAGS:
+            argv += [where, text]
+        else:
+            config = "".join(
+                f"{where} = {text}\n" if line.startswith(where + " = ") else line + "\n"
+                for line in BASE_CONFIG.splitlines()
+            )
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(config)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", path])
+    assert code in (0, 1)
+    lines = out.getvalue().split("\n")
+    assert len(lines) == 2 and lines[1] == ""  # exactly one line
+    payload = json.loads(lines[0], parse_constant=_reject_constant)
+    assert list(payload) == (["artifacts"] if code == 0 else ["error"])
+    assert "Traceback" not in err.getvalue()

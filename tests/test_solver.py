@@ -35,7 +35,7 @@ from blocktrade.solver import (
     newton_solve,
     solve_from,
 )
-from conftest import linear_trajectory, make_reference_problem
+from conftest import linear_trajectory, make_quadratic_problem, make_reference_problem
 
 
 def test_initial_guess_endpoints_and_first_dual(reference_problem):
@@ -516,6 +516,34 @@ def test_history_and_least_bad_steps_explain_a_stall():
     assert len(err.history) == err.iterations == 50
     assert err.history[-1] == err.residual > 1e-10 * problem.q0
     assert err.no_descent == 36
+
+
+def test_steps_record_the_step_each_iteration_took(monkeypatch):
+    # the stalling request halves its steps and takes least-bad ones
+    problem = make_reference_problem(gamma=7.16e-6, q0=2.92e5, horizon=1.0)
+    tried = []  # every step length the line search evaluated, in order
+    candidate = solver._Block.candidate
+
+    def logged(self, ham, rows, alpha, dq, dp):
+        tried.append(alpha)
+        return candidate(self, ham, rows, alpha, dq, dp)
+
+    monkeypatch.setattr(solver._Block, "candidate", logged)
+    with pytest.raises(NonConvergenceError) as info:
+        newton_solve(problem, SolveOptions(n_steps=1000))
+    err = info.value
+    # each iteration first tries alpha = 1.0; a least-bad step is re-evaluated as an array
+    starts = [i for i, alpha in enumerate(tried) if type(alpha) is float and alpha == 1.0]
+    searches = [tried[a:b] for a, b in zip(starts, starts[1:] + [len(tried)])]
+    assert len(err.steps) == len(searches) == err.iterations
+    for step, search in zip(err.steps, searches):
+        if len(search) == 1:  # no halving
+            assert step == 1.0
+        assert step == float(np.squeeze(search[-1]))
+    assert min(err.steps) < 1.0 and sum(type(s[-1]) is not float for s in searches) == err.no_descent
+
+    traj = newton_solve(make_quadratic_problem(), SolveOptions(n_steps=200))
+    assert traj.steps == (1.0,) * traj.iterations
 
 
 def test_converged_history_ends_at_the_reported_residual(reference_problem):
