@@ -193,6 +193,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: str) -> dict:
     ratio = result.variance / analytic.variance if analytic.variance > 0 else None
     payload = {
         "analytic": {"mean": analytic.mean, "variance": analytic.variance},
+        "euler": {"mean": result.euler_mean, "variance": result.euler_variance},
         "empirical": {
             "mean": result.mean,
             "variance": result.variance,

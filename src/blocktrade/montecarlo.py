@@ -9,11 +9,17 @@ schedule), which removes the integrable singularity of the per-share impact
 at the first trade; the cash integral is left-endpoint Euler, with substeps
 controlling its bias.
 
+Under a fixed schedule this Euler wealth is affine in the increments z_i,
+c + sigma * sqrt(tau_s) * sum_i Q_i z_i with Q_i the inventory held after
+substep i, so every increment is drawn but costs one multiply-add; c and the
+sum of the squared weights are the scheme's exact mean and variance.
+
 Paths are simulated in fixed blocks of ``BLOCK_PATHS``. Block ``b`` draws from
-its own stream, child ``b`` of ``SeedSequence(seed).spawn``, so the blocks run
-on parallel threads and the samples depend only on the seed, the path count
-and the substep count, never on the number of CPUs (seed scheme 2; scheme 1
-was a single ``default_rng(seed)`` stream over all paths).
+its own SFC64 stream, seeded by child ``b`` of ``SeedSequence(seed).spawn``, so
+the blocks run on parallel threads and the samples depend only on the seed,
+the path count and the substep count, never on the number of CPUs (seed
+scheme 3; scheme 2 gave each block a PCG64 child, and scheme 1 was a single
+``default_rng(seed)`` stream over all paths).
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ __all__ = [
 
 BLOCK_PATHS = 50_000  # paths per random stream and per unit of thread work
 MAX_PATHS = 10_000_000  # 80 MB of terminal wealth; guards against a typo
-MAX_EULER_STEPS = 1_000_000  # _schedule holds three lists of this many Python floats, ~100 MB
-SEED_SCHEME = 2
+MAX_EULER_STEPS = 1_000_000  # the schedule's arrays and the list of weights, ~100 MB at this bound
+SEED_SCHEME = 3
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Sample statistics of the terminal wealth across paths."""
+    """Sample statistics of the terminal wealth, and the Euler scheme's exact law."""
 
     mean: float
     variance: float
@@ -69,6 +75,8 @@ class SimulationResult:
     se_variance: float
     excess_kurtosis: float
     n_paths: int
+    euler_mean: float
+    euler_variance: float
     samples: Optional[np.ndarray] = None
 
 
@@ -84,29 +92,29 @@ def _schedule(problem: LiquidationProblem, traj: Trajectory, n_sub: int):
     cost_rate = vol * problem.cost(v / vol) + problem.market.psi * np.abs(v)
     impact = problem.impact(float(traj.q[0]) - np.stack((q_right, q_left)))
     drift = -(impact[0] - impact[1])
-    return v.tolist(), cost_rate.tolist(), drift.tolist()
+    return v, cost_rate, drift
 
 
-def _simulate_block(schedule, s0, sigma, tau_sub, q_end, seed_seq, out):
-    """Euler paths of one block; writes their terminal wealth into ``out``."""
-    rng = np.random.default_rng(seed_seq)
-    n = len(out)
-    prices = np.full(n, s0)
-    cash = np.zeros(n)
-    flow = np.empty(n)
-    z = np.empty(n)
-    noise = sigma * math.sqrt(tau_sub)
-    for v, cost_rate, drift in zip(*schedule):
-        np.multiply(prices, v, out=flow)
-        flow -= cost_rate
-        flow *= tau_sub
-        cash += flow
+def _affine_form(problem: LiquidationProblem, traj: Trajectory, n_sub: int):
+    """The constant c and the weight of each increment in the Euler wealth."""
+    v, cost_rate, drift = _schedule(problem, traj, n_sub)
+    tau_sub = traj.grid.tau / n_sub
+    q_end = float(traj.q[-1])
+    s_bar = problem.market.s0 + np.concatenate(([0.0], np.cumsum(drift)))
+    c = tau_sub * float(v @ s_bar[:-1]) - tau_sub * float(cost_rate.sum()) + q_end * float(s_bar[-1])
+    held = tau_sub * np.append(np.cumsum(v[::-1])[::-1][1:], 0.0) + q_end  # after each substep
+    return c, (problem.market.sigma * math.sqrt(tau_sub) * held).tolist()
+
+
+def _simulate_block(weights, seed_seq, out):
+    """Writes each path's noise sum_i w_i z_i of one block into ``out``."""
+    rng = np.random.Generator(np.random.SFC64(seed_seq))
+    out.fill(0.0)
+    z = np.empty(len(out))
+    for w in weights:
         rng.standard_normal(out=z)
-        z *= noise
-        z += drift
-        prices += z
-    np.multiply(prices, q_end, out=out)
-    out += cash
+        z *= w
+        out += z
 
 
 def simulate_cash(
@@ -127,38 +135,38 @@ def simulate_cash(
     n_euler = traj.grid.n_steps * cfg.n_substeps
     if n_euler > MAX_EULER_STEPS:
         raise ValueError(f"n_steps * n_substeps must be at most {MAX_EULER_STEPS}, got {n_euler}")
-    m = problem.market
-    schedule = _schedule(problem, traj, cfg.n_substeps)
-    tau_sub = traj.grid.tau / cfg.n_substeps
-    q_end = float(traj.q[-1])
+    c, weights = _affine_form(problem, traj, cfg.n_substeps)
     n_blocks = -(-cfg.n_paths // BLOCK_PATHS)
     streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
-    wealth = np.empty(cfg.n_paths)
+    noise = np.empty(cfg.n_paths)  # the wealth less c
     n_threads = min(os.cpu_count() or 1, n_blocks)
 
     def run_block(b):
-        block = wealth[b * BLOCK_PATHS : (b + 1) * BLOCK_PATHS]
-        _simulate_block(schedule, m.s0, m.sigma, tau_sub, q_end, streams[b], block)
+        block = noise[b * BLOCK_PATHS : (b + 1) * BLOCK_PATHS]
+        _simulate_block(weights, streams[b], block)
 
     from concurrent.futures import ThreadPoolExecutor  # lazy: kept out of `import blocktrade.cli`
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         list(pool.map(run_block, range(n_blocks)))  # re-raises a block's exception
 
-    mean = float(np.mean(wealth))
-    variance = float(np.var(wealth, ddof=1)) if cfg.n_paths > 1 else 0.0
+    # moments of the noise, so a riskless schedule has variance exactly 0
+    noise_mean = float(np.mean(noise))
+    variance = float(np.var(noise, ddof=1)) if cfg.n_paths > 1 else 0.0
     se_mean = math.sqrt(variance / cfg.n_paths)
     se_variance = variance * math.sqrt(2.0 / max(cfg.n_paths - 1, 1))
-    centered = wealth - mean
+    centered = noise - noise_mean
     m2 = float(np.mean(centered**2))
     m4 = float(np.mean(centered**4))
     excess_kurtosis = m4 / (m2 * m2) - 3.0 if m2 > 0 else 0.0
     return SimulationResult(
-        mean=mean,
+        mean=noise_mean + c,
         variance=variance,
         se_mean=se_mean,
         se_variance=se_variance,
         excess_kurtosis=excess_kurtosis,
         n_paths=cfg.n_paths,
-        samples=wealth if keep_samples else None,
+        euler_mean=c,
+        euler_variance=math.fsum(w * w for w in weights),
+        samples=np.add(noise, c, out=noise) if keep_samples else None,
     )

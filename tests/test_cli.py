@@ -309,11 +309,13 @@ def test_simulation_json_reports_its_verdict(tmp_path, capsys):
     code, _ = run_cli(capsys, "simulate", "--config", write_config(tmp_path), "--out-dir", str(out))
     assert code == 0
     payload = json.loads((out / "simulation.json").read_text())
-    assert payload["seed_scheme"] == 2
-    empirical, analytic = payload["empirical"], payload["analytic"]
+    assert payload["seed_scheme"] == 3
+    empirical, analytic, euler = payload["empirical"], payload["analytic"], payload["euler"]
     assert payload["z_mean"] == (empirical["mean"] - analytic["mean"]) / empirical["se_mean"]
     assert payload["variance_ratio"] == empirical["variance"] / analytic["variance"]
     assert abs(payload["z_mean"]) < 4.0
+    assert abs(empirical["mean"] - euler["mean"]) < 4.0 * empirical["se_mean"]
+    assert euler["variance"] > 0
 
     # one path has no standard error, so no z-score; the artifact stays strict JSON
     text = BASE_CONFIG.replace("mc.n_paths = 5000", "mc.n_paths = 1")

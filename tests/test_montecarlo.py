@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -92,15 +93,20 @@ def test_holding_strategy_wealth_is_pure_price_risk(solved):
     assert result.variance / expected_var == pytest.approx(1.0, abs=0.05)
 
 
+def _half_liquidation(problem, n):
+    """Sells half the block at constant speed over one day."""
+    grid = Grid(n_steps=n, t_start=0.0, t_end=1.0)
+    q = np.linspace(problem.q0, problem.q0 / 2, n + 1)
+    return Trajectory(grid=grid, q=q, p=np.zeros(n + 1), v=(q[:-1] - q[1:]) / grid.tau)
+
+
 def test_partial_liquidation_matches_general_wealth_formula(solved):
     # sell half the block at constant speed, zero volatility: the terminal
     # wealth must equal the drifted mark-to-market value minus execution costs
     problem, _ = solved
     frozen = replace(problem, market=replace(problem.market, sigma=0.0))
-    n = 100
-    grid = Grid(n_steps=n, t_start=0.0, t_end=1.0)
-    q = np.linspace(problem.q0, problem.q0 / 2, n + 1)
-    traj = Trajectory(grid=grid, q=q, p=np.zeros(n + 1), v=(q[:-1] - q[1:]) / grid.tau)
+    traj = _half_liquidation(problem, 100)
+    q = traj.q
     result = simulate_cash(frozen, traj, SimulationConfig(n_paths=4, n_substeps=10, seed=0))
 
     sold = problem.q0 - q[-1]
@@ -116,6 +122,62 @@ def test_partial_liquidation_matches_general_wealth_formula(solved):
         - exec_linear
     )
     assert result.mean == pytest.approx(expected, rel=1e-6)
+
+
+def _euler_loop(problem, traj, n_sub, rng, n):
+    """Reference: price, flow and cash of each path stepped one substep at a
+    time, the terminal wealth being cash plus the marked remaining inventory."""
+    tau_sub = traj.grid.tau / n_sub
+    schedule = [a.tolist() for a in montecarlo._schedule(problem, traj, n_sub)]
+    prices = np.full(n, problem.market.s0)
+    cash = np.zeros(n)
+    flow = np.empty(n)
+    z = np.empty(n)
+    noise = problem.market.sigma * math.sqrt(tau_sub)
+    for v, cost_rate, drift in zip(*schedule):
+        np.multiply(prices, v, out=flow)
+        flow -= cost_rate
+        flow *= tau_sub
+        cash += flow
+        rng.standard_normal(out=z)
+        z *= noise
+        z += drift
+        prices += z
+    return float(traj.q[-1]) * prices + cash
+
+
+@pytest.mark.parametrize("n_paths", [4, 50_001])
+def test_weighted_sum_matches_the_euler_loop(solved, n_paths):
+    # a partial liquidation with price risk and linear cost: the kernel's sum
+    # of weighted increments is the loop's wealth on the same draws
+    problem, _ = solved
+    assert problem.market.sigma > 0 and problem.market.psi > 0
+    traj = _half_liquidation(problem, 100)
+    cfg = SimulationConfig(n_paths=n_paths, n_substeps=3, seed=23)
+    samples = simulate_cash(problem, traj, cfg, keep_samples=True).samples
+
+    n_blocks = -(-n_paths // BLOCK_PATHS)
+    expected = []
+    for b, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_blocks)):
+        rng = np.random.Generator(np.random.SFC64(stream))
+        size = min(BLOCK_PATHS, n_paths - b * BLOCK_PATHS)
+        expected.append(_euler_loop(problem, traj, cfg.n_substeps, rng, size))
+    expected = np.concatenate(expected)
+    np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_euler_law_converges_at_first_order(solved):
+    # the scheme's exact mean and variance carry no sampling error, so they
+    # show its bias alone: both gaps to the analytic law halve per doubling
+    problem, traj = solved
+    analytic = cash_moments(problem, traj)
+    gaps = []
+    for n_sub in (1, 2, 4, 8):
+        result = simulate_cash(problem, traj, SimulationConfig(n_paths=1, n_substeps=n_sub))
+        gaps.append((result.euler_mean - analytic.mean, result.euler_variance - analytic.variance))
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 1.9 <= coarse[0] / fine[0] <= 2.1
+        assert 1.9 <= coarse[1] / fine[1] <= 2.1
 
 
 def test_substeps_reduce_cash_bias(solved):
@@ -143,24 +205,24 @@ def _holding(problem, n_steps):
 
 @pytest.mark.parametrize("n_paths", [1, 4, 50_000, 50_001, 100_000])
 def test_samples_come_in_path_order_from_one_stream_per_block(solved, n_paths):
-    # holding the block leaves only the Brownian increments, so each path's
-    # wealth can be rebuilt from its block's spawned stream
+    # holding the block weights every Brownian increment by the whole block,
+    # so each path's wealth can be rebuilt from its block's spawned stream
     problem, _ = solved
     hold = _holding(problem, n_steps=3)
     cfg = SimulationConfig(n_paths=n_paths, n_substeps=2, seed=17)
     samples = simulate_cash(problem, hold, cfg, keep_samples=True).samples
     assert samples.shape == (n_paths,)
 
-    noise = problem.market.sigma * np.sqrt(hold.grid.tau / cfg.n_substeps)
+    weight = problem.market.sigma * math.sqrt(hold.grid.tau / cfg.n_substeps) * problem.q0
     n_blocks = -(-n_paths // BLOCK_PATHS)
     expected = []
     for b, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_blocks)):
-        rng = np.random.default_rng(stream)
+        rng = np.random.Generator(np.random.SFC64(stream))
         size = min(BLOCK_PATHS, n_paths - b * BLOCK_PATHS)
-        prices = np.full(size, problem.market.s0)
+        noise = np.zeros(size)
         for _ in range(hold.grid.n_steps * cfg.n_substeps):
-            prices += noise * rng.standard_normal(size)
-        expected.append(problem.q0 * prices)
+            noise += rng.standard_normal(size) * weight
+        expected.append(noise + problem.q0 * problem.market.s0)
     np.testing.assert_array_equal(samples, np.concatenate(expected))
 
 
