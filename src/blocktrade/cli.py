@@ -177,8 +177,9 @@ def _cmd_grid(cfg: RunConfig, out_dir: str) -> dict:
     report_path = os.path.join(out_dir, "hj_report.json")
     _write_json(report_path, payload)
     if failed:
+        solvable = grid.failed[:, grid.q_nodes > 0].size  # the zero-inventory column needs no solve
         raise FailedCellsError(
-            f"{failed} of {grid.failed.size} grid cells did not converge; see {report_path}"
+            f"{failed} of {solvable} grid cells to solve did not converge; see {report_path}"
         )
     return {"grid": grid_path, "report": report_path}
 

@@ -69,28 +69,33 @@ def _check_grid(problem: LiquidationProblem, traj: Trajectory, full_horizon: boo
         raise ValueError("full-horizon trajectory must start at t=0")
 
 
-def _cell_sums(problem: LiquidationProblem, traj: Trajectory) -> tuple[float, float, float]:
-    """Per-cell sums of the quadrature: cost times volume, |v| and the q**2 trapezoid.
+def _cell_sums(problem: LiquidationProblem, vol, q, v):
+    """Per-cell sums of the quadrature along the last axis: cost times volume, |v| and the q**2 trapezoid.
 
-    The speed is constant per cell (one cost term per cell, volume sampled at
-    the cell midpoint by ``Grid.cell_volume``), matching the discrete scheme;
-    the squared inventory is integrated by the trapezoid rule. Each sum still
+    q has shape (..., J+1) and vol and v (..., J), one row per curve. The
+    speed is constant per cell (one cost term per cell, volume sampled at the
+    cell midpoint by ``Grid.cell_volume``), matching the discrete scheme; the
+    squared inventory is integrated by the trapezoid rule. Each sum still
     needs a factor tau.
     """
-    vol = traj.grid.cell_volume(problem.volume)
-    cost = float(np.sum(vol * problem.cost(traj.v / vol)))
-    speed = float(np.sum(np.abs(traj.v)))
-    q_sq = float(np.sum(0.5 * (traj.q[:-1] ** 2 + traj.q[1:] ** 2)))
+    cost = np.sum(vol * problem.cost(v / vol), axis=-1)
+    speed = np.sum(np.abs(v), axis=-1)
+    q_sq = np.sum(0.5 * (q[..., :-1] ** 2 + q[..., 1:] ** 2), axis=-1)
     return cost, speed, q_sq
+
+
+def _objective(problem: LiquidationProblem, tau, vol, q, v, psi: float = 0.0):
+    """``eval_I`` of each row of q and v, with tau (...,) and vol as in ``_cell_sums``; no grid checks."""
+    cost, speed, q_sq = _cell_sums(problem, vol, q, v)
+    m = problem.market
+    return tau * cost + psi * tau * speed + 0.5 * m.gamma * m.sigma**2 * tau * q_sq
 
 
 def eval_I(problem: LiquidationProblem, traj: Trajectory, psi: float = 0.0) -> float:
     """Execution costs plus half the risk-aversion-weighted cash variance."""
     _check_grid(problem, traj, full_horizon=False)
-    cost, speed, q_sq = _cell_sums(problem, traj)
-    tau = traj.grid.tau
-    m = problem.market
-    return tau * cost + psi * tau * speed + 0.5 * m.gamma * m.sigma**2 * tau * q_sq
+    vol = traj.grid.cell_volume(problem.volume)
+    return float(_objective(problem, traj.grid.tau, vol, traj.q, traj.v, psi))
 
 
 def cash_moments(problem: LiquidationProblem, traj: Trajectory) -> CashDistribution:
@@ -99,7 +104,8 @@ def cash_moments(problem: LiquidationProblem, traj: Trajectory) -> CashDistribut
     q0 = float(traj.q[0])
     if abs(float(traj.q[-1])) > 1e-9 * (q0 + 1.0):
         raise ValueError("trajectory does not liquidate (terminal inventory nonzero)")
-    cost, speed, q_sq = _cell_sums(problem, traj)
+    vol = traj.grid.cell_volume(problem.volume)
+    cost, speed, q_sq = (float(x) for x in _cell_sums(problem, vol, traj.q, traj.v))
     m = problem.market
     tau = traj.grid.tau
 

@@ -36,15 +36,17 @@ Solves run in blocks of members that share the problem, the horizon and the
 step count; each member has its own start (t_hat, q_hat), hence its own tau,
 volume row and tolerance. One Newton loop serves the whole block. A member
 starts from the straight line from q_hat to zero, or, when the caller hands
-it a converged curve on the same grid (``build_grid`` does, from the
-next-smaller inventory), from that curve scaled to q_hat: continuation in
-inventory. The members' tridiagonal systems sit one after another on the
-diagonal of one system with zero coupling entries, so no pivot crosses a
-member boundary, and every other rule (line search, stopping) is applied per
-member. A block member's result is therefore bit for bit what the ``dgtsv``
-direction gives it alone from the same start: its blockmates never affect it.
-A block keeps that direction when it shrinks to one member. Members leave the
-block as they converge or fail, and a failing member never stops the others.
+it converged curves on the same grid from other inventories (``build_grid``
+does, from up to four columns to the left), from a prediction out of them:
+one curve scaled to q_hat, or the polynomial extrapolation in inventory of
+two or more at evenly spaced inventories (continuation in inventory). The
+members' tridiagonal systems sit one after another on the diagonal of one
+system with zero coupling entries, so no pivot crosses a member boundary, and
+every other rule (line search, stopping) is applied per member. A block
+member's result is therefore bit for bit what the ``dgtsv`` direction gives
+it alone from the same start: its blockmates never affect it. A block keeps
+that direction when it shrinks to one member. Members leave the block as
+they converge or fail, and a failing member never stops the others.
 ``newton_solve`` and ``solve_from`` are one-member blocks from the straight
 line, which shoot.
 """
@@ -206,25 +208,34 @@ def initial_guess(problem: LiquidationProblem, grid: Grid, q_start: Optional[flo
     return Trajectory(grid=grid, q=q, p=p, v=_speeds(grid, q))
 
 
-def _start(grid: Grid, ksq: float, q_start: float, neighbour=None):
-    """A member's starting (q, p): the straight line, or a neighbour's curve scaled to q_start.
+def _start(grid: Grid, ksq: float, q_start: float, stencil=()):
+    """A member's starting (q, p): the straight line, or a predictor from converged curves.
 
-    ``neighbour`` is the converged (q, p) of a solve on the same grid from
-    another inventory; its q scaled by s = q_start / q[0] is the start
-    (natural-parameter continuation in inventory), with both boundary values
-    set exactly. p is the forward pass of the p-recurrence from p[0] (0 on
-    the line, s * p[0] for a neighbour), so the starting p-residual vanishes.
+    ``stencil`` holds the converged (q, p[0]) of solves on the same grid from
+    inventories Q_1 < ... < Q_m, oldest first, that together with q_start are
+    evenly spaced (any two nodes are). One curve is scaled by
+    s = q_start / Q_1, the line through it and the origin (natural-parameter
+    continuation in inventory). From m >= 2 curves, q and p[0] are
+    extrapolated to q_start by the polynomial of degree m - 1 through them,
+    whose weights on evenly spaced nodes are binomial:
+    q = sum_i (-1)**(m - i) * C(m, i - 1) * q_i. Both boundary values are set
+    exactly, and p is the forward pass of the p-recurrence from p[0] (0 on
+    the line), so the starting p-residual vanishes.
     """
-    if neighbour is None:
+    m = len(stencil)
+    if m == 0:
         j = np.arange(grid.n_steps + 1)
         q = (1.0 - j / grid.n_steps) * q_start
         p0 = 0.0
-    else:
-        q_left, p_left = neighbour
+    elif m == 1:
+        ((q_left, p0_left),) = stencil
         s = q_start / q_left[0]
-        q = s * q_left
-        q[0], q[-1] = q_start, 0.0
-        p0 = s * p_left[0]
+        q, p0 = s * q_left, s * p0_left
+    else:
+        weights = [(-1) ** (m - 1 - i) * math.comb(m, i) for i in range(m)]
+        q = sum(w * q_i for w, (q_i, _) in zip(weights, stencil))
+        p0 = sum(w * p0_i for w, (_, p0_i) in zip(weights, stencil))
+    q[0], q[-1] = q_start, 0.0
     p = np.full(grid.n_steps + 1, p0)
     p[1:] += grid.tau * ksq * np.cumsum(q[1:])
     return q, p
@@ -440,13 +451,13 @@ def _trajectory(grid, q, p, iterations, residual, history, no_descent, steps):
 
 
 def _solve_batch(
-    problem: LiquidationProblem, t_starts, q_starts, opts: SolveOptions, neighbours=None
+    problem: LiquidationProblem, t_starts, q_starts, opts: SolveOptions, stencils=None
 ) -> list:
     """Solve from each (t_starts[k], q_starts[k]) to zero at the horizon, in one Newton loop.
 
-    ``neighbours[k]``, if given and not None, is a converged (q, p) on member
-    k's grid, which ``_start`` scales into its starting curve; otherwise the
-    member starts from the straight line. Returns, in member order, each
+    ``stencils[k]``, if given and not empty, holds converged (q, p[0]) on member
+    k's grid from which ``_start`` extrapolates its starting curve; otherwise
+    the member starts from the straight line. Returns, in member order, each
     member's ``Trajectory`` or the ``NonConvergenceError`` it failed with.
     Live members share the iteration counter, so a member's count is the
     loop's count when it leaves.
@@ -455,8 +466,8 @@ def _solve_batch(
     market = problem.market
     ksq = market.gamma * market.sigma**2
     grids = [Grid(n_steps=opts.n_steps, t_start=t, t_end=problem.horizon) for t in t_starts]
-    neighbours = neighbours or [None] * len(grids)
-    starts = [_start(grid, ksq, q, n) for grid, q, n in zip(grids, q_starts, neighbours)]
+    stencils = stencils or [()] * len(grids)
+    starts = [_start(grid, ksq, q, stencil) for grid, q, stencil in zip(grids, q_starts, stencils)]
     tau = np.array([grid.tau for grid in grids])
     vol = np.array([grid.cell_volume(problem.volume) for grid in grids])
     if opts.newton_tol is not None:

@@ -484,6 +484,7 @@ def test_grid_report_counts_iterations_and_failed_cells(tmp_path, capsys):
     code, payload = run_cli(capsys, "grid", "--config", write_config(tmp_path, text, "one.cfg"), "--out-dir", str(out), "--n-steps", "300")
     assert code == 1
     assert payload["error"]["type"] == "FailedCellsError"
+    assert payload["error"]["message"].startswith("20 of 20 grid cells to solve did not converge")
     assert (out / "value_grid.csv").exists()
     report = json.loads((out / "hj_report.json").read_text())
     assert report["failed_cells"] == 20  # 5 x 5 nodes less the zero-inventory column

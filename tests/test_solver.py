@@ -160,6 +160,32 @@ def test_non_convergence_error_carries_residual(reference_problem):
     assert err.value.iterations == 1
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_start_extrapolates_a_polynomial_in_inventory(m):
+    # from m >= 2 curves, a q and p[0] of degree m - 1 in the inventory Q come
+    # back exactly at the next evenly spaced node; one curve is scaled, which
+    # is exact for a curve proportional to Q
+    grid = Grid(n_steps=20, t_start=0.0, t_end=1.0)
+    rng = np.random.default_rng(m)
+    q_coef, p_coef = rng.uniform(0.5, 1.5, (m, 21)), rng.uniform(0.5, 1.5, m)
+    degrees = np.arange(m) if m > 1 else np.ones(1)
+    q_coef[:, 0] = degrees == 1  # a converged curve starts at its inventory: q[0] = Q
+
+    def at(Q):
+        return (Q**degrees) @ q_coef, (Q**degrees) @ p_coef
+
+    nodes = 2.0 + 0.5 * np.arange(m + 1)
+    stencil = [(q, p[()]) for q, p in map(at, nodes[:-1])]
+    q_start = nodes[-1]
+    q, p = solver._start(grid, 0.7, q_start, stencil)
+    expected_q, expected_p0 = at(q_start)
+    assert q[0] == q_start and q[-1] == 0.0
+    np.testing.assert_allclose(q[1:-1], expected_q[1:-1], rtol=1e-12)
+    assert p[0] == pytest.approx(expected_p0, rel=1e-12)
+    # p is the forward pass of the p-recurrence, so its defect is rounding
+    np.testing.assert_allclose(p[1:] - p[:-1], grid.tau * 0.7 * q[1:], rtol=1e-12)
+
+
 def test_solve_from_start_equals_full_solve(reference_problem):
     opts = SolveOptions(n_steps=400)
     a = newton_solve(reference_problem, opts)

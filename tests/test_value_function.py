@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 from blocktrade.closed_forms import ac_trajectory, theta_infinity
+from blocktrade.market_model import PiecewiseLinearVolume
 from blocktrade.objective import eval_I
 from blocktrade import solver, value_function
 from blocktrade.solver import (
@@ -200,7 +201,7 @@ def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, mo
     t_nodes = np.linspace(0.0, 0.9, 9)
     q_nodes = np.linspace(0.0, 2 * reference_problem.q0, 9)
     grid = build_grid(reference_problem, t_nodes, q_nodes, opts)
-    # each cell starts from its scaled left neighbour: never more iterations or
+    # each cell starts from the columns to its left: never more iterations or
     # failures than a cold solve_from, and the same values where that converges
     values, failed, iterations = solve_from_loop(reference_problem, t_nodes, q_nodes, opts)
     assert failed.any() == (max_iter == 6)
@@ -216,29 +217,104 @@ def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, mo
     for name in ("values", "failed", "iterations", "residuals"):
         assert np.array_equal(getattr(split, name), getattr(grid, name), equal_nan=True)
 
-    # a block member is bit for bit a one-member dgtsv batch from the same start
+    # a block member is bit for bit a one-member dgtsv batch from the same
+    # start: predicted from the last four converged cells of its row (the
+    # q-nodes are evenly spaced), the stencil emptied by a failure
     monkeypatch.setattr(solver, "_newton_direction", lambda c, e, b, *_: solver._direction_by_banded(c, e, b))
     for i in (0, 4, 8):
-        left = None
+        stencil = []
         for k, q in enumerate(q_nodes[1:], start=1):
-            (alone,) = solver._solve_batch(reference_problem, [t_nodes[i]], [q], opts, [left])
+            (alone,) = solver._solve_batch(reference_problem, [t_nodes[i]], [q], opts, [stencil])
             assert alone.iterations == grid.iterations[i, k]
             if isinstance(alone, NonConvergenceError):
                 assert grid.failed[i, k] and alone.residual == grid.residuals[i, k]
-                left = None
+                stencil = []
             else:
                 assert eval_I(reference_problem, alone, psi=0.0) == grid.values[i, k]
                 assert alone.max_residual == grid.residuals[i, k]
-                left = (alone.q, alone.p)
+                stencil = (stencil + [(alone.q, alone.p[0])])[-4:]
 
 
-def test_reference_surface_takes_at_most_1200_iterations(reference_problem):
-    # a cold start costs 2246 iterations here; continuation in inventory 1075
+def test_reference_surface_takes_at_most_700_iterations(reference_problem):
+    # from the straight line this grid costs 2246 iterations, from the scaled
+    # curve to the left 1075, from the polynomial predictor 689
     t_nodes = np.linspace(0.0, 0.9, 21)
     q_nodes = np.linspace(0.0, reference_problem.q0, 21)
     grid = build_grid(reference_problem, t_nodes, q_nodes, SolveOptions(n_steps=1000))
     assert not grid.failed.any()
-    assert grid.iterations.sum() <= 1200
+    assert grid.iterations.sum() <= 700
+
+
+U_SHAPED = PiecewiseLinearVolume(((0.0, 8e6), (0.5, 2e6), (1.0, 8e6)))
+
+
+@pytest.mark.parametrize("volume", [None, U_SHAPED], ids=["constant", "u_shaped"])
+def test_block_values_are_eval_I_of_each_member_bit_for_bit(reference_problem, volume, monkeypatch):
+    problem = reference_problem if volume is None else replace(reference_problem, volume=volume)
+    t_nodes = np.linspace(0.0, 0.9, 9)
+    q_nodes = np.linspace(0.0, 2 * problem.q0, 9)
+    solve_batch = value_function._solve_batch
+    blocks = []
+
+    def recording(problem, t_starts, q_starts, *rest):
+        results = solve_batch(problem, t_starts, q_starts, *rest)
+        blocks.append((t_starts, q_starts[0], results))
+        return results
+
+    monkeypatch.setattr(value_function, "_solve_batch", recording)
+    # five Newton steps fail the three earliest t-nodes of the first columns
+    grid = build_grid(problem, t_nodes, q_nodes, SolveOptions(n_steps=100, max_iter=5))
+    mixed = 0
+    for t_starts, q, results in blocks:
+        k = int(np.flatnonzero(q_nodes == q)[0])
+        failures = [isinstance(result, NonConvergenceError) for result in results]
+        mixed += 0 < sum(failures) < len(results)
+        for t, result, fail in zip(t_starts, results, failures):
+            i = int(np.flatnonzero(t_nodes == t)[0])
+            if fail:
+                assert grid.failed[i, k] and np.isnan(grid.values[i, k])
+            else:
+                assert grid.values[i, k] == eval_I(problem, result, psi=0.0)
+    assert mixed and len(blocks) == len(q_nodes) - 1
+
+
+def _scaled_and_predicted(problem, t_nodes, q_nodes, opts, monkeypatch):
+    """Grids whose cells start from the scaled curve to the left, and from the predictor."""
+    with monkeypatch.context() as patch:
+        patch.setattr(value_function, "_STENCIL", 1)
+        scaled = build_grid(problem, t_nodes, q_nodes, opts)
+    return scaled, build_grid(problem, t_nodes, q_nodes, opts)
+
+
+@pytest.mark.parametrize(
+    "q_nodes",
+    [np.geomspace(1e3, 1e6, 9), np.array([0.0, 0.5, 5e5, 1e6])],
+    ids=["geometric", "jump"],
+)
+def test_uneven_q_nodes_keep_the_scaled_start(reference_problem, q_nodes, monkeypatch):
+    # 0.5, 5e5 and 1e6 miss even spacing by 1e-6 relative, past the 1e-9 rule
+    t_nodes = np.linspace(0.0, 0.9, 21)
+    scaled, predicted = _scaled_and_predicted(reference_problem, t_nodes, q_nodes, OPTS, monkeypatch)
+    for name in ("values", "failed", "iterations", "residuals"):
+        assert np.array_equal(getattr(predicted, name), getattr(scaled, name), equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "volume, max_iter", [(None, 50), (None, 6), (U_SHAPED, 50)], ids=["max_iter_50", "max_iter_6", "u_shaped"]
+)
+def test_predictor_never_costs_a_cell_more_iterations_than_the_scaled_start(
+    reference_problem, volume, max_iter, monkeypatch
+):
+    problem = reference_problem if volume is None else replace(reference_problem, volume=volume)
+    t_nodes = np.linspace(0.0, 0.9, 9)
+    q_nodes = np.linspace(0.0, 2 * problem.q0, 9)
+    opts = SolveOptions(n_steps=100, max_iter=max_iter)
+    scaled, predicted = _scaled_and_predicted(problem, t_nodes, q_nodes, opts, monkeypatch)
+    assert not (predicted.failed & ~scaled.failed).any()
+    assert np.all(predicted.iterations <= scaled.iterations)
+    assert predicted.iterations.sum() < scaled.iterations.sum()
+    solved = ~predicted.failed & ~scaled.failed
+    assert np.allclose(predicted.values[solved], scaled.values[solved], rtol=1e-12, atol=0.0)
 
 
 def test_grid_and_step_sizes_are_bounded(reference_problem, monkeypatch):
