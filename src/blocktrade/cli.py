@@ -20,9 +20,9 @@ import numpy as np
 from .config import ConfigError, RunConfig, parse_config
 from .montecarlo import SEED_SCHEME, simulate_cash
 from .objective import cash_moments, eval_I
-from .pricing import implied_gamma, price_finite
+from .pricing import floor_parts, implied_gamma, price_finite
 from .solver import Grid, Trajectory, newton_solve
-from .value_function import ValueGrid, build_grid, check_structure, hj_residual
+from .value_function import MARGIN, ValueGrid, _evenly_spaced, build_grid, check_structure, hj_residual
 
 __all__ = ["main", "run_command", "write_trajectory_csv", "read_trajectory_csv", "write_paths_csv"]
 
@@ -55,8 +55,7 @@ def read_trajectory_csv(path: str) -> Trajectory:
     q = np.array([float(r[1]) for r in rows])
     p = np.array([float(r[3]) for r in rows])
     v = np.array([float(r[2]) for r in rows[1:]])
-    steps = np.diff(t)
-    if np.max(steps) - np.min(steps) > 1e-9 * np.max(steps):
+    if not _evenly_spaced(t):
         raise ValueError(f"{path}: non-uniform time grid")
     grid = Grid(n_steps=len(t) - 1, t_start=float(t[0]), t_end=float(t[-1]))
     return Trajectory(grid=grid, q=q, p=p, v=v)
@@ -143,7 +142,7 @@ class FailedCellsError(RuntimeError):
 
 def _cmd_grid(cfg: RunConfig, out_dir: str) -> dict:
     T = cfg.problem.horizon
-    epsilon = cfg.grid_epsilon if cfg.grid_epsilon is not None else 0.05 * T
+    epsilon = cfg.grid_epsilon if cfg.grid_epsilon is not None else MARGIN * T
     t_max = cfg.grid_t_max if cfg.grid_t_max is not None else T - epsilon
     t_nodes = np.linspace(0.0, t_max, cfg.grid_n_t)
     q_nodes = np.linspace(0.0, cfg.problem.q0, cfg.grid_n_q)
@@ -226,7 +225,7 @@ def _cmd_implied_gamma(cfg: RunConfig, out_dir: str) -> dict:
     payload = {
         "gamma": gamma,
         "quoted_premium": cfg.quoted_premium,
-        "floor": problem.impact.integral(problem.q0) + problem.market.psi * problem.q0,
+        "floor": sum(floor_parts(problem, problem.q0)),
     }
     path = os.path.join(out_dir, "implied_gamma.json")
     _write_json(path, payload)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 from .market_model import (
@@ -99,7 +99,6 @@ _SCHEMA = {
     "solve.n_steps": (_parse_int, False),
     "solve.newton_tol": (_parse_float, False),
     "solve.max_iter": (_parse_int, False),
-    "solve.max_halvings": (_parse_int, False),
     "mc.n_paths": (_parse_int, False),
     "mc.n_substeps": (_parse_int, False),
     "mc.seed": (_parse_int, False),
@@ -150,6 +149,35 @@ def _require(pairs: dict, key: str, path: str):
     return pairs[key]
 
 
+def _csv_volume(pairs: dict, path: str) -> PiecewiseLinearVolume:
+    csv_path = _require(pairs, "volume.path", path)
+    if not os.path.isabs(csv_path):
+        csv_path = os.path.join(os.path.dirname(os.path.abspath(path)), csv_path)
+    try:
+        return PiecewiseLinearVolume.from_csv(csv_path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: volume csv: {exc}") from None
+
+
+# section -> {section.type -> model}: a dataclass takes the section's keys named
+# after its fields, all required; any other model is a function of (pairs, path)
+_MODELS = {
+    "cost": {"power_law": PowerLawCost},
+    "impact": {"power_law": PowerLawImpact},
+    "volume": {"constant": ConstantVolume, "csv": _csv_volume},
+}
+
+
+def _model(section: str, pairs: dict, path: str):
+    kind = pairs[f"{section}.type"]
+    if kind not in _MODELS[section]:
+        raise ConfigError(f"{path}: unsupported {section}.type {kind!r}")
+    make = _MODELS[section][kind]
+    if not is_dataclass(make):
+        return make(pairs, path)
+    return make(**{f.name: _require(pairs, f"{section}.{f.name}", path) for f in fields(make)})
+
+
 def _options(cls, pairs: dict, section: str):
     """``cls`` built from the ``section.*`` keys present; its own defaults fill the rest."""
     keys = {f.name: f"{section}.{f.name}" for f in fields(cls)}
@@ -169,38 +197,7 @@ def parse_config(path: str, overrides=()) -> RunConfig:
         if required:
             _require(pairs, key, path)
 
-    cost_type = pairs["cost.type"]
-    if cost_type == "power_law":
-        cost = PowerLawCost(
-            eta=_require(pairs, "cost.eta", path),
-            phi=_require(pairs, "cost.phi", path),
-        )
-    else:
-        raise ConfigError(f"{path}: unsupported cost.type {cost_type!r}")
-
-    impact_type = pairs["impact.type"]
-    if impact_type == "power_law":
-        impact = PowerLawImpact(
-            k=_require(pairs, "impact.k", path),
-            beta=_require(pairs, "impact.beta", path),
-        )
-    else:
-        raise ConfigError(f"{path}: unsupported impact.type {impact_type!r}")
-
-    volume_type = pairs["volume.type"]
-    if volume_type == "constant":
-        volume = ConstantVolume(rate=_require(pairs, "volume.rate", path))
-    elif volume_type == "csv":
-        csv_path = _require(pairs, "volume.path", path)
-        if not os.path.isabs(csv_path):
-            csv_path = os.path.join(os.path.dirname(os.path.abspath(path)), csv_path)
-        try:
-            volume = PiecewiseLinearVolume.from_csv(csv_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{path}: volume csv: {exc}") from None
-    else:
-        raise ConfigError(f"{path}: unsupported volume.type {volume_type!r}")
-
+    cost, impact, volume = (_model(section, pairs, path) for section in ("cost", "impact", "volume"))
     problem = LiquidationProblem(
         q0=pairs["problem.q0"],
         horizon=pairs["problem.horizon"],

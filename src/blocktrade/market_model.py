@@ -158,6 +158,8 @@ class PiecewiseLinearVolume:
     def __post_init__(self):
         if len(self.knots) < 2:
             raise ValueError("need at least two knots")
+        if not np.isfinite(self.knots).all():
+            raise ValueError("knot times and volumes must be finite")
         times = [t for t, _ in self.knots]
         if times[0] != 0.0:
             raise ValueError("first knot time must be 0")
@@ -347,22 +349,11 @@ def _impact_checks(impact: PermanentImpactModel, q_scale: float) -> list[Check]:
 
 
 def _volume_checks(volume: VolumeCurve, horizon: float) -> list[Check]:
-    checks = []
-    if isinstance(volume, ConstantVolume):
-        checks.append(Check("volume.positive", volume.rate > 0, f"rate={volume.rate}"))
-        checks.append(Check("volume.covers_horizon", True))
-    else:
-        checks.append(
-            Check("volume.positive", all(v > 0 for _, v in volume.knots))
-        )
-        checks.append(
-            Check(
-                "volume.covers_horizon",
-                volume.end_time >= horizon,
-                f"last knot at {volume.end_time}, horizon {horizon}",
-            )
-        )
-    return checks
+    lo, hi, end = volume.lo, volume.hi, volume.end_time
+    return [
+        Check("volume.positive", 0 < lo and hi < math.inf, f"volume in [{lo}, {hi}]"),
+        Check("volume.covers_horizon", end >= horizon, f"ends at {end}, horizon {horizon}"),
+    ]
 
 
 def validate(problem: LiquidationProblem) -> ValidationReport:

@@ -24,6 +24,7 @@ __all__ = [
     "PriceDecomposition",
     "PremiumFloorError",
     "GammaBracketError",
+    "floor_parts",
     "price_finite",
     "price_infinite",
     "implied_gamma",
@@ -59,7 +60,14 @@ def _bp(mtm: float, premium: float) -> float:
     return 1e4 * premium / mtm if mtm > 0 else 0.0
 
 
-def _assemble(mtm, pmi, lec, necpr_T, necpr_inf) -> PriceDecomposition:
+def floor_parts(problem: LiquidationProblem, q: float) -> tuple[float, float]:
+    """(PMI, LEC) of a block of q shares; their sum is the premium floor, which no risk aversion moves."""
+    return problem.impact.integral(q), problem.market.psi * q
+
+
+def _assemble(problem: LiquidationProblem, q: float, necpr_T, necpr_inf) -> PriceDecomposition:
+    mtm = q * problem.market.s0
+    pmi, lec = floor_parts(problem, q)
     price_T = mtm - pmi - lec - necpr_T if necpr_T is not None else None
     price_inf = mtm - pmi - lec - necpr_inf if necpr_inf is not None else None
     return PriceDecomposition(
@@ -91,28 +99,14 @@ def price_finite(problem: LiquidationProblem, opts: Optional[SolveOptions] = Non
     necpr_inf = (
         theta_infinity(problem, q) if isinstance(problem.volume, ConstantVolume) else None
     )
-    return _assemble(
-        mtm=q * problem.market.s0,
-        pmi=problem.impact.integral(q),
-        lec=problem.market.psi * q,
-        necpr_T=necpr_T,
-        necpr_inf=necpr_inf,
-    )
+    return _assemble(problem, q, necpr_T, necpr_inf)
 
 
 def price_infinite(problem: LiquidationProblem, q: Optional[float] = None) -> PriceDecomposition:
     """Closed-form price with no liquidation deadline (constant volume only)."""
     if q is None:
         q = problem.q0
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    return _assemble(
-        mtm=q * problem.market.s0,
-        pmi=problem.impact.integral(q),
-        lec=problem.market.psi * q,
-        necpr_T=None,
-        necpr_inf=theta_infinity(problem, q),
-    )
+    return _assemble(problem, q, None, theta_infinity(problem, q))
 
 
 def implied_gamma(
@@ -132,7 +126,7 @@ def implied_gamma(
     finite-horizon NECPR at every probe, as ``price_finite`` does.
     """
     q = problem.q0
-    floor = problem.impact.integral(q) + problem.market.psi * q
+    floor = sum(floor_parts(problem, q))
     target = quoted_premium - floor
     if target <= 0:
         raise PremiumFloorError(

@@ -27,6 +27,7 @@ from .solver import Grid, NonConvergenceError, SolveOptions, _solve_batch, newto
 __all__ = [
     "BATCH_MEMBERS",
     "MAX_GRID_NODES",
+    "MARGIN",
     "ValueGrid",
     "HJResidualReport",
     "PropertyCheck",
@@ -44,6 +45,8 @@ BATCH_MEMBERS = 64  # cells solved together in one Newton block, at most
 # the default step count the block shrinks so its memory stays put.
 _BLOCK_DOUBLES = BATCH_MEMBERS * 1001
 MAX_GRID_NODES = 1000  # per axis
+MARGIN = 0.05  # the default safety margin before the horizon, as a share of it
+_STRUCTURE_TOL = 1e-9  # structure checks forgive deficits this share of the largest value
 _STENCIL = 4  # converged columns a cell's start is extrapolated from, at most
 
 
@@ -135,7 +138,7 @@ def build_grid(
     """
     opts = opts or SolveOptions()
     T = problem.horizon
-    epsilon = 0.05 * T if epsilon is None else epsilon
+    epsilon = MARGIN * T if epsilon is None else epsilon
     if epsilon < 0.01 * T:
         raise ValueError("safety margin must be at least 1% of the horizon")
     t_nodes = np.asarray(t_nodes, dtype=float)
@@ -250,13 +253,13 @@ def hj_residual(grid: ValueGrid) -> HJResidualReport:
     )
 
 
-def check_structure(grid: ValueGrid, tol_scale: float = 1e-9) -> StructureReport:
+def check_structure(grid: ValueGrid) -> StructureReport:
     """Verify monotonicity in time and inventory, convexity in inventory, and
     the execution-cost lower bound, cell-wise with a tolerance scaled to the
     largest grid value."""
     th = grid.values
     problem = grid.problem
-    tol = tol_scale * float(np.nanmax(np.abs(th))) if th.size else 0.0
+    tol = _STRUCTURE_TOL * float(np.nanmax(np.abs(th))) if th.size else 0.0
     checks = []
 
     def summarize(name, deficits):

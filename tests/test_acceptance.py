@@ -174,7 +174,7 @@ def test_criterion_6_theta_infinity_consistency():
         quad = theta_infinity_quadrature(problem, q)
         worst = max(worst, abs(closed / quad - 1))
     check("6.quadrature", worst <= 1e-7, f"max relative gap {worst:.2e} <= 1e-7")
-    phi = 0.65
+    phi = problem.cost.phi
     expected = (1 + 3 * phi) / (1 + phi)
     slope = math.log(
         theta_infinity(problem, 1e6) / theta_infinity(problem, 1e4)
@@ -232,7 +232,7 @@ def test_criterion_8_structure_suite(label, factory):
         np.linspace(0.0, problem.q0, 21),
         SolveOptions(n_steps=600),
     )
-    rep = check_structure(grid, tol_scale=1e-9)
+    rep = check_structure(grid)
     detail = ", ".join(f"{c.name}:{c.violations}" for c in rep.checks if c.checked)
     check(f"8.structure[{label}]", rep.ok, f"violations {detail}")
 

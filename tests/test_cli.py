@@ -22,30 +22,15 @@ from blocktrade.objective import eval_I
 from blocktrade.solver import SolveOptions
 from conftest import REFERENCE_CONFIG
 
-BASE_CONFIG = """\
-# reference liquid-stock configuration
-problem.q0 = 500000
-problem.horizon = 1.0
-market.s0 = 40.0
-market.sigma = 0.5
-market.gamma = 1e-6
-market.psi = 0.004
-cost.type = power_law
-cost.eta = 0.02
-cost.phi = 0.65
-impact.type = power_law
-impact.k = 4.5e-6
-impact.beta = 0.75
-volume.type = constant
-volume.rate = 5000000
-solve.n_steps = 1000
-mc.n_paths = 5000
-mc.seed = 42
-price.q_list = 250000, 500000, 1000000
-price.quoted_premium = 33090
-grid.n_t = 5
-grid.n_q = 5
-"""
+
+def set_keys(text, values):
+    """``text`` with each key of ``values`` set to its value: its line dropped and a new one appended."""
+    kept = [line for line in text.splitlines() if line.split(" = ")[0] not in values]
+    return "\n".join(kept + [f"{key} = {value}" for key, value in values.items()]) + "\n"
+
+
+with open(REFERENCE_CONFIG) as fh:  # the reference stock, with a small simulation and grid
+    BASE_CONFIG = set_keys(fh.read(), {"mc.n_paths": 5000, "grid.n_t": 5, "grid.n_q": 5})
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
@@ -286,14 +271,15 @@ def test_implied_gamma_needs_quote(tmp_path, capsys):
     assert "quoted_premium" in payload["error"]["message"]
 
 
-@pytest.mark.parametrize("key", ["problem.horizon", "market.sigma"])
+@pytest.mark.parametrize("key", ["problem.horizon", "market.sigma", "volume.rate", "solve.newton_tol"])
 def test_non_finite_input_exits_with_config_error(tmp_path, capsys, key):
-    text = "\n".join(f"{key} = inf" if l.startswith(key + " ") else l for l in BASE_CONFIG.splitlines())
+    named = {"volume.rate": "volume.positive", "solve.newton_tol": "newton_tol"}.get(key, key)
+    text = set_keys(BASE_CONFIG, {key: "inf"})
     out_dir = tmp_path / "out"
     code, payload = run_cli(capsys, "solve", "--config", write_config(tmp_path, text), "--out-dir", str(out_dir))
     assert code == 1
     assert payload["error"]["type"] == "ConfigError"
-    assert key in payload["error"]["message"]
+    assert named in payload["error"]["message"]
     assert not out_dir.exists()
 
 
@@ -335,7 +321,7 @@ def test_negative_seed_is_rejected_before_the_solve(tmp_path, capsys, monkeypatc
     assert payload["error"]["type"] == "ConfigError"
     assert "seed must be non-negative" in payload["error"]["message"]
 
-    text = BASE_CONFIG.replace("mc.seed = 42", "mc.seed = -1")
+    text = set_keys(BASE_CONFIG, {"mc.seed": -1})
     code, payload = run_cli(capsys, "simulate", "--config", write_config(tmp_path, text, "neg.cfg"))
     assert code == 1
     assert payload["error"]["type"] == "ConfigError"

@@ -138,7 +138,7 @@ def test_theta_infinity_closed_form_versus_quadrature(reference_problem):
 
 
 def test_theta_infinity_scaling_law(reference_problem):
-    phi = 0.65
+    phi = reference_problem.cost.phi
     expo = (1 + 3 * phi) / (1 + phi)
     ratios = [theta_infinity(reference_problem, q) / q**expo for q in (1e4, 1e5, 5e5, 2e6)]
     for r in ratios[1:]:

@@ -137,6 +137,12 @@ def test_volume_csv_rejects_bad_header_and_times(tmp_path):
     no_zero.write_text("time,volume\n0.1,1\n0.5,1\n")
     with pytest.raises(ValueError):
         PiecewiseLinearVolume.from_csv(no_zero)
+    # a NaN time passes the increasing check, since every comparison with it is False
+    for rows in ("0,1\n1,inf\n", "0,1\nnan,1\n1,1\n"):
+        non_finite = tmp_path / "f.csv"
+        non_finite.write_text("time,volume\n" + rows)
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseLinearVolume.from_csv(non_finite)
 
 
 def test_volume_coverage_checked_against_horizon():

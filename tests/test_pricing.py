@@ -141,7 +141,7 @@ def test_premium_bp_superlinear_in_size(reference_problem):
 
 
 def test_necpr_inf_log_log_slope(reference_problem):
-    phi = 0.65
+    phi = reference_problem.cost.phi
     expected = (1 + 3 * phi) / (1 + phi)
     q1, q2 = 1e5, 1e6
     slope = (
