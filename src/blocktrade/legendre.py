@@ -65,21 +65,30 @@ class PowerLawHamiltonian:
     def value(self, p):
         return self.coefficient * np.abs(p) ** self.exponent
 
-    def slope(self, p):
-        """Optimal participation rate at dual price p (odd, increasing)."""
+    def slope(self, p, out=None):
+        """Optimal participation rate at dual price p (odd, increasing; -0 at -0), into ``out`` if given."""
         c, e = self.coefficient, self.exponent
-        return c * e * np.sign(p) * np.abs(p) ** (e - 1.0)
+        rate = np.abs(p, out=out)
+        rate **= e - 1.0
+        rate *= c * e
+        return np.copysign(rate, p, out=out)
 
-    def curvature(self, p):
+    def curvature(self, p, out=None):
         c, e = self.coefficient, self.exponent
         if self.phi == 1.0:
-            return _on_array(lambda a: np.full(a.shape, 1.0 / (2.0 * self.eta)), p)
+            if out is None:
+                return _on_array(lambda a: np.full(a.shape, 1.0 / (2.0 * self.eta)), p)
+            out[...] = 1.0 / (2.0 * self.eta)
+            return out
         if self.phi > 1.0 and np.any(np.asarray(p) == 0.0):
             raise SingularCurvatureError(
                 f"H'' is singular at p=0 for phi={self.phi} > 1, so the Newton path cannot "
                 "start; power-law exponents above 1 are only supported through the closed forms"
             )
-        return c * e * (e - 1.0) * np.abs(p) ** (e - 2.0)
+        bend = np.abs(p, out=out)
+        bend **= e - 2.0
+        bend *= c * e * (e - 1.0)
+        return bend
 
     def inverse(self, x):
         """Inverse of the restriction of H to the nonnegative half-line."""
@@ -91,11 +100,14 @@ class PowerLawHamiltonian:
 
 
 def _scalar_or_array(method):
-    """Run a method written for float arrays on a scalar (giving a float) or any array."""
+    """Run a method written for float arrays on a scalar (giving a float) or any array, or into ``out``."""
 
     @wraps(method)
-    def wrapped(self, x):
-        return _on_array(partial(method, self), x)
+    def wrapped(self, x, out=None):
+        result = _on_array(partial(method, self), x)
+        if out is not None:
+            out[...] = result
+        return result if out is None else out
 
     return wrapped
 

@@ -54,13 +54,16 @@ every other rule (line search, stopping) is applied per member. A block
 member's result is therefore bit for bit what the ``dgtsv`` direction gives
 it alone from the same start: its blockmates never affect it. A block keeps
 that direction when it shrinks to one member. Members leave the block as
-they converge or fail, and a failing member never stops the others.
-``newton_solve`` and ``solve_from`` are one-member blocks from the straight
-line, which shoot.
+they converge or fail, and a failing member never stops the others. The
+loop's arrays live in a workspace (``_Workspace``, 19 doubles per member-step,
+which ``build_grid`` keeps for all its blocks and columns); only a halved step
+copies the rows it retries. ``newton_solve`` and ``solve_from`` are one-member
+blocks from the straight line, which shoot, each in a workspace of its own.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import importlib.machinery
 import importlib.util
@@ -192,10 +195,7 @@ class ResidualReport:
 
     @property
     def max_abs(self) -> float:
-        return max(
-            float(np.max(np.abs(self.p_residual))),
-            float(np.max(np.abs(self.q_residual))),
-        )
+        return float(_max_abs(self.p_residual, self.q_residual))
 
 
 def _speeds(grid: Grid, q: np.ndarray) -> np.ndarray:
@@ -248,16 +248,19 @@ def _start(grid: Grid, ksq: float, q_start: float, stencil=()):
     return q, p
 
 
-def _residual_arrays(ham, tau_ksq, tau_vol, q, p):
-    """Defects of both recurrences along the last axis, one row per member."""
-    rp = p[..., 1:] - p[..., :-1] - tau_ksq * q[..., 1:]
-    rq = q[..., 1:] - q[..., :-1] - tau_vol * ham.slope(p[..., :-1])
+def _residual_arrays(ham, tau_ksq, tau_vol, q, p, out=None):
+    """Defects of both recurrences along the last axis, one row per member; ``out`` = (rp, rq, scratch)."""
+    rp, rq, scratch = np.empty((3, *q[..., 1:].shape)) if out is None else out
+    np.subtract(p[..., 1:], p[..., :-1], out=rp)
+    rp -= np.multiply(tau_ksq, q[..., 1:], out=scratch)
+    np.subtract(q[..., 1:], q[..., :-1], out=rq)
+    rq -= np.multiply(tau_vol, ham.slope(p[..., :-1], out=scratch), out=scratch)
     return rp, rq
 
 
-def _max_abs(a, b):
-    """Per-row max(|a|, |b|); a NaN anywhere in a row gives NaN."""
-    return np.maximum(np.max(np.abs(a), axis=-1), np.max(np.abs(b), axis=-1))
+def _max_abs(a, b, out=(None, None)):
+    """Per-row max(|a|, |b|); a NaN anywhere in a row gives NaN. ``out`` may take |a| and |b|."""
+    return np.maximum(np.max(np.abs(a, out=out[0]), axis=-1), np.max(np.abs(b, out=out[1]), axis=-1))
 
 
 def discrete_residual(problem: LiquidationProblem, traj: Trajectory) -> ResidualReport:
@@ -309,7 +312,7 @@ def _dgtsv():
         return dgtsv
 
 
-def _direction_by_banded(c, e, b):
+def _direction_by_banded(c, e, b, work=None):
     """Pivoted tridiagonal solve (LAPACK dgtsv) of every member's linearized system in one call.
 
     Per member the unknowns are interleaved as (dp_0, dq_1, dp_1, ..., dq_{J-1},
@@ -318,28 +321,29 @@ def _direction_by_banded(c, e, b):
     finite pivot crosses a member boundary and each member gets the bits of its
     one-row call. A singular or non-finite block is re-solved member by member,
     which marks the singular ones and leaves the others those same bits.
-    Returns (K, J+1) dq and dp and the mask of singular members.
+    Returns (K, J+1) dq and dp and the mask of singular members, written to
+    ``work`` (a ``_Workspace``) if given, with the bands dgtsv solves in place.
     """
     K, J = c.shape
+    sub, diag, sup, rhs = np.empty((4, K, 2 * J)) if work is None else work.bands[:, :K]
     # row 2j: dq_{j+1} - dq_j - c_j dp_j = e_j;  row 2j+1: dp_{j+1} - dp_j - b dq_{j+1} = 0
-    sub = np.full((K, 2 * J), -1.0)  # dq_j in the q-rows, dp_j in the p-rows
+    sub.fill(-1.0)  # dq_j in the q-rows, dp_j in the p-rows
     sub[:, -1] = 0.0  # coupling to the next member
-    diag = np.empty((K, 2 * J))
-    diag[:, 0::2] = -c  # dp_j in the q-rows
+    np.negative(c, out=diag[:, 0::2])  # dp_j in the q-rows
     diag[:, 1::2] = -b[:, None]  # dq_{j+1} in the p-rows
     diag[:, -1] = 1.0  # dp_J in the last p-row
-    sup = np.ones((K, 2 * J))  # dq_{j+1}, dp_{j+1}
+    sup.fill(1.0)  # dq_{j+1}, dp_{j+1}
     sup[:, -2:] = 0.0  # dq_J is eliminated; coupling to the next member
-    rhs = np.zeros((K, 2 * J))
-    rhs[:, 0::2] = e
+    rhs[:, 0::2], rhs[:, 1::2] = e, 0.0
     *_, x, info = _dgtsv()(sub.ravel()[:-1], diag.ravel(), sup.ravel()[:-1], rhs.ravel(), 1, 1, 1, 1)
     x = x.reshape(K, 2 * J)
-    if K > 1 and (info != 0 or not np.isfinite(x).all()):
+    if K > 1 and (info != 0 or not (np.isfinite(x.min()) and np.isfinite(x.max()))):
         alone = [_direction_by_banded(c[k : k + 1], e[k : k + 1], b[k : k + 1]) for k in range(K)]
         return tuple(np.concatenate(rows) for rows in zip(*alone))
-    dq = np.zeros((K, J + 1))
-    dq[:, 1:J] = x[:, 1:-1:2]
-    return dq, np.append(x[:, 0::2], x[:, -1:], axis=1), np.full(K, info != 0)
+    dq, dp = np.empty((2, K, J + 1)) if work is None else (work.dq[:K], work.dp[:K])
+    dq[:, 0], dq[:, 1:J], dq[:, J] = 0.0, x[:, 1:-1:2], 0.0
+    dp[:, :J], dp[:, J] = x[:, 0::2], x[:, -1]
+    return dq, dp, np.full(K, info != 0)
 
 
 def _linear_defect(c, e, b, dq, dp):
@@ -349,7 +353,7 @@ def _linear_defect(c, e, b, dq, dp):
     return _max_abs(rq, rp)
 
 
-def _newton_direction(c, e, b, current, tol, solo):
+def _newton_direction(c, e, b, current, tol, solo, work):
     """The correction of every member: one dgtsv call for a block, affine shooting for a solo solve.
 
     Shooting steps both chains of the one member and combines them. Over long
@@ -362,7 +366,7 @@ def _newton_direction(c, e, b, current, tol, solo):
     meaningless).
     """
     if not solo:
-        return _direction_by_banded(c, e, b)
+        return _direction_by_banded(c, e, b, work)
     (dq0, dq1), (dp0, dp1) = _propagate(c[0].tolist(), e[0].tolist(), float(b[0]))
     with np.errstate(all="ignore"):
         denom = dq1[-1] - dq0[-1]
@@ -374,34 +378,82 @@ def _newton_direction(c, e, b, current, tol, solo):
     usable = math.isfinite(denom) and denom != 0.0 and math.isfinite(dq0[-1])
     if usable and defect <= max(0.01 * current[0], 0.1 * tol[0]):
         return dq[None], dp[None], np.zeros(1, dtype=bool)
-    return _direction_by_banded(c, e, b)
+    return _direction_by_banded(c, e, b, work)
+
+
+class _Workspace:
+    """The arrays a Newton block writes, and the data of its t-nodes: grid, tau, cell volumes, b.
+
+    Per member-step, for up to ``members`` rows: four dgtsv bands (two doubles
+    each), c and e (also the line search's scratch), tau * V, dq, dp and two
+    copies of (q, p, rq), 19 doubles. ``work[rows]`` (consecutive) has those t-nodes' data.
+    """
+
+    def __init__(self, problem: LiquidationProblem, t_nodes, n_steps: int, members: int):
+        T, market = problem.horizon, problem.market
+        self.grids = [Grid(n_steps=n_steps, t_start=t, t_end=T) for t in t_nodes]
+        self.tau = np.array([grid.tau for grid in self.grids])
+        self.vol = np.array([grid.cell_volume(problem.volume) for grid in self.grids])
+        self.b = self.tau * market.gamma * market.sigma**2
+        self.bands = np.empty((4, members, 2 * n_steps))
+        self.c, self.e, self.tau_vol = np.empty((3, members, n_steps))
+        self.dq, self.dp = np.empty((2, members, n_steps + 1))
+        self.state = np.empty((2, 2, members, n_steps + 1)), np.empty((2, members, n_steps))
+
+    def __getitem__(self, rows) -> "_Workspace":
+        part, s = copy.copy(self), slice(rows[0], rows[-1] + 1)
+        part.grids, part.tau, part.vol, part.b = self.grids[s], self.tau[s], self.vol[s], self.b[s]
+        return part
 
 
 class _Block:
     """Row-per-member arrays of the members still iterating, and what is fixed per member."""
 
-    __slots__ = ("member", "tol", "b", "tau_ksq", "tau_vol", "q", "p", "rq", "current")
+    __slots__ = ("member", "tol", "b", "tau_ksq", "current", "tau_vol", "q", "p", "rq", "spare", "scratch")
 
-    def __init__(self, **rows):
-        for name, value in rows.items():
-            setattr(self, name, value)
+    def __init__(self, work, tol, ksq):
+        K, ((q, p), rq) = len(work.grids), work.state
+        self.member, self.tol, self.b, self.tau_ksq = np.arange(K), tol, work.b.copy(), work.tau[:, None] * ksq
+        self.tau_vol = np.multiply(work.tau[:, None], work.vol, out=work.tau_vol[:K])
+        self.q, self.p, self.rq, self.spare = q[0, :K], p[0, :K], rq[0, :K], (q[1, :K], p[1, :K], rq[1, :K])
+        self.scratch = work.c, work.e  # free outside the direction solve
 
     def keep(self, mask):
-        """Drop the rows where ``mask`` is False; the kept rows are copied out of the old arrays."""
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name)[mask])
+        """Drop the rows where ``mask`` is False; the kept rows move up in place."""
+        kept = np.flatnonzero(mask)
+        moves = [(to, row) for to, row in enumerate(kept.tolist()) if to != row]
+        for name in self.__slots__[:-2]:  # not spare and scratch
+            rows = getattr(self, name)
+            for to, row in moves:  # onto a row already moved or dropped
+                rows[to] = rows[row]
+            setattr(self, name, rows[: kept.size])
+
+    def residual(self, ham, rows, q, p, rq):
+        """Write the q-defects of (q, p), the members ``rows``, to ``rq``; return each row's max residual."""
+        rp, scratch = (a[: len(q)] for a in self.scratch)
+        _residual_arrays(ham, self.tau_ksq[rows], self.tau_vol[rows], q, p, out=(rp, rq, scratch))
+        return _max_abs(rp, rq, out=(rp, scratch))
 
     def candidate(self, ham, rows, alpha, dq, dp):
-        """Trial point rows + alpha * direction with its q-residual and max residual."""
-        qc = self.q[rows] + alpha * dq[rows]
-        pc = self.p[rows] + alpha * dp[rows]
+        """Write rows + alpha * direction to the leading rows of ``spare``; return its max residuals."""
+        q, p, rq = (a[: self.member[rows].size] for a in self.spare)
+        np.add(self.q[rows], np.multiply(alpha, dq[rows], out=q), out=q)
+        np.add(self.p[rows], np.multiply(alpha, dp[rows], out=p), out=p)
         with np.errstate(all="ignore"):
-            rpc, rqc = _residual_arrays(ham, self.tau_ksq[rows], self.tau_vol[rows], qc, pc)
-            m = _max_abs(rpc, rqc)
-        return qc, pc, rqc, m
+            return self.residual(ham, rows, q, p, rq)
 
-    def take(self, rows, qc, pc, rqc, m):
-        self.q[rows], self.p[rows], self.rq[rows], self.current[rows] = qc, pc, rqc, m
+    def take(self, rows, picks, m):
+        """Make the candidate's rows ``picks``, with max residuals ``m``, the state of members ``rows``."""
+        for row, pick in zip(rows.tolist(), picks.tolist()):
+            for state, spare in zip((self.q, self.p, self.rq), self.spare):
+                state[row] = spare[pick]
+        self.current[rows] = m
+
+    def swap(self, m):
+        """Make the whole candidate, with max residuals ``m``, the block's state."""
+        state, K = (self.q, self.p, self.rq), self.member.size
+        self.q, self.p, self.rq = (a[:K] for a in self.spare)
+        self.spare, self.current = state, m
 
 
 def _line_search(ham, block, dq, dp):
@@ -421,15 +473,17 @@ def _line_search(ham, block, dq, dp):
     for _ in range(MAX_HALVINGS + 1):
         whole = pending.all()
         rows = slice(None) if whole else np.flatnonzero(pending)
-        qc, pc, rqc, m = block.candidate(ham, rows, alpha, dq, dp)
+        m = block.candidate(ham, rows, alpha, dq, dp)
         accept = m < block.current[rows]  # a non-finite m never passes
         if whole and accept.all():
-            block.q, block.p, block.rq, block.current = qc, pc, rqc, m
+            block.swap(m)
             return np.full(K, alpha), np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
-        rows = np.arange(K)[rows]
-        block.take(rows[accept], qc[accept], pc[accept], rqc[accept], m[accept])
-        taken[rows[accept]] = alpha
-        pending[rows[accept]] = False
+        rows, picks = np.arange(K)[rows], np.flatnonzero(accept)
+        block.take(rows[picks], picks, m[picks])
+        taken[rows[picks]] = alpha
+        pending[rows[picks]] = False
+        if not pending.any():
+            break
         better = ~accept & (m < best[rows])
         best[rows[better]] = m[better]
         best_alpha[rows[better]] = alpha
@@ -437,28 +491,14 @@ def _line_search(ham, block, dq, dp):
     found = np.isfinite(best)
     fallback = np.flatnonzero(pending & found)
     if fallback.size:
-        block.take(fallback, *block.candidate(ham, fallback, best_alpha[fallback, None], dq, dp))
+        m = block.candidate(ham, fallback, best_alpha[fallback, None], dq, dp)
+        block.take(fallback, np.arange(fallback.size), m)
         taken[fallback] = best_alpha[fallback]
     return taken, pending & found, pending & ~found
 
 
-def _trajectory(grid, q, p, iterations, residual, history, no_descent, steps):
-    q, p = q.copy(), p.copy()  # a row view would keep the whole block's array alive
-    return Trajectory(
-        grid=grid,
-        q=q,
-        p=p,
-        v=_speeds(grid, q),
-        iterations=iterations,
-        max_residual=float(residual),
-        history=history,
-        no_descent=no_descent,
-        steps=steps,
-    )
-
-
 def _solve_batch(
-    problem: LiquidationProblem, t_starts, q_starts, opts: SolveOptions, stencils=None
+    problem: LiquidationProblem, t_starts, q_starts, opts: SolveOptions, stencils=None, work=None
 ) -> list:
     """Solve from each (t_starts[k], q_starts[k]) to zero at the horizon, in one Newton loop.
 
@@ -467,34 +507,22 @@ def _solve_batch(
     the member starts from the straight line. Returns, in member order, each
     member's ``Trajectory`` or the ``NonConvergenceError`` it failed with.
     Live members share the iteration counter, so a member's count is the
-    loop's count when it leaves.
+    loop's count when it leaves. ``work``, if given, is a ``_Workspace`` on the
+    t-nodes ``t_starts``, for at least as many members; else the call makes one.
     """
     ham = hamiltonian_of(problem.cost)
-    market = problem.market
-    ksq = market.gamma * market.sigma**2
-    grids = [Grid(n_steps=opts.n_steps, t_start=t, t_end=problem.horizon) for t in t_starts]
-    stencils = stencils or [()] * len(grids)
-    starts = [_start(grid, ksq, q, stencil) for grid, q, stencil in zip(grids, q_starts, stencils)]
-    tau = np.array([grid.tau for grid in grids])
-    vol = np.array([grid.cell_volume(problem.volume) for grid in grids])
+    ksq = problem.market.gamma * problem.market.sigma**2
+    work = _Workspace(problem, t_starts, opts.n_steps, len(t_starts)) if work is None else work
+    grids = work.grids
     if opts.newton_tol is not None:
         tol = np.full(len(grids), opts.newton_tol)
     else:
         tol = 1e-10 * np.asarray(q_starts, dtype=float)
-    block = _Block(
-        member=np.arange(len(grids)),
-        tol=np.maximum(tol, 1e-300),
-        b=tau * market.gamma * market.sigma**2,
-        tau_ksq=(tau * ksq)[:, None],
-        tau_vol=tau[:, None] * vol,
-        q=np.array([q for q, _ in starts]),
-        p=np.array([p for _, p in starts]),
-    )
-    del starts, vol
+    block = _Block(work, np.maximum(tol, 1e-300), ksq)
+    for k, (grid, q, stencil) in enumerate(zip(grids, q_starts, stencils or [()] * len(grids))):
+        block.q[k], block.p[k] = _start(grid, ksq, q, stencil)
     solo = len(grids) == 1  # a block keeps dgtsv when it shrinks to one member
-    rp, block.rq = _residual_arrays(ham, block.tau_ksq, block.tau_vol, block.q, block.p)
-    block.current = _max_abs(rp, block.rq)
-    del rp
+    block.current = block.residual(ham, slice(None), block.q, block.p, block.rq)
 
     results = [None] * len(grids)
     histories = [[] for _ in grids]
@@ -505,12 +533,11 @@ def _solve_batch(
         """Store row k's result: its trajectory, or the error named by ``message``."""
         member = block.member[k]
         trail = (tuple(histories[member]), no_descent[member], tuple(steps[member]))
+        residual = float(block.current[k])
         if message is None:
-            results[member] = _trajectory(
-                grids[member], block.q[k], block.p[k], iterations, block.current[k], *trail
-            )
+            grid, q, p = grids[member], block.q[k].copy(), block.p[k].copy()  # the loop reuses the rows
+            results[member] = Trajectory(grid, q, p, _speeds(grid, q), iterations, residual, *trail)
         else:
-            residual = float(block.current[k])
             results[member] = NonConvergenceError(message, residual, iterations, *trail)
 
     def drop(mask, message):
@@ -538,15 +565,15 @@ def _solve_batch(
                 break
             block.keep(going)
 
-        c = block.tau_vol * ham.curvature(block.p[:, :-1])
-        dq, dp, singular = _newton_direction(c, -block.rq, block.b, block.current, block.tol, solo)
-        del c
+        c = ham.curvature(block.p[:, :-1], out=work.c[: block.member.size])
+        c *= block.tau_vol
+        e = np.negative(block.rq, out=work.e[: len(c)])
+        dq, dp, singular = _newton_direction(c, e, block.b, block.current, block.tol, solo, work)
         if singular.any():
             if not drop(singular, "degenerate linearization (H'' vanishes along the whole path)"):
                 break
             dq, dp = dq[~singular], dp[~singular]
         alpha, least_bad, stuck = _line_search(ham, block, dq, dp)
-        del dq, dp
         for member, residual, step, took_least_bad, failed in zip(
             block.member.tolist(), block.current.tolist(), alpha.tolist(), least_bad.tolist(), stuck.tolist()
         ):
@@ -581,6 +608,6 @@ def solve_from(
     """Optimal trajectory from inventory q_hat at time t_hat to zero at the horizon."""
     if not 0.0 <= t_hat < problem.horizon:
         raise ValueError("t_hat must lie in [0, horizon)")
-    if q_hat < 0:
-        raise ValueError("q_hat must be nonnegative")
+    if not 0.0 <= q_hat < math.inf:
+        raise ValueError("q_hat must be nonnegative and finite")
     return _solve_one(problem, t_hat, q_hat, opts or SolveOptions())

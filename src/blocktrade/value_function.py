@@ -22,7 +22,7 @@ from .closed_forms import theta_infinity
 from .legendre import hamiltonian_of
 from .market_model import LiquidationProblem
 from .objective import _objective, eval_I
-from .solver import Grid, NonConvergenceError, SolveOptions, _solve_batch, newton_solve
+from .solver import NonConvergenceError, SolveOptions, _solve_batch, _Workspace, newton_solve
 
 __all__ = [
     "BATCH_MEMBERS",
@@ -41,8 +41,8 @@ __all__ = [
 
 
 BATCH_MEMBERS = 64  # cells solved together in one Newton block, at most
-# A block holds BATCH_MEMBERS * (n_steps + 1) doubles per array at most: past
-# the default step count the block shrinks so its memory stays put.
+# At most BATCH_MEMBERS * (n_steps + 1) doubles per block array, twice that per band
+# array: past the default step count the block shrinks so its memory stays put.
 _BLOCK_DOUBLES = BATCH_MEMBERS * 1001
 MAX_GRID_NODES = 1000  # per axis
 MARGIN = 0.05  # the default safety margin before the horizon, as a share of it
@@ -127,9 +127,11 @@ def build_grid(
     line, as a cell of the first solved column does. A block takes its Newton
     directions from one ``dgtsv`` call, and a cell's result is bit for bit
     what that direction gives it alone from the same start, so its
-    blockmates never affect it; a block of one cell shoots. The converged
-    cells of a block are valued in one row-wise call, each with the bits of
-    its own ``eval_I``. A cell agrees with its own ``solve_from`` wherever
+    blockmates never affect it; a block of one cell shoots. Every block of
+    every column works in the one ``solver._Workspace`` of the build, sized to
+    the largest block (19 doubles per member-step). The converged cells of a
+    block are valued in one row-wise call, each with the bits of its own
+    ``eval_I``. A cell agrees with its own ``solve_from`` wherever
     that converges, to rounding. On evenly spaced q-nodes no cell took more
     iterations than from the straight line or from the scaled curve to its
     left in any grid measured, while a jump of many orders of magnitude
@@ -147,10 +149,10 @@ def build_grid(
         raise ValueError(f"a grid axis may have at most {MAX_GRID_NODES} nodes")
     if np.any(np.diff(t_nodes) <= 0) or np.any(np.diff(q_nodes) <= 0):
         raise ValueError("grid nodes must be strictly increasing")
-    if t_nodes[0] < 0 or t_nodes[-1] > T - epsilon + 1e-12 * T:
+    if not np.isfinite(t_nodes).all() or t_nodes[0] < 0 or t_nodes[-1] > T - epsilon + 1e-12 * T:
         raise ValueError(f"t-nodes must lie in [0, {T - epsilon}]")
-    if q_nodes[0] < 0:
-        raise ValueError("q-nodes must be nonnegative")
+    if not np.isfinite(q_nodes).all() or q_nodes[0] < 0:
+        raise ValueError("q-nodes must be finite and nonnegative")
 
     values = np.zeros((len(t_nodes), len(q_nodes)))
     failed = np.zeros_like(values, dtype=bool)
@@ -158,8 +160,7 @@ def build_grid(
     residuals = np.zeros_like(values)
     size = max(1, min(BATCH_MEMBERS, _BLOCK_DOUBLES // (opts.n_steps + 1)))
     blocks = np.array_split(np.arange(len(t_nodes)), math.ceil(len(t_nodes) / size))
-    grids = [Grid(n_steps=opts.n_steps, t_start=t, t_end=T) for t in t_nodes]
-    volumes = [np.array([grids[i].cell_volume(problem.volume) for i in rows]) for rows in blocks]
+    work = _Workspace(problem, t_nodes, opts.n_steps, len(blocks[0]))
     stencils = [[] for _ in t_nodes]  # each t-node's converged (q, p[0]) in the last columns, oldest first
     for k, q in enumerate(q_nodes):
         if q == 0.0:
@@ -167,11 +168,12 @@ def build_grid(
         depth = 1  # one column to the left, at any spacing, or more while evenly spaced with this one
         while depth < min(k, _STENCIL) and _evenly_spaced(q_nodes[k - depth - 1 : k + 1]):
             depth += 1
-        for rows, vol in zip(blocks, volumes):
+        for rows in blocks:
+            part = work[rows]
             results = _solve_batch(
-                problem, t_nodes[rows], [q] * len(rows), opts, [stencils[i][-depth:] for i in rows]
+                problem, t_nodes[rows], [q] * len(rows), opts, [stencils[i][-depth:] for i in rows], part
             )
-            values[rows, k] = _values(problem, results, vol)
+            values[rows, k] = _values(problem, results, part)
             for i, result in zip(rows, results):
                 iterations[i, k] = result.iterations
                 if isinstance(result, NonConvergenceError):
@@ -193,18 +195,16 @@ def build_grid(
     )
 
 
-def _values(problem: LiquidationProblem, results, vol) -> np.ndarray:
+def _values(problem: LiquidationProblem, results, work) -> np.ndarray:
     """``eval_I`` of each converged member of a block in one row-wise call; NaN for a failed one.
 
-    ``vol`` holds the cell volumes of every member, one row each.
+    ``work`` is the block's ``solver._Workspace``, with every member's tau and cell volumes.
     """
     values = np.full(len(results), np.nan)
     solved = [k for k, result in enumerate(results) if not isinstance(result, NonConvergenceError)]
     if solved:
-        trajs = [results[k] for k in solved]
-        tau = np.array([traj.grid.tau for traj in trajs])
-        q, v = np.array([traj.q for traj in trajs]), np.array([traj.v for traj in trajs])
-        values[solved] = _objective(problem, tau, vol[solved], q, v)
+        q, v = np.array([results[k].q for k in solved]), np.array([results[k].v for k in solved])
+        values[solved] = _objective(problem, work.tau[solved], work.vol[solved], q, v)
     return values
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from blocktrade.solver import (
     MAX_STEPS,
     Grid,
     NonConvergenceError,
+    ResidualReport,
     SolveOptions,
     Trajectory,
     _direction_by_banded,
@@ -95,6 +97,11 @@ def test_converged_solution_certificate(reference_problem):
     report = discrete_residual(reference_problem, traj)
     assert report.max_abs <= 1e-10 * reference_problem.q0
     assert report.max_abs == pytest.approx(traj.max_residual, abs=1e-16)
+
+
+def test_residual_report_keeps_a_nan_q_defect():
+    report = ResidualReport(p_residual=np.zeros(3), q_residual=np.array([0.0, np.nan, 0.0]))
+    assert math.isnan(report.max_abs)
 
 
 def test_solution_monotone_and_boundary_exact(reference_problem):
@@ -215,6 +222,12 @@ def test_solve_from_rejects_bad_window(reference_problem):
         solve_from(reference_problem, -0.1, 100.0)
     with pytest.raises(ValueError):
         solve_from(reference_problem, 0.5, -1.0)
+
+
+@pytest.mark.parametrize("t_hat, q_hat", [(0.1, math.nan), (0.1, math.inf), (math.nan, 1e5), (math.inf, 1e5)])
+def test_solve_from_rejects_a_non_finite_start_before_solving(reference_problem, t_hat, q_hat):
+    with pytest.raises(ValueError, match="t_hat|q_hat"):
+        solve_from(reference_problem, t_hat, q_hat)
 
 
 def test_superquadratic_cost_rejected_on_newton_path(reference_problem):
@@ -371,8 +384,8 @@ def solve_banded_direction(c, e, b):
     return dq, dp
 
 
-def solve_banded_rows(c, e, b):
-    """``_direction_by_banded`` row by row through solve_banded."""
+def solve_banded_rows(c, e, b, work=None):
+    """``_direction_by_banded`` row by row through solve_banded, into fresh arrays whatever ``work``."""
     dq, dp = np.zeros((2, len(b), c.shape[1] + 1))
     singular = np.zeros(len(b), dtype=bool)
     for k in range(len(b)):
@@ -635,6 +648,44 @@ def test_failing_member_is_returned_and_leaves_the_others_bit_identical(referenc
     for result, (t, q) in zip(batched, starts):
         assert_same_outcome(result, solo_by_gtsv(reference_problem, t, q, opts))
         assert_same_convergence(result, solo(reference_problem, t, q, opts))
+
+
+def test_line_search_stops_once_every_member_has_its_step(monkeypatch):
+    # the first iteration takes alpha = 1 for the first member and 1/2 for the second
+    problem = make_reference_problem(gamma=1e-7)
+    starts = [(0.0, 5e5), (0.5, 5e5)]
+    tried = []  # (members evaluated, alpha) of every candidate
+    candidate = solver._Block.candidate
+
+    def logged(self, ham, rows, alpha, dq, dp):
+        tried.append((self.member[rows].size, alpha))
+        return candidate(self, ham, rows, alpha, dq, dp)
+
+    monkeypatch.setattr(solver._Block, "candidate", logged)
+    first, second = _solve_batch(problem, *zip(*starts), SolveOptions(n_steps=200))
+    assert first.steps == (1.0,) * 4 and second.steps == (0.5, 1.0, 1.0, 1.0)
+    # no halving runs once both members have their step: one more call than iterations
+    assert tried == [(2, 1.0), (1, 0.5), (2, 1.0), (2, 1.0), (2, 1.0)]
+
+
+def test_a_warm_block_allocates_little_beyond_its_results(reference_problem):
+    # the Newton loop writes into the workspace; a 21-member block at 1000 steps, in
+    # which members leave at different iterations, peaked at 5.4 times its results
+    # when every iteration allocated its arrays
+    t_nodes = np.linspace(0.0, 0.9, 21)
+    q_starts = [reference_problem.q0] * len(t_nodes)
+    opts = SolveOptions(n_steps=1000)
+    work = solver._Workspace(reference_problem, t_nodes, opts.n_steps, len(t_nodes))
+    _solve_batch(reference_problem, t_nodes, q_starts, opts, None, work)
+    tracemalloc.start()
+    try:
+        results = _solve_batch(reference_problem, t_nodes, q_starts, opts, None, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len({traj.iterations for traj in results}) > 1
+    returned = sum(traj.q.nbytes + traj.p.nbytes + traj.v.nbytes for traj in results)
+    assert peak <= 1.25 * returned  # less than one (members x steps) array more
 
 
 def test_returned_trajectories_own_their_arrays(reference_problem):

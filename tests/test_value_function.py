@@ -63,6 +63,20 @@ def test_build_grid_preconditions(reference_problem):
         build_grid(reference_problem, [0.5, 0.2], [0.0, 1e5], OPTS)
 
 
+@pytest.mark.parametrize(
+    "t_nodes, q_nodes",
+    [([0.0, np.nan], [0.0, 1e5]), ([0.0, 0.5], [0.0, np.nan]), ([0.0, 0.5], [0.0, np.inf])],
+    ids=["nan_t", "nan_q", "inf_q"],
+)
+def test_build_grid_rejects_non_finite_nodes_unsolved(reference_problem, t_nodes, q_nodes, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(value_function, "_solve_batch", no_solve)
+    with pytest.raises(ValueError, match="t-nodes|q-nodes"):
+        build_grid(reference_problem, t_nodes, q_nodes, OPTS)
+
+
 def test_failed_cells_are_masked(reference_problem):
     opts = SolveOptions(n_steps=100, max_iter=1)
     grid = build_grid(reference_problem, [0.0, 0.2], [0.0, reference_problem.q0], opts)
