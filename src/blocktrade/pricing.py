@@ -123,8 +123,11 @@ def implied_gamma(
     increasing map gamma -> NECPR by bisection. The default inverts the
     closed-form infinite-horizon value (constant volume only);
     ``finite_horizon=True`` swaps in the slow route that solves the block's
-    finite-horizon NECPR at every probe, as ``price_finite`` does.
+    finite-horizon NECPR at every probe, as ``price_finite`` does. The
+    bisection stops at ``rel_tol`` or when no double lies between its ends.
     """
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     q = problem.q0
     floor = sum(floor_parts(problem, q))
     target = quoted_premium - floor
@@ -147,8 +150,7 @@ def implied_gamma(
             f"for gamma in [{lo}, {hi}]"
         )
     # bisection in log-gamma: the map is monotone and spans many decades
-    while hi / lo - 1.0 > rel_tol:
-        mid = math.sqrt(lo * hi)
+    while hi / lo - 1.0 > rel_tol and lo < (mid := math.sqrt(lo * hi)) < hi:
         if necpr(mid) < target:
             lo = mid
         else:

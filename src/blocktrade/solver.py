@@ -57,8 +57,10 @@ that direction when it shrinks to one member. Members leave the block as
 they converge or fail, and a failing member never stops the others. The
 loop's arrays live in a workspace (``_Workspace``, 19 doubles per member-step,
 which ``build_grid`` keeps for all its blocks and columns); only a halved step
-copies the rows it retries. ``newton_solve`` and ``solve_from`` are one-member
-blocks from the straight line, which shoot, each in a workspace of its own.
+copies the rows it retries, and a shooting iteration makes only the kernel's
+two chains (4 (J+1) doubles), whose inputs it reads from the workspace in place.
+``newton_solve`` and ``solve_from`` are one-member blocks from the straight
+line, which shoot, each in a workspace of its own.
 """
 
 from __future__ import annotations
@@ -260,7 +262,8 @@ def _residual_arrays(ham, tau_ksq, tau_vol, q, p, out=None):
 
 def _max_abs(a, b, out=(None, None)):
     """Per-row max(|a|, |b|); a NaN anywhere in a row gives NaN. ``out`` may take |a| and |b|."""
-    return np.maximum(np.max(np.abs(a, out=out[0]), axis=-1), np.max(np.abs(b, out=out[1]), axis=-1))
+    largest = np.maximum.reduce
+    return np.maximum(largest(np.abs(a, out=out[0]), axis=-1), largest(np.abs(b, out=out[1]), axis=-1))
 
 
 def discrete_residual(problem: LiquidationProblem, traj: Trajectory) -> ResidualReport:
@@ -346,11 +349,15 @@ def _direction_by_banded(c, e, b, work=None):
     return dq, dp, np.full(K, info != 0)
 
 
-def _linear_defect(c, e, b, dq, dp):
-    """How well a direction satisfies the linearized recurrences, per row."""
-    rq = dq[..., 1:] - dq[..., :-1] - c * dp[..., :-1] - e
-    rp = dp[..., 1:] - dp[..., :-1] - b * dq[..., 1:]
-    return _max_abs(rq, rp)
+def _linear_defect(c, e, b, dq, dp, out):
+    """How well a direction satisfies the linearized recurrences, per row; ``out`` = three arrays shaped like c."""
+    rq, rp, scratch = out
+    np.subtract(dq[..., 1:], dq[..., :-1], out=rq)
+    rq -= np.multiply(c, dp[..., :-1], out=scratch)
+    rq -= e
+    np.subtract(dp[..., 1:], dp[..., :-1], out=rp)
+    rp -= np.multiply(b, dq[..., 1:], out=scratch)
+    return _max_abs(rq, rp, out=(rq, rp))
 
 
 def _newton_direction(c, e, b, current, tol, solo, work):
@@ -367,17 +374,18 @@ def _newton_direction(c, e, b, current, tol, solo, work):
     """
     if not solo:
         return _direction_by_banded(c, e, b, work)
-    (dq0, dq1), (dp0, dp1) = _propagate(c[0].tolist(), e[0].tolist(), float(b[0]))
-    with np.errstate(all="ignore"):
-        denom = dq1[-1] - dq0[-1]
-        s = -dq0[-1] / denom
-        dq = dq0 + s * (dq1 - dq0)
-        dp = dp0 + s * (dp1 - dp0)
-        dq[0] = dq[-1] = 0.0  # boundary is exact; cancel the rounding of the affine combination
-        defect = _linear_defect(c[0], e[0], b[0], dq, dp)
-    usable = math.isfinite(denom) and denom != 0.0 and math.isfinite(dq0[-1])
-    if usable and defect <= max(0.01 * current[0], 0.1 * tol[0]):
-        return dq[None], dp[None], np.zeros(1, dtype=bool)
+    (dq0, dq1), (dp0, dp1) = _propagate(memoryview(c[0]), memoryview(e[0]), float(b[0]))
+    end, denom = float(dq0[-1]), float(dq1[-1]) - float(dq0[-1])
+    if math.isfinite(denom) and denom != 0.0 and math.isfinite(end):
+        s = -end / denom
+        dq, dp = work.dq[0], work.dp[0]  # dq0 + s * (dq1 - dq0), and the same for dp
+        with np.errstate(all="ignore"):
+            np.add(np.multiply(np.subtract(dq1, dq0, out=dq), s, out=dq), dq0, out=dq)
+            np.add(np.multiply(np.subtract(dp1, dp0, out=dp), s, out=dp), dp0, out=dp)
+            dq[0] = dq[-1] = 0.0  # boundary is exact; cancel the rounding of the affine combination
+            defect = _linear_defect(c[0], e[0], b[0], dq, dp, work.bands[:3, 0, : c.shape[1]])
+        if defect <= max(0.01 * current[0], 0.1 * tol[0]):
+            return dq[None], dp[None], np.zeros(1, dtype=bool)
     return _direction_by_banded(c, e, b, work)
 
 
@@ -387,6 +395,8 @@ class _Workspace:
     Per member-step, for up to ``members`` rows: four dgtsv bands (two doubles
     each), c and e (also the line search's scratch), tau * V, dq, dp and two
     copies of (q, p, rq), 19 doubles. ``work[rows]`` (consecutive) has those t-nodes' data.
+    A shooting direction is combined into dq and dp, and its defect against the
+    linearized system uses the bands as scratch until a fallback dgtsv refills them.
     """
 
     def __init__(self, problem: LiquidationProblem, t_nodes, n_steps: int, members: int):
@@ -430,17 +440,17 @@ class _Block:
 
     def residual(self, ham, rows, q, p, rq):
         """Write the q-defects of (q, p), the members ``rows``, to ``rq``; return each row's max residual."""
-        rp, scratch = (a[: len(q)] for a in self.scratch)
+        rp, scratch = self.scratch[0][: len(q)], self.scratch[1][: len(q)]
         _residual_arrays(ham, self.tau_ksq[rows], self.tau_vol[rows], q, p, out=(rp, rq, scratch))
         return _max_abs(rp, rq, out=(rp, scratch))
 
     def candidate(self, ham, rows, alpha, dq, dp):
         """Write rows + alpha * direction to the leading rows of ``spare``; return its max residuals."""
-        q, p, rq = (a[: self.member[rows].size] for a in self.spare)
+        K = self.member[rows].size
+        q, p, rq = self.spare[0][:K], self.spare[1][:K], self.spare[2][:K]
         np.add(self.q[rows], np.multiply(alpha, dq[rows], out=q), out=q)
         np.add(self.p[rows], np.multiply(alpha, dp[rows], out=p), out=p)
-        with np.errstate(all="ignore"):
-            return self.residual(ham, rows, q, p, rq)
+        return self.residual(ham, rows, q, p, rq)
 
     def take(self, rows, picks, m):
         """Make the candidate's rows ``picks``, with max residuals ``m``, the state of members ``rows``."""
@@ -462,38 +472,38 @@ def _line_search(ham, block, dq, dp):
     A member that no halving improves takes its least-bad finite step
     (``max_iter`` guards against stalling). Returns each member's step length,
     and the masks of the members that took the least-bad step and of those
-    for which no halving gave a finite residual.
+    for which no halving gave a finite residual. The full step is tried on the
+    whole block first, and when every member accepts it nothing else is made.
     """
     K = len(block.member)
-    pending = np.ones(K, dtype=bool)
-    taken = np.zeros(K)
-    best = np.full(K, np.inf)  # least-bad finite residual so far, and its step
-    best_alpha = np.zeros(K)
-    alpha = 1.0
-    for _ in range(MAX_HALVINGS + 1):
-        whole = pending.all()
-        rows = slice(None) if whole else np.flatnonzero(pending)
-        m = block.candidate(ham, rows, alpha, dq, dp)
-        accept = m < block.current[rows]  # a non-finite m never passes
-        if whole and accept.all():
+    with np.errstate(all="ignore"):
+        m = block.candidate(ham, slice(None), 1.0, dq, dp)
+        if (m < block.current).all():  # a non-finite m never passes
             block.swap(m)
-            return np.full(K, alpha), np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
-        rows, picks = np.arange(K)[rows], np.flatnonzero(accept)
-        block.take(rows[picks], picks, m[picks])
-        taken[rows[picks]] = alpha
-        pending[rows[picks]] = False
-        if not pending.any():
-            break
-        better = ~accept & (m < best[rows])
-        best[rows[better]] = m[better]
-        best_alpha[rows[better]] = alpha
-        alpha *= 0.5
-    found = np.isfinite(best)
-    fallback = np.flatnonzero(pending & found)
-    if fallback.size:
-        m = block.candidate(ham, fallback, best_alpha[fallback, None], dq, dp)
-        block.take(fallback, np.arange(fallback.size), m)
-        taken[fallback] = best_alpha[fallback]
+            return np.ones(K), np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
+        pending, rows, taken, alpha = np.ones(K, dtype=bool), np.arange(K), np.zeros(K), 1.0
+        best, best_alpha = np.full(K, np.inf), np.zeros(K)  # least-bad finite residual so far, and its step
+        for halvings in range(MAX_HALVINGS + 1):
+            if halvings:
+                rows = np.flatnonzero(pending)
+                m = block.candidate(ham, rows, alpha, dq, dp)
+            accept = m < block.current[rows]
+            picks = np.flatnonzero(accept)
+            block.take(rows[picks], picks, m[picks])
+            taken[rows[picks]] = alpha
+            pending[rows[picks]] = False
+            if not pending.any():
+                break
+            better = ~accept & (m < best[rows])
+            best[rows[better]] = m[better]
+            best_alpha[rows[better]] = alpha
+            alpha *= 0.5
+        found = np.isfinite(best)
+        fallback = np.flatnonzero(pending & found)
+        if fallback.size:
+            m = block.candidate(ham, fallback, best_alpha[fallback, None], dq, dp)
+            block.take(fallback, np.arange(fallback.size), m)
+            taken[fallback] = best_alpha[fallback]
     return taken, pending & found, pending & ~found
 
 

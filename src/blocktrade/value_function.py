@@ -145,8 +145,9 @@ def build_grid(
         raise ValueError("safety margin must be at least 1% of the horizon")
     t_nodes = np.asarray(t_nodes, dtype=float)
     q_nodes = np.asarray(q_nodes, dtype=float)
-    if max(len(t_nodes), len(q_nodes)) > MAX_GRID_NODES:
-        raise ValueError(f"a grid axis may have at most {MAX_GRID_NODES} nodes")
+    for name, nodes in (("t_nodes", t_nodes), ("q_nodes", q_nodes)):
+        if not 1 <= len(nodes) <= MAX_GRID_NODES:
+            raise ValueError(f"{name} must have at least 1 and at most {MAX_GRID_NODES} nodes, got {len(nodes)}")
     if np.any(np.diff(t_nodes) <= 0) or np.any(np.diff(q_nodes) <= 0):
         raise ValueError("grid nodes must be strictly increasing")
     if not np.isfinite(t_nodes).all() or t_nodes[0] < 0 or t_nodes[-1] > T - epsilon + 1e-12 * T:
@@ -316,6 +317,8 @@ def asymptotic_convergence(
     """
     limit = theta_infinity(problem, q)
     horizons = tuple(float(T) for T in horizons)
+    if not horizons or not all(0.0 < T < math.inf for T in horizons):
+        raise ValueError(f"horizons must be one or more positive finite times, got {horizons}")
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ValueError("horizons must be strictly increasing")
     opts = opts or SolveOptions()

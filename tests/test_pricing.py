@@ -87,6 +87,19 @@ def test_implied_gamma_bracket_error(reference_problem):
         implied_gamma(reference_problem, 1e9)
 
 
+@pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1e-6])
+def test_implied_gamma_rejects_a_tolerance_it_cannot_meet(reference_problem, rel_tol):
+    # a NaN tolerance ended the bisection at once, at the bracket's midpoint 1e-7
+    with pytest.raises(ValueError, match="rel_tol"):
+        implied_gamma(reference_problem, 24175.0 + 2000.0 + 6915.0, rel_tol=rel_tol)
+
+
+def test_implied_gamma_stops_when_the_bracket_has_no_interior_double(reference_problem):
+    # 1e-17 lies below the spacing of doubles near gamma = 1e-6, so no bracket is that narrow
+    gamma = implied_gamma(reference_problem, 24175.0 + 2000.0 + 6915.0, rel_tol=1e-17)
+    assert gamma == pytest.approx(1e-6, rel=0.01)
+
+
 def test_implied_gamma_finite_horizon_path(reference_problem):
     target = price_finite(reference_problem, SolveOptions(n_steps=400)).necpr_T
     quoted = reference_problem.impact.integral(500_000.0) + 2000.0 + target

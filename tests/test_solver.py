@@ -281,7 +281,7 @@ def test_banded_direction_solves_linearized_system(J):
     assert not singular.any()
     assert dq[0, 0] == 0.0 and dq[0, -1] == 0.0
     scale = max(1.0, float(np.max(np.abs(dq))), float(np.max(np.abs(dp))))
-    assert _linear_defect(c, e, b[:, None], dq, dp)[0] <= 1e-13 * scale
+    assert _linear_defect(c, e, b[:, None], dq, dp, np.empty((3, 1, J)))[0] <= 1e-13 * scale
 
 
 def assert_same_outcome(batched, alone):
@@ -668,6 +668,47 @@ def test_line_search_stops_once_every_member_has_its_step(monkeypatch):
     assert tried == [(2, 1.0), (1, 0.5), (2, 1.0), (2, 1.0), (2, 1.0)]
 
 
+def test_a_full_step_solo_iteration_evaluates_one_candidate(reference_problem, monkeypatch):
+    # the full step is tried on the whole block before any per-member state is made
+    tried = []
+    candidate = solver._Block.candidate
+
+    def logged(self, ham, rows, alpha, dq, dp):
+        tried.append(alpha)
+        return candidate(self, ham, rows, alpha, dq, dp)
+
+    monkeypatch.setattr(solver._Block, "candidate", logged)
+    traj = newton_solve(reference_problem, SolveOptions(n_steps=1000))
+    assert traj.steps == (1.0,) * traj.iterations
+    assert tried == [1.0] * traj.iterations
+
+
+@pytest.mark.parametrize("horizon, fallbacks", [(0.25, 0), (20.0, 9)])
+def test_a_shared_workspace_gives_a_solo_solve_the_bits_of_a_fresh_one(horizon, fallbacks, monkeypatch):
+    # the shooting defect uses the dgtsv bands as scratch, and at T = 20 a fallback
+    # dgtsv refills them; no result may read what an earlier call or step left there
+    problem = make_reference_problem(horizon=horizon)
+    opts = SolveOptions(n_steps=1000)
+    banded = []
+    direction_by_banded = solver._direction_by_banded
+
+    def counted(c, e, b, work=None):
+        banded.append(len(c))
+        return direction_by_banded(c, e, b, work)
+
+    monkeypatch.setattr(solver, "_direction_by_banded", counted)
+    fresh = _solve_batch(problem, [0.0], [problem.q0], opts)[0]
+    assert len(banded) == fallbacks
+    work = solver._Workspace(problem, [0.0], opts.n_steps, 1)
+    for array in (work.bands, work.c, work.e, work.tau_vol, work.dq, work.dp, *work.state):
+        array.fill(np.nan)
+    for _ in range(2):
+        shared = _solve_batch(problem, [0.0], [problem.q0], opts, None, work)[0]
+        for name in ("q", "p", "history", "steps"):
+            got, expected = (np.asarray(getattr(traj, name)) for traj in (shared, fresh))
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), name
+
+
 def test_a_warm_block_allocates_little_beyond_its_results(reference_problem):
     # the Newton loop writes into the workspace; a 21-member block at 1000 steps, in
     # which members leave at different iterations, peaked at 5.4 times its results
@@ -686,6 +727,24 @@ def test_a_warm_block_allocates_little_beyond_its_results(reference_problem):
     assert len({traj.iterations for traj in results}) > 1
     returned = sum(traj.q.nbytes + traj.p.nbytes + traj.v.nbytes for traj in results)
     assert peak <= 1.25 * returned  # less than one (members x steps) array more
+
+
+@pytest.mark.parametrize("horizon", [0.25, 20.0])
+def test_a_warm_solo_solve_allocates_little_beyond_its_shooting_chains(horizon):
+    # a shooting iteration makes the kernel's 4 (n_steps + 1) chains; the affine
+    # combination and its defect go to the workspace (3.7 times the chains when
+    # they and the kernel's input lists were allocated every iteration)
+    problem = make_reference_problem(horizon=horizon)
+    opts = SolveOptions(n_steps=1000)
+    work = solver._Workspace(problem, [0.0], opts.n_steps, 1)
+    _solve_batch(problem, [0.0], [problem.q0], opts, None, work)
+    tracemalloc.start()
+    try:
+        _solve_batch(problem, [0.0], [problem.q0], opts, None, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 4 * (opts.n_steps + 1) * 8
 
 
 def test_returned_trajectories_own_their_arrays(reference_problem):

@@ -77,6 +77,28 @@ def test_build_grid_rejects_non_finite_nodes_unsolved(reference_problem, t_nodes
         build_grid(reference_problem, t_nodes, q_nodes, OPTS)
 
 
+@pytest.mark.parametrize("axis", ["t_nodes", "q_nodes"])
+def test_build_grid_rejects_an_empty_axis_unsolved(reference_problem, axis, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(value_function, "_solve_batch", no_solve)
+    nodes = {"t_nodes": [0.0, 0.5], "q_nodes": [0.0, 1e5], axis: []}
+    with pytest.raises(ValueError, match=axis):
+        build_grid(reference_problem, nodes["t_nodes"], nodes["q_nodes"], OPTS)
+
+
+@pytest.mark.parametrize("horizons", [[], [np.nan, 1.0], [0.0, 1.0], [-1.0, 1.0], [1.0, np.inf]])
+def test_asymptotic_convergence_rejects_invalid_horizons_unsolved(reference_problem, horizons, monkeypatch):
+    # before, these raised IndexError, an accidental ValueError from math.ceil and ZeroDivisionError
+    def no_solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(value_function, "newton_solve", no_solve)
+    with pytest.raises(ValueError, match="horizons"):
+        asymptotic_convergence(reference_problem, 1e5, horizons)
+
+
 def test_failed_cells_are_masked(reference_problem):
     opts = SolveOptions(n_steps=100, max_iter=1)
     grid = build_grid(reference_problem, [0.0, 0.2], [0.0, reference_problem.q0], opts)
