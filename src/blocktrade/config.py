@@ -44,7 +44,6 @@ class RunConfig:
     grid_n_t: int
     grid_n_q: int
     grid_t_max: Optional[float]
-    grid_epsilon: Optional[float]
     dump_paths: bool
 
 
@@ -109,7 +108,6 @@ _SCHEMA = {
     "grid.n_t": (_parse_int, False),
     "grid.n_q": (_parse_int, False),
     "grid.t_max": (_parse_float, False),
-    "grid.epsilon": (_parse_float, False),
 }
 
 
@@ -244,6 +242,5 @@ def parse_config(path: str, overrides=()) -> RunConfig:
         grid_n_t=pairs.get("grid.n_t", 21),
         grid_n_q=pairs.get("grid.n_q", 21),
         grid_t_max=pairs.get("grid.t_max"),
-        grid_epsilon=pairs.get("grid.epsilon"),
         dump_paths=pairs.get("mc.dump_paths", False),
     )

@@ -131,8 +131,10 @@ def build_grid(
     every column works in the one ``solver._Workspace`` of the build, sized to
     the largest block (19 doubles per member-step). The converged cells of a
     block are valued in one row-wise call, each with the bits of its own
-    ``eval_I``. A cell agrees with its own ``solve_from`` wherever
-    that converges, to rounding. On evenly spaced q-nodes no cell took more
+    ``eval_I``. A cell's own ``solve_from`` shoots, so the two agree only as
+    far as shooting does: to 3.8e-16 relative on the reference grid, but not
+    in the known defect of the ``solver`` docstring, where shooting can stop
+    on a wrong curve. On evenly spaced q-nodes no cell took more
     iterations than from the straight line or from the scaled curve to its
     left in any grid measured, while a jump of many orders of magnitude
     between neighbouring q-nodes can cost more than the straight line. Solver

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from hypothesis import strategies as st
 
 import blocktrade
 from blocktrade import cli
-from blocktrade.cli import main, read_trajectory_csv, write_paths_csv
+from blocktrade.cli import main, read_trajectory_csv, write_paths_csv, write_trajectory_csv
 from blocktrade.config import _SCHEMA, ConfigError, parse_config
 from blocktrade.montecarlo import SimulationConfig
 from blocktrade.objective import eval_I
-from blocktrade.solver import SolveOptions
+from blocktrade.solver import Grid, SolveOptions, Trajectory
 from conftest import REFERENCE_CONFIG
 
 
@@ -413,7 +414,7 @@ def test_readme_documents_exactly_the_schema_and_the_flags():
         readme = fh.read()
     table = readme.split("### Config schema")[1].split("\n###")[0]
     first_cells = [row.split("|")[1] for row in table.splitlines() if row.startswith("| `")]
-    assert set(re.findall(r"`([a-z]+\.[a-z0-9_]+)`", " ".join(first_cells))) == set(_SCHEMA)
+    assert sorted(re.findall(r"`([a-z]+\.[a-z0-9_]+)`", " ".join(first_cells))) == sorted(_SCHEMA)
     flags = readme.split("Flags (all commands):")[1].split("\n\n")[0]
     assert dict(re.findall(r"`(--[a-z-]+)`\s+\(overrides\s+`([a-z_.]+)`", flags)) == cli._FLAGS
     assert set(re.findall(r"`(--[a-z-]+)`", flags)) == {"--config", "--out-dir", *cli._FLAGS}
@@ -479,18 +480,97 @@ def test_grid_report_counts_iterations_and_failed_cells(tmp_path, capsys):
     assert report["hj_max_normalized"] is None and report["structure_ok"] is None
 
 
-def test_paths_csv_is_the_csv_writer_output_across_blocks(tmp_path, monkeypatch):
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def _trajectory_table(path):
+    traj = Trajectory(
+        grid=Grid(n_steps=3, t_start=0.0, t_end=0.75),
+        q=np.array([3e5, 2e5, 1e5 / 3, 0.0]),
+        p=np.array([-1e-3, -2.5e-3, -1e-300, 0.1]),
+        v=np.array([4e5, 4e5 / 3, 4e5 / 9]),
+    )
+    write_trajectory_csv(path, traj)
+    t, q, v, p = traj.grid.times, traj.q, traj.v, traj.p
+    rows = [[_fmt(t[j]), _fmt(q[j]), _fmt(v[j - 1]) if j else "", _fmt(p[j])] for j in range(4)]
+    assert rows[0][2] == ""  # no cell ends at t = 0
+    return ["t", "q", "v", "p"], rows
+
+
+def _value_grid_table(path):
+    header = ["t", *map(_fmt, [0.0, 2.5e5, 5e5])]
+    values = {0.0: [0.0, 1234.5, np.nan], 0.45: [0.0, 2.0 / 3.0, 5e20]}
+    rows = [[_fmt(t), *map(_fmt, row)] for t, row in values.items()]
+    assert rows[0][3] == "nan"  # a failed cell
+    cli._write_csv(path, header, iter(rows))
+    return header, rows
+
+
+def _decomposition_table(path):
+    header = ["q", "pmi", "lec", "necpr_inf", "necpr_T", "premium_bp"]
+    rows = [[_fmt(5e5), _fmt(7187.25), _fmt(2000.0), "", _fmt(6922.6), _fmt(80.5)]]  # a CSV volume has no necpr_inf
+    cli._write_csv(path, header, iter(rows))
+    return header, rows
+
+
+PATH_SAMPLES = np.array([-1.5e7, 0.1, 1e-300, 2.0 / 3.0, -0.0, 123456789.125, 5e20, -7.0, 1.0, 3.3])
+
+
+def _paths_table(path):
+    write_paths_csv(path, PATH_SAMPLES)  # ten samples in blocks of 4 cross two block boundaries
+    return ["path", "wealth"], [[i, _fmt(x)] for i, x in enumerate(PATH_SAMPLES)]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [_trajectory_table, _value_grid_table, _decomposition_table, _paths_table],
+    ids=["trajectory", "value_grid", "decomposition", "paths"],
+)
+def test_csv_artifacts_are_the_csv_writer_output(tmp_path, monkeypatch, table):
     monkeypatch.setattr(cli, "PATHS_BLOCK", 4)
-    samples = np.array([-1.5e7, 0.1, 1e-300, 2.0 / 3.0, -0.0, 123456789.125, 5e20, -7.0, 1.0, 3.3])
+    written = tmp_path / "written.csv"
+    header, rows = table(str(written))
     expected = tmp_path / "expected.csv"
     with open(expected, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["path", "wealth"])
-        for i, x in enumerate(samples):
-            writer.writerow([i, format(float(x), ".17g")])
-    written = tmp_path / "paths.csv"
-    write_paths_csv(str(written), samples)
+        writer.writerow(header)
+        writer.writerows(rows)
     assert written.read_bytes() == expected.read_bytes()
+
+
+def test_grid_t_max_alone_sets_the_last_time_node(tmp_path, capsys, monkeypatch):
+    with pytest.raises(ConfigError, match="unknown key 'grid.epsilon'"):
+        parse_config(write_config(tmp_path, BASE_CONFIG + "grid.epsilon = 0.05\n"))
+    # t_max alone sets the margin: 0.97 T lies past the default one of 0.05 T
+    out = tmp_path / "out"
+    text = set_keys(BASE_CONFIG, {"grid.t_max": 0.97})
+    code, _ = run_cli(capsys, "grid", "--config", write_config(tmp_path, text), "--out-dir", str(out), "--n-steps", "300")
+    assert code == 0
+    with open(out / "value_grid.csv", newline="") as fh:
+        assert float(list(csv.reader(fh))[-1][0]) == 0.97
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr("blocktrade.value_function._solve_batch", no_solve)
+    text = set_keys(BASE_CONFIG, {"grid.t_max": 0.995})
+    code, payload = run_cli(capsys, "grid", "--config", write_config(tmp_path, text, "late.cfg"), "--out-dir", str(out))
+    assert code == 1
+    assert payload["error"]["type"] == "ValueError"
+    assert "safety margin must be at least 1% of the horizon" in payload["error"]["message"]
+
+
+def test_paths_csv_makes_python_floats_a_block_at_a_time(tmp_path):
+    # four blocks: the writer peaks at 1.6 MB, but 6.4 MB if it makes every sample a Python float at once
+    samples = np.linspace(-1e7, 1e7, 4 * cli.PATHS_BLOCK)
+    tracemalloc.start()
+    try:
+        write_paths_csv(str(tmp_path / "paths.csv"), samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize(
