@@ -42,25 +42,29 @@ iterations, where the power-law H' has strongly varying curvature.
 
 Solves run in blocks of members that share the problem, the horizon and the
 step count; each member has its own start (t_hat, q_hat), hence its own tau,
-volume row and tolerance. One Newton loop serves the whole block. A member
-starts from the straight line from q_hat to zero, or, when the caller hands
-it converged curves on the same grid from other inventories (``build_grid``
-does, from up to four columns to the left), from a prediction out of them:
-one curve scaled to q_hat, or the polynomial extrapolation in inventory of
-two or more at evenly spaced inventories (continuation in inventory). The
-members' tridiagonal systems sit one after another on the diagonal of one
-system with zero coupling entries, so no pivot crosses a member boundary, and
-every other rule (line search, stopping) is applied per member. A block
-member's result is therefore bit for bit what the ``dgtsv`` direction gives
-it alone from the same start: its blockmates never affect it. A block keeps
-that direction when it shrinks to one member. Members leave the block as
-they converge or fail, and a failing member never stops the others. The
-loop's arrays live in a workspace (``_Workspace``, 19 doubles per member-step,
-which ``build_grid`` keeps for all its blocks and columns); only a halved step
+volume row and tolerance. One Newton loop serves the whole block. ``_start``
+writes every member's starting curve into the block's rows at once: the
+straight line from q_hat to zero, or, when the caller hands it converged
+curves on the same grids from other inventories (``build_grid`` does, from up
+to four columns to the left), a prediction out of them: one curve scaled to
+q_hat, or the polynomial extrapolation in inventory of two or more at evenly
+spaced inventories (continuation in inventory). The members' tridiagonal
+systems sit one after another on the diagonal of one system with zero
+coupling entries, so no pivot crosses a member boundary, and every other rule
+(line search, stopping) is applied per member. A block member's result is
+therefore bit for bit what the ``dgtsv`` direction gives it alone from the
+same start: its blockmates never affect it. A block keeps that direction when
+it shrinks to one member. Members leave the block as they converge or fail,
+and a failing member never stops the others; a converged member's q and p
+are copied into the caller's rows, and the block returns each member's
+``_Outcome`` (iterations, residual, history, or the failure). The loop's
+arrays live in a workspace (``_Workspace``, 19 doubles per member-step, which
+``build_grid`` keeps for all its blocks and columns); only a halved step
 copies the rows it retries, and a shooting iteration makes only the kernel's
 two chains (4 (J+1) doubles), whose inputs it reads from the workspace in place.
 ``newton_solve`` and ``solve_from`` are one-member blocks from the straight
-line, which shoot, each in a workspace of its own.
+line, which shoot, each in a workspace of its own, and build their
+``Trajectory`` on the q and p rows they hand the block.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -213,41 +217,59 @@ def initial_guess(problem: LiquidationProblem, grid: Grid, q_start: Optional[flo
     """
     if q_start is None:
         q_start = problem.q0
-    q, p = _start(grid, problem.market.gamma * problem.market.sigma**2, q_start)
+    ksq = problem.market.gamma * problem.market.sigma**2
+    q, p = np.empty(grid.n_steps + 1), np.empty(grid.n_steps + 1)
+    _start(np.array([[grid.tau * ksq]]), np.array([q_start], dtype=float), q[None], p[None])
     return Trajectory(grid=grid, q=q, p=p, v=_speeds(grid, q))
 
 
-def _start(grid: Grid, ksq: float, q_start: float, stencil=()):
-    """A member's starting (q, p): the straight line, or a predictor from converged curves.
+def _start(tau_ksq, q_start, q, p, qs=(), p0s=(), depth=None, scratch=None):
+    """Write K members' starting (q, p) to the (K, J+1) rows q and p: the straight line, or a predictor.
 
-    ``stencil`` holds the converged (q, p[0]) of solves on the same grid from
-    inventories Q_1 < ... < Q_m, oldest first, that together with q_start are
-    evenly spaced (any two nodes are). One curve is scaled by
-    s = q_start / Q_1, the line through it and the origin (natural-parameter
+    ``tau_ksq`` (K, 1) is each member's tau * (gamma * sigma**2), ``q_start``
+    (K,) its inventory. ``qs`` and ``p0s`` hold the converged q rows (K, J+1)
+    and p[0] (K,) of solves on the members' grids from inventories
+    Q_1 < ... < Q_m, oldest first, that together with q_start are evenly
+    spaced (any two nodes are). Member k uses the last ``depth[k]`` (default
+    m) of them, and rows of one depth are started together, each with the
+    bits of its one-row call. From none it takes the line. One curve is scaled
+    by s = q_start / Q_1, the line through it and the origin (natural-parameter
     continuation in inventory). From m >= 2 curves, q and p[0] are
     extrapolated to q_start by the polynomial of degree m - 1 through them,
     whose weights on evenly spaced nodes are binomial:
-    q = sum_i (-1)**(m - i) * C(m, i - 1) * q_i. Both boundary values are set
+    q = sum_i (-1)**(m - i) * C(m, i - 1) * q_i, summed from 0 in that order
+    through ``scratch`` ((K, J+1), made if None). Both boundary values are set
     exactly, and p is the forward pass of the p-recurrence from p[0] (0 on
     the line), so the starting p-residual vanishes.
     """
-    m = len(stencil)
+    if depth is not None and (depth != depth[0]).any():
+        for d in np.unique(depth).tolist():
+            rows, last = np.flatnonzero(depth == d), slice(len(qs) - d, None)
+            part = np.empty((2, rows.size, q.shape[1]))
+            _start(tau_ksq[rows], q_start[rows], *part, [a[rows] for a in qs[last]], [a[rows] for a in p0s[last]])
+            q[rows], p[rows] = part
+        return
+    m = len(qs) if depth is None else int(depth[0])
+    qs, p0s = qs[len(qs) - m :], p0s[len(p0s) - m :]
     if m == 0:
-        j = np.arange(grid.n_steps + 1)
-        q = (1.0 - j / grid.n_steps) * q_start
+        np.multiply(1.0 - np.arange(q.shape[1]) / (q.shape[1] - 1), q_start[:, None], out=q)
         p0 = 0.0
     elif m == 1:
-        ((q_left, p0_left),) = stencil
-        s = q_start / q_left[0]
-        q, p0 = s * q_left, s * p0_left
+        s = q_start / qs[0][:, 0]
+        np.multiply(s[:, None], qs[0], out=q)
+        p0 = s * p0s[0]
     else:
         weights = [(-1) ** (m - 1 - i) * math.comb(m, i) for i in range(m)]
-        q = sum(w * q_i for w, (q_i, _) in zip(weights, stencil))
-        p0 = sum(w * p0_i for w, (_, p0_i) in zip(weights, stencil))
-    q[0], q[-1] = q_start, 0.0
-    p = np.full(grid.n_steps + 1, p0)
-    p[1:] += grid.tau * ksq * np.cumsum(q[1:])
-    return q, p
+        scratch = np.empty_like(q) if scratch is None else scratch
+        q.fill(0.0)
+        for w, q_i in zip(weights, qs):
+            q += np.multiply(w, q_i, out=scratch)
+        p0 = sum(w * p0_i for w, p0_i in zip(weights, p0s))
+    q[:, 0], q[:, -1] = q_start, 0.0
+    p_rest = np.cumsum(q[:, 1:], axis=1, out=p[:, 1:])
+    p_rest *= tau_ksq
+    p_rest += np.reshape(p0, (-1, 1))
+    p[:, 0] = p0
 
 
 def _residual_arrays(ham, tau_ksq, tau_vol, q, p, out=None):
@@ -394,7 +416,9 @@ class _Workspace:
 
     Per member-step, for up to ``members`` rows: four dgtsv bands (two doubles
     each), c and e (also the line search's scratch), tau * V, dq, dp and two
-    copies of (q, p, rq), 19 doubles. ``work[rows]`` (consecutive) has those t-nodes' data.
+    copies of (q, p, rq), 19 doubles; the start is written into the first copy
+    of q and p, and its polynomial terms go through the second copy of q.
+    ``work[rows]`` (consecutive) has those t-nodes' data.
     A shooting direction is combined into dq and dp, and its defect against the
     linearized system uses the bands as scratch until a fallback dgtsv refills them.
     """
@@ -507,48 +531,54 @@ def _line_search(ham, block, dq, dp):
     return taken, pending & found, pending & ~found
 
 
+class _Outcome(NamedTuple):
+    """How a block member ended: ``message`` names a failure (``NonConvergenceError(*outcome)``), None if converged."""
+
+    message: Optional[str]
+    residual: float
+    iterations: int
+    history: tuple
+    no_descent: int
+    steps: tuple
+
+
 def _solve_batch(
-    problem: LiquidationProblem, t_starts, q_starts, opts: SolveOptions, stencils=None, work=None
+    problem: LiquidationProblem, t_starts, q_starts, opts: SolveOptions, q_out, p_out, stencil=((), (), None), work=None
 ) -> list:
     """Solve from each (t_starts[k], q_starts[k]) to zero at the horizon, in one Newton loop.
 
-    ``stencils[k]``, if given and not empty, holds converged (q, p[0]) on member
-    k's grid from which ``_start`` extrapolates its starting curve; otherwise
-    the member starts from the straight line. Returns, in member order, each
-    member's ``Trajectory`` or the ``NonConvergenceError`` it failed with.
-    Live members share the iteration counter, so a member's count is the
-    loop's count when it leaves. ``work``, if given, is a ``_Workspace`` on the
-    t-nodes ``t_starts``, for at least as many members; else the call makes one.
+    Member k starts as ``_start`` makes it from ``stencil`` = (qs, p0s, depth),
+    by default from the straight line. A converged member's q and p are
+    written to the rows ``q_out[k]`` and ``p_out[k]`` ((K, J+1) each); a
+    failed member's rows are left as they were. Returns each member's
+    ``_Outcome``, in member order. Live members share the iteration counter,
+    so a member's count is the loop's count when it leaves. ``work``, if
+    given, is a ``_Workspace`` on the t-nodes ``t_starts``, for at least as
+    many members; else the call makes one.
     """
     ham = hamiltonian_of(problem.cost)
     ksq = problem.market.gamma * problem.market.sigma**2
     work = _Workspace(problem, t_starts, opts.n_steps, len(t_starts)) if work is None else work
-    grids = work.grids
-    if opts.newton_tol is not None:
-        tol = np.full(len(grids), opts.newton_tol)
-    else:
-        tol = 1e-10 * np.asarray(q_starts, dtype=float)
+    K = len(work.grids)
+    q_starts = np.asarray(q_starts, dtype=float)
+    tol = np.full(K, opts.newton_tol) if opts.newton_tol is not None else 1e-10 * q_starts
     block = _Block(work, np.maximum(tol, 1e-300), ksq)
-    for k, (grid, q, stencil) in enumerate(zip(grids, q_starts, stencils or [()] * len(grids))):
-        block.q[k], block.p[k] = _start(grid, ksq, q, stencil)
-    solo = len(grids) == 1  # a block keeps dgtsv when it shrinks to one member
+    _start(block.tau_ksq, q_starts, block.q, block.p, *stencil, scratch=block.spare[0])
+    solo = K == 1  # a block keeps dgtsv when it shrinks to one member
     block.current = block.residual(ham, slice(None), block.q, block.p, block.rq)
 
-    results = [None] * len(grids)
-    histories = [[] for _ in grids]
-    steps = [[] for _ in grids]
-    no_descent = [0] * len(grids)
+    results = [None] * K
+    histories = [[] for _ in range(K)]
+    steps = [[] for _ in range(K)]
+    no_descent = [0] * K
 
     def record(k, message=None):
-        """Store row k's result: its trajectory, or the error named by ``message``."""
+        """Store row k's outcome, and its q and p if it converged (``message`` None)."""
         member = block.member[k]
-        trail = (tuple(histories[member]), no_descent[member], tuple(steps[member]))
-        residual = float(block.current[k])
         if message is None:
-            grid, q, p = grids[member], block.q[k].copy(), block.p[k].copy()  # the loop reuses the rows
-            results[member] = Trajectory(grid, q, p, _speeds(grid, q), iterations, residual, *trail)
-        else:
-            results[member] = NonConvergenceError(message, residual, iterations, *trail)
+            q_out[member], p_out[member] = block.q[k], block.p[k]
+        trail = (tuple(histories[member]), no_descent[member], tuple(steps[member]))
+        results[member] = _Outcome(message, float(block.current[k]), iterations, *trail)
 
     def drop(mask, message):
         """Fail the rows under ``mask``; True while members are left."""
@@ -598,10 +628,12 @@ def _solve_batch(
 
 
 def _solve_one(problem: LiquidationProblem, t_start: float, q_start: float, opts: SolveOptions) -> Trajectory:
-    (result,) = _solve_batch(problem, [t_start], [q_start], opts)
-    if isinstance(result, NonConvergenceError):
-        raise result
-    return result
+    q, p = np.empty(opts.n_steps + 1), np.empty(opts.n_steps + 1)
+    (outcome,) = _solve_batch(problem, [t_start], [q_start], opts, q[None], p[None])
+    if outcome.message is not None:
+        raise NonConvergenceError(*outcome)
+    grid = Grid(opts.n_steps, t_start, problem.horizon)
+    return Trajectory(grid, q, p, _speeds(grid, q), outcome.iterations, outcome.residual, *outcome[3:])
 
 
 def newton_solve(problem: LiquidationProblem, opts: Optional[SolveOptions] = None) -> Trajectory:

@@ -22,7 +22,7 @@ from .closed_forms import theta_infinity
 from .legendre import hamiltonian_of
 from .market_model import LiquidationProblem
 from .objective import _objective, eval_I
-from .solver import NonConvergenceError, SolveOptions, _solve_batch, _Workspace, newton_solve
+from .solver import SolveOptions, _solve_batch, _Workspace, newton_solve
 
 __all__ = [
     "BATCH_MEMBERS",
@@ -124,21 +124,26 @@ def build_grid(
     and its own are evenly spaced in q, and otherwise the curve to its left
     scaled by the ratio of the two inventories. A failed cell empties its
     t-node's stencil, so the cell to its right starts from the straight
-    line, as a cell of the first solved column does. A block takes its Newton
-    directions from one ``dgtsv`` call, and a cell's result is bit for bit
-    what that direction gives it alone from the same start, so its
+    line, as a cell of the first solved column does. A block's members are
+    started together, rows of one stencil depth at a time. A block takes its
+    Newton directions from one ``dgtsv`` call, and a cell's result is bit for
+    bit what that direction gives it alone from the same start, so its
     blockmates never affect it; a block of one cell shoots. Every block of
     every column works in the one ``solver._Workspace`` of the build, sized to
-    the largest block (19 doubles per member-step). The converged cells of a
-    block are valued in one row-wise call, each with the bits of its own
-    ``eval_I``. A cell's own ``solve_from`` shoots, so the two agree only as
-    far as shooting does: to 3.8e-16 relative on the reference grid, but not
-    in the known defect of the ``solver`` docstring, where shooting can stop
-    on a wrong curve. On evenly spaced q-nodes no cell took more
-    iterations than from the straight line or from the scaled curve to its
-    left in any grid measured, while a jump of many orders of magnitude
-    between neighbouring q-nodes can cost more than the straight line. Solver
-    failures do not abort the build: the cell is masked and left NaN.
+    the largest block (19 doubles per member-step). Each t-node's last
+    ``_STENCIL`` converged q rows and p[0] live in a ring of as many slots: a
+    block's converged curves overwrite the oldest slot once its start has read
+    it (zeros for a failed cell), its p rows one reused buffer. Each block is
+    valued by one row-wise ``_objective`` call on its ring rows, every cell
+    with the bits of its own ``eval_I`` (NaN for a failed one). A cell's own
+    ``solve_from`` shoots, so the two agree only as far as shooting does: to
+    3.8e-16 relative on the reference grid, but not in the known defect of
+    the ``solver`` docstring, where shooting can stop on a wrong curve. On
+    evenly spaced q-nodes no cell took more iterations than from the straight
+    line or from the scaled curve to its left in any grid measured, while a
+    jump of many orders of magnitude between neighbouring q-nodes can cost
+    more than the straight line. Solver failures do not abort the build: the
+    cell is masked and left NaN.
     """
     opts = opts or SolveOptions()
     T = problem.horizon
@@ -164,28 +169,28 @@ def build_grid(
     size = max(1, min(BATCH_MEMBERS, _BLOCK_DOUBLES // (opts.n_steps + 1)))
     blocks = np.array_split(np.arange(len(t_nodes)), math.ceil(len(t_nodes) / size))
     work = _Workspace(problem, t_nodes, opts.n_steps, len(blocks[0]))
-    stencils = [[] for _ in t_nodes]  # each t-node's converged (q, p[0]) in the last columns, oldest first
-    for k, q in enumerate(q_nodes):
-        if q == 0.0:
-            continue
+    # each t-node's converged q and p[0] in the last _STENCIL solved columns, a ring whose
+    # oldest slot a column's results overwrite; kept counts each t-node's valid slots
+    ring_q, ring_p0 = np.zeros((_STENCIL, len(t_nodes), opts.n_steps + 1)), np.zeros((_STENCIL, len(t_nodes)))
+    kept = np.zeros(len(t_nodes), dtype=int)
+    p_rows = np.empty((len(blocks[0]), opts.n_steps + 1))  # only p[0] is kept
+    for solved, k in enumerate(np.flatnonzero(q_nodes)):
         depth = 1  # one column to the left, at any spacing, or more while evenly spaced with this one
         while depth < min(k, _STENCIL) and _evenly_spaced(q_nodes[k - depth - 1 : k + 1]):
             depth += 1
+        slots, new = [(solved - d) % _STENCIL for d in range(depth, 0, -1)], solved % _STENCIL
         for rows in blocks:
-            part = work[rows]
-            results = _solve_batch(
-                problem, t_nodes[rows], [q] * len(rows), opts, [stencils[i][-depth:] for i in rows], part
-            )
-            values[rows, k] = _values(problem, results, part)
-            for i, result in zip(rows, results):
-                iterations[i, k] = result.iterations
-                if isinstance(result, NonConvergenceError):
-                    failed[i, k], residuals[i, k] = True, result.residual
-                    stencils[i] = []
-                else:
-                    residuals[i, k] = result.max_residual
-                    stencils[i] = (stencils[i] + [(result.q, result.p[0])])[-_STENCIL:]
-            del results  # the trajectories' p and v would otherwise live through the next solve
+            part, r, p = work[rows], slice(rows[0], rows[-1] + 1), p_rows[: len(rows)]
+            q = ring_q[new, r]
+            stencil = [ring_q[s, r] for s in slots], [ring_p0[s, r] for s in slots], np.minimum(kept[r], depth)
+            outcomes = _solve_batch(problem, t_nodes[r], np.full(len(rows), q_nodes[k]), opts, q, p, stencil, part)
+            lost = np.array([outcome.message is not None for outcome in outcomes])
+            failed[r, k], iterations[r, k] = lost, [outcome.iterations for outcome in outcomes]
+            residuals[r, k] = [outcome.residual for outcome in outcomes]
+            q[lost], ring_p0[new, r] = 0.0, p[:, 0]  # a failed cell's slot is valued as zeros, never extrapolated
+            kept[r] = np.where(lost, 0, np.minimum(kept[r] + 1, _STENCIL))
+            v = (q[:, :-1] - q[:, 1:]) / part.tau[:, None]
+            values[r, k] = np.where(lost, np.nan, _objective(problem, part.tau, part.vol, q, v))
     return ValueGrid(
         t_nodes=t_nodes,
         q_nodes=q_nodes,
@@ -196,19 +201,6 @@ def build_grid(
         iterations=iterations,
         residuals=residuals,
     )
-
-
-def _values(problem: LiquidationProblem, results, work) -> np.ndarray:
-    """``eval_I`` of each converged member of a block in one row-wise call; NaN for a failed one.
-
-    ``work`` is the block's ``solver._Workspace``, with every member's tau and cell volumes.
-    """
-    values = np.full(len(results), np.nan)
-    solved = [k for k, result in enumerate(results) if not isinstance(result, NonConvergenceError)]
-    if solved:
-        q, v = np.array([results[k].q for k in solved]), np.array([results[k].v for k in solved])
-        values[solved] = _objective(problem, work.tau[solved], work.vol[solved], q, v)
-    return values
 
 
 def _evenly_spaced(nodes) -> bool:
@@ -259,15 +251,18 @@ def hj_residual(grid: ValueGrid) -> HJResidualReport:
 def check_structure(grid: ValueGrid) -> StructureReport:
     """Verify monotonicity in time and inventory, convexity in inventory, and
     the execution-cost lower bound, cell-wise with a tolerance scaled to the
-    largest grid value."""
+    largest finite grid value. A NaN cell (a failed solve) violates every
+    check that reads it; ``worst`` is the least finite deficit."""
     th = grid.values
     problem = grid.problem
-    tol = _STRUCTURE_TOL * float(np.nanmax(np.abs(th))) if th.size else 0.0
+    finite = th[np.isfinite(th)]
+    tol = _STRUCTURE_TOL * float(np.max(np.abs(finite))) if finite.size else 0.0
     checks = []
 
     def summarize(name, deficits):
-        worst = float(np.min(deficits)) if deficits.size else 0.0
-        violations = int(np.sum(deficits < -tol))
+        known = deficits[np.isfinite(deficits)]
+        worst = float(np.min(known)) if known.size else 0.0
+        violations = int(np.sum(~(deficits >= -tol)))  # a NaN deficit is a violation
         checks.append(
             PropertyCheck(
                 name=name,

@@ -48,3 +48,22 @@ def linear_trajectory(problem, n_steps):
     q = problem.q0 * (1.0 - j / n_steps)
     v = (q[:-1] - q[1:]) / grid.tau
     return Trajectory(grid=grid, q=q, p=np.zeros(n_steps + 1), v=v)
+
+
+def member_result(problem, t_start, n_steps, q, p, outcome):
+    """A block member's result as a solo solve gives it: its trajectory on q and p, or its error."""
+    from blocktrade.solver import Grid, NonConvergenceError, Trajectory
+
+    if outcome.message is not None:
+        return NonConvergenceError(*outcome)
+    grid = Grid(n_steps=n_steps, t_start=t_start, t_end=problem.horizon)
+    return Trajectory(grid, q, p, (q[:-1] - q[1:]) / grid.tau, outcome.iterations, outcome.residual, *outcome[3:])
+
+
+def solve_batch(problem, t_starts, q_starts, opts, stencil=((), (), None), work=None):
+    """``solver._solve_batch`` with each member's ``member_result``, on rows of two arrays the call makes."""
+    from blocktrade.solver import _solve_batch
+
+    q, p = np.empty((2, len(t_starts), opts.n_steps + 1))
+    outcomes = _solve_batch(problem, t_starts, q_starts, opts, q, p, stencil, work)
+    return [member_result(problem, t, opts.n_steps, *member) for t, *member in zip(t_starts, q, p, outcomes)]

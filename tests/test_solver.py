@@ -32,13 +32,12 @@ from blocktrade.solver import (
     _direction_by_banded,
     _linear_defect,
     _propagate,
-    _solve_batch,
     discrete_residual,
     initial_guess,
     newton_solve,
     solve_from,
 )
-from conftest import linear_trajectory, make_quadratic_problem, make_reference_problem
+from conftest import linear_trajectory, make_quadratic_problem, make_reference_problem, solve_batch
 
 
 def test_initial_guess_endpoints_and_first_dual(reference_problem):
@@ -183,15 +182,65 @@ def test_start_extrapolates_a_polynomial_in_inventory(m):
         return (Q**degrees) @ q_coef, (Q**degrees) @ p_coef
 
     nodes = 2.0 + 0.5 * np.arange(m + 1)
-    stencil = [(q, p[()]) for q, p in map(at, nodes[:-1])]
+    qs, p0s = zip(*(at(Q) for Q in nodes[:-1]))
     q_start = nodes[-1]
-    q, p = solver._start(grid, 0.7, q_start, stencil)
+    q, p = np.empty((2, 1, 21))
+    stencil = [q_i[None] for q_i in qs], [p0[None] for p0 in p0s]
+    solver._start(np.array([[grid.tau * 0.7]]), np.array([q_start]), q, p, *stencil)
+    q, p = q[0], p[0]
     expected_q, expected_p0 = at(q_start)
     assert q[0] == q_start and q[-1] == 0.0
     np.testing.assert_allclose(q[1:-1], expected_q[1:-1], rtol=1e-12)
     assert p[0] == pytest.approx(expected_p0, rel=1e-12)
     # p is the forward pass of the p-recurrence, so its defect is rounding
     np.testing.assert_allclose(p[1:] - p[:-1], grid.tau * 0.7 * q[1:], rtol=1e-12)
+
+
+def one_row_start(tau_ksq, n_steps, q_start, stencil):
+    """A member's start as the one-row code built it from (q, p[0]) pairs: the reference for bit identity."""
+    m = len(stencil)
+    if m == 0:
+        q = (1.0 - np.arange(n_steps + 1) / n_steps) * q_start
+        p0 = 0.0
+    elif m == 1:
+        ((q_left, p0_left),) = stencil
+        s = q_start / q_left[0]
+        q, p0 = s * q_left, s * p0_left
+    else:
+        weights = [(-1) ** (m - 1 - i) * math.comb(m, i) for i in range(m)]
+        q = sum(w * q_i for w, (q_i, _) in zip(weights, stencil))
+        p0 = sum(w * p0_i for w, (_, p0_i) in zip(weights, stencil))
+    q[0], q[-1] = q_start, 0.0
+    p = np.full(n_steps + 1, p0)
+    p[1:] += tau_ksq * np.cumsum(q[1:])
+    return q, p
+
+
+@pytest.mark.parametrize("depths", [[0] * 5, [1] * 5, [2] * 5, [3] * 5, [4] * 5, [4, 0, 2, 4, 1]])
+def test_a_block_start_is_each_rows_one_row_start_bit_for_bit(depths):
+    # the K rows started together (per depth group when depths differ), each row
+    # started alone, and the one-row code: the same bits, compared as int64
+    rng = np.random.default_rng(len(set(depths)) + sum(depths))
+    K, J = len(depths), 60
+    b = rng.uniform(1e-4, 1.0, (K, 1))
+    q_start = rng.uniform(1e4, 1e6, K)
+    qs = [rng.normal(size=(K, J + 1)) * 10.0 ** rng.uniform(-3, 6, (K, J + 1)) for _ in range(4)]
+    p0s = [rng.normal(size=K) for _ in range(4)]
+    for a, q_i in enumerate(qs):  # the weight on qs[a] has the sign (-1)**(3 - a) at any depth
+        q_i[:, 5] = 0.0 if (3 - a) % 2 else -0.0  # every term -0.0: summed from 0, q[5] is +0.0
+    depth = np.array(depths)
+    q, p = np.empty((2, K, J + 1))
+    solver._start(b, q_start, q, p, qs, p0s, depth)
+    for k, d in enumerate(depths):
+        alone = np.empty((2, 1, J + 1))
+        last = slice(4 - d, None)
+        row = [a[k : k + 1] for a in qs[last]], [a[k : k + 1] for a in p0s[last]]
+        solver._start(b[k : k + 1], q_start[k : k + 1], *alone, *row)
+        pairs = [(a[k].copy(), p0[k]) for a, p0 in zip(qs[last], p0s[last])]
+        expected = one_row_start(float(b[k, 0]), J, q_start[k], pairs)
+        for got, one_row, reference in zip((q[k], p[k]), alone[:, 0], expected):
+            assert np.array_equal(got.view(np.int64), one_row.view(np.int64))
+            assert np.array_equal(got.view(np.int64), reference.view(np.int64))
 
 
 def test_solve_from_start_equals_full_solve(reference_problem):
@@ -539,7 +588,7 @@ def test_long_horizon_batch_takes_the_fallback_and_matches_solo_solves(monkeypat
         return _direction_by_banded(*args)
 
     monkeypatch.setattr(solver, "_direction_by_banded", counted)
-    batched = _solve_batch(problem, *zip(*starts), opts)
+    batched = solve_batch(problem, *zip(*starts), opts)
     assert calls
     monkeypatch.undo()
     for result, (t, q) in zip(batched, starts):
@@ -643,7 +692,7 @@ def test_failing_member_is_returned_and_leaves_the_others_bit_identical(referenc
     # alone, the 2e6 block needs 8 iterations and the others at most 7
     opts = SolveOptions(n_steps=200, max_iter=7)
     starts = [(0.0, 5e5), (0.5, 1e5), (0.0, 2e6), (0.8, 5e3)]
-    batched = _solve_batch(reference_problem, *zip(*starts), opts)
+    batched = solve_batch(reference_problem, *zip(*starts), opts)
     assert [isinstance(r, NonConvergenceError) for r in batched] == [False, False, True, False]
     for result, (t, q) in zip(batched, starts):
         assert_same_outcome(result, solo_by_gtsv(reference_problem, t, q, opts))
@@ -662,7 +711,7 @@ def test_line_search_stops_once_every_member_has_its_step(monkeypatch):
         return candidate(self, ham, rows, alpha, dq, dp)
 
     monkeypatch.setattr(solver._Block, "candidate", logged)
-    first, second = _solve_batch(problem, *zip(*starts), SolveOptions(n_steps=200))
+    first, second = solve_batch(problem, *zip(*starts), SolveOptions(n_steps=200))
     assert first.steps == (1.0,) * 4 and second.steps == (0.5, 1.0, 1.0, 1.0)
     # no halving runs once both members have their step: one more call than iterations
     assert tried == [(2, 1.0), (1, 0.5), (2, 1.0), (2, 1.0), (2, 1.0)]
@@ -697,13 +746,13 @@ def test_a_shared_workspace_gives_a_solo_solve_the_bits_of_a_fresh_one(horizon, 
         return direction_by_banded(c, e, b, work)
 
     monkeypatch.setattr(solver, "_direction_by_banded", counted)
-    fresh = _solve_batch(problem, [0.0], [problem.q0], opts)[0]
+    fresh = solve_batch(problem, [0.0], [problem.q0], opts)[0]
     assert len(banded) == fallbacks
     work = solver._Workspace(problem, [0.0], opts.n_steps, 1)
     for array in (work.bands, work.c, work.e, work.tau_vol, work.dq, work.dp, *work.state):
         array.fill(np.nan)
     for _ in range(2):
-        shared = _solve_batch(problem, [0.0], [problem.q0], opts, None, work)[0]
+        shared = solve_batch(problem, [0.0], [problem.q0], opts, work=work)[0]
         for name in ("q", "p", "history", "steps"):
             got, expected = (np.asarray(getattr(traj, name)) for traj in (shared, fresh))
             assert np.array_equal(got.view(np.int64), expected.view(np.int64)), name
@@ -717,10 +766,10 @@ def test_a_warm_block_allocates_little_beyond_its_results(reference_problem):
     q_starts = [reference_problem.q0] * len(t_nodes)
     opts = SolveOptions(n_steps=1000)
     work = solver._Workspace(reference_problem, t_nodes, opts.n_steps, len(t_nodes))
-    _solve_batch(reference_problem, t_nodes, q_starts, opts, None, work)
+    solve_batch(reference_problem, t_nodes, q_starts, opts, work=work)
     tracemalloc.start()
     try:
-        results = _solve_batch(reference_problem, t_nodes, q_starts, opts, None, work)
+        results = solve_batch(reference_problem, t_nodes, q_starts, opts, work=work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -737,10 +786,11 @@ def test_a_warm_solo_solve_allocates_little_beyond_its_shooting_chains(horizon):
     problem = make_reference_problem(horizon=horizon)
     opts = SolveOptions(n_steps=1000)
     work = solver._Workspace(problem, [0.0], opts.n_steps, 1)
-    _solve_batch(problem, [0.0], [problem.q0], opts, None, work)
+    q, p = np.empty((2, 1, opts.n_steps + 1))  # the caller's rows for the converged curve
+    solver._solve_batch(problem, [0.0], [problem.q0], opts, q, p, work=work)
     tracemalloc.start()
     try:
-        _solve_batch(problem, [0.0], [problem.q0], opts, None, work)
+        solver._solve_batch(problem, [0.0], [problem.q0], opts, q, p, work=work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -748,12 +798,21 @@ def test_a_warm_solo_solve_allocates_little_beyond_its_shooting_chains(horizon):
 
 
 def test_returned_trajectories_own_their_arrays(reference_problem):
+    # a solo solve's trajectory holds arrays of its own, and a block writes its
+    # members' curves to the caller's rows: no view pins the workspace
+    traj = solve_from(reference_problem, 0.2, 3e5, SolveOptions(n_steps=100))
+    assert traj.q.base is None and traj.p.base is None
     starts = [(0.0, 5e5), (0.2, 3e5), (0.4, 1e5)]
-    batched = _solve_batch(reference_problem, *zip(*starts), SolveOptions(n_steps=100))
-    for traj in batched:
-        assert traj.q.base is None and traj.p.base is None  # no view pins the block
-    for a, b in zip(batched, batched[1:]):
-        assert not np.shares_memory(a.q, b.q) and not np.shares_memory(a.p, b.p)
+    opts = SolveOptions(n_steps=100)
+    work = solver._Workspace(reference_problem, [t for t, _ in starts], opts.n_steps, len(starts))
+    q, p = np.empty((2, len(starts), opts.n_steps + 1))
+    solver._solve_batch(reference_problem, *zip(*starts), opts, q, p, work=work)
+    assert q[:, 0].tolist() == [q0 for _, q0 in starts] and np.isfinite(p).all()
+    kept = q.copy(), p.copy()
+    solver._solve_batch(reference_problem, [0.0, 0.2, 0.4], [1e5, 2e5, 4e5], opts, *np.empty((2, 3, 101)), work=work)
+    assert np.array_equal(q, kept[0]) and np.array_equal(p, kept[1])  # a later block left them as they were
+    for array in (q, p):
+        assert not any(np.shares_memory(array, w) for w in (work.bands, work.dq, work.dp, *work.state))
 
 
 def test_step_count_is_bounded():
@@ -860,7 +919,7 @@ def test_block_solve_is_the_exact_discrete_almgren_chriss_curve(horizon, gamma, 
     # 6.1e-11 * q at any tolerance: the direction never corrects the p-defect of 3e-10 that
     # its first step leaves, since the p-rows of its system have a zero right-hand side.
     starts = [(0.0, q0), (0.5 * horizon, 0.5 * q0)]  # two members: the dgtsv direction
-    for traj, (_, q) in zip(_solve_batch(problem, *zip(*starts), SolveOptions(n_steps=n)), starts):
+    for traj, (_, q) in zip(solve_batch(problem, *zip(*starts), SolveOptions(n_steps=n)), starts):
         assert isinstance(traj, Trajectory)
         assert np.max(np.abs(traj.q - discrete_ac_curve(problem, traj.grid, q))) <= 1e-10 * q
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -22,6 +24,7 @@ from blocktrade.value_function import (
     check_structure,
     hj_residual,
 )
+from conftest import member_result, solve_batch
 OPTS = SolveOptions(n_steps=500)
 
 
@@ -166,6 +169,17 @@ def test_corrupted_cell_is_flagged(reference_problem):
     assert flagged & {"monotone_t", "monotone_q", "convex_q"}
 
 
+def test_failed_cells_violate_every_check_that_reads_them(reference_problem):
+    # one Newton step solves no cell; the checks once passed on nine NaN cells
+    # and warned of an all-NaN slice (warnings are errors in this suite)
+    grid = build_grid(reference_problem, [0.0, 0.3, 0.6], [1e5, 2e5, 3e5], SolveOptions(n_steps=100, max_iter=1))
+    assert grid.failed.all() and np.isnan(grid.values).all()
+    report = check_structure(grid)
+    assert not report.ok
+    for check in report.checks:
+        assert check.checked and not check.passed and check.violations > 0 and check.worst == 0.0
+
+
 def test_single_column_grid_checks_degrade(reference_problem):
     grid = build_grid(reference_problem, [0.0, 0.3, 0.6], [2e5], OPTS)
     report = check_structure(grid)
@@ -260,7 +274,8 @@ def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, mo
     for i in (0, 4, 8):
         stencil = []
         for k, q in enumerate(q_nodes[1:], start=1):
-            (alone,) = solver._solve_batch(reference_problem, [t_nodes[i]], [q], opts, [stencil])
+            qs, p0s = [q_i[None] for q_i, _ in stencil], [np.array([p0]) for _, p0 in stencil]
+            (alone,) = solve_batch(reference_problem, [t_nodes[i]], [q], opts, (qs, p0s, None))
             assert alone.iterations == grid.iterations[i, k]
             if isinstance(alone, NonConvergenceError):
                 assert grid.failed[i, k] and alone.residual == grid.residuals[i, k]
@@ -281,6 +296,21 @@ def test_reference_surface_takes_at_most_700_iterations(reference_problem):
     assert grid.iterations.sum() <= 700
 
 
+def test_a_warm_reference_surface_stays_under_the_traced_peak_of_copied_trajectories(reference_problem):
+    # copying every converged cell out as a Trajectory and stacking the block's
+    # rows again for its values peaked at 5.61 MB; writing the curves into the
+    # build's ring of the last four columns peaks at 4.90 MB
+    args = (reference_problem, np.linspace(0.0, 0.9, 21), np.linspace(0.0, reference_problem.q0, 21))
+    build_grid(*args, SolveOptions(n_steps=1000))
+    tracemalloc.start()
+    try:
+        build_grid(*args, SolveOptions(n_steps=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.6e6
+
+
 U_SHAPED = PiecewiseLinearVolume(((0.0, 8e6), (0.5, 2e6), (1.0, 8e6)))
 
 
@@ -292,10 +322,12 @@ def test_block_values_are_eval_I_of_each_member_bit_for_bit(reference_problem, v
     solve_batch = value_function._solve_batch
     blocks = []
 
-    def recording(problem, t_starts, q_starts, *rest):
-        results = solve_batch(problem, t_starts, q_starts, *rest)
+    def recording(problem, t_starts, q_starts, opts, q, p, *rest):
+        outcomes = solve_batch(problem, t_starts, q_starts, opts, q, p, *rest)
+        rows = zip(t_starts, q.copy(), p.copy(), outcomes)
+        results = [member_result(problem, t, opts.n_steps, *member) for t, *member in rows]
         blocks.append((t_starts, q_starts[0], results))
-        return results
+        return outcomes
 
     monkeypatch.setattr(value_function, "_solve_batch", recording)
     # five Newton steps fail the three earliest t-nodes of the first columns
