@@ -1,31 +1,29 @@
-"""Euler simulation of the price and cash dynamics under a fixed schedule.
+"""The Euler scheme of the price and cash dynamics under a fixed schedule, sampled by its exact law.
 
-Validates the Gaussian law of the terminal wealth empirically: for a
-deterministic selling schedule the simulated mark-to-market wealth
-X_T + q_T * S_T must match the analytic mean and variance, with zero excess
-kurtosis. The permanent-impact drift of the price is integrated exactly over
-every substep (it is the increment of the impact antiderivative along the
+For a deterministic selling schedule the mark-to-market wealth
+X_T + q_T * S_T is Gaussian, with an analytic mean and variance. The scheme
+integrates the permanent-impact drift of the price exactly over every
+substep (it is the increment of the impact antiderivative along the
 schedule), which removes the integrable singularity of the per-share impact
 at the first trade; the cash integral is left-endpoint Euler, with substeps
 controlling its bias.
 
-Under a fixed schedule this Euler wealth is affine in the increments z_i,
-c + sigma * sqrt(tau_s) * sum_i Q_i z_i with Q_i the inventory held after
-substep i, so every increment is drawn but costs one multiply-add; c and the
-sum of the squared weights are the scheme's exact mean and variance.
-
-Paths are simulated in fixed blocks of ``BLOCK_PATHS``. Block ``b`` draws from
-its own SFC64 stream, seeded by child ``b`` of ``SeedSequence(seed).spawn``, so
-the blocks run on parallel threads and the samples depend only on the seed,
-the path count and the substep count, never on the number of CPUs (seed
-scheme 3; scheme 2 gave each block a PCG64 child, and scheme 1 was a single
-``default_rng(seed)`` stream over all paths).
+Under a fixed schedule the Euler wealth is affine in the Brownian increments
+z_i, c + sigma * sqrt(tau_s) * sum_i Q_i z_i with Q_i the inventory held
+after substep i, so its law is exactly N(c, sum of the squared weights)
+(``euler_law``). Those moments carry no sampling error: against the analytic
+law they show the scheme's bias alone. ``simulate_cash`` draws each path's
+wealth from that law, c + sqrt(sum w_i^2) * z, with one standard normal per
+path, in path order, from a single SFC64 stream seeded by
+``SeedSequence(seed)`` (seed scheme 4); its sample moments therefore check
+the generator and the moment code, not the scheme. Earlier schemes drew
+every increment (README, ``simulation.json``): the samples keep their law
+across schemes, not their bits.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,19 +33,18 @@ from .market_model import LiquidationProblem
 from .solver import Trajectory
 
 __all__ = [
-    "BLOCK_PATHS",
     "MAX_EULER_STEPS",
     "MAX_PATHS",
     "SEED_SCHEME",
     "SimulationConfig",
     "SimulationResult",
+    "euler_law",
     "simulate_cash",
 ]
 
-BLOCK_PATHS = 50_000  # paths per random stream and per unit of thread work
 MAX_PATHS = 10_000_000  # 80 MB of terminal wealth; guards against a typo
-MAX_EULER_STEPS = 1_000_000  # the schedule's arrays and the list of weights, ~100 MB at this bound
-SEED_SCHEME = 3
+MAX_EULER_STEPS = 1_000_000  # the schedule's arrays, ~100 MB at this bound
+SEED_SCHEME = 4
 
 
 @dataclass(frozen=True)
@@ -103,18 +100,19 @@ def _affine_form(problem: LiquidationProblem, traj: Trajectory, n_sub: int):
     s_bar = problem.market.s0 + np.concatenate(([0.0], np.cumsum(drift)))
     c = tau_sub * float(v @ s_bar[:-1]) - tau_sub * float(cost_rate.sum()) + q_end * float(s_bar[-1])
     held = tau_sub * np.append(np.cumsum(v[::-1])[::-1][1:], 0.0) + q_end  # after each substep
-    return c, (problem.market.sigma * math.sqrt(tau_sub) * held).tolist()
+    return c, problem.market.sigma * math.sqrt(tau_sub) * held
 
 
-def _simulate_block(weights, seed_seq, out):
-    """Writes each path's noise sum_i w_i z_i of one block into ``out``."""
-    rng = np.random.Generator(np.random.SFC64(seed_seq))
-    out.fill(0.0)
-    z = np.empty(len(out))
-    for w in weights:
-        rng.standard_normal(out=z)
-        z *= w
-        out += z
+def euler_law(problem: LiquidationProblem, traj: Trajectory, n_substeps: int) -> tuple[float, float]:
+    """Exact mean and variance of the Euler wealth: c and the sum of the squared weights.
+
+    More than ``MAX_EULER_STEPS`` Euler steps per path raise ``ValueError``.
+    """
+    n_euler = traj.grid.n_steps * n_substeps
+    if n_euler > MAX_EULER_STEPS:
+        raise ValueError(f"n_steps * n_substeps must be at most {MAX_EULER_STEPS}, got {n_euler}")
+    c, weights = _affine_form(problem, traj, n_substeps)
+    return c, math.fsum(weights * weights)
 
 
 def simulate_cash(
@@ -123,32 +121,19 @@ def simulate_cash(
     cfg: SimulationConfig,
     keep_samples: bool = False,
 ) -> SimulationResult:
-    """Simulate terminal wealth X_T + q_T * S_T along the trajectory grid.
+    """Sample terminal wealth X_T + q_T * S_T from the Euler scheme's exact law.
 
-    Each trajectory cell is split into ``n_substeps`` Euler steps with
-    Gaussian increments; statistics are reproducible for a fixed seed. For a
-    liquidating trajectory the terminal inventory is zero and the wealth is
-    just the cash. Blocks of ``BLOCK_PATHS`` paths run on up to
-    ``os.cpu_count()`` worker threads. More than
-    ``MAX_EULER_STEPS`` Euler steps per path raise ``ValueError``.
+    Each trajectory cell is split into ``n_substeps`` Euler steps; the wealth
+    of every path is drawn as c + sqrt(sum w_i^2) * z, one standard normal per
+    path, so the samples follow the scheme's law exactly and are reproducible
+    for a fixed seed. For a liquidating trajectory the terminal inventory is
+    zero and the wealth is just the cash. More than ``MAX_EULER_STEPS`` Euler
+    steps per path raise ``ValueError``.
     """
-    n_euler = traj.grid.n_steps * cfg.n_substeps
-    if n_euler > MAX_EULER_STEPS:
-        raise ValueError(f"n_steps * n_substeps must be at most {MAX_EULER_STEPS}, got {n_euler}")
-    c, weights = _affine_form(problem, traj, cfg.n_substeps)
-    n_blocks = -(-cfg.n_paths // BLOCK_PATHS)
-    streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
-    noise = np.empty(cfg.n_paths)  # the wealth less c
-    n_threads = min(os.cpu_count() or 1, n_blocks)
-
-    def run_block(b):
-        block = noise[b * BLOCK_PATHS : (b + 1) * BLOCK_PATHS]
-        _simulate_block(weights, streams[b], block)
-
-    from concurrent.futures import ThreadPoolExecutor  # lazy: kept out of `import blocktrade.cli`
-
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        list(pool.map(run_block, range(n_blocks)))  # re-raises a block's exception
+    c, euler_variance = euler_law(problem, traj, cfg.n_substeps)
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed)))
+    noise = rng.standard_normal(cfg.n_paths)  # the wealth less c
+    noise *= math.sqrt(euler_variance)
 
     # moments of the noise, so a riskless schedule has variance exactly 0
     noise_mean = float(np.mean(noise))
@@ -156,8 +141,9 @@ def simulate_cash(
     se_mean = math.sqrt(variance / cfg.n_paths)
     se_variance = variance * math.sqrt(2.0 / max(cfg.n_paths - 1, 1))
     centered = noise - noise_mean
-    m2 = float(np.mean(centered**2))
-    m4 = float(np.mean(centered**4))
+    squares = np.square(centered, out=centered)
+    m2 = float(np.mean(squares))
+    m4 = float(np.dot(squares, squares)) / cfg.n_paths
     excess_kurtosis = m4 / (m2 * m2) - 3.0 if m2 > 0 else 0.0
     return SimulationResult(
         mean=noise_mean + c,
@@ -167,6 +153,6 @@ def simulate_cash(
         excess_kurtosis=excess_kurtosis,
         n_paths=cfg.n_paths,
         euler_mean=c,
-        euler_variance=math.fsum(w * w for w in weights),
+        euler_variance=euler_variance,
         samples=np.add(noise, c, out=noise) if keep_samples else None,
     )

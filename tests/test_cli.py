@@ -125,13 +125,13 @@ def test_n_steps_override(tmp_path, capsys):
 
 
 def test_outputs_are_byte_deterministic(tmp_path, capsys):
-    cfg_path = write_config(tmp_path)
+    cfg_path = write_config(tmp_path, BASE_CONFIG + "mc.dump_paths = true\n")
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
         code, _ = run_cli(capsys, "simulate", "--config", cfg_path, "--out-dir", str(out))
         assert code == 0
-        outs.append((out / "simulation.json").read_bytes())
+        outs.append([(out / file).read_bytes() for file in ("simulation.json", "paths.csv")])
     assert outs[0] == outs[1]
     solves = []
     for name in ("c", "d"):
@@ -296,7 +296,7 @@ def test_simulation_json_reports_its_verdict(tmp_path, capsys):
     code, _ = run_cli(capsys, "simulate", "--config", write_config(tmp_path), "--out-dir", str(out))
     assert code == 0
     payload = json.loads((out / "simulation.json").read_text())
-    assert payload["seed_scheme"] == 3
+    assert payload["seed_scheme"] == 4
     empirical, analytic, euler = payload["empirical"], payload["analytic"], payload["euler"]
     assert payload["z_mean"] == (empirical["mean"] - analytic["mean"]) / empirical["se_mean"]
     assert payload["variance_ratio"] == empirical["variance"] / analytic["variance"]
@@ -309,6 +309,25 @@ def test_simulation_json_reports_its_verdict(tmp_path, capsys):
     code, _ = run_cli(capsys, "simulate", "--config", write_config(tmp_path, text, "one.cfg"), "--out-dir", str(out))
     assert code == 0
     assert json.loads((out / "simulation.json").read_text())["z_mean"] is None
+
+
+def test_simulation_json_reports_the_euler_gap_and_its_order(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    code, _ = run_cli(capsys, "simulate", "--config", write_config(tmp_path), "--out-dir", str(out))
+    assert code == 0
+    payload = json.loads((out / "simulation.json").read_text())
+    gap = payload["euler_gap"]
+    assert gap["n_substeps"] == [4, 8]
+    for name in ("mean", "variance"):
+        assert gap[name]["at_n_substeps"] == payload["euler"][name] - payload["analytic"][name]
+        assert gap[name]["ratio"] == gap[name]["at_n_substeps"] / gap[name]["at_2n_substeps"]
+        assert 1.9 <= gap[name]["ratio"] <= 2.1  # the scheme is first order
+
+    # a finer scheme past the step bound is not built: no gap, and the simulation still runs
+    monkeypatch.setattr(cli, "MAX_EULER_STEPS", 1000 * 4)
+    code, _ = run_cli(capsys, "simulate", "--config", write_config(tmp_path), "--out-dir", str(out))
+    assert code == 0
+    assert json.loads((out / "simulation.json").read_text())["euler_gap"] is None
 
 
 def test_negative_seed_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
@@ -422,7 +441,7 @@ def test_readme_documents_exactly_the_schema_and_the_flags():
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     src = os.path.dirname(os.path.dirname(blocktrade.__file__))
-    # montecarlo imports concurrent.futures only when it starts its threads
+    # no command runs on a thread pool, so starting the CLI loads none
     code = "import sys, blocktrade.cli; sys.exit(bool({'scipy.integrate', 'concurrent.futures'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

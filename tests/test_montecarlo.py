@@ -1,13 +1,11 @@
 import math
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from blocktrade import montecarlo
-from blocktrade.montecarlo import BLOCK_PATHS, MAX_EULER_STEPS, MAX_PATHS, SimulationConfig, simulate_cash
+from blocktrade.montecarlo import MAX_EULER_STEPS, MAX_PATHS, SimulationConfig, euler_law, simulate_cash
 from blocktrade.objective import cash_moments
 from blocktrade.solver import Grid, SolveOptions, Trajectory, newton_solve
 from conftest import linear_trajectory, make_reference_problem
@@ -146,24 +144,45 @@ def _euler_loop(problem, traj, n_sub, rng, n):
     return float(traj.q[-1]) * prices + cash
 
 
+class _WeightedDraws:
+    """Hands the Euler loop its draws from one generator and adds each draw,
+    times the weight of its substep, to ``noise``."""
+
+    def __init__(self, rng, weights, noise):
+        self.rng, self.weights, self.noise = rng, iter(weights), noise
+
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        self.noise += next(self.weights) * out
+
+
 @pytest.mark.parametrize("n_paths", [4, 50_001])
 def test_weighted_sum_matches_the_euler_loop(solved, n_paths):
-    # a partial liquidation with price risk and linear cost: the kernel's sum
-    # of weighted increments is the loop's wealth on the same draws
+    # a partial liquidation with price risk and linear cost: c plus the sum of
+    # the affine form's weighted increments is the loop's wealth on the same draws
     problem, _ = solved
     assert problem.market.sigma > 0 and problem.market.psi > 0
     traj = _half_liquidation(problem, 100)
-    cfg = SimulationConfig(n_paths=n_paths, n_substeps=3, seed=23)
-    samples = simulate_cash(problem, traj, cfg, keep_samples=True).samples
+    n_sub = 3
+    c, weights = montecarlo._affine_form(problem, traj, n_sub)
+    assert isinstance(weights, np.ndarray) and weights.shape == (traj.grid.n_steps * n_sub,)
+    noise = np.zeros(n_paths)
+    draws = _WeightedDraws(np.random.Generator(np.random.SFC64(23)), weights, noise)
+    expected = _euler_loop(problem, traj, n_sub, draws, n_paths)
+    assert next(draws.weights, None) is None  # one draw per weight
+    np.testing.assert_allclose(c + noise, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
-    n_blocks = -(-n_paths // BLOCK_PATHS)
-    expected = []
-    for b, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_blocks)):
-        rng = np.random.Generator(np.random.SFC64(stream))
-        size = min(BLOCK_PATHS, n_paths - b * BLOCK_PATHS)
-        expected.append(_euler_loop(problem, traj, cfg.n_substeps, rng, size))
-    expected = np.concatenate(expected)
-    np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+@pytest.mark.parametrize("n_paths", [1, 4, 100_000])
+def test_samples_are_the_euler_law_from_one_stream(solved, n_paths):
+    # one standard normal per path, in path order, scaled by the scheme's exact standard deviation
+    problem, traj = solved
+    cfg = SimulationConfig(n_paths=n_paths, n_substeps=2, seed=17)
+    result = simulate_cash(problem, traj, cfg, keep_samples=True)
+    c, weights = montecarlo._affine_form(problem, traj, cfg.n_substeps)
+    assert (result.euler_mean, result.euler_variance) == (c, math.fsum(weights * weights))
+    z = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed))).standard_normal(n_paths)
+    np.testing.assert_array_equal(result.samples, c + math.sqrt(result.euler_variance) * z)
 
 
 def test_euler_law_converges_at_first_order(solved):
@@ -173,8 +192,8 @@ def test_euler_law_converges_at_first_order(solved):
     analytic = cash_moments(problem, traj)
     gaps = []
     for n_sub in (1, 2, 4, 8):
-        result = simulate_cash(problem, traj, SimulationConfig(n_paths=1, n_substeps=n_sub))
-        gaps.append((result.euler_mean - analytic.mean, result.euler_variance - analytic.variance))
+        mean, variance = euler_law(problem, traj, n_sub)
+        gaps.append((mean - analytic.mean, variance - analytic.variance))
     for coarse, fine in zip(gaps, gaps[1:]):
         assert 1.9 <= coarse[0] / fine[0] <= 2.1
         assert 1.9 <= coarse[1] / fine[1] <= 2.1
@@ -195,72 +214,3 @@ def test_samples_only_kept_on_request(solved):
     assert simulate_cash(problem, traj, cfg).samples is None
     kept = simulate_cash(problem, traj, cfg, keep_samples=True)
     assert kept.samples is not None and len(kept.samples) == 16
-
-
-def _holding(problem, n_steps):
-    grid = Grid(n_steps=n_steps, t_start=0.0, t_end=1.0)
-    q = np.full(n_steps + 1, problem.q0)
-    return Trajectory(grid=grid, q=q, p=np.zeros(n_steps + 1), v=np.zeros(n_steps))
-
-
-@pytest.mark.parametrize("n_paths", [1, 4, 50_000, 50_001, 100_000])
-def test_samples_come_in_path_order_from_one_stream_per_block(solved, n_paths):
-    # holding the block weights every Brownian increment by the whole block,
-    # so each path's wealth can be rebuilt from its block's spawned stream
-    problem, _ = solved
-    hold = _holding(problem, n_steps=3)
-    cfg = SimulationConfig(n_paths=n_paths, n_substeps=2, seed=17)
-    samples = simulate_cash(problem, hold, cfg, keep_samples=True).samples
-    assert samples.shape == (n_paths,)
-
-    weight = problem.market.sigma * math.sqrt(hold.grid.tau / cfg.n_substeps) * problem.q0
-    n_blocks = -(-n_paths // BLOCK_PATHS)
-    expected = []
-    for b, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_blocks)):
-        rng = np.random.Generator(np.random.SFC64(stream))
-        size = min(BLOCK_PATHS, n_paths - b * BLOCK_PATHS)
-        noise = np.zeros(size)
-        for _ in range(hold.grid.n_steps * cfg.n_substeps):
-            noise += rng.standard_normal(size) * weight
-        expected.append(noise + problem.q0 * problem.market.s0)
-    np.testing.assert_array_equal(samples, np.concatenate(expected))
-
-
-def test_samples_do_not_depend_on_cpu_count(solved, monkeypatch):
-    problem, _ = solved
-    short = newton_solve(problem, SolveOptions(n_steps=10))
-    cfg = SimulationConfig(n_paths=2 * BLOCK_PATHS + 7, n_substeps=2, seed=5)
-    runs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # 3 threads on fewer cores, switching often
-    try:
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-            runs.append(simulate_cash(problem, short, cfg, keep_samples=True).samples)
-    finally:
-        sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(runs[0], runs[1])
-    np.testing.assert_array_equal(runs[0], runs[2])
-
-
-def test_block_threads_are_joined(solved, monkeypatch):
-    problem, _ = solved
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-    before = threading.active_count()
-    simulate_cash(problem, _holding(problem, 4), SimulationConfig(n_paths=2 * BLOCK_PATHS, seed=1))
-    assert threading.active_count() == before
-
-
-def test_worker_exception_reaches_the_caller(solved, monkeypatch):
-    problem, _ = solved
-    run_block = montecarlo._simulate_block
-
-    def failing(*args):
-        if args[-2].spawn_key == (1,):  # block 1 runs on the worker thread
-            raise RuntimeError("block 1 failed")
-        run_block(*args)
-
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(montecarlo, "_simulate_block", failing)
-    with pytest.raises(RuntimeError, match="block 1 failed"):
-        simulate_cash(problem, _holding(problem, 2), SimulationConfig(n_paths=2 * BLOCK_PATHS))
