@@ -5,8 +5,8 @@ volume curve: the quadratic (Almgren-Chriss) case, whose curve is a ratio of
 hyperbolic sines, and the super-quadratic case for small inventories, whose
 curve is a power of a clipped affine function of time and dies out before the
 horizon. Both serve as oracles for the Newton solver. The third closed form
-is the infinite-horizon liquidation value, an integral of the inverted
-Legendre transform, explicit for power-law costs.
+is the infinite-horizon liquidation value, explicit for power-law costs: the
+integral of H^-1, taken from L alone by the Beltrami identity in quadrature.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import hamiltonian_of
+from .legendre import _cost_slope, _root
 from .market_model import ConstantVolume, LiquidationProblem, PowerLawCost, _on_array
 
 __all__ = [
@@ -134,8 +134,7 @@ def _risk_scale(problem: LiquidationProblem, q: float) -> float:
 def theta_infinity(problem: LiquidationProblem, q: float) -> float:
     """Liquidation value with no time constraint (constant volume only).
 
-    Closed form for power-law costs, adaptive quadrature of the inverted
-    transform otherwise.
+    Closed form for power-law costs, quadrature of the Beltrami price otherwise.
     """
     if not isinstance(problem.cost, PowerLawCost):
         return theta_infinity_quadrature(problem, q)
@@ -146,11 +145,18 @@ def theta_infinity(problem: LiquidationProblem, q: float) -> float:
     )
 
 
+def _beltrami_price(cost, x):
+    """H^-1(x) for x >= 0: the secant L' at the rate where rho L'(rho) - L(rho), H at p = L'(rho), reaches x."""
+    if np.any(np.asarray(x) < 0):
+        raise ValueError("x must be nonnegative")
+    beltrami = lambda r: r * _cost_slope(cost, r) - cost(r)  # nondecreasing in r, as _root needs
+    return _on_array(lambda a: _cost_slope(cost, _root(cost, beltrami, a)), x)
+
+
 def theta_infinity_quadrature(problem: LiquidationProblem, q: float) -> float:
-    """Quadrature route to the same value; kept as an independent cross-check."""
+    """Quadrature route to the same value, from L alone: an independent cross-check of the closed form."""
     scale = _risk_scale(problem, q)
     from scipy.integrate import quad  # lazy: scipy.integrate dominates import time
 
-    ham = hamiltonian_of(problem.cost)
-    value, _ = quad(lambda x: ham.inverse(scale * x * x), 0.0, q, epsrel=1e-9, limit=200)
+    value, _ = quad(lambda x: _beltrami_price(problem.cost, scale * x * x), 0.0, q, epsrel=1e-9, limit=200)
     return value

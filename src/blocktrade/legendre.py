@@ -1,12 +1,12 @@
-"""Legendre transform of the execution cost function.
+"""Legendre transform of the execution cost function: its slope and curvature.
 
-The convex conjugate ``H(p) = sup_rho (rho * p - L(rho))`` maps a dual price
-into the best trade-off achievable against the cost density L. Its derivative
-returns the optimal participation rate at that dual price, which is what the
-trading-curve solver consumes. Power-law costs get closed forms. Any other
-cost goes through one bisection in the rate, run on the whole array at once:
-the argmax solves L'(rho) = |p|, with L' a symmetric secant, so no smoothness
-of L beyond convexity is assumed.
+The convex conjugate ``H(p) = sup_rho (rho * p - L(rho))`` has slope H', the
+optimal participation rate at dual price p, and curvature H''; the solver
+consumes these two, and they are all the transform classes give (H itself is
+``rho * |p| - L(rho)`` at rho = |H'(p)|, by Fenchel-Young). Power-law costs
+get closed forms. Any other cost goes through one bisection in the rate, run
+on the whole array at once: the argmax solves L'(rho) = |p|, with L' a
+symmetric secant, so no smoothness of L beyond convexity is assumed.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class PowerLawHamiltonian:
     def exponent(self) -> float:
         return 1.0 + 1.0 / self.phi
 
-    def value(self, p):
-        return self.coefficient * np.abs(p) ** self.exponent
-
     def slope(self, p, out=None):
         """Optimal participation rate at dual price p (odd, increasing; -0 at -0), into ``out`` if given."""
         c, e = self.coefficient, self.exponent
@@ -90,13 +87,52 @@ class PowerLawHamiltonian:
         bend *= c * e * (e - 1.0)
         return bend
 
-    def inverse(self, x):
-        """Inverse of the restriction of H to the nonnegative half-line."""
-        if np.any(np.asarray(x) < 0):
-            raise ValueError("x must be nonnegative")
-        phi = self.phi
-        scale = self.eta ** (1.0 / (1.0 + phi)) * (1.0 + phi) / phi ** (phi / (1.0 + phi))
-        return scale * np.asarray(x, dtype=float) ** (phi / (1.0 + phi))
+
+def _cost_slope(cost, rho):
+    """Symmetric secant slope of L at rho >= 0 (0 at rho = 0): nondecreasing for any convex L."""
+    h = _SECANT_STEP
+    rise = cost(rho * (1.0 + h)) - cost(rho * (1.0 - h))
+    return np.divide(rise, rho, out=np.zeros_like(rise), where=rho > 0) / (2.0 * h)
+
+
+def _cap(cost):
+    """Largest rate whose secant stays inside the sampled participation range."""
+    bound = cost.sample_bound if isinstance(cost, CustomCost) else np.finfo(float).max
+    return bound / (1.0 + 2.0 * _SECANT_STEP)
+
+
+def _root(cost, f, target):
+    """Smallest rho >= 0 with f(rho) >= target, elementwise, for nondecreasing f.
+
+    The bracket moves from 1 by factors of 2 up to ``_cap``, then takes
+    ``_HALVINGS`` halvings. A root past the cap raises ``UnboundedTransformError``
+    if f stopped growing there (L is not superlinear), ``ValueError`` if not.
+    """
+    cap = _cap(cost)
+    x = np.full(target.shape, min(1.0, cap))
+    fx = f(x)
+    down = (fx >= target) & (target > 0)
+    if down.any():  # the root is 0 where f reaches the target at the smallest normal rate
+        zero = np.zeros_like(down)
+        zero[down] = f(np.full(np.count_nonzero(down), _TINY)) >= target[down]
+        target, down = np.where(zero, 0.0, target), down & ~zero
+    for _ in range(_MAX_STEPS):
+        move = np.where(down, fx >= target, fx < target)
+        if np.any(move & ~down & (x >= cap)):
+            at_cap, below_cap = f(np.array([cap, 0.5 * cap]))
+            if at_cap <= below_cap:
+                raise UnboundedTransformError("cost slope stops growing: cost function is not superlinear")
+            raise ValueError("transform argmax lies outside the sampled participation range")
+        if not move.any():
+            break
+        x = np.where(move, np.where(down, 0.5 * x, np.minimum(2.0 * x, cap)), x)
+        fx = f(x)
+    lo, hi = np.zeros_like(x), np.where(down, 2.0 * x, x)
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.where(target > 0, hi, 0.0)
 
 
 def _scalar_or_array(method):
@@ -114,74 +150,22 @@ def _scalar_or_array(method):
 
 @dataclass(frozen=True)
 class NumericHamiltonian:
-    """Transform computed by one bisection in the rate, on a whole array at once.
-
-    The argmax of ``rho * |p| - L(rho)`` is the rate where the symmetric secant
-    of L, nondecreasing for any convex L, reaches |p|. Each element's bracket
-    moves from 1 by factors of 2, then takes ``_HALVINGS`` fixed halvings. For
-    ``CustomCost`` the secant stays inside the sampled participation range. A
-    root beyond the largest rate tried raises ``UnboundedTransformError`` if the
-    secant stopped growing there (L is not superlinear), ``ValueError`` if not.
-    """
+    """Transform by one bisection in the rate, on a whole array: the argmax is where the secant of L reaches |p|."""
 
     cost: ExecutionCostModel
-
-    def _cost_slope(self, rho):
-        h = _SECANT_STEP
-        rise = self.cost(rho * (1.0 + h)) - self.cost(rho * (1.0 - h))
-        return np.divide(rise, rho, out=np.zeros_like(rise), where=rho > 0) / (2.0 * h)
-
-    @property
-    def _cap(self):
-        """Largest rate whose secant stays inside the sampled participation range."""
-        bound = self.cost.sample_bound if isinstance(self.cost, CustomCost) else np.finfo(float).max
-        return bound / (1.0 + 2.0 * _SECANT_STEP)
-
-    def _root(self, f, target):
-        """Smallest rho >= 0 with f(rho) >= target, elementwise, for nondecreasing f."""
-        cap = self._cap
-        x = np.full(target.shape, min(1.0, cap))
-        fx = f(x)
-        down = (fx >= target) & (target > 0)
-        if down.any():  # the root is 0 where f reaches the target at the smallest normal rate
-            zero = np.zeros_like(down)
-            zero[down] = f(np.full(np.count_nonzero(down), _TINY)) >= target[down]
-            target, down = np.where(zero, 0.0, target), down & ~zero
-        for _ in range(_MAX_STEPS):
-            move = np.where(down, fx >= target, fx < target)
-            if np.any(move & ~down & (x >= cap)):
-                at_cap, below_cap = f(np.array([cap, 0.5 * cap]))
-                if at_cap <= below_cap:
-                    raise UnboundedTransformError("cost slope stops growing: cost function is not superlinear")
-                raise ValueError("transform argmax lies outside the sampled participation range")
-            if not move.any():
-                break
-            x = np.where(move, np.where(down, 0.5 * x, np.minimum(2.0 * x, cap)), x)
-            fx = f(x)
-        lo, hi = np.zeros_like(x), np.where(down, 2.0 * x, x)
-        for _ in range(_HALVINGS):
-            mid = 0.5 * (lo + hi)
-            below = f(mid) < target
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        return np.where(target > 0, hi, 0.0)
-
-    @_scalar_or_array
-    def value(self, p):
-        rho = np.abs(self.slope(p))
-        return rho * np.abs(p) - self.cost(rho)
 
     @_scalar_or_array
     def slope(self, p):
         """Optimal participation rate at dual price p: the rate where L' is |p|."""
-        return np.sign(p) * self._root(self._cost_slope, np.abs(p))
+        return np.sign(p) * _root(self.cost, partial(_cost_slope, self.cost), np.abs(p))
 
     @_scalar_or_array
     def curvature(self, p):
         """H''(p) = 1 / L''(rho) at rho = H'(p), L'' a central difference of the secant slope."""
         rho = np.abs(self.slope(p))
-        hi, lo = np.minimum(rho * (1.0 + _BEND_STEP), self._cap), rho * (1.0 - _BEND_STEP)
+        hi, lo = np.minimum(rho * (1.0 + _BEND_STEP), _cap(self.cost)), rho * (1.0 - _BEND_STEP)
         with np.errstate(divide="ignore", invalid="ignore"):  # rho = 0 is handled below
-            out = np.asarray((hi - lo) / (self._cost_slope(hi) - self._cost_slope(lo)))
+            out = np.asarray((hi - lo) / (_cost_slope(self.cost, hi) - _cost_slope(self.cost, lo)))
         at_zero = rho == 0.0  # there, difference H' itself across p
         if at_zero.any():
             pz = p[at_zero]
@@ -189,15 +173,6 @@ class NumericHamiltonian:
             up, down = self.slope(np.array([pz + h, pz - h]))
             out[at_zero] = (up - down) / (2.0 * h)
         return out
-
-    @_scalar_or_array
-    def inverse(self, x):
-        """Inverse of H on the nonnegative half-line: L' at the rate where H reaches x."""
-        if np.any(x < 0):
-            raise ValueError("x must be nonnegative")
-        # rho * L'(rho) - L(rho) is H at p = L'(rho), nondecreasing in rho
-        rho = self._root(lambda r: r * self._cost_slope(r) - self.cost(r), x)
-        return self._cost_slope(rho)
 
 
 Hamiltonian = Union[PowerLawHamiltonian, NumericHamiltonian]

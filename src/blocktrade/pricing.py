@@ -128,6 +128,8 @@ def implied_gamma(
     """
     if not 0.0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    if not math.isfinite(quoted_premium):
+        raise ValueError(f"quoted_premium must be finite, got {quoted_premium}")
     q = problem.q0
     floor = sum(floor_parts(problem, q))
     target = quoted_premium - floor

@@ -211,6 +211,7 @@ def _evenly_spaced(nodes) -> bool:
 def hj_residual(grid: ValueGrid) -> HJResidualReport:
     """Plug central differences of the grid into the Hamilton-Jacobi equation.
 
+    H at each q-difference x is ``rho |x| - L(rho)`` at rho = |H'(x)| (Fenchel-Young).
     The residual is reported both raw and normalized by the local scale of its
     terms, since the raw value spans orders of magnitude across the grid.
     """
@@ -226,11 +227,11 @@ def hj_residual(grid: ValueGrid) -> HJResidualReport:
     dth_dt = (th[2:, :] - th[:-2, :]) / (t[2:] - t[:-2])[:, None]
     dth_dq = (th[:, 2:] - th[:, :-2]) / (q[2:] - q[:-2])[None, :]
 
-    ham = hamiltonian_of(problem.cost)
     m = problem.market
     q_int = q[1:-1]
     t_int = t[1:-1]
-    h_of_slope = ham.value(dth_dq[1:-1, :])
+    rho = np.abs(hamiltonian_of(problem.cost).slope(dth_dq[1:-1, :]))
+    h_of_slope = rho * np.abs(dth_dq[1:-1, :]) - problem.cost(rho)
     vol_int = np.asarray(problem.volume(t_int), dtype=float)[:, None]
     risk = 0.5 * m.gamma * m.sigma**2 * q_int[None, :] ** 2
 

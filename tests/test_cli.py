@@ -272,6 +272,21 @@ def test_implied_gamma_needs_quote(tmp_path, capsys):
     assert "quoted_premium" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_a_non_finite_quoted_premium_fails_before_any_probe(tmp_path, capsys, monkeypatch, value):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("a theta_infinity probe ran")
+
+    monkeypatch.setattr("blocktrade.pricing.theta_infinity", no_probe)
+    text = set_keys(BASE_CONFIG, {"price.quoted_premium": value})
+    assert main(["implied-gamma", "--config", write_config(tmp_path, text), "--out-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ConfigError"
+    assert "price.quoted_premium" in error["message"]
+
+
 @pytest.mark.parametrize("key", ["problem.horizon", "market.sigma", "volume.rate", "solve.newton_tol"])
 def test_non_finite_input_exits_with_config_error(tmp_path, capsys, key):
     named = {"volume.rate": "volume.positive", "solve.newton_tol": "newton_tol"}.get(key, key)
@@ -648,3 +663,4 @@ def test_any_flag_or_config_value_answers_in_one_json_line(command, where, text)
     payload = json.loads(lines[0], parse_constant=_reject_constant)
     assert list(payload) == (["artifacts"] if code == 0 else ["error"])
     assert "Traceback" not in err.getvalue()
+

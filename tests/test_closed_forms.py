@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from blocktrade.closed_forms import (
     ApplicabilityError,
+    _beltrami_price,
     SuperQuadraticParams,
     ac_speed,
     ac_trajectory,
@@ -20,6 +21,7 @@ from blocktrade.market_model import (
     PowerLawCost,
     PowerLawImpact,
 )
+from blocktrade.legendre import hamiltonian_of
 from conftest import make_quadratic_problem, make_reference_problem
 
 
@@ -134,7 +136,7 @@ def test_theta_infinity_closed_form_versus_quadrature(reference_problem):
     for q in (1e3, 1e5, 1e6):
         closed = theta_infinity(reference_problem, q)
         quad = theta_infinity_quadrature(reference_problem, q)
-        assert closed == pytest.approx(quad, rel=1e-7)
+        assert closed == pytest.approx(quad, rel=1e-10)
 
 
 def test_theta_infinity_scaling_law(reference_problem):
@@ -161,3 +163,23 @@ def test_theta_infinity_custom_cost_equals_power_law(reference_problem):
         assert theta_infinity(problem, q) == pytest.approx(
             theta_infinity(reference_problem, q), rel=1e-9
         )
+
+
+@pytest.mark.parametrize("eta, phi", [(0.02, 0.65), (0.5, 1.0), (3.0, 0.3)])
+def test_beltrami_price_is_the_power_law_inverse(eta, phi):
+    # H(p) = c |p|^(1 + 1/phi) inverts on p >= 0 to this power of x
+    cost, scale = PowerLawCost(eta=eta, phi=phi), eta ** (1 / (1 + phi)) * (1 + phi) * phi ** (-phi / (1 + phi))
+    x = np.logspace(-8, 4, 25)
+    np.testing.assert_allclose(_beltrami_price(cost, x), scale * x ** (phi / (1 + phi)), rtol=1e-9, atol=0)
+    assert _beltrami_price(cost, 0.0) == 0.0
+    with pytest.raises(ValueError):
+        _beltrami_price(cost, -1.0)
+
+
+def test_beltrami_price_round_trips_through_fenchel_young():
+    cost = CustomCost(lambda r: 0.5 * (np.cosh(r) - 1.0), 1e6)
+    ham = hamiltonian_of(cost)
+    for x in (0.1, 1.0, 25.0):
+        p = _beltrami_price(cost, x)
+        rho = abs(ham.slope(p))
+        assert rho * p - cost(rho) == pytest.approx(x, rel=1e-9, abs=1e-12)

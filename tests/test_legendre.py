@@ -18,16 +18,13 @@ from blocktrade.market_model import CustomCost, PowerLawCost
 def test_quadratic_closed_forms():
     # L = eta * rho^2 gives H(p) = p^2 / (4 eta)
     ham = PowerLawHamiltonian(eta=0.02, phi=1.0)
-    assert ham.value(1.0) == pytest.approx(12.5, rel=1e-14)
     assert ham.slope(1.0) == pytest.approx(25.0, rel=1e-14)
     assert ham.curvature(0.0) == pytest.approx(25.0, rel=1e-14)
     assert ham.curvature(0.37) == pytest.approx(25.0, rel=1e-14)
-    assert ham.inverse(12.5) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_zero_point_values():
     for ham in (PowerLawHamiltonian(0.02, 0.65), NumericHamiltonian(CustomCost(lambda r: r * r, 1e6))):
-        assert ham.value(0.0) == pytest.approx(0.0, abs=1e-12)
         assert ham.slope(0.0) == 0.0
 
 
@@ -47,18 +44,22 @@ def test_closed_form_matches_numeric_transform():
     eta, phi = 0.02, 0.65
     closed = PowerLawHamiltonian(eta=eta, phi=phi)
     numeric = NumericHamiltonian(CustomCost(lambda r: eta * abs(r) ** (1 + phi), 1e9))
-    assert closed.value(0.1) == pytest.approx(numeric.value(0.1), rel=1e-8)
     rng = np.random.default_rng(12345)
     for p in rng.uniform(1e-3, 10.0, size=50):
-        assert closed.value(p) == pytest.approx(numeric.value(p), rel=1e-8)
         assert closed.slope(p) == pytest.approx(numeric.slope(p), rel=1e-7, abs=1e-12)
 
 
 def test_slope_matches_finite_differences():
-    ham = PowerLawHamiltonian(eta=0.02, phi=0.65)
+    cost = PowerLawCost(eta=0.02, phi=0.65)
+    ham = hamiltonian_of(cost)
+
+    def fenchel_young(p):  # H(p) = rho |p| - L(rho) at the optimal rate rho = |H'(p)|
+        rho = abs(ham.slope(p))
+        return rho * abs(p) - cost(rho)
+
     h = 1e-6
     for p in (0.05, 0.3, 2.0, -0.7):
-        fd = (ham.value(p + h) - ham.value(p - h)) / (2 * h)
+        fd = (fenchel_young(p + h) - fenchel_young(p - h)) / (2 * h)
         assert ham.slope(p) == pytest.approx(fd, rel=1e-5)
 
 
@@ -70,37 +71,11 @@ def test_curvature_matches_finite_differences():
         assert ham.curvature(p) == pytest.approx(fd, rel=1e-4)
 
 
-def test_inverse_round_trip_on_log_grid():
-    ham = PowerLawHamiltonian(eta=0.02, phi=0.65)
-    for p in np.logspace(-6, 3, 40):
-        assert ham.inverse(ham.value(p)) == pytest.approx(p, rel=1e-8)
-    assert ham.inverse(0.0) == 0.0
-    assert ham.value(ham.inverse(1.0)) == pytest.approx(1.0, rel=1e-10)
-    with pytest.raises(ValueError):
-        ham.inverse(-1.0)
-
-
-def test_numeric_inverse_round_trip():
-    ham = NumericHamiltonian(CustomCost(lambda r: 0.5 * (math.cosh(r) - 1.0), 1e6))
-    for x in (0.1, 1.0, 25.0):
-        assert ham.value(ham.inverse(x)) == pytest.approx(x, rel=1e-9, abs=1e-12)
-
-
-def test_fenchel_young_identity():
-    eta, phi = 0.02, 0.65
-    cost = PowerLawCost(eta=eta, phi=phi)
-    ham = hamiltonian_of(cost)
-    rng = np.random.default_rng(7)
-    for p in rng.uniform(-5.0, 5.0, size=100):
-        rho = ham.slope(p)
-        assert rho * p - cost(rho) == pytest.approx(ham.value(p), rel=1e-10, abs=1e-14)
-
-
 def test_unbounded_transform_raises():
     # L(rho) = |rho| is not superlinear: the maximization runs away for |p| > 1
     ham = NumericHamiltonian(CustomCost(fn=abs, sample_bound=1e30))
     with pytest.raises(UnboundedTransformError):
-        ham.value(2.0)
+        ham.slope(2.0)
 
 
 def test_hamiltonian_of_dispatch():
@@ -109,29 +84,21 @@ def test_hamiltonian_of_dispatch():
 
 
 @settings(max_examples=60, deadline=None)
-@given(eta=st.floats(1e-4, 10.0), phi=st.floats(0.1, 2.0), p=st.floats(1e-4, 50.0))
-def test_round_trip_property(eta, phi, p):
-    ham = PowerLawHamiltonian(eta=eta, phi=phi)
-    assert ham.inverse(ham.value(p)) == pytest.approx(p, rel=1e-8)
-
-
-@settings(max_examples=60, deadline=None)
-@given(p=st.floats(-20.0, 20.0))
-def test_transform_even_and_convex_property(p):
+@given(p=st.floats(-20.0, 20.0), step=st.floats(0.0, 20.0))
+def test_transform_even_and_convex_property(p, step):
+    # H is even and convex exactly when its slope is odd and nondecreasing
     ham = PowerLawHamiltonian(eta=0.05, phi=0.8)
-    assert ham.value(p) == ham.value(-p)
-    assert ham.value(p) >= 0.0
-    # midpoint convexity against 0
-    assert ham.value(0.5 * p) <= 0.5 * ham.value(p) + 1e-12
+    assert ham.slope(-p) == -ham.slope(p)
+    assert ham.slope(p) <= ham.slope(p + step)
 
 
 def test_numeric_transform_evaluates_arrays_element_by_element():
     ham = NumericHamiltonian(CustomCost(lambda r: 0.02 * abs(r) ** 1.65, 1e6))
     p = np.array([[-0.3, 0.0, 0.05], [0.2, 0.7, 1.1]])
-    for method, x in ((ham.value, p), (ham.slope, p), (ham.curvature, p), (ham.inverse, np.abs(p))):
-        values = method(x)
-        assert values.shape == x.shape
-        assert np.array_equal(values, [[method(v) for v in row] for row in x])
+    for method in (ham.slope, ham.curvature):
+        values = method(p)
+        assert values.shape == p.shape
+        assert np.array_equal(values, [[method(v) for v in row] for row in p])
         assert isinstance(method(0.2), float)
 
 
@@ -148,9 +115,8 @@ def test_numeric_transform_matches_power_law_property(eta, phi, p_abs, sign):
     numeric, closed = NumericHamiltonian(cost), PowerLawHamiltonian(eta=eta, phi=phi)
     rho = numeric.slope(p)
     assert rho == pytest.approx(closed.slope(p), rel=1e-9)
-    assert numeric.value(p) == pytest.approx(closed.value(p), rel=1e-9)
-    assert rho * p - cost(rho) == pytest.approx(closed.value(p), rel=1e-9)
-    assert numeric.inverse(numeric.value(p)) == pytest.approx(p_abs, rel=1e-9)
+    # Fenchel-Young at the numeric rate gives the closed-form H
+    assert rho * p - cost(rho) == pytest.approx(closed.coefficient * abs(p) ** closed.exponent, rel=1e-9)
 
 
 class _CountingCost:
@@ -175,7 +141,7 @@ def test_numeric_slope_makes_the_same_cost_calls_for_any_array_size():
 def test_array_with_one_bad_element_raises():
     unbounded = NumericHamiltonian(CustomCost(fn=abs, sample_bound=1e30))
     with pytest.raises(UnboundedTransformError):
-        unbounded.value(np.array([0.5, 2.0]))
+        unbounded.slope(np.array([0.5, 2.0]))
     # the argmax of rho * 2 - rho**2 is rho = 1, past a sampled range of 0.5
     capped = NumericHamiltonian(CustomCost(fn=lambda r: r * r, sample_bound=0.5))
     assert capped.slope(np.array([0.1, 0.5])) == pytest.approx([0.05, 0.25], rel=1e-12)

@@ -94,6 +94,15 @@ def test_implied_gamma_rejects_a_tolerance_it_cannot_meet(reference_problem, rel
         implied_gamma(reference_problem, 24175.0 + 2000.0 + 6915.0, rel_tol=rel_tol)
 
 
+@pytest.mark.parametrize("quoted", [float("nan"), float("inf"), -float("inf")])
+def test_implied_gamma_rejects_a_non_finite_quote_before_any_probe(reference_problem, monkeypatch, quoted):
+    probes = []
+    monkeypatch.setattr(pricing, "theta_infinity", lambda *args: probes.append(args))
+    with pytest.raises(ValueError, match="quoted_premium"):
+        implied_gamma(reference_problem, quoted)
+    assert probes == []
+
+
 def test_implied_gamma_stops_when_the_bracket_has_no_interior_double(reference_problem):
     # 1e-17 lies below the spacing of doubles near gamma = 1e-6, so no bracket is that narrow
     gamma = implied_gamma(reference_problem, 24175.0 + 2000.0 + 6915.0, rel_tol=1e-17)

@@ -936,3 +936,41 @@ def test_solo_solve_is_the_exact_discrete_almgren_chriss_curve():
     exact = Trajectory(grid=traj.grid, q=q, p=np.zeros_like(q), v=(q[:-1] - q[1:]) / traj.grid.tau)
     assert np.max(np.abs(traj.q - q)) <= 1e-11 * problem.q0
     assert eval_I(problem, traj) == pytest.approx(eval_I(problem, exact), rel=1e-12)
+
+
+def tight_solve(problem, t_start, q_start, n_steps):
+    """A two-member block of one start (the dgtsv direction) at 1e-14 * q0: the discrete minimizer to rounding."""
+    opts = SolveOptions(n_steps=n_steps, newton_tol=1e-14 * problem.q0, max_iter=200)
+    first, second = solve_batch(problem, [t_start] * 2, [q_start] * 2, opts)
+    assert isinstance(first, Trajectory) and np.array_equal(first.q, second.q)
+    return first
+
+
+def test_a_least_bad_step_rescues_a_solo_solve_to_the_discrete_minimizer():
+    # one of 12 rescues among 20332 random solo solves (phi 0.30-0.37, T <= 0.2): no halving of
+    # its first step lowers the residual, so it takes the least-bad step 2**-20 and converges
+    problem = replace(
+        make_reference_problem(gamma=1.64e-7, q0=146886.0, horizon=0.2),
+        cost=PowerLawCost(0.82, 0.305),
+        volume=ConstantVolume(8575781.0),
+    )
+    traj = newton_solve(problem, SolveOptions(n_steps=66))
+    assert (traj.iterations, traj.no_descent, traj.steps[0]) == (8, 1, 2.0**-20)
+    tight = tight_solve(problem, 0.0, problem.q0, 66)
+    assert np.max(np.abs(traj.q - tight.q)) <= 1e-12 * problem.q0
+    assert eval_I(problem, traj) == pytest.approx(eval_I(problem, tight), rel=1e-12)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 5.0, 20.0])
+def test_the_tail_of_a_minimizer_is_the_minimizer_from_its_node(horizon):
+    # the discrete functional adds up cell by cell, so from node j on a uniform mesh the tail of
+    # the minimizer is the minimizer from (t_j, q_j) on the remaining n - j steps of the same tau
+    problem, n = make_reference_problem(horizon=horizon), 1000
+    full = tight_solve(problem, 0.0, problem.q0, n)
+    for j in (100, 500, 900):
+        t_j, q_j = full.grid.times[j], full.q[j]
+        tail = tight_solve(problem, t_j, q_j, n - j)
+        assert tail.grid.tau == pytest.approx(full.grid.tau, rel=1e-14)
+        assert np.max(np.abs(tail.q - full.q[j:])) <= 1e-12 * problem.q0
+        cut = Trajectory(grid=tail.grid, q=full.q[j:], p=full.p[j:], v=full.v[j:])
+        assert eval_I(problem, cut) == pytest.approx(eval_I(problem, tail), rel=1e-13)

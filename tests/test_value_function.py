@@ -127,6 +127,22 @@ def test_hj_residual_shrinks_under_refinement(quadratic_problem):
     assert coarse.max_normalized < 0.25
 
 
+def test_hj_residual_takes_the_power_law_hamiltonian(reference_problem):
+    # the report's H by Fenchel-Young must be the closed-form H = c |x|^(1 + 1/phi) of the power law
+    nodes = (np.linspace(0.0, 0.9, 9), np.linspace(0.0, reference_problem.q0, 9))
+    grid = build_grid(reference_problem, *nodes, OPTS)
+    report = hj_residual(grid)
+    (t, q), th, m = nodes, grid.values, reference_problem.market
+    eta, phi = reference_problem.cost.eta, reference_problem.cost.phi
+    c = phi / (1 + phi) ** (1 + 1 / phi) * eta ** (-1 / phi)
+    dth_dt = (th[2:, 1:-1] - th[:-2, 1:-1]) / (t[2:] - t[:-2])[:, None]
+    dth_dq = (th[1:-1, 2:] - th[1:-1, :-2]) / (q[2:] - q[:-2])
+    risk = 0.5 * m.gamma * m.sigma**2 * q[1:-1] ** 2
+    vol_h = reference_problem.volume.rate * c * np.abs(dth_dq) ** (1 + 1 / phi)
+    # the residual cancels terms up to 6e4 down to about 40, so compare on the scale of its terms
+    assert np.max(np.abs(report.residual - (-dth_dt - risk + vol_h)) / (risk + vol_h)) <= 1e-13
+
+
 def test_hj_residual_requires_at_least_3x3(reference_problem):
     grid = build_grid(reference_problem, [0.0, 0.4], [0.0, 1e5], OPTS)
     with pytest.raises(ValueError):
