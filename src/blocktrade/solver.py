@@ -20,8 +20,8 @@ the linearized recurrences
     dp[j+1] = dp[j] + tau * gamma * sigma**2 * dq[j+1]
 
 with dq[0] = dq[J] = 0 and e[j] the local defect of the q-recurrence. A block
-solves them by a pivoted tridiagonal factorization (LAPACK ``dgtsv``) of all
-its members at once. A solo solve uses affine shooting: the whole chain is an
+solves them by the SPD primal Hessian in dq (LAPACK ``dptsv``; ``dgtsv`` where
+H'' vanishes). A solo solve uses affine shooting: the whole chain is an
 affine function of the single unknown dp[0], so two forward passes (dp[0] = 0
 and dp[0] = 1) pin it down. Over long horizons the homogeneous mode of the
 forward pass grows past what double precision can cancel, so a shooting
@@ -29,14 +29,14 @@ direction that misses the linearized system by more than a threshold is
 replaced by the ``dgtsv`` solve.
 A solve converges when the larger of its two residuals, max |p-defect| and
 max |q-defect|, falls to the tolerance (1e-10 * q0 by default). Every start
-satisfies the p-recurrence, but a p-defect that a step leaves is never
-corrected, since the p-rows of the linearized system have a zero right-hand
-side, and the stopping test compares it, in currency per share, with a
-tolerance in shares. Known defect: for phi = 1 and kappa * T from about 10
-to 35, with kappa = sqrt(gamma * sigma**2 * V / (2 * eta)), a shooting solve
-can report convergence on a curve far from the exact discrete Almgren-Chriss
-curve. On the reference stock with eta = 0.01 and
-T = 3.5 a p-defect of 1.0e-6 passes, the q-residual is 9e-17 * q0 and the
+satisfies the p-recurrence, but a p-defect that a shooting or ``dgtsv`` step
+leaves is never corrected, since the p-rows of the linearized system have a
+zero right-hand side, and the stopping test compares it, in currency per
+share, with a tolerance in shares. Known defect: for phi = 1 and kappa * T
+from about 10 to 35, with kappa = sqrt(gamma * sigma**2 * V / (2 * eta)), a
+shooting solve can report convergence on a curve far from the exact discrete
+Almgren-Chriss curve. On the reference stock with eta = 0.01 and T = 3.5 a
+p-defect of 1.0e-6 passes, the q-residual is 9e-17 * q0 and the
 curve is 5.3e-5 * q0 away. A step-halving line search guards the early
 iterations, where the power-law H' has strongly varying curvature.
 
@@ -50,21 +50,21 @@ to four columns to the left), a prediction out of them: one curve scaled to
 q_hat, or the polynomial extrapolation in inventory of two or more at evenly
 spaced inventories (continuation in inventory). The members' tridiagonal
 systems sit one after another on the diagonal of one system with zero
-coupling entries, so no pivot crosses a member boundary, and every other rule
-(line search, stopping) is applied per member. A block member's result is
-therefore bit for bit what the ``dgtsv`` direction gives it alone from the
-same start: its blockmates never affect it. A block keeps that direction when
-it shrinks to one member. Members leave the block as they converge or fail,
-and a failing member never stops the others; a converged member's q and p
-are copied into the caller's rows, and the block returns each member's
-``_Outcome`` (iterations, residual, history, or the failure). The loop's
-arrays live in a workspace (``_Workspace``, 19 doubles per member-step, which
-``build_grid`` keeps for all its blocks and columns); only a halved step
-copies the rows it retries, and a shooting iteration makes only the kernel's
-two chains (4 (J+1) doubles), whose inputs it reads from the workspace in place.
-``newton_solve`` and ``solve_from`` are one-member blocks from the straight
-line, which shoot, each in a workspace of its own, and build their
-``Trajectory`` on the q and p rows they hand the block.
+coupling entries (re-solved member by member if it fails or turns
+non-finite), and every other rule (line search, stopping) is applied per
+member. A block member's result is therefore bit for bit what the block
+direction gives it alone from the same start: its blockmates never affect
+it, and it keeps that direction when it shrinks to one member. Members leave
+as they converge or fail, and a failing member never stops the others; a
+converged member's q and p are copied into the caller's rows, and the block
+returns each member's ``_Outcome`` (iterations, residual, history, or the
+failure). The loop's arrays live in a workspace (``_Workspace``, 19 doubles
+per member-step, which ``build_grid`` keeps for all its blocks and columns);
+only a halved step copies the rows it retries, and a shooting iteration
+makes only the kernel's two chains (4 (J+1) doubles), whose inputs it reads
+from the workspace in place. ``newton_solve`` and ``solve_from`` are
+one-member blocks from the straight line, which shoot, each in its own
+workspace, and build their ``Trajectory`` on the q and p rows they hand it.
 """
 
 from __future__ import annotations
@@ -266,8 +266,13 @@ def _start(tau_ksq, q_start, q, p, qs=(), p0s=(), depth=None, scratch=None):
             q += np.multiply(w, q_i, out=scratch)
         p0 = sum(w * p0_i for w, p0_i in zip(weights, p0s))
     q[:, 0], q[:, -1] = q_start, 0.0
+    _p_recurrence(q, p0, tau_ksq, p)
+
+
+def _p_recurrence(q, p0, b, p):
+    """Write p[0] = p0 and p[j+1] = p[j] + b q[j+1] to the rows ``p``, as p0 + b * (q[1] + ... + q[j])."""
     p_rest = np.cumsum(q[:, 1:], axis=1, out=p[:, 1:])
-    p_rest *= tau_ksq
+    p_rest *= b
     p_rest += np.reshape(p0, (-1, 1))
     p[:, 0] = p0
 
@@ -322,19 +327,19 @@ def _propagate(c, e, b):
 
 
 @functools.lru_cache(maxsize=None)
-def _dgtsv():
-    """LAPACK dgtsv from scipy's compiled extension, without importing ``scipy.linalg`` (0.3 s)."""
+def _lapack():
+    """scipy's compiled LAPACK extension (dgtsv, dptsv), without importing ``scipy.linalg`` (0.3 s)."""
     try:
         scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
         path = os.path.join(scipy_dir, "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
         spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        return module.dgtsv
+        return module
     except Exception:  # a private path: any surprise takes the public import
-        from scipy.linalg.lapack import dgtsv
+        from scipy.linalg import lapack
 
-        return dgtsv
+        return lapack
 
 
 def _direction_by_banded(c, e, b, work=None):
@@ -360,7 +365,7 @@ def _direction_by_banded(c, e, b, work=None):
     sup.fill(1.0)  # dq_{j+1}, dp_{j+1}
     sup[:, -2:] = 0.0  # dq_J is eliminated; coupling to the next member
     rhs[:, 0::2], rhs[:, 1::2] = e, 0.0
-    *_, x, info = _dgtsv()(sub.ravel()[:-1], diag.ravel(), sup.ravel()[:-1], rhs.ravel(), 1, 1, 1, 1)
+    *_, x, info = _lapack().dgtsv(sub.ravel()[:-1], diag.ravel(), sup.ravel()[:-1], rhs.ravel(), 1, 1, 1, 1)
     x = x.reshape(K, 2 * J)
     if K > 1 and (info != 0 or not (np.isfinite(x.min()) and np.isfinite(x.max()))):
         alone = [_direction_by_banded(c[k : k + 1], e[k : k + 1], b[k : k + 1]) for k in range(K)]
@@ -369,6 +374,41 @@ def _direction_by_banded(c, e, b, work=None):
     dq[:, 0], dq[:, 1:J], dq[:, J] = 0.0, x[:, 1:-1:2], 0.0
     dp[:, :J], dp[:, J] = x[:, 0::2], x[:, -1]
     return dq, dp, np.full(K, info != 0)
+
+
+def _direction_by_hessian(c, e, b, work=None):
+    """``_direction_by_banded``'s result from each member's primal Hessian in dq_1 .. dq_{J-1}: one dptsv call.
+
+    With w = 1 / c: (w_{i-1} + w_i + b) dq_i - w_{i-1} dq_{i-1} - w_i dq_{i+1} = e_{i-1} w_{i-1} - e_i w_i, then
+    dp_0 = (dq_1 - e_0) / c_0 and the p-recurrence. Members with a c_j not finite and positive take dgtsv in one
+    call. LDL^T carries a NaN across a zero coupling entry, so a failed or non-finite block goes member by member.
+    """
+    K, J = c.shape
+    flat = (np.empty((4, K, 2 * J)) if work is None else work.bands[:, :K]).reshape(4, -1)
+    (w, ew), (diag, off, rhs) = flat[0, : 2 * K * J].reshape(2, K, J), flat[1:, : K * (J - 1)].reshape(3, K, J - 1)
+    with np.errstate(divide="ignore"):
+        spd = (np.divide(1.0, c, out=w).min(axis=1) > 0.0) & (w.max(axis=1) < math.inf)  # NaN fails both
+    dq, dp = np.empty((2, K, J + 1)) if work is None else (work.dq[:K], work.dp[:K])
+    if spd.all():
+        np.multiply(e, w, out=ew)
+        np.subtract(ew[:, :-1], ew[:, 1:], out=rhs)
+        np.add(w[:, :-1], w[:, 1:], out=diag)
+        diag += b[:, None]
+        np.negative(w[:, 1:], out=off)
+        off[:, -1] = 0.0  # coupling to the next member
+        off = off.ravel()[: max(off.size - 1, 1)]  # the wrapper wants one entry when there is one unknown
+        *_, x, info = _lapack().dptsv(diag.ravel(), off, rhs.ravel(), 1, 1, 1)
+        x = x.reshape(K, J - 1)
+        if info == 0 and (K == 1 or (np.isfinite(x.min()) and np.isfinite(x.max()))):
+            dq[:, 0], dq[:, 1:J], dq[:, J] = 0.0, x, 0.0
+            _p_recurrence(dq, (x[:, 0] - e[:, 0]) / c[:, 0], b[:, None], dp)
+            return dq, dp, np.zeros(K, dtype=bool)
+    if K == 1 or not spd.any():  # H'' vanishes in every member, or dptsv failed alone
+        return _direction_by_banded(c, e, b, work)
+    singular = np.empty(K, dtype=bool)
+    for rows in np.eye(K, dtype=bool) if spd.all() else (spd, ~spd):  # each member alone, or each route at once
+        dq[rows], dp[rows], singular[rows] = _direction_by_hessian(c[rows], e[rows], b[rows])
+    return dq, dp, singular
 
 
 def _linear_defect(c, e, b, dq, dp, out):
@@ -383,7 +423,7 @@ def _linear_defect(c, e, b, dq, dp, out):
 
 
 def _newton_direction(c, e, b, current, tol, solo, work):
-    """The correction of every member: one dgtsv call for a block, affine shooting for a solo solve.
+    """The correction of every member: the Hessian direction for a block, affine shooting for a solo solve.
 
     Shooting steps both chains of the one member and combines them. Over long
     horizons the homogeneous mode of the forward pass grows exponentially and
@@ -395,7 +435,7 @@ def _newton_direction(c, e, b, current, tol, solo, work):
     meaningless).
     """
     if not solo:
-        return _direction_by_banded(c, e, b, work)
+        return _direction_by_hessian(c, e, b, work)
     (dq0, dq1), (dp0, dp1) = _propagate(memoryview(c[0]), memoryview(e[0]), float(b[0]))
     end, denom = float(dq0[-1]), float(dq1[-1]) - float(dq0[-1])
     if math.isfinite(denom) and denom != 0.0 and math.isfinite(end):
@@ -414,8 +454,8 @@ def _newton_direction(c, e, b, current, tol, solo, work):
 class _Workspace:
     """The arrays a Newton block writes, and the data of its t-nodes: grid, tau, cell volumes, b.
 
-    Per member-step, for up to ``members`` rows: four dgtsv bands (two doubles
-    each), c and e (also the line search's scratch), tau * V, dq, dp and two
+    Per member-step, for up to ``members`` rows: four dgtsv or dptsv bands (two
+    doubles each), c and e (also the line search's scratch), tau * V, dq, dp and two
     copies of (q, p, rq), 19 doubles; the start is written into the first copy
     of q and p, and its polynomial terms go through the second copy of q.
     ``work[rows]`` (consecutive) has those t-nodes' data.
@@ -564,7 +604,7 @@ def _solve_batch(
     tol = np.full(K, opts.newton_tol) if opts.newton_tol is not None else 1e-10 * q_starts
     block = _Block(work, np.maximum(tol, 1e-300), ksq)
     _start(block.tau_ksq, q_starts, block.q, block.p, *stencil, scratch=block.spare[0])
-    solo = K == 1  # a block keeps dgtsv when it shrinks to one member
+    solo = K == 1  # a block keeps its direction when it shrinks to one member
     block.current = block.residual(ham, slice(None), block.q, block.p, block.rq)
 
     results = [None] * K

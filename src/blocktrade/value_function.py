@@ -126,9 +126,9 @@ def build_grid(
     t-node's stencil, so the cell to its right starts from the straight
     line, as a cell of the first solved column does. A block's members are
     started together, rows of one stencil depth at a time. A block takes its
-    Newton directions from one ``dgtsv`` call, and a cell's result is bit for
-    bit what that direction gives it alone from the same start, so its
-    blockmates never affect it; a block of one cell shoots. Every block of
+    Newton directions from one ``dptsv`` call (``dgtsv`` where H'' vanishes), and a
+    cell's result is bit for bit what that direction gives it alone from the same
+    start, so its blockmates never affect it; a block of one cell shoots. Every block of
     every column works in the one ``solver._Workspace`` of the build, sized to
     the largest block (19 doubles per member-step). Each t-node's last
     ``_STENCIL`` converged q rows and p[0] live in a ring of as many slots: a
@@ -137,7 +137,7 @@ def build_grid(
     valued by one row-wise ``_objective`` call on its ring rows, every cell
     with the bits of its own ``eval_I`` (NaN for a failed one). A cell's own
     ``solve_from`` shoots, so the two agree only as far as shooting does: to
-    3.8e-16 relative on the reference grid, but not in the known defect of
+    4.4e-16 relative on the reference grid, but not in the known defect of
     the ``solver`` docstring, where shooting can stop on a wrong curve. On
     evenly spaced q-nodes no cell took more iterations than from the straight
     line or from the scaled curve to its left in any grid measured, while a

@@ -60,6 +60,14 @@ def member_result(problem, t_start, n_steps, q, p, outcome):
     return Trajectory(grid, q, p, (q[:-1] - q[1:]) / grid.tau, outcome.iterations, outcome.residual, *outcome[3:])
 
 
+def block_direction_alone(patch):
+    """Give a one-member block a block's Newton direction (``solo=False``), as a member of a larger block has."""
+    from blocktrade import solver
+
+    direction = solver._newton_direction
+    patch.setattr(solver, "_newton_direction", lambda c, e, b, now, tol, solo, work: direction(c, e, b, now, tol, False, work))
+
+
 def solve_batch(problem, t_starts, q_starts, opts, stencil=((), (), None), work=None):
     """``solver._solve_batch`` with each member's ``member_result``, on rows of two arrays the call makes."""
     from blocktrade.solver import _solve_batch

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocktrade.closed_forms import ac_trajectory
@@ -30,6 +30,7 @@ from blocktrade.solver import (
     SolveOptions,
     Trajectory,
     _direction_by_banded,
+    _direction_by_hessian,
     _linear_defect,
     _propagate,
     discrete_residual,
@@ -37,7 +38,13 @@ from blocktrade.solver import (
     newton_solve,
     solve_from,
 )
-from conftest import linear_trajectory, make_quadratic_problem, make_reference_problem, solve_batch
+from conftest import (
+    block_direction_alone,
+    linear_trajectory,
+    make_quadratic_problem,
+    make_reference_problem,
+    solve_batch,
+)
 
 
 def test_initial_guess_endpoints_and_first_dual(reference_problem):
@@ -333,6 +340,20 @@ def test_banded_direction_solves_linearized_system(J):
     assert _linear_defect(c, e, b[:, None], dq, dp, np.empty((3, 1, J)))[0] <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("J", [2, 3, 1000])
+def test_hessian_direction_solves_linearized_system(J):
+    # dq from the SPD Hessian, dp from the p-recurrence: at J = 1000 the rows hold to 4.3e-15
+    # of the scale here, dgtsv's to 1.6e-16
+    rng = np.random.default_rng(J)
+    c = rng.uniform(0.1, 2.0, (3, J))
+    e = rng.normal(size=(3, J))
+    b = np.array([0.3, 1.7, 0.02])
+    dq, dp, singular = _direction_by_hessian(c, e, b)
+    assert not singular.any() and (dq[:, 0] == 0.0).all() and (dq[:, -1] == 0.0).all()
+    scale = max(1.0, float(np.max(np.abs(dq))), float(np.max(np.abs(dp))))
+    assert _linear_defect(c, e, b[:, None], dq, dp, np.empty((3, 3, J))).max() <= 1e-13 * scale
+
+
 def assert_same_outcome(batched, alone):
     """A block member's result is bit for bit its solo solve's, error or trajectory."""
     assert type(batched) is type(alone)
@@ -353,10 +374,10 @@ def solo(problem, t, q, opts):
         return exc
 
 
-def solo_by_gtsv(problem, t, q, opts):
-    """``solo`` with every direction taken from dgtsv, as a block member's is."""
+def solo_by_block_direction(problem, t, q, opts):
+    """``solo`` with every direction taken as a block's, as a block member's is."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_newton_direction", lambda c, e, b, *_: _direction_by_banded(c, e, b))
+        block_direction_alone(patch)
         return solo(problem, t, q, opts)
 
 
@@ -372,10 +393,10 @@ def one_row(direction, k):
     return tuple(part[k : k + 1] for part in direction)
 
 
-def assert_rows_are_their_one_row_calls(c, e, b):
-    block = _direction_by_banded(c, e, b)
+def assert_rows_are_their_one_row_calls(c, e, b, direction=_direction_by_banded):
+    block = direction(c, e, b)
     for k in range(len(b)):
-        alone = _direction_by_banded(c[k : k + 1], e[k : k + 1], b[k : k + 1])
+        alone = direction(c[k : k + 1], e[k : k + 1], b[k : k + 1])
         for got, expected in zip(one_row(block, k), alone):
             assert_same_bits(got, expected)
     return block
@@ -391,6 +412,12 @@ def test_block_direction_equals_each_members_one_row_call(K, J):
     dq, dp, singular = assert_rows_are_their_one_row_calls(c, e, b)
     assert dq.shape == dp.shape == (K, J + 1)
     assert not singular.any()
+    # the block router: a member with c_0 = 0 (a straight-line start) takes dgtsv, the others dptsv
+    c[1, 0] = 0.0
+    routed = assert_rows_are_their_one_row_calls(c, e, b, _direction_by_hessian)
+    assert not routed[2].any()
+    for got, expected in zip(one_row(routed, 1), _direction_by_banded(c[1:2], e[1:2], b[1:2])):
+        assert_same_bits(got, expected)
 
 
 # The one-member shooting pass as it was before both chains shared one loop,
@@ -517,43 +544,74 @@ def test_overflowing_and_nan_members_leave_their_blockmates_bits():
     assert np.isfinite(dq[[0, 2, 4]]).all() and np.isfinite(dp[[0, 2, 4]]).all()
 
 
+def test_a_nan_member_leaves_its_blockmates_the_bits_of_their_dptsv_calls():
+    # LDL^T carries a NaN across a zero coupling entry (0 * NaN is NaN), so the block is re-solved
+    rng = np.random.default_rng(9)
+    K, J = 5, 300
+    c = rng.uniform(0.1, 2.0, (K, J))
+    e = rng.normal(size=(K, J))
+    b = np.full(K, 0.3)
+    e[1, 100], c[3, 50] = np.nan, np.nan
+    dq, dp, singular = assert_rows_are_their_one_row_calls(c, e, b, _direction_by_hessian)
+    assert np.isnan(dq[1]).any() and np.isnan(dp[3]).any() and not singular.any()
+    assert np.isfinite(dq[[0, 2, 4]]).all() and np.isfinite(dp[[0, 2, 4]]).all()
+
+
+def test_a_member_without_curvature_is_marked_singular_alone_through_dgtsv():
+    rng = np.random.default_rng(7)
+    c = rng.uniform(0.1, 2.0, (4, 200))
+    c[2] = 0.0
+    e = rng.normal(size=(4, 200))
+    b = np.full(4, 0.3)
+    _, _, singular = assert_rows_are_their_one_row_calls(c, e, b, _direction_by_hessian)
+    assert singular.tolist() == [False, False, True, False]
+
+
 def gtsv_system(n=2000):
     rng = np.random.default_rng(n)
     return rng.normal(size=n - 1), rng.uniform(1.0, 3.0, n), rng.normal(size=n - 1), rng.normal(size=n)
 
 
-def test_private_dgtsv_load_equals_scipy_linalg_and_leaves_it_importable():
+def ptsv_system(n=2000):
+    rng = np.random.default_rng(n)
+    return rng.uniform(3.0, 4.0, n), rng.uniform(-1.0, 1.0, n - 1), rng.normal(size=n)
+
+
+def test_private_lapack_load_equals_scipy_linalg_and_leaves_it_importable():
     # in a fresh interpreter: the load must not import scipy.linalg, which works afterwards
     src = os.path.dirname(os.path.dirname(solver.__file__))
     code = (
         "import sys, numpy as np\n"
-        "from blocktrade.solver import _dgtsv\n"
+        "from blocktrade.solver import _lapack\n"
         "rng = np.random.default_rng(2000)\n"
         "n = 2000\n"
-        "args = rng.normal(size=n - 1), rng.uniform(1.0, 3.0, n), rng.normal(size=n - 1), rng.normal(size=n)\n"
-        "private = _dgtsv()(*args)[3]\n"
+        "gt = rng.normal(size=n - 1), rng.uniform(1.0, 3.0, n), rng.normal(size=n - 1), rng.normal(size=n)\n"
+        "pt = rng.uniform(3.0, 4.0, n), rng.uniform(-1.0, 1.0, n - 1), rng.normal(size=n)\n"
+        "private = _lapack().dgtsv(*gt)[3], _lapack().dptsv(*pt)[2]\n"
         "assert 'scipy.linalg' not in sys.modules\n"
-        "from scipy.linalg.lapack import dgtsv\n"
-        "assert dgtsv(*args)[3].tobytes() == private.tobytes()\n"
+        "from scipy.linalg.lapack import dgtsv, dptsv\n"
+        "assert dgtsv(*gt)[3].tobytes() == private[0].tobytes()\n"
+        "assert dptsv(*pt)[2].tobytes() == private[1].tobytes()\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_dgtsv_falls_back_to_the_public_import(monkeypatch):
-    from scipy.linalg.lapack import dgtsv
+def test_lapack_falls_back_to_the_public_import(monkeypatch):
+    from scipy.linalg.lapack import dgtsv, dptsv
 
     def refuse(*args, **kwargs):
         raise ImportError("private path unavailable")
 
-    expected = dgtsv(*gtsv_system())[3]
+    expected = dgtsv(*gtsv_system())[3], dptsv(*ptsv_system())[2]
     monkeypatch.setattr(importlib.util, "spec_from_file_location", refuse)
-    solver._dgtsv.cache_clear()
+    solver._lapack.cache_clear()
     try:
-        assert solver._dgtsv() is dgtsv
-        assert_same_bits(solver._dgtsv()(*gtsv_system())[3], expected)
+        assert solver._lapack().dgtsv is dgtsv and solver._lapack().dptsv is dptsv
+        assert_same_bits(solver._lapack().dgtsv(*gtsv_system())[3], expected[0])
+        assert_same_bits(solver._lapack().dptsv(*ptsv_system())[2], expected[1])
     finally:
-        solver._dgtsv.cache_clear()
+        solver._lapack.cache_clear()
 
 
 @pytest.mark.parametrize("horizon", [5.0, 20.0])
@@ -577,22 +635,23 @@ def test_long_horizon_solve_equals_the_two_loop_and_solve_banded_routines(horizo
 
 
 def test_long_horizon_batch_takes_the_fallback_and_matches_solo_solves(monkeypatch):
-    # at T = 20 a solo solve needs the dgtsv fallback; a block takes dgtsv throughout
+    # at T = 20 a solo solve needs the dgtsv fallback; a block takes dgtsv from the straight
+    # line, where H''(0) = 0, and the Hessian direction after
     problem = make_reference_problem(horizon=20.0)
     opts = SolveOptions(n_steps=400)
     starts = [(0.0, 5e5), (5.0, 2e5), (10.0, 1e6), (0.0, 5e4)]
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return _direction_by_banded(*args)
+    def counted(direction):
+        return lambda *args: calls.append(direction.__name__) or direction(*args)
 
-    monkeypatch.setattr(solver, "_direction_by_banded", counted)
+    for direction in (_direction_by_banded, _direction_by_hessian):
+        monkeypatch.setattr(solver, direction.__name__, counted(direction))
     batched = solve_batch(problem, *zip(*starts), opts)
-    assert calls
+    assert calls[:2] == ["_direction_by_hessian", "_direction_by_banded"] and "_direction_by_banded" not in calls[2:]
     monkeypatch.undo()
     for result, (t, q) in zip(batched, starts):
-        assert_same_outcome(result, solo_by_gtsv(problem, t, q, opts))
+        assert_same_outcome(result, solo_by_block_direction(problem, t, q, opts))
         assert_same_convergence(result, solo(problem, t, q, opts))
 
 
@@ -695,7 +754,7 @@ def test_failing_member_is_returned_and_leaves_the_others_bit_identical(referenc
     batched = solve_batch(reference_problem, *zip(*starts), opts)
     assert [isinstance(r, NonConvergenceError) for r in batched] == [False, False, True, False]
     for result, (t, q) in zip(batched, starts):
-        assert_same_outcome(result, solo_by_gtsv(reference_problem, t, q, opts))
+        assert_same_outcome(result, solo_by_block_direction(reference_problem, t, q, opts))
         assert_same_convergence(result, solo(reference_problem, t, q, opts))
 
 
@@ -899,6 +958,15 @@ def discrete_ac_curve(problem, grid, q_start):
     return q_start * np.exp(-omega * j) * np.expm1(-2.0 * omega * (n - j)) / math.expm1(-2.0 * omega * n)
 
 
+def stiff_ac_problem(horizon=20.0, gamma=1e-5, rate=2e7, eta=1e-3, q0=2e6):
+    """Almgren-Chriss (phi = 1) on constant volume; the defaults are the stiffest corner of the draws below."""
+    return replace(
+        make_reference_problem(gamma=gamma, q0=q0, horizon=horizon),
+        volume=ConstantVolume(rate),
+        cost=PowerLawCost(eta, 1.0),
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     horizon=st.floats(0.05, 20.0),
@@ -908,20 +976,28 @@ def discrete_ac_curve(problem, grid, q_start):
     n=st.integers(20, 3000),
     q0=st.floats(5e4, 2e6),
 )
+@example(horizon=20.0, gamma=1e-5, rate=2e7, eta=1e-3, n=20, q0=2e6)
 def test_block_solve_is_the_exact_discrete_almgren_chriss_curve(horizon, gamma, rate, eta, n, q0):
-    problem = replace(
-        make_reference_problem(gamma=gamma, q0=q0, horizon=horizon),
-        volume=ConstantVolume(rate),
-        cost=PowerLawCost(eta, 1.0),
-    )
-    # Within the default tolerance, 1e-10 * q. Random draws miss by about 1e-12 * q at most,
-    # but the stiffest corner (T = 20, n = 20, V = 2e7, eta = 1e-3, gamma = 1e-5) misses by
-    # 6.1e-11 * q at any tolerance: the direction never corrects the p-defect of 3e-10 that
-    # its first step leaves, since the p-rows of its system have a zero right-hand side.
-    starts = [(0.0, q0), (0.5 * horizon, 0.5 * q0)]  # two members: the dgtsv direction
+    problem = stiff_ac_problem(horizon, gamma, rate, eta, q0)
+    # Within the default tolerance, 1e-10 * q. In a scan of 3128 random members the block
+    # direction missed by at most 2.0e-11 * q (dgtsv: 2.8e-12 * q): its second-order form solves
+    # the last step less accurately. It meets the stiffest corner (the @example) to 1.5e-15 * q,
+    # where dgtsv missed by 6.1e-11 * q at any tolerance: its first step left a p-defect of 3e-10,
+    # which no step corrects, since the p-rows of the linearized system have a zero right-hand side.
+    starts = [(0.0, q0), (0.5 * horizon, 0.5 * q0)]  # two members: the block direction
     for traj, (_, q) in zip(solve_batch(problem, *zip(*starts), SolveOptions(n_steps=n)), starts):
         assert isinstance(traj, Trajectory)
         assert np.max(np.abs(traj.q - discrete_ac_curve(problem, traj.grid, q))) <= 1e-10 * q
+
+
+@pytest.mark.parametrize("tol", [None, 1e-14 * 2e6])
+def test_block_solve_meets_the_stiff_almgren_chriss_corner_to_rounding(tol):
+    # the dgtsv direction left a p-defect of 3e-10 here and missed by 6.1e-11 * q at either tolerance
+    problem = stiff_ac_problem()
+    starts = [(0.0, problem.q0), (10.0, 0.5 * problem.q0)]
+    for traj, (_, q) in zip(solve_batch(problem, *zip(*starts), SolveOptions(n_steps=20, newton_tol=tol)), starts):
+        assert isinstance(traj, Trajectory)
+        assert np.max(np.abs(traj.q - discrete_ac_curve(problem, traj.grid, q))) <= 1e-13 * q
 
 
 @pytest.mark.xfail(

@@ -7,7 +7,7 @@ from dataclasses import replace
 from blocktrade.closed_forms import ac_trajectory, theta_infinity
 from blocktrade.market_model import PiecewiseLinearVolume
 from blocktrade.objective import eval_I
-from blocktrade import solver, value_function
+from blocktrade import value_function
 from blocktrade.solver import (
     MAX_STEPS,
     Grid,
@@ -24,7 +24,7 @@ from blocktrade.value_function import (
     check_structure,
     hj_residual,
 )
-from conftest import member_result, solve_batch
+from conftest import block_direction_alone, member_result, solve_batch
 OPTS = SolveOptions(n_steps=500)
 
 
@@ -283,10 +283,10 @@ def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, mo
     for name in ("values", "failed", "iterations", "residuals"):
         assert np.array_equal(getattr(split, name), getattr(grid, name), equal_nan=True)
 
-    # a block member is bit for bit a one-member dgtsv batch from the same
-    # start: predicted from the last four converged cells of its row (the
+    # a block member is bit for bit a one-member batch on the block direction from
+    # the same start: predicted from the last four converged cells of its row (the
     # q-nodes are evenly spaced), the stencil emptied by a failure
-    monkeypatch.setattr(solver, "_newton_direction", lambda c, e, b, *_: solver._direction_by_banded(c, e, b))
+    block_direction_alone(monkeypatch)
     for i in (0, 4, 8):
         stencil = []
         for k, q in enumerate(q_nodes[1:], start=1):
