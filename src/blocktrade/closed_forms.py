@@ -44,20 +44,37 @@ def _require_ac(problem: LiquidationProblem) -> tuple[float, float]:
     return kappa, problem.horizon
 
 
+def _ac_curve(q0, kappa_s, x, out=None, scratch=None, shift=0.0):
+    """q0 * sinh(k * (1 - x)) / sinh(k) at x = t / S, for each k = kappa * S in kappa_s: the Almgren-Chriss curves.
+
+    Taken as q0 * e^(-k x) * expm1(2 k (x - 1)) / expm1(-2 k), which neither
+    overflows nor loses the curve for any k: the two exponents are outer
+    products of kappa_s and x, one exp and one expm1, the second through
+    ``scratch`` (made if None), and the result, shaped kappa_s.shape + x.shape,
+    goes to ``out``. ``shift`` = 2 adds 2 to the expm1 term, which gives
+    -q0 * cosh(k * (1 - x)) / sinh(k).
+    """
+    kappa_s = np.asarray(kappa_s, dtype=float)
+    out = np.exp(np.multiply.outer(-kappa_s, x, out=out), out=out)
+    tail = np.expm1(np.multiply.outer(2.0 * kappa_s, np.subtract(x, 1.0), out=scratch), out=scratch)
+    if shift:
+        tail += shift
+    out *= tail
+    scale = q0 / np.expm1(-2.0 * kappa_s)
+    out *= np.reshape(scale, scale.shape + (1,) * np.ndim(x))
+    return out
+
+
 def ac_trajectory(problem: LiquidationProblem, t):
     """Optimal inventory under quadratic costs and constant volume."""
     kappa, horizon = _require_ac(problem)
-    return _on_array(
-        lambda a: problem.q0 * np.sinh(kappa * (horizon - a)) / np.sinh(kappa * horizon), t
-    )
+    return _on_array(lambda a: _ac_curve(problem.q0, kappa * horizon, a / horizon), t)
 
 
 def ac_speed(problem: LiquidationProblem, t):
     """Selling speed companion to :func:`ac_trajectory`."""
     kappa, horizon = _require_ac(problem)
-    return _on_array(
-        lambda a: problem.q0 * kappa * np.cosh(kappa * (horizon - a)) / np.sinh(kappa * horizon), t
-    )
+    return _on_array(lambda a: -kappa * _ac_curve(problem.q0, kappa * horizon, a / horizon, shift=2.0), t)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closed_forms import theta_infinity
-from .legendre import hamiltonian_of
-from .market_model import LiquidationProblem
+from .closed_forms import _ac_curve, theta_infinity
+from .legendre import SingularCurvatureError, _cost_slope, hamiltonian_of
+from .market_model import LiquidationProblem, PowerLawCost
 from .objective import _objective, eval_I
 from .solver import SolveOptions, _solve_batch, _Workspace, newton_solve
 
@@ -118,32 +118,40 @@ def build_grid(
 
     The columns are solved in increasing q, each as one or more Newton blocks
     of at most ``BATCH_MEMBERS`` t-nodes, of even size (continuation in
-    inventory). A cell starts from a prediction out of the converged curves of
-    the same t-node in the columns to its left (``solver._start``): the
-    polynomial in q through up to ``_STENCIL`` of them while those columns
-    and its own are evenly spaced in q, and otherwise the curve to its left
-    scaled by the ratio of the two inventories. A failed cell empties its
-    t-node's stencil, so the cell to its right starts from the straight
-    line, as a cell of the first solved column does. A block's members are
-    started together, rows of one stencil depth at a time. A block takes its
-    Newton directions from one ``dptsv`` call (``dgtsv`` where H'' vanishes), and a
-    cell's result is bit for bit what that direction gives it alone from the same
-    start, so its blockmates never affect it; a block of one cell shoots. Every block of
-    every column works in the one ``solver._Workspace`` of the build, sized to
-    the largest block (19 doubles per member-step). Each t-node's last
-    ``_STENCIL`` converged q rows and p[0] live in a ring of as many slots: a
-    block's converged curves overwrite the oldest slot once its start has read
-    it (zeros for a failed cell), its p rows one reused buffer. Each block is
-    valued by one row-wise ``_objective`` call on its ring rows, every cell
-    with the bits of its own ``eval_I`` (NaN for a failed one). A cell's own
-    ``solve_from`` shoots, so the two agree only as far as shooting does: to
-    4.4e-16 relative on the reference grid, but not in the known defect of
-    the ``solver`` docstring, where shooting can stop on a wrong curve. On
-    evenly spaced q-nodes no cell took more iterations than from the straight
-    line or from the scaled curve to its left in any grid measured, while a
-    jump of many orders of magnitude between neighbouring q-nodes can cost
-    more than the straight line. Solver failures do not abort the build: the
-    cell is masked and left NaN.
+    inventory). A cell starts from its t-node's matched Almgren-Chriss curve
+    at its inventory (``_matched_curves``) plus a deviation predicted out of
+    the deviations of the same t-node's converged curves in the columns to its
+    left from their own matched curves (``solver._start``): the polynomial in
+    q through up to ``_STENCIL`` of them while those columns and its own are
+    evenly spaced in q, and otherwise the deviation to its left scaled by the
+    ratio of the two inventories. A failed cell empties its t-node's stencil,
+    so the cell to its right starts from its matched curve alone, as a cell of
+    the first solved column does. A block's members are started together,
+    rows of one stencil depth at a time. A block takes its Newton directions
+    from one ``dptsv`` call (``dgtsv`` where H'' vanishes), and a cell's
+    result is bit for bit what that direction gives it alone from the same
+    start, so its blockmates never affect it; a block of one cell shoots.
+    Every block of every column works in the one ``solver._Workspace`` of the
+    build, sized to the largest block (19 doubles per member-step), and
+    writes its matched curves to one buffer of that size (one double per
+    member-step), with the block's p rows as their scratch before the solve.
+    Each t-node's last ``_STENCIL`` deviations of q and p[0] live in a ring
+    of as many slots: a block's converged curves overwrite the oldest slot
+    once its start has read it (zeros for a failed cell), are valued by one
+    row-wise ``_objective`` call, every cell with the bits of its own
+    ``eval_I`` (NaN for a failed one), and then lose their matched curves. A
+    cell's own ``solve_from`` shoots from the straight line, so the two agree
+    only as far as shooting does: to 4.4e-16 relative on the reference grid,
+    but not in the known defect of the ``solver`` docstring, where shooting
+    can stop on a wrong curve. Over 32 grids (phi 0.3 to 1, gamma 1e-7 to
+    1e-5, T = 0.25 and 5, a U-shaped volume, q0 = 2e6; even and uneven
+    q-nodes) no cell took more iterations than from the polynomial predictor
+    of the curves themselves, while after a jump of many orders of magnitude
+    between neighbouring q-nodes the prediction gains nothing over the matched
+    curve alone. A power-law cost with phi > 1 raises
+    ``SingularCurvatureError`` before any solve: H'' is singular at p = 0,
+    which the Newton path cannot serve. Solver failures do not abort the
+    build: the cell is masked and left NaN.
     """
     opts = opts or SolveOptions()
     T = problem.horizon
@@ -162,6 +170,12 @@ def build_grid(
     if not np.isfinite(q_nodes).all() or q_nodes[0] < 0:
         raise ValueError("q-nodes must be finite and nonnegative")
 
+    if isinstance(problem.cost, PowerLawCost) and problem.cost.phi > 1.0:
+        raise SingularCurvatureError(
+            f"H'' is singular at p=0 for phi={problem.cost.phi} > 1, so the Newton path cannot solve the grid; "
+            "power-law exponents above 1 are only supported through the closed forms"
+        )
+
     values = np.zeros((len(t_nodes), len(q_nodes)))
     failed = np.zeros_like(values, dtype=bool)
     iterations = np.zeros_like(values, dtype=int)
@@ -169,28 +183,36 @@ def build_grid(
     size = max(1, min(BATCH_MEMBERS, _BLOCK_DOUBLES // (opts.n_steps + 1)))
     blocks = np.array_split(np.arange(len(t_nodes)), math.ceil(len(t_nodes) / size))
     work = _Workspace(problem, t_nodes, opts.n_steps, len(blocks[0]))
-    # each t-node's converged q and p[0] in the last _STENCIL solved columns, a ring whose
-    # oldest slot a column's results overwrite; kept counts each t-node's valid slots
+    matched_curves = _matched_curves(problem, t_nodes, work)
+    # each t-node's deviation of its converged q and p[0] from their matched curves in the last
+    # _STENCIL solved columns, a ring whose oldest slot a column's results overwrite; kept counts
+    # each t-node's valid slots
     ring_q, ring_p0 = np.zeros((_STENCIL, len(t_nodes), opts.n_steps + 1)), np.zeros((_STENCIL, len(t_nodes)))
     kept = np.zeros(len(t_nodes), dtype=int)
-    p_rows = np.empty((len(blocks[0]), opts.n_steps + 1))  # only p[0] is kept
-    for solved, k in enumerate(np.flatnonzero(q_nodes)):
+    # a block's matched curves, and its p rows (only p[0] is kept; before the solve, the curves' scratch)
+    base_q, p_rows = np.empty((2, len(blocks[0]), opts.n_steps + 1))
+    columns = np.flatnonzero(q_nodes)
+    for solved, k in enumerate(columns):
         depth = 1  # one column to the left, at any spacing, or more while evenly spaced with this one
         while depth < min(k, _STENCIL) and _evenly_spaced(q_nodes[k - depth - 1 : k + 1]):
             depth += 1
         slots, new = [(solved - d) % _STENCIL for d in range(depth, 0, -1)], solved % _STENCIL
+        q_left = q_nodes[columns[solved - 1]]  # the inventory of the newest slot (unread in the first column)
         for rows in blocks:
-            part, r, p = work[rows], slice(rows[0], rows[-1] + 1), p_rows[: len(rows)]
-            q = ring_q[new, r]
-            stencil = [ring_q[s, r] for s in slots], [ring_p0[s, r] for s in slots], np.minimum(kept[r], depth)
+            part, r, p, curves = work[rows], slice(rows[0], rows[-1] + 1), p_rows[: len(rows)], base_q[: len(rows)]
+            base = curves, matched_curves(q_nodes[k], r, curves, p)
+            q, ring = ring_q[new, r], ([ring_q[s, r] for s in slots], [ring_p0[s, r] for s in slots])
+            stencil = base, *ring, np.full(len(rows), q_left), np.minimum(kept[r], depth)
             outcomes = _solve_batch(problem, t_nodes[r], np.full(len(rows), q_nodes[k]), opts, q, p, stencil, part)
             lost = np.array([outcome.message is not None for outcome in outcomes])
             failed[r, k], iterations[r, k] = lost, [outcome.iterations for outcome in outcomes]
             residuals[r, k] = [outcome.residual for outcome in outcomes]
-            q[lost], ring_p0[new, r] = 0.0, p[:, 0]  # a failed cell's slot is valued as zeros, never extrapolated
+            q[lost] = 0.0  # a failed cell's slot is valued as zeros, never extrapolated
             kept[r] = np.where(lost, 0, np.minimum(kept[r] + 1, _STENCIL))
             v = (q[:, :-1] - q[:, 1:]) / part.tau[:, None]
             values[r, k] = np.where(lost, np.nan, _objective(problem, part.tau, part.vol, q, v))
+            q -= curves
+            np.subtract(p[:, 0], base[1], out=ring_p0[new, r])
     return ValueGrid(
         t_nodes=t_nodes,
         q_nodes=q_nodes,
@@ -201,6 +223,35 @@ def build_grid(
         iterations=iterations,
         residuals=residuals,
     )
+
+
+def _matched_curves(problem: LiquidationProblem, t_nodes, work):
+    """The writer of each t-node's Almgren-Chriss curve from q_hat, matched at its mean rate.
+
+    With S the time left and V the mean cell volume of a t-node,
+    kappa**2 = gamma * sigma**2 * V * H''(p) at the price p = -L'(q_hat / (S V))
+    of the mean rate: for phi = 1 and a constant volume, the exact curve of
+    the quadratic cost. ``write(q_hat, r, out, scratch)`` writes the curves of
+    the t-nodes ``r`` (a slice) to ``out``, with ``scratch`` for the second
+    exponent of ``closed_forms._ac_curve``, and returns their p[0]: the price
+    whose p-recurrence along the curve ends at -L' of its last-cell rate. The
+    end is where the price is smallest, so a relative error there costs Newton
+    the most: p[0] at -L' of the first-cell rate missed that end by 6.5 times
+    its size at T = 5, and took more iterations than the predictor of the
+    curves themselves in 153 cells of the 32 grids named in ``build_grid``.
+    """
+    ham, cost = hamiltonian_of(problem.cost), problem.cost
+    left, mean_vol = problem.horizon - t_nodes, work.vol.mean(axis=1)
+    mean_volume, risk = left * mean_vol, problem.market.gamma * problem.market.sigma**2 * mean_vol
+    last_cell, x = work.tau * work.vol[:, -1], np.arange(work.vol.shape[1] + 1) / work.vol.shape[1]
+
+    def write(q_hat, r, out, scratch):
+        price = -_cost_slope(cost, q_hat / mean_volume[r])
+        _ac_curve(q_hat, left[r] * np.sqrt(risk[r] * ham.curvature(price)), x, out, scratch)
+        out[:, 0], out[:, -1] = q_hat, 0.0
+        return -_cost_slope(cost, out[:, -2] / last_cell[r]) - work.b[r] * out[:, 1:].sum(axis=1)
+
+    return write
 
 
 def _evenly_spaced(nodes) -> bool:

@@ -68,7 +68,7 @@ def block_direction_alone(patch):
     patch.setattr(solver, "_newton_direction", lambda c, e, b, now, tol, solo, work: direction(c, e, b, now, tol, False, work))
 
 
-def solve_batch(problem, t_starts, q_starts, opts, stencil=((), (), None), work=None):
+def solve_batch(problem, t_starts, q_starts, opts, stencil=(), work=None):
     """``solver._solve_batch`` with each member's ``member_result``, on rows of two arrays the call makes."""
     from blocktrade.solver import _solve_batch
 

@@ -500,8 +500,9 @@ def test_grid_report_counts_iterations_and_failed_cells(tmp_path, capsys):
     # each cell converged to its own tolerance, 1e-10 times its inventory
     assert 0.0 < report["newton_residual"]["max"] <= 1e-10 * 500000
 
-    # one Newton step is too few for every cell: the run writes both artifacts, then fails
-    text = BASE_CONFIG + "solve.max_iter = 1\n"
+    # one Newton step to 1e-6 shares is too few for every cell (from the matched start,
+    # four cells converge within one at the default tolerance): the run writes both artifacts, then fails
+    text = BASE_CONFIG + "solve.max_iter = 1\nsolve.newton_tol = 1e-6\n"
     out = tmp_path / "failed"
     code, payload = run_cli(capsys, "grid", "--config", write_config(tmp_path, text, "one.cfg"), "--out-dir", str(out), "--n-steps", "300")
     assert code == 1

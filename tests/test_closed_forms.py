@@ -75,6 +75,32 @@ def test_ac_curve_solves_the_continuous_system(quadratic_problem):
         assert qdot_fd == pytest.approx(V * p[idx] / (2 * eta), rel=1e-4)
 
 
+def test_ac_curve_and_speed_stay_finite_at_the_stiff_corner():
+    # kappa * T = 3162: sinh(kappa * T) overflows, and the sinh ratio read NaN at every interior point
+    stiff = make_quadratic_problem(eta=1e-3, gamma=1e-5, horizon=20.0, q0=2e6)
+    stiff = replace(stiff, volume=ConstantVolume(2e7))
+    t = np.linspace(0.0, stiff.horizon, 2001)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # e^(-kappa t) may underflow to 0
+        q, v = ac_trajectory(stiff, t), ac_speed(stiff, t)
+    assert np.isfinite(q).all() and np.isfinite(v).all()
+    assert q[0] == stiff.q0 and q[-1] == 0.0
+    assert np.all(np.diff(q) <= 0.0) and np.all(v >= 0.0)
+
+
+@pytest.mark.parametrize("horizon", [1e-3, 0.1, 0.5, 0.99])
+def test_ac_curve_and_speed_are_the_sinh_forms_where_those_are_exact(horizon):
+    # kappa = 50 per day on the quadratic reference stock at gamma = 1e-5 and V = 2e7: kappa * T from 0.05 to 49.5
+    problem = replace(make_quadratic_problem(horizon=horizon, gamma=1e-5), volume=ConstantVolume(2e7))
+    m = problem.market
+    kappa = np.sqrt(m.gamma * m.sigma**2 * problem.volume.rate / (2.0 * problem.cost.eta))
+    assert kappa * horizon <= 50.0
+    t = np.linspace(0.0, horizon, 201)[:-1]
+    sinh_q = problem.q0 * np.sinh(kappa * (horizon - t)) / np.sinh(kappa * horizon)
+    sinh_v = problem.q0 * kappa * np.cosh(kappa * (horizon - t)) / np.sinh(kappa * horizon)
+    np.testing.assert_allclose(ac_trajectory(problem, t), sinh_q, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(ac_speed(problem, t), sinh_v, rtol=1e-14, atol=0.0)
+
+
 def sq_params(**overrides):
     base = dict(eta=1.0, delta=2.0, q0=0.25, horizon=1.0, volume_rate=1.0, gamma=6.0, sigma=1.0)
     base.update(overrides)

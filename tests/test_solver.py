@@ -176,47 +176,55 @@ def test_non_convergence_error_carries_residual(reference_problem):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_start_extrapolates_a_polynomial_in_inventory(m):
-    # from m >= 2 curves, a q and p[0] of degree m - 1 in the inventory Q come
-    # back exactly at the next evenly spaced node; one curve is scaled, which
-    # is exact for a curve proportional to Q
+    # the start is a base curve plus the deviations extrapolated in the inventory Q:
+    # from m >= 2 deviations, one of degree m - 1 comes back exactly at the next evenly
+    # spaced node; one deviation is scaled, which is exact for a deviation proportional
+    # to Q. The base (here a power of Q times a fixed row) never enters the prediction.
     grid = Grid(n_steps=20, t_start=0.0, t_end=1.0)
     rng = np.random.default_rng(m)
     q_coef, p_coef = rng.uniform(0.5, 1.5, (m, 21)), rng.uniform(0.5, 1.5, m)
+    base_row, base_p0 = rng.uniform(0.5, 1.5, 21), rng.uniform(0.5, 1.5)
     degrees = np.arange(m) if m > 1 else np.ones(1)
-    q_coef[:, 0] = degrees == 1  # a converged curve starts at its inventory: q[0] = Q
+    q_coef[:, 0] = base_row[0] = 0.0  # a deviation vanishes at q[0] = Q, where the base is Q
 
-    def at(Q):
+    def base(Q):
+        row = Q**1.7 * base_row
+        row[0] = Q
+        return row, Q**0.3 * base_p0
+
+    def deviation(Q):
         return (Q**degrees) @ q_coef, (Q**degrees) @ p_coef
 
     nodes = 2.0 + 0.5 * np.arange(m + 1)
-    qs, p0s = zip(*(at(Q) for Q in nodes[:-1]))
+    qs, p0s = zip(*(deviation(Q) for Q in nodes[:-1]))
     q_start = nodes[-1]
     q, p = np.empty((2, 1, 21))
-    stencil = [q_i[None] for q_i in qs], [p0[None] for p0 in p0s]
-    solver._start(np.array([[grid.tau * 0.7]]), np.array([q_start]), q, p, *stencil)
+    (base_q, p0_base) = base(q_start)
+    stencil = [q_i[None] for q_i in qs], [p0[None] for p0 in p0s], nodes[-2:-1]
+    solver._start(np.array([[grid.tau * 0.7]]), np.array([q_start]), q, p, (base_q[None], np.array([p0_base])), *stencil)
     q, p = q[0], p[0]
-    expected_q, expected_p0 = at(q_start)
+    expected_q, expected_p0 = deviation(q_start)
     assert q[0] == q_start and q[-1] == 0.0
-    np.testing.assert_allclose(q[1:-1], expected_q[1:-1], rtol=1e-12)
-    assert p[0] == pytest.approx(expected_p0, rel=1e-12)
+    np.testing.assert_allclose(q[1:-1], expected_q[1:-1] + base_q[1:-1], rtol=1e-12)
+    assert p[0] == pytest.approx(expected_p0 + p0_base, rel=1e-12)
     # p is the forward pass of the p-recurrence, so its defect is rounding
     np.testing.assert_allclose(p[1:] - p[:-1], grid.tau * 0.7 * q[1:], rtol=1e-12)
 
 
-def one_row_start(tau_ksq, n_steps, q_start, stencil):
-    """A member's start as the one-row code built it from (q, p[0]) pairs: the reference for bit identity."""
+def one_row_start(tau_ksq, n_steps, q_start, base, stencil, Q):
+    """A member's start from its base and (deviation, p[0]) pairs as one-row code: the reference for bit identity."""
     m = len(stencil)
-    if m == 0:
+    if base is None:
         q = (1.0 - np.arange(n_steps + 1) / n_steps) * q_start
         p0 = 0.0
     elif m == 1:
         ((q_left, p0_left),) = stencil
-        s = q_start / q_left[0]
-        q, p0 = s * q_left, s * p0_left
+        s = q_start / Q
+        q, p0 = s * q_left + base[0], s * p0_left + base[1]
     else:
         weights = [(-1) ** (m - 1 - i) * math.comb(m, i) for i in range(m)]
-        q = sum(w * q_i for w, (q_i, _) in zip(weights, stencil))
-        p0 = sum(w * p0_i for w, (_, p0_i) in zip(weights, stencil))
+        q = sum(w * q_i for w, (q_i, _) in zip(weights, stencil)) + base[0]
+        p0 = sum(w * p0_i for w, (_, p0_i) in zip(weights, stencil)) + base[1]
     q[0], q[-1] = q_start, 0.0
     p = np.full(n_steps + 1, p0)
     p[1:] += tau_ksq * np.cumsum(q[1:])
@@ -226,28 +234,36 @@ def one_row_start(tau_ksq, n_steps, q_start, stencil):
 @pytest.mark.parametrize("depths", [[0] * 5, [1] * 5, [2] * 5, [3] * 5, [4] * 5, [4, 0, 2, 4, 1]])
 def test_a_block_start_is_each_rows_one_row_start_bit_for_bit(depths):
     # the K rows started together (per depth group when depths differ), each row
-    # started alone, and the one-row code: the same bits, compared as int64
+    # started alone, and the one-row code: the same bits, compared as int64; from a
+    # base curve, and from the straight line (no base) where nothing is extrapolated
     rng = np.random.default_rng(len(set(depths)) + sum(depths))
     K, J = len(depths), 60
     b = rng.uniform(1e-4, 1.0, (K, 1))
     q_start = rng.uniform(1e4, 1e6, K)
+    Q = q_start * rng.uniform(0.5, 1.0, K)
     qs = [rng.normal(size=(K, J + 1)) * 10.0 ** rng.uniform(-3, 6, (K, J + 1)) for _ in range(4)]
     p0s = [rng.normal(size=K) for _ in range(4)]
     for a, q_i in enumerate(qs):  # the weight on qs[a] has the sign (-1)**(3 - a) at any depth
         q_i[:, 5] = 0.0 if (3 - a) % 2 else -0.0  # every term -0.0: summed from 0, q[5] is +0.0
+    bases = [(rng.uniform(0.0, 1e6, (K, J + 1)), rng.normal(size=K))]
+    if not any(depths):
+        bases.append(None)
     depth = np.array(depths)
-    q, p = np.empty((2, K, J + 1))
-    solver._start(b, q_start, q, p, qs, p0s, depth)
-    for k, d in enumerate(depths):
-        alone = np.empty((2, 1, J + 1))
-        last = slice(4 - d, None)
-        row = [a[k : k + 1] for a in qs[last]], [a[k : k + 1] for a in p0s[last]]
-        solver._start(b[k : k + 1], q_start[k : k + 1], *alone, *row)
-        pairs = [(a[k].copy(), p0[k]) for a, p0 in zip(qs[last], p0s[last])]
-        expected = one_row_start(float(b[k, 0]), J, q_start[k], pairs)
-        for got, one_row, reference in zip((q[k], p[k]), alone[:, 0], expected):
-            assert np.array_equal(got.view(np.int64), one_row.view(np.int64))
-            assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+    for base in bases:
+        q, p = np.empty((2, K, J + 1))
+        solver._start(b, q_start, q, p, base, qs, p0s, Q, depth)
+        for k, d in enumerate(depths):
+            alone = np.empty((2, 1, J + 1))
+            last = slice(4 - d, None)
+            own = None if base is None else (base[0][k : k + 1], base[1][k : k + 1])
+            row = [a[k : k + 1] for a in qs[last]], [a[k : k + 1] for a in p0s[last]], Q[k : k + 1]
+            solver._start(b[k : k + 1], q_start[k : k + 1], *alone, own, *row)
+            pairs = [(a[k].copy(), p0[k]) for a, p0 in zip(qs[last], p0s[last])]
+            own = None if base is None else (base[0][k], base[1][k])
+            expected = one_row_start(float(b[k, 0]), J, q_start[k], own, pairs, Q[k])
+            for got, one_row, reference in zip((q[k], p[k]), alone[:, 0], expected):
+                assert np.array_equal(got.view(np.int64), one_row.view(np.int64))
+                assert np.array_equal(got.view(np.int64), reference.view(np.int64))
 
 
 def test_solve_from_start_equals_full_solve(reference_problem):

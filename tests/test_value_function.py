@@ -5,11 +5,13 @@ import pytest
 from dataclasses import replace
 
 from blocktrade.closed_forms import ac_trajectory, theta_infinity
-from blocktrade.market_model import PiecewiseLinearVolume
+from blocktrade.legendre import SingularCurvatureError
+from blocktrade.market_model import PiecewiseLinearVolume, PowerLawCost
 from blocktrade.objective import eval_I
 from blocktrade import value_function
 from blocktrade.solver import (
     MAX_STEPS,
+    _Workspace as Workspace,
     Grid,
     NonConvergenceError,
     SolveOptions,
@@ -284,14 +286,19 @@ def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, mo
         assert np.array_equal(getattr(split, name), getattr(grid, name), equal_nan=True)
 
     # a block member is bit for bit a one-member batch on the block direction from
-    # the same start: predicted from the last four converged cells of its row (the
-    # q-nodes are evenly spaced), the stencil emptied by a failure
+    # the same start: its matched curve plus the deviations of the last four
+    # converged cells of its row from theirs, extrapolated (the q-nodes are evenly
+    # spaced), the stencil emptied by a failure
     block_direction_alone(monkeypatch)
     for i in (0, 4, 8):
+        node = t_nodes[i : i + 1]
+        matched = value_function._matched_curves(reference_problem, node, Workspace(reference_problem, node, opts.n_steps, 1))
         stencil = []
         for k, q in enumerate(q_nodes[1:], start=1):
-            qs, p0s = [q_i[None] for q_i, _ in stencil], [np.array([p0]) for _, p0 in stencil]
-            (alone,) = solve_batch(reference_problem, [t_nodes[i]], [q], opts, (qs, p0s, None))
+            curve, scratch = np.empty((2, 1, opts.n_steps + 1))
+            base = curve, matched(q, slice(0, 1), curve, scratch)
+            qs, p0s = [q_i[None] for q_i, _ in stencil], [p0 for _, p0 in stencil]
+            (alone,) = solve_batch(reference_problem, [t_nodes[i]], [q], opts, (base, qs, p0s, q_nodes[k - 1 : k]))
             assert alone.iterations == grid.iterations[i, k]
             if isinstance(alone, NonConvergenceError):
                 assert grid.failed[i, k] and alone.residual == grid.residuals[i, k]
@@ -299,23 +306,51 @@ def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, mo
             else:
                 assert eval_I(reference_problem, alone, psi=0.0) == grid.values[i, k]
                 assert alone.max_residual == grid.residuals[i, k]
-                stencil = (stencil + [(alone.q, alone.p[0])])[-4:]
+                stencil = (stencil + [(alone.q - curve[0], alone.p[:1] - base[1])])[-4:]
 
 
-def test_reference_surface_takes_at_most_700_iterations(reference_problem):
+def test_reference_surface_takes_at_most_520_iterations(reference_problem):
     # from the straight line this grid costs 2246 iterations, from the scaled
-    # curve to the left 1075, from the polynomial predictor 689
+    # curve to the left 1075, from the polynomial predictor 689 (at most 6 in a
+    # cell), from the matched curve plus the predicted deviation 464 (at most 3)
     t_nodes = np.linspace(0.0, 0.9, 21)
     q_nodes = np.linspace(0.0, reference_problem.q0, 21)
     grid = build_grid(reference_problem, t_nodes, q_nodes, SolveOptions(n_steps=1000))
     assert not grid.failed.any()
-    assert grid.iterations.sum() <= 700
+    assert grid.iterations.sum() <= 520
+    assert grid.iterations.max() <= 3
+
+
+def test_matched_curve_is_the_almgren_chriss_curve_for_a_quadratic_cost(quadratic_problem):
+    # phi = 1 and a constant volume: kappa does not depend on the matching rate
+    t_nodes, n_steps = np.linspace(0.0, 0.9, 7), 400
+    work = Workspace(quadratic_problem, t_nodes, n_steps, len(t_nodes))
+    curves, scratch = np.empty((2, len(t_nodes), n_steps + 1))
+    for q_hat in (1e3, 2.5e5, 2e6):
+        value_function._matched_curves(quadratic_problem, t_nodes, work)(q_hat, slice(None), curves, scratch)
+        for t, curve, grid in zip(t_nodes, curves, work.grids):
+            rest = replace(quadratic_problem, q0=q_hat, horizon=quadratic_problem.horizon - t)
+            exact = ac_trajectory(rest, grid.times - t)
+            np.testing.assert_allclose(curve, exact, rtol=0.0, atol=1e-14 * q_hat)
+
+
+def test_build_grid_rejects_a_super_quadratic_power_law_unsolved(reference_problem, monkeypatch):
+    # the matched start's price is never 0, so H'' stays finite there; the check comes first
+    def no_solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(value_function, "_solve_batch", no_solve)
+    for phi in (1.2, 1.5, 2.0):
+        problem = replace(reference_problem, cost=PowerLawCost(eta=0.02, phi=phi))
+        with pytest.raises(SingularCurvatureError, match="phi"):
+            build_grid(problem, [0.0, 0.5], [0.0, 1e5, 2e5], OPTS)
 
 
 def test_a_warm_reference_surface_stays_under_the_traced_peak_of_copied_trajectories(reference_problem):
     # copying every converged cell out as a Trajectory and stacking the block's
     # rows again for its values peaked at 5.61 MB; writing the curves into the
-    # build's ring of the last four columns peaks at 4.90 MB
+    # build's ring of the last four columns peaked at 4.90 MB, and 5.08 MB with the
+    # block's buffer of matched curves
     args = (reference_problem, np.linspace(0.0, 0.9, 21), np.linspace(0.0, reference_problem.q0, 21))
     build_grid(*args, SolveOptions(n_steps=1000))
     tracemalloc.start()
@@ -330,8 +365,8 @@ def test_a_warm_reference_surface_stays_under_the_traced_peak_of_copied_trajecto
 U_SHAPED = PiecewiseLinearVolume(((0.0, 8e6), (0.5, 2e6), (1.0, 8e6)))
 
 
-@pytest.mark.parametrize("volume", [None, U_SHAPED], ids=["constant", "u_shaped"])
-def test_block_values_are_eval_I_of_each_member_bit_for_bit(reference_problem, volume, monkeypatch):
+@pytest.mark.parametrize("volume, max_iter", [(None, 2), (U_SHAPED, 3)], ids=["constant", "u_shaped"])
+def test_block_values_are_eval_I_of_each_member_bit_for_bit(reference_problem, volume, max_iter, monkeypatch):
     problem = reference_problem if volume is None else replace(reference_problem, volume=volume)
     t_nodes = np.linspace(0.0, 0.9, 9)
     q_nodes = np.linspace(0.0, 2 * problem.q0, 9)
@@ -346,8 +381,11 @@ def test_block_values_are_eval_I_of_each_member_bit_for_bit(reference_problem, v
         return outcomes
 
     monkeypatch.setattr(value_function, "_solve_batch", recording)
-    # five Newton steps fail the three earliest t-nodes of the first columns
-    grid = build_grid(problem, t_nodes, q_nodes, SolveOptions(n_steps=100, max_iter=5))
+    # from the matched curve the first column takes up to three Newton steps (four
+    # under the U-shaped volume), and a failed cell leaves the next one to start
+    # from that curve alone: max_iter fails the earliest t-nodes of every column,
+    # and not the others
+    grid = build_grid(problem, t_nodes, q_nodes, SolveOptions(n_steps=100, max_iter=max_iter))
     mixed = 0
     for t_starts, q, results in blocks:
         k = int(np.flatnonzero(q_nodes == q)[0])
