@@ -73,10 +73,12 @@ def read_trajectory_csv(path: str) -> Trajectory:
         if header != ["t", "q", "v", "p"]:
             raise ValueError(f"{path}: expected header t,q,v,p")
         rows = [row for row in reader if row]
-    t = np.array([float(r[0]) for r in rows])
-    q = np.array([float(r[1]) for r in rows])
-    p = np.array([float(r[3]) for r in rows])
+    if len(rows) < 3:
+        raise ValueError(f"{path}: expected at least 3 data rows, got {len(rows)}")
+    t, q, p = (np.array([float(r[i]) for r in rows]) for i in (0, 1, 3))
     v = np.array([float(r[2]) for r in rows[1:]])
+    if not all(np.isfinite(a).all() for a in (t, q, v, p)):
+        raise ValueError(f"{path}: t, q, v and p must be finite")
     if not _evenly_spaced(t):
         raise ValueError(f"{path}: non-uniform time grid")
     grid = Grid(n_steps=len(t) - 1, t_start=float(t[0]), t_end=float(t[-1]))

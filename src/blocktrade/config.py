@@ -231,8 +231,9 @@ def parse_config(path: str, overrides=()) -> RunConfig:
     horizons = pairs.get("price.horizons")
     if not all(0 < T < math.inf for T in horizons or ()):
         raise ConfigError(f"{path}: price.horizons entries must be finite and > 0, got {horizons}")
-    if not math.isfinite(pairs.get("price.quoted_premium", 0.0)):
-        raise ConfigError(f"{path}: price.quoted_premium must be finite, got {pairs['price.quoted_premium']}")
+    for key in ("price.quoted_premium", "grid.t_max"):
+        if not math.isfinite(pairs.get(key, 0.0)):
+            raise ConfigError(f"{path}: {key} must be finite, got {pairs[key]}")
 
     return RunConfig(
         problem=problem,

@@ -43,31 +43,25 @@ iterations, where the power-law H' has strongly varying curvature.
 Solves run in blocks of members that share the problem, the horizon and the
 step count; each member has its own start (t_hat, q_hat), hence its own tau,
 volume row and tolerance. One Newton loop serves the whole block. ``_start``
-writes every member's starting curve into the block's rows at once: a base
-curve plus a predicted deviation from it. A solo solve's base is the
-straight line from q_hat to zero, with nothing to predict. ``build_grid``
-hands each member its matched Almgren-Chriss curve as the base, with the
-deviations of converged solves on the same grid from up to four columns to
-the left from their own matched curves, out of which the deviation is
-predicted (continuation in inventory): one deviation scaled to q_hat, or the
-polynomial extrapolation in inventory of two or more at evenly spaced
-inventories. The members' tridiagonal
-systems sit one after another on the diagonal of one system with zero
-coupling entries (re-solved member by member if it fails or turns
-non-finite), and every other rule (line search, stopping) is applied per
-member. A block member's result is therefore bit for bit what the block
-direction gives it alone from the same start: its blockmates never affect
-it, and it keeps that direction when it shrinks to one member. Members leave
-as they converge or fail, and a failing member never stops the others; a
-converged member's q and p are copied into the caller's rows, and the block
-returns each member's ``_Outcome`` (iterations, residual, history, or the
-failure). The loop's arrays live in a workspace (``_Workspace``, 19 doubles
-per member-step, which ``build_grid`` keeps for all its blocks and columns);
-only a halved step copies the rows it retries, and a shooting iteration
-makes only the kernel's two chains (4 (J+1) doubles), whose inputs it reads
-from the workspace in place. ``newton_solve`` and ``solve_from`` are
-one-member blocks from the straight line, which shoot, each in its own
-workspace, and build their ``Trajectory`` on the q and p rows they hand it.
+writes every member's starting curve into the block's rows at once: the
+curve the caller hands it (``build_grid`` hands each cell its own), or else
+the straight line from q_hat to zero. The members' tridiagonal systems sit
+one after another on the diagonal of one system with zero coupling entries
+(re-solved member by member if it fails or turns non-finite), and every
+other rule (line search, stopping) is applied per member. A block member's
+result is therefore bit for bit what the block direction gives it alone from
+the same start: its blockmates never affect it, and it keeps that direction
+when it shrinks to one member. Members leave as they converge or fail, and a
+failing member never stops the others; a converged member's q and p are
+copied into the caller's rows, and the block returns each member's
+``_Outcome`` (iterations, residual, history, or the failure). The loop's
+arrays live in a workspace (``_Workspace``, 19 doubles per member-step,
+which ``build_grid`` keeps for all its blocks and columns); only a halved
+step copies the rows it retries, and a shooting iteration makes only the
+kernel's two chains (4 (J+1) doubles), whose inputs it reads from the
+workspace in place. ``newton_solve`` and ``solve_from`` are one-member
+blocks from the straight line, which shoot, each in its own workspace, and
+build their ``Trajectory`` on the q and p rows they hand it.
 """
 
 from __future__ import annotations
@@ -226,57 +220,20 @@ def initial_guess(problem: LiquidationProblem, grid: Grid, q_start: Optional[flo
     return Trajectory(grid=grid, q=q, p=p, v=_speeds(grid, q))
 
 
-def _start(tau_ksq, q_start, q, p, base=None, qs=(), p0s=(), Q=None, depth=None, scratch=None):
-    """Write K members' starting (q, p) to the (K, J+1) rows q and p: a base curve plus predicted deviations.
+def _start(tau_ksq, q_start, q, p, start=None):
+    """Write K members' starting (q, p) to the (K, J+1) rows q and p.
 
     ``tau_ksq`` (K, 1) is each member's tau * (gamma * sigma**2), ``q_start``
-    (K,) its inventory. Without a ``base`` the start is the straight line
-    from q_start to zero with p[0] = 0, and nothing is extrapolated.
-    ``base`` = (q rows (K, J+1), p[0] (K,)) is each member's base curve at
-    q_start (``build_grid`` gives its matched Almgren-Chriss curve), to
-    which the predicted deviation is added. ``qs`` and ``p0s`` hold the
-    deviations of converged q rows (K, J+1) and p[0] (K,) from their own
-    base curves, solved on the members' grids from inventories
-    Q_1 < ... < Q_m, oldest first, that together with q_start are evenly
-    spaced (any two nodes are); ``Q`` (K,) is Q_m. Member k uses the last
-    ``depth[k]`` (default m) of them, and rows of one depth are started
-    together, each with the bits of its one-row call. From none the
-    deviation is zero. One deviation is scaled by s = q_start / Q_m
-    (natural-parameter continuation in inventory). From m >= 2, the
-    deviations of q and p[0] are extrapolated to q_start by the polynomial
-    of degree m - 1 through them, whose weights on evenly spaced nodes are
-    binomial: sum_i (-1)**(m - i) * C(m, i - 1) * d_i, summed from 0 in that
-    order through ``scratch`` ((K, J+1), made if None). Both boundary values
-    are set exactly, and p is the forward pass of the p-recurrence from p[0],
-    so the starting p-residual vanishes.
+    (K,) its inventory. ``start`` = (q rows (K, J+1), p[0] (K,)) is copied;
+    without it the start is the straight line from q_start to zero with
+    p[0] = 0. Both boundary values are set exactly, and p is the forward pass
+    of the p-recurrence from p[0], so the starting p-residual vanishes.
     """
-    if depth is not None and (depth != depth[0]).any():
-        for d in np.unique(depth).tolist():
-            rows, last = np.flatnonzero(depth == d), slice(len(qs) - d, None)
-            part = np.empty((2, rows.size, q.shape[1]))
-            stencil = [a[rows] for a in qs[last]], [a[rows] for a in p0s[last]], Q[rows]
-            _start(tau_ksq[rows], q_start[rows], *part, (base[0][rows], base[1][rows]), *stencil)
-            q[rows], p[rows] = part
-        return
-    m = len(qs) if depth is None else int(depth[0])
-    qs, p0s = qs[len(qs) - m :], p0s[len(p0s) - m :]
-    if base is None:
+    if start is None:
         np.multiply(1.0 - np.arange(q.shape[1]) / (q.shape[1] - 1), q_start[:, None], out=q)
         p0 = 0.0
     else:
-        if m == 1:
-            s = q_start / Q
-            np.multiply(s[:, None], qs[0], out=q)
-            p0 = s * p0s[0]
-        else:  # from no deviation (m = 0), zero
-            weights = [(-1) ** (m - 1 - i) * math.comb(m, i) for i in range(m)]
-            scratch = np.empty_like(q) if scratch is None else scratch
-            q.fill(0.0)
-            for w, q_i in zip(weights, qs):
-                q += np.multiply(w, q_i, out=scratch)
-            p0 = sum(w * p0_i for w, p0_i in zip(weights, p0s))
-        q += base[0]
-        p0 = p0 + base[1]
+        q[:], p0 = start
     q[:, 0], q[:, -1] = q_start, 0.0
     _p_recurrence(q, p0, tau_ksq, p)
 
@@ -469,8 +426,7 @@ class _Workspace:
     Per member-step, for up to ``members`` rows: four dgtsv or dptsv bands (two
     doubles each), c and e (also the line search's scratch), tau * V, dq, dp and two
     copies of (q, p, rq), 19 doubles; the start is written into the first copy
-    of q and p, and its polynomial terms go through the second copy of q.
-    ``work[rows]`` (consecutive) has those t-nodes' data.
+    of q and p. ``work[rows]`` (consecutive) has those t-nodes' data.
     A shooting direction is combined into dq and dp, and its defect against the
     linearized system uses the bands as scratch until a fallback dgtsv refills them.
     """
@@ -595,14 +551,14 @@ class _Outcome(NamedTuple):
 
 
 def _solve_batch(
-    problem: LiquidationProblem, t_starts, q_starts, opts: SolveOptions, q_out, p_out, stencil=(), work=None
+    problem: LiquidationProblem, t_starts, q_starts, opts: SolveOptions, q_out, p_out, start=None, work=None
 ) -> list:
     """Solve from each (t_starts[k], q_starts[k]) to zero at the horizon, in one Newton loop.
 
-    Member k starts as ``_start`` makes it from ``stencil`` = (base, qs,
-    p0s, Q, depth), by default from the straight line. A converged member's
-    q and p are written to the rows ``q_out[k]`` and ``p_out[k]`` ((K, J+1) each); a
-    failed member's rows are left as they were. Returns each member's
+    Member k starts from row k of ``start`` = (q rows (K, J+1), p[0] (K,)),
+    by default from the straight line (``_start``). A converged member's q
+    and p are written to the rows ``q_out[k]`` and ``p_out[k]`` ((K, J+1)
+    each); a failed member's rows are left as they were. Returns each member's
     ``_Outcome``, in member order. Live members share the iteration counter,
     so a member's count is the loop's count when it leaves. ``work``, if
     given, is a ``_Workspace`` on the t-nodes ``t_starts``, for at least as
@@ -615,7 +571,7 @@ def _solve_batch(
     q_starts = np.asarray(q_starts, dtype=float)
     tol = np.full(K, opts.newton_tol) if opts.newton_tol is not None else 1e-10 * q_starts
     block = _Block(work, np.maximum(tol, 1e-300), ksq)
-    _start(block.tau_ksq, q_starts, block.q, block.p, *stencil, scratch=block.spare[0])
+    _start(block.tau_ksq, q_starts, block.q, block.p, start)
     solo = K == 1  # a block keeps its direction when it shrinks to one member
     block.current = block.residual(ham, slice(None), block.q, block.p, block.rq)
 

@@ -121,34 +121,36 @@ def build_grid(
     inventory). A cell starts from its t-node's matched Almgren-Chriss curve
     at its inventory (``_matched_curves``) plus a deviation predicted out of
     the deviations of the same t-node's converged curves in the columns to its
-    left from their own matched curves (``solver._start``): the polynomial in
-    q through up to ``_STENCIL`` of them while those columns and its own are
-    evenly spaced in q, and otherwise the deviation to its left scaled by the
-    ratio of the two inventories. A failed cell empties its t-node's stencil,
-    so the cell to its right starts from its matched curve alone, as a cell of
-    the first solved column does. A block's members are started together,
-    rows of one stencil depth at a time. A block takes its Newton directions
-    from one ``dptsv`` call (``dgtsv`` where H'' vanishes), and a cell's
-    result is bit for bit what that direction gives it alone from the same
-    start, so its blockmates never affect it; a block of one cell shoots.
-    Every block of every column works in the one ``solver._Workspace`` of the
-    build, sized to the largest block (19 doubles per member-step), and
-    writes its matched curves to one buffer of that size (one double per
-    member-step), with the block's p rows as their scratch before the solve.
-    Each t-node's last ``_STENCIL`` deviations of q and p[0] live in a ring
-    of as many slots: a block's converged curves overwrite the oldest slot
-    once its start has read it (zeros for a failed cell), are valued by one
-    row-wise ``_objective`` call, every cell with the bits of its own
-    ``eval_I`` (NaN for a failed one), and then lose their matched curves. A
-    cell's own ``solve_from`` shoots from the straight line, so the two agree
-    only as far as shooting does: to 4.4e-16 relative on the reference grid,
-    but not in the known defect of the ``solver`` docstring, where shooting
-    can stop on a wrong curve. Over 32 grids (phi 0.3 to 1, gamma 1e-7 to
-    1e-5, T = 0.25 and 5, a U-shaped volume, q0 = 2e6; even and uneven
-    q-nodes) no cell took more iterations than from the polynomial predictor
-    of the curves themselves, while after a jump of many orders of magnitude
-    between neighbouring q-nodes the prediction gains nothing over the matched
-    curve alone. A power-law cost with phi > 1 raises
+    left from their own matched curves (``_weights``, ``_predict``): the
+    polynomial in q through up to ``_STENCIL`` of them while those columns and
+    its own are evenly spaced in q, and otherwise the deviation to its left
+    scaled by the ratio of the two inventories. A failed cell empties its
+    t-node's stencil, so the cell to its right starts from its matched curve
+    alone, as a cell of the first solved column does. Each t-node's last
+    ``_STENCIL`` deviations of q and p[0] live in a ring of as many slots, and
+    a block's start is written to one buffer: the slots summed oldest first
+    from 0, each row with the weights of its stencil depth, plus the matched
+    curves; the solver copies it and sets its boundary values and p. A block
+    takes its Newton directions from one ``dptsv`` call (``dgtsv`` where H''
+    vanishes), and a cell's result is bit for bit what that direction gives it
+    alone from the same start, so its blockmates never affect it; a block of
+    one cell shoots. Every block of every column works in the one
+    ``solver._Workspace`` of the build, sized to the largest block (19 doubles
+    per member-step), and writes its matched curves, its start and its p rows
+    to three buffers of that size (one double per member-step each), the p
+    rows the scratch of the other two before the solve. A block's converged
+    curves overwrite the oldest slot of the ring (zero deviations for a failed
+    cell), are valued by one row-wise ``_objective`` call, every cell with the
+    bits of its own ``eval_I`` (NaN for a failed one), and then lose their
+    matched curves. A cell's own ``solve_from`` shoots from the straight line,
+    so the two agree only as far as shooting does: to 4.4e-16 relative on the
+    reference grid, but not in the known defect of the ``solver`` docstring,
+    where shooting can stop on a wrong curve. Over 32 grids (phi 0.3 to 1,
+    gamma 1e-7 to 1e-5, T = 0.25 and 5, a U-shaped volume, q0 = 2e6; even and
+    uneven q-nodes) no cell took more iterations than from the polynomial
+    predictor of the curves themselves, while after a jump of many orders of
+    magnitude between neighbouring q-nodes the prediction gains nothing over
+    the matched curve alone. A power-law cost with phi > 1 raises
     ``SingularCurvatureError`` before any solve: H'' is singular at p = 0,
     which the Newton path cannot serve. Solver failures do not abort the
     build: the cell is masked and left NaN.
@@ -184,35 +186,37 @@ def build_grid(
     blocks = np.array_split(np.arange(len(t_nodes)), math.ceil(len(t_nodes) / size))
     work = _Workspace(problem, t_nodes, opts.n_steps, len(blocks[0]))
     matched_curves = _matched_curves(problem, t_nodes, work)
-    # each t-node's deviation of its converged q and p[0] from their matched curves in the last
-    # _STENCIL solved columns, a ring whose oldest slot a column's results overwrite; kept counts
-    # each t-node's valid slots
-    ring_q, ring_p0 = np.zeros((_STENCIL, len(t_nodes), opts.n_steps + 1)), np.zeros((_STENCIL, len(t_nodes)))
+    # each t-node's deviations of its converged q (the first J+1 entries) and p[0] (the last) from their
+    # matched curves in the last _STENCIL solved columns, a ring whose oldest slot a column's results
+    # overwrite; kept counts each t-node's valid slots
+    ring = np.zeros((_STENCIL, len(t_nodes), opts.n_steps + 2))
     kept = np.zeros(len(t_nodes), dtype=int)
-    # a block's matched curves, and its p rows (only p[0] is kept; before the solve, the curves' scratch)
-    base_q, p_rows = np.empty((2, len(blocks[0]), opts.n_steps + 1))
+    # a block's matched curves and its start, laid out as the ring's rows, and the scratch that holds its
+    # p rows after the start is made (only p[0] is kept)
+    curves, start, scratch = np.empty((3, len(blocks[0]), opts.n_steps + 2))
     columns = np.flatnonzero(q_nodes)
     for solved, k in enumerate(columns):
         depth = 1  # one column to the left, at any spacing, or more while evenly spaced with this one
         while depth < min(k, _STENCIL) and _evenly_spaced(q_nodes[k - depth - 1 : k + 1]):
             depth += 1
         slots, new = [(solved - d) % _STENCIL for d in range(depth, 0, -1)], solved % _STENCIL
-        q_left = q_nodes[columns[solved - 1]]  # the inventory of the newest slot (unread in the first column)
+        weights = _weights(depth, q_nodes[k] / q_nodes[columns[solved - 1]])  # the first column reads no slot
         for rows in blocks:
-            part, r, p, curves = work[rows], slice(rows[0], rows[-1] + 1), p_rows[: len(rows)], base_q[: len(rows)]
-            base = curves, matched_curves(q_nodes[k], r, curves, p)
-            q, ring = ring_q[new, r], ([ring_q[s, r] for s in slots], [ring_p0[s, r] for s in slots])
-            stencil = base, *ring, np.full(len(rows), q_left), np.minimum(kept[r], depth)
-            outcomes = _solve_batch(problem, t_nodes[r], np.full(len(rows), q_nodes[k]), opts, q, p, stencil, part)
+            part, r, n = work[rows], slice(rows[0], rows[-1] + 1), len(rows)
+            base, guess, p, row = curves[:n], start[:n], scratch[:n, :-1], ring[new, r]
+            base[:, -1] = matched_curves(q_nodes[k], r, base[:, :-1], p)
+            _predict(weights[np.minimum(kept[r], depth)], [ring[slot, r] for slot in slots], base, guess, scratch[:n])
+            q, q_hats = row[:, :-1], np.full(n, q_nodes[k])
+            outcomes = _solve_batch(problem, t_nodes[r], q_hats, opts, q, p, (guess[:, :-1], guess[:, -1]), part)
             lost = np.array([outcome.message is not None for outcome in outcomes])
             failed[r, k], iterations[r, k] = lost, [outcome.iterations for outcome in outcomes]
             residuals[r, k] = [outcome.residual for outcome in outcomes]
-            q[lost] = 0.0  # a failed cell's slot is valued as zeros, never extrapolated
+            row[:, -1] = p[:, 0]
+            row[lost] = base[lost]  # a failed cell's deviation is zero, never extrapolated
             kept[r] = np.where(lost, 0, np.minimum(kept[r] + 1, _STENCIL))
             v = (q[:, :-1] - q[:, 1:]) / part.tau[:, None]
             values[r, k] = np.where(lost, np.nan, _objective(problem, part.tau, part.vol, q, v))
-            q -= curves
-            np.subtract(p[:, 0], base[1], out=ring_p0[new, r])
+            row -= base
     return ValueGrid(
         t_nodes=t_nodes,
         q_nodes=q_nodes,
@@ -252,6 +256,31 @@ def _matched_curves(problem: LiquidationProblem, t_nodes, work):
         return -_cost_slope(cost, out[:, -2] / last_cell[r]) - work.b[r] * out[:, 1:].sum(axis=1)
 
     return write
+
+
+def _weights(depth: int, s: float) -> np.ndarray:
+    """Row d: a start's weights on its t-node's last ``depth`` deviations, oldest first, when d of them are valid.
+
+    Row 0 is zero (the matched curve alone). Row 1 scales the newest deviation
+    by s = q_hat / Q, the ratio of the cell's inventory to that column's
+    (natural-parameter continuation in inventory). Row d >= 2 extrapolates the
+    newest d, evenly spaced in q with q_hat, by the polynomial of degree d - 1
+    through them, whose weights there are binomial: (-1)**(d - 1 - i) * C(d, i)
+    on the i-th oldest.
+    """
+    weights = np.zeros((depth + 1, depth))
+    weights[1, -1] = s
+    for d in range(2, depth + 1):
+        weights[d, depth - d :] = [(-1) ** (d - 1 - i) * math.comb(d, i) for i in range(d)]
+    return weights
+
+
+def _predict(weights, deviations, curves, out, scratch):
+    """Write ``curves`` plus the ``deviations`` weighted row by row by ``weights``, summed from 0 oldest first."""
+    out.fill(0.0)
+    for w, deviation in zip(weights.T, deviations):
+        out += np.multiply(w[:, None], deviation, out=scratch)
+    out += curves
 
 
 def _evenly_spaced(nodes) -> bool:

@@ -68,10 +68,10 @@ def block_direction_alone(patch):
     patch.setattr(solver, "_newton_direction", lambda c, e, b, now, tol, solo, work: direction(c, e, b, now, tol, False, work))
 
 
-def solve_batch(problem, t_starts, q_starts, opts, stencil=(), work=None):
+def solve_batch(problem, t_starts, q_starts, opts, start=None, work=None):
     """``solver._solve_batch`` with each member's ``member_result``, on rows of two arrays the call makes."""
     from blocktrade.solver import _solve_batch
 
     q, p = np.empty((2, len(t_starts), opts.n_steps + 1))
-    outcomes = _solve_batch(problem, t_starts, q_starts, opts, q, p, stencil, work)
+    outcomes = _solve_batch(problem, t_starts, q_starts, opts, q, p, start, work)
     return [member_result(problem, t, opts.n_steps, *member) for t, *member in zip(t_starts, q, p, outcomes)]

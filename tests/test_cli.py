@@ -597,6 +597,39 @@ def test_grid_t_max_alone_sets_the_last_time_node(tmp_path, capsys, monkeypatch)
     assert "safety margin must be at least 1% of the horizon" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_grid_t_max_fails_before_any_solve(tmp_path, capsys, monkeypatch, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr("blocktrade.value_function._solve_batch", no_solve)
+    text = set_keys(BASE_CONFIG, {"grid.t_max": value})
+    code, payload = run_cli(capsys, "grid", "--config", write_config(tmp_path, text), "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert payload["error"]["type"] == "ConfigError"
+    assert "grid.t_max must be finite" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "at least 3 data rows, got 0"),
+        (["0,1,,0", "0.5,0.5,1,0.1"], "at least 3 data rows, got 2"),
+        (["0,1,,0", "0.5,nan,1,0.1", "1,0,1,0.2"], "must be finite"),
+        (["0,1,,0", "0.5,0.5,inf,0.1", "1,0,1,0.2"], "must be finite"),
+        (["0,1,,0", "0.5,0.5,1,0.1", "1,0,1,-inf"], "must be finite"),
+        (["0,1,,0", "nan,0.5,1,0.1", "1,0,1,0.2"], "must be finite"),
+    ],
+    ids=["header_only", "two_rows", "nan_q", "inf_v", "inf_p", "nan_t"],
+)
+def test_read_trajectory_csv_rejects_a_short_or_non_finite_table(tmp_path, rows, message):
+    path = tmp_path / "trajectory.csv"
+    path.write_text("\n".join(["t,q,v,p", *rows]) + "\n")
+    with pytest.raises(ValueError, match=message) as err:
+        read_trajectory_csv(str(path))
+    assert str(path) in str(err.value)
+
+
 def test_paths_csv_makes_python_floats_a_block_at_a_time(tmp_path):
     # four blocks: the writer peaks at 1.6 MB, but 6.4 MB if it makes every sample a Python float at once
     samples = np.linspace(-1e7, 1e7, 4 * cli.PATHS_BLOCK)

@@ -21,7 +21,7 @@ from blocktrade.market_model import (
     PowerLawCost,
 )
 from blocktrade.objective import eval_I
-from blocktrade import solver
+from blocktrade import solver, value_function
 from blocktrade.solver import (
     MAX_STEPS,
     Grid,
@@ -176,37 +176,38 @@ def test_non_convergence_error_carries_residual(reference_problem):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_start_extrapolates_a_polynomial_in_inventory(m):
-    # the start is a base curve plus the deviations extrapolated in the inventory Q:
-    # from m >= 2 deviations, one of degree m - 1 comes back exactly at the next evenly
-    # spaced node; one deviation is scaled, which is exact for a deviation proportional
-    # to Q. The base (here a power of Q times a fixed row) never enters the prediction.
+    # the start of a value-surface cell is a base curve plus the deviations
+    # extrapolated in the inventory Q: from m >= 2 deviations, one of degree m - 1
+    # comes back exactly at the next evenly spaced node; one deviation is scaled,
+    # which is exact for a deviation proportional to Q. The base (here a power of Q
+    # times a fixed row) never enters the prediction, and the slots older than the
+    # last m weigh nothing. Rows hold q (J+1 entries) and then p[0], as in build_grid.
     grid = Grid(n_steps=20, t_start=0.0, t_end=1.0)
     rng = np.random.default_rng(m)
-    q_coef, p_coef = rng.uniform(0.5, 1.5, (m, 21)), rng.uniform(0.5, 1.5, m)
-    base_row, base_p0 = rng.uniform(0.5, 1.5, 21), rng.uniform(0.5, 1.5)
+    coef, base_row = rng.uniform(0.5, 1.5, (m, 22)), rng.uniform(0.5, 1.5, 22)
     degrees = np.arange(m) if m > 1 else np.ones(1)
-    q_coef[:, 0] = base_row[0] = 0.0  # a deviation vanishes at q[0] = Q, where the base is Q
+    coef[:, 0] = base_row[0] = 0.0  # a deviation vanishes at q[0] = Q, where the base is Q
 
     def base(Q):
-        row = Q**1.7 * base_row
+        row = np.append(Q**1.7 * base_row[:-1], Q**0.3 * base_row[-1])
         row[0] = Q
-        return row, Q**0.3 * base_p0
+        return row
 
     def deviation(Q):
-        return (Q**degrees) @ q_coef, (Q**degrees) @ p_coef
+        return (Q**degrees) @ coef
 
-    nodes = 2.0 + 0.5 * np.arange(m + 1)
-    qs, p0s = zip(*(deviation(Q) for Q in nodes[:-1]))
+    nodes = 2.0 + 0.5 * np.arange(5)  # four slots, then the start's inventory
     q_start = nodes[-1]
+    weights = value_function._weights(4, q_start / nodes[-2])
+    start, scratch = np.empty((2, 1, 22))
+    value_function._predict(weights[m : m + 1], [deviation(Q)[None] for Q in nodes[:-1]], base(q_start)[None], start, scratch)
     q, p = np.empty((2, 1, 21))
-    (base_q, p0_base) = base(q_start)
-    stencil = [q_i[None] for q_i in qs], [p0[None] for p0 in p0s], nodes[-2:-1]
-    solver._start(np.array([[grid.tau * 0.7]]), np.array([q_start]), q, p, (base_q[None], np.array([p0_base])), *stencil)
+    solver._start(np.array([[grid.tau * 0.7]]), np.array([q_start]), q, p, (start[:, :-1], start[:, -1]))
     q, p = q[0], p[0]
-    expected_q, expected_p0 = deviation(q_start)
+    expected = deviation(q_start) + base(q_start)
     assert q[0] == q_start and q[-1] == 0.0
-    np.testing.assert_allclose(q[1:-1], expected_q[1:-1] + base_q[1:-1], rtol=1e-12)
-    assert p[0] == pytest.approx(expected_p0 + p0_base, rel=1e-12)
+    np.testing.assert_allclose(q[1:-1], expected[1:-2], rtol=1e-12)
+    assert p[0] == pytest.approx(expected[-1], rel=1e-12)
     # p is the forward pass of the p-recurrence, so its defect is rounding
     np.testing.assert_allclose(p[1:] - p[:-1], grid.tau * 0.7 * q[1:], rtol=1e-12)
 
@@ -233,35 +234,39 @@ def one_row_start(tau_ksq, n_steps, q_start, base, stencil, Q):
 
 @pytest.mark.parametrize("depths", [[0] * 5, [1] * 5, [2] * 5, [3] * 5, [4] * 5, [4, 0, 2, 4, 1]])
 def test_a_block_start_is_each_rows_one_row_start_bit_for_bit(depths):
-    # the K rows started together (per depth group when depths differ), each row
-    # started alone, and the one-row code: the same bits, compared as int64; from a
-    # base curve, and from the straight line (no base) where nothing is extrapolated
+    # the K rows predicted together, each with the weights of its own depth, and
+    # started together; each row predicted and started alone; and the one-row code:
+    # the same bits, compared as int64; from a base curve, and from the straight
+    # line (no start) where nothing is extrapolated
     rng = np.random.default_rng(len(set(depths)) + sum(depths))
     K, J = len(depths), 60
     b = rng.uniform(1e-4, 1.0, (K, 1))
-    q_start = rng.uniform(1e4, 1e6, K)
-    Q = q_start * rng.uniform(0.5, 1.0, K)
-    qs = [rng.normal(size=(K, J + 1)) * 10.0 ** rng.uniform(-3, 6, (K, J + 1)) for _ in range(4)]
-    p0s = [rng.normal(size=K) for _ in range(4)]
-    for a, q_i in enumerate(qs):  # the weight on qs[a] has the sign (-1)**(3 - a) at any depth
-        q_i[:, 5] = 0.0 if (3 - a) % 2 else -0.0  # every term -0.0: summed from 0, q[5] is +0.0
-    bases = [(rng.uniform(0.0, 1e6, (K, J + 1)), rng.normal(size=K))]
+    q_start = np.full(K, rng.uniform(1e4, 1e6))  # a block's cells share their inventory
+    Q = q_start[0] * rng.uniform(0.5, 1.0)
+    slots = [rng.normal(size=(K, J + 2)) * 10.0 ** rng.uniform(-3, 6, (K, J + 2)) for _ in range(4)]
+    weights, depth = value_function._weights(4, q_start[0] / Q), np.array(depths)
+    bases = [np.append(rng.uniform(0.0, 1e6, (K, J + 1)), rng.normal(size=(K, 1)), axis=1)]
     if not any(depths):
         bases.append(None)
-    depth = np.array(depths)
+
+    def start(rows, base):
+        q, p = np.empty((2, len(b[rows]), J + 1))
+        if base is None:
+            solver._start(b[rows], q_start[rows], q, p)
+        else:
+            row, scratch = np.empty((2, *base[rows].shape))
+            value_function._predict(weights[depth[rows]], [a[rows] for a in slots], base[rows], row, scratch)
+            solver._start(b[rows], q_start[rows], q, p, (row[:, :-1], row[:, -1]))
+        return q, p
+
     for base in bases:
-        q, p = np.empty((2, K, J + 1))
-        solver._start(b, q_start, q, p, base, qs, p0s, Q, depth)
+        q, p = start(slice(None), base)
         for k, d in enumerate(depths):
-            alone = np.empty((2, 1, J + 1))
-            last = slice(4 - d, None)
-            own = None if base is None else (base[0][k : k + 1], base[1][k : k + 1])
-            row = [a[k : k + 1] for a in qs[last]], [a[k : k + 1] for a in p0s[last]], Q[k : k + 1]
-            solver._start(b[k : k + 1], q_start[k : k + 1], *alone, own, *row)
-            pairs = [(a[k].copy(), p0[k]) for a, p0 in zip(qs[last], p0s[last])]
-            own = None if base is None else (base[0][k], base[1][k])
-            expected = one_row_start(float(b[k, 0]), J, q_start[k], own, pairs, Q[k])
-            for got, one_row, reference in zip((q[k], p[k]), alone[:, 0], expected):
+            alone = start(slice(k, k + 1), base)
+            pairs = [(a[k, :-1].copy(), a[k, -1]) for a in slots[4 - d :]]
+            own = None if base is None else (base[k, :-1].copy(), base[k, -1])
+            expected = one_row_start(float(b[k, 0]), J, q_start[k], own, pairs, Q)
+            for got, one_row, reference in zip((q[k], p[k]), (alone[0][0], alone[1][0]), expected):
                 assert np.array_equal(got.view(np.int64), one_row.view(np.int64))
                 assert np.array_equal(got.view(np.int64), reference.view(np.int64))
 
