@@ -82,6 +82,11 @@ def read_trajectory_csv(path: str) -> Trajectory:
     if not _evenly_spaced(t):
         raise ValueError(f"{path}: non-uniform time grid")
     grid = Grid(n_steps=len(t) - 1, t_start=float(t[0]), t_end=float(t[-1]))
+    implied = (q[:-1] - q[1:]) / grid.tau
+    off = np.flatnonzero(np.abs(v - implied) > 1e-9 * np.max(np.abs(implied)))
+    if off.size:
+        j = off[0]
+        raise ValueError(f"{path}: v on data row {j + 1} is {v[j]}, but its q-step implies {implied[j]}")
     return Trajectory(grid=grid, q=q, p=p, v=v)
 
 

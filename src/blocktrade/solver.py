@@ -56,17 +56,16 @@ failing member never stops the others; a converged member's q and p are
 copied into the caller's rows, and the block returns each member's
 ``_Outcome`` (iterations, residual, history, or the failure). The loop's
 arrays live in a workspace (``_Workspace``, 19 doubles per member-step,
-which ``build_grid`` keeps for all its blocks and columns); only a halved
-step copies the rows it retries, and a shooting iteration makes only the
-kernel's two chains (4 (J+1) doubles), whose inputs it reads from the
-workspace in place. ``newton_solve`` and ``solve_from`` are one-member
+which each t-node group of ``build_grid`` keeps for all its columns); only
+a halved step copies the rows it retries, and a shooting iteration makes
+only the kernel's two chains (4 (J+1) doubles), whose inputs it reads from
+the workspace in place. ``newton_solve`` and ``solve_from`` are one-member
 blocks from the straight line, which shoot, each in its own workspace, and
 build their ``Trajectory`` on the q and p rows they hand it.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import importlib.machinery
 import importlib.util
@@ -426,7 +425,7 @@ class _Workspace:
     Per member-step, for up to ``members`` rows: four dgtsv or dptsv bands (two
     doubles each), c and e (also the line search's scratch), tau * V, dq, dp and two
     copies of (q, p, rq), 19 doubles; the start is written into the first copy
-    of q and p. ``work[rows]`` (consecutive) has those t-nodes' data.
+    of q and p.
     A shooting direction is combined into dq and dp, and its defect against the
     linearized system uses the bands as scratch until a fallback dgtsv refills them.
     """
@@ -441,11 +440,6 @@ class _Workspace:
         self.c, self.e, self.tau_vol = np.empty((3, members, n_steps))
         self.dq, self.dp = np.empty((2, members, n_steps + 1))
         self.state = np.empty((2, 2, members, n_steps + 1)), np.empty((2, members, n_steps))
-
-    def __getitem__(self, rows) -> "_Workspace":
-        part, s = copy.copy(self), slice(rows[0], rows[-1] + 1)
-        part.grids, part.tau, part.vol, part.b = self.grids[s], self.tau[s], self.vol[s], self.b[s]
-        return part
 
 
 class _Block:

@@ -13,6 +13,9 @@ short of the terminal time.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -26,6 +29,7 @@ from .solver import SolveOptions, _solve_batch, _Workspace, newton_solve
 
 __all__ = [
     "BATCH_MEMBERS",
+    "GridWorkerError",
     "MAX_GRID_NODES",
     "MARGIN",
     "ValueGrid",
@@ -48,6 +52,13 @@ MAX_GRID_NODES = 1000  # per axis
 MARGIN = 0.05  # the default safety margin before the horizon, as a share of it
 _STRUCTURE_TOL = 1e-9  # structure checks forgive deficits this share of the largest value
 _STENCIL = 4  # converged columns a cell's start is extrapolated from, at most
+# Cell-steps (t-nodes x solved columns x (n_steps + 1)) from which a build forks. A fork and reap takes
+# about 1.9 ms, and a forked build breaks even with one in process near 75k cell-steps, 13 ms (2-CPU VM).
+_FORK_WORK = 75_000
+
+
+class GridWorkerError(RuntimeError):
+    """A forked worker of ``build_grid`` failed or sent fewer bytes than its rows hold."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,46 +125,49 @@ def build_grid(
     opts: Optional[SolveOptions] = None,
     epsilon: Optional[float] = None,
 ) -> ValueGrid:
-    """Fill the grid one inventory column at a time; the zero-inventory column is exact without solving.
+    """Fill the grid in groups of t-nodes, each one inventory column at a time; the zero-inventory column is exact.
 
-    The columns are solved in increasing q, each as one or more Newton blocks
-    of at most ``BATCH_MEMBERS`` t-nodes, of even size (continuation in
-    inventory). A cell starts from its t-node's matched Almgren-Chriss curve
-    at its inventory (``_matched_curves``) plus a deviation predicted out of
-    the deviations of the same t-node's converged curves in the columns to its
-    left from their own matched curves (``_weights``, ``_predict``): the
+    The t-nodes are split into groups of even size, at most ``BATCH_MEMBERS``
+    each, and each group solves every column in increasing q as one Newton
+    block (continuation in inventory). A cell starts from its t-node's matched
+    Almgren-Chriss curve at its inventory (``_matched_curves``) plus a
+    deviation predicted out of the deviations of the same t-node's converged
+    curves in the columns to its left from their own matched curves
+    (``_weights``, ``_predict``, computed once per column for all groups): the
     polynomial in q through up to ``_STENCIL`` of them while those columns and
     its own are evenly spaced in q, and otherwise the deviation to its left
     scaled by the ratio of the two inventories. A failed cell empties its
     t-node's stencil, so the cell to its right starts from its matched curve
-    alone, as a cell of the first solved column does. Each t-node's last
-    ``_STENCIL`` deviations of q and p[0] live in a ring of as many slots, and
-    a block's start is written to one buffer: the slots summed oldest first
-    from 0, each row with the weights of its stencil depth, plus the matched
-    curves; the solver copies it and sets its boundary values and p. A block
-    takes its Newton directions from one ``dptsv`` call (``dgtsv`` where H''
-    vanishes), and a cell's result is bit for bit what that direction gives it
-    alone from the same start, so its blockmates never affect it; a block of
-    one cell shoots. Every block of every column works in the one
-    ``solver._Workspace`` of the build, sized to the largest block (19 doubles
-    per member-step), and writes its matched curves, its start and its p rows
-    to three buffers of that size (one double per member-step each), the p
-    rows the scratch of the other two before the solve. A block's converged
-    curves overwrite the oldest slot of the ring (zero deviations for a failed
-    cell), are valued by one row-wise ``_objective`` call, every cell with the
-    bits of its own ``eval_I`` (NaN for a failed one), and then lose their
-    matched curves. A cell's own ``solve_from`` shoots from the straight line,
-    so the two agree only as far as shooting does: to 4.4e-16 relative on the
-    reference grid, but not in the known defect of the ``solver`` docstring,
-    where shooting can stop on a wrong curve. Over 32 grids (phi 0.3 to 1,
-    gamma 1e-7 to 1e-5, T = 0.25 and 5, a U-shaped volume, q0 = 2e6; even and
-    uneven q-nodes) no cell took more iterations than from the polynomial
-    predictor of the curves themselves, while after a jump of many orders of
-    magnitude between neighbouring q-nodes the prediction gains nothing over
-    the matched curve alone. A power-law cost with phi > 1 raises
-    ``SingularCurvatureError`` before any solve: H'' is singular at p = 0,
-    which the Newton path cannot serve. Solver failures do not abort the
-    build: the cell is masked and left NaN.
+    alone, as a cell of the first solved column does. A group keeps its
+    t-nodes' last ``_STENCIL`` deviations of q and p[0] in a ring of as many
+    slots, and writes a block's start to one buffer: the slots summed oldest
+    first from 0, each row with the weights of its stencil depth, plus the
+    matched curves; the solver copies it and sets its boundary values and p.
+    A block takes its Newton directions from one ``dptsv`` call (``dgtsv``
+    where H'' vanishes), and a cell's result is bit for bit what that
+    direction gives it alone from the same start, so its blockmates never
+    affect it; a block of one cell shoots, so no group holds one t-node where
+    there are two. A group works in a ``solver._Workspace`` of its own (19
+    doubles per member-step) and three buffers of one double per member-step:
+    its matched curves, its start and its p rows, the scratch of the other two
+    before the solve. A block's converged curves overwrite the oldest slot of
+    the ring (zero deviations for a failed cell), are valued by one row-wise
+    ``_objective`` call, every cell with the bits of its own ``eval_I`` (NaN
+    for a failed one), and then lose their matched curves.
+
+    The groups are independent, so a build of at least ``_FORK_WORK``
+    cell-steps forks where that is safe: at least a group per CPU, the first
+    run of groups here and each other in an ``os.fork`` child, which sends its
+    rows back through a pipe (``GridWorkerError`` if it fails). A fork costs
+    no fresh import, as a spawned worker would. The bits do not depend on the
+    number of processes. A cell's own ``solve_from`` shoots from the straight
+    line, so the two agree only as far as shooting does: to 4.4e-16 relative
+    on the reference grid, but not in the known defect of the ``solver``
+    docstring, where shooting can stop on a wrong curve. README gives the
+    iteration counts of the starts over 32 grids.
+    A power-law cost with phi > 1 raises ``SingularCurvatureError`` before
+    any solve: H'' is singular at p = 0, which the Newton path cannot serve.
+    Solver failures do not abort the build: the cell is masked and left NaN.
     """
     opts = opts or SolveOptions()
     T = problem.horizon
@@ -182,41 +196,55 @@ def build_grid(
     failed = np.zeros_like(values, dtype=bool)
     iterations = np.zeros_like(values, dtype=int)
     residuals = np.zeros_like(values)
-    size = max(1, min(BATCH_MEMBERS, _BLOCK_DOUBLES // (opts.n_steps + 1)))
-    blocks = np.array_split(np.arange(len(t_nodes)), math.ceil(len(t_nodes) / size))
-    work = _Workspace(problem, t_nodes, opts.n_steps, len(blocks[0]))
-    matched_curves = _matched_curves(problem, t_nodes, work)
-    # each t-node's deviations of its converged q (the first J+1 entries) and p[0] (the last) from their
-    # matched curves in the last _STENCIL solved columns, a ring whose oldest slot a column's results
-    # overwrite; kept counts each t-node's valid slots
-    ring = np.zeros((_STENCIL, len(t_nodes), opts.n_steps + 2))
-    kept = np.zeros(len(t_nodes), dtype=int)
-    # a block's matched curves and its start, laid out as the ring's rows, and the scratch that holds its
-    # p rows after the start is made (only p[0] is kept)
-    curves, start, scratch = np.empty((3, len(blocks[0]), opts.n_steps + 2))
-    columns = np.flatnonzero(q_nodes)
+    columns, plan = np.flatnonzero(q_nodes), []  # each solved column's node, depth, slots and weights
     for solved, k in enumerate(columns):
         depth = 1  # one column to the left, at any spacing, or more while evenly spaced with this one
         while depth < min(k, _STENCIL) and _evenly_spaced(q_nodes[k - depth - 1 : k + 1]):
             depth += 1
         slots, new = [(solved - d) % _STENCIL for d in range(depth, 0, -1)], solved % _STENCIL
         weights = _weights(depth, q_nodes[k] / q_nodes[columns[solved - 1]])  # the first column reads no slot
-        for rows in blocks:
-            part, r, n = work[rows], slice(rows[0], rows[-1] + 1), len(rows)
-            base, guess, p, row = curves[:n], start[:n], scratch[:n, :-1], ring[new, r]
-            base[:, -1] = matched_curves(q_nodes[k], r, base[:, :-1], p)
-            _predict(weights[np.minimum(kept[r], depth)], [ring[slot, r] for slot in slots], base, guess, scratch[:n])
+        plan.append((k, depth, slots, new, weights))
+
+    def solve(r):
+        """Solve the group of t-nodes ``r`` (a slice) through every column, in a workspace and a ring of its own."""
+        n = r.stop - r.start
+        work = _Workspace(problem, t_nodes[r], opts.n_steps, n)
+        matched_curves = _matched_curves(problem, t_nodes[r], work)
+        # each t-node's deviations of its converged q (the first J+1 entries) and p[0] (the last) from their
+        # matched curves in the last _STENCIL solved columns, a ring whose oldest slot a column's results
+        # overwrite; kept counts each t-node's valid slots
+        ring = np.zeros((_STENCIL, n, opts.n_steps + 2))
+        kept = np.zeros(n, dtype=int)
+        # the matched curves and the start, laid out as the ring's rows, and the scratch that holds the p
+        # rows after the start is made (only p[0] is kept)
+        base, guess, scratch = np.empty((3, n, opts.n_steps + 2))
+        p = scratch[:, :-1]
+        for k, depth, slots, new, weights in plan:
+            row = ring[new]
+            base[:, -1] = matched_curves(q_nodes[k], base[:, :-1], p)
+            _predict(weights[np.minimum(kept, depth)], [ring[slot] for slot in slots], base, guess, scratch)
             q, q_hats = row[:, :-1], np.full(n, q_nodes[k])
-            outcomes = _solve_batch(problem, t_nodes[r], q_hats, opts, q, p, (guess[:, :-1], guess[:, -1]), part)
+            outcomes = _solve_batch(problem, t_nodes[r], q_hats, opts, q, p, (guess[:, :-1], guess[:, -1]), work)
             lost = np.array([outcome.message is not None for outcome in outcomes])
             failed[r, k], iterations[r, k] = lost, [outcome.iterations for outcome in outcomes]
             residuals[r, k] = [outcome.residual for outcome in outcomes]
             row[:, -1] = p[:, 0]
             row[lost] = base[lost]  # a failed cell's deviation is zero, never extrapolated
-            kept[r] = np.where(lost, 0, np.minimum(kept[r] + 1, _STENCIL))
-            v = (q[:, :-1] - q[:, 1:]) / part.tau[:, None]
-            values[r, k] = np.where(lost, np.nan, _objective(problem, part.tau, part.vol, q, v))
+            kept = np.where(lost, 0, np.minimum(kept + 1, _STENCIL))
+            v = (q[:, :-1] - q[:, 1:]) / work.tau[:, None]
+            values[r, k] = np.where(lost, np.nan, _objective(problem, work.tau, work.vol, q, v))
             row -= base
+
+    # forking needs Linux, one Python thread (another could hold a lock the child needs) and Python below
+    # 3.12, which warns at a fork beside other OS threads, as numpy's BLAS pool always is
+    safe = sys.platform == "linux" and sys.version_info < (3, 12) and threading.active_count() == 1
+    forks = safe and len(t_nodes) * len(columns) * (opts.n_steps + 1) >= _FORK_WORK
+    cpus = len(os.sched_getaffinity(0)) if forks else 1
+    size = max(1, min(BATCH_MEMBERS, _BLOCK_DOUBLES // (opts.n_steps + 1)))
+    # at least a group per CPU, but none of one t-node where there are two: a block of one shoots
+    count = max(math.ceil(len(t_nodes) / size), min(cpus, len(t_nodes) // 2))
+    groups = [slice(rows[0], rows[-1] + 1) for rows in np.array_split(np.arange(len(t_nodes)), count)]
+    _fork_over(solve, groups, min(cpus, count), (values, failed, iterations, residuals))
     return ValueGrid(
         t_nodes=t_nodes,
         q_nodes=q_nodes,
@@ -227,6 +255,50 @@ def build_grid(
         iterations=iterations,
         residuals=residuals,
     )
+
+
+def _fork_over(solve, groups, workers, outputs):
+    """``solve`` each of ``groups`` (row slices): the first of ``workers`` runs of them here, each other in a fork.
+
+    A child writes the raw bytes of its rows of each array of ``outputs`` to a
+    pipe and leaves by ``os._exit``, with 1 on any exception; the parent reads
+    them into its own rows, and reaps every child even when it raises itself.
+    """
+    shares = [groups[len(groups) * w // workers : len(groups) * (w + 1) // workers] for w in range(workers)]
+    children, sent = [], []  # (pid, read end, rows) of each child; the bytes read from each
+    try:
+        for share in shares[1:]:
+            rows = slice(share[0].start, share[-1].stop)
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    for group in share:
+                        solve(group)
+                    with open(write, "wb") as pipe:
+                        for out in outputs:
+                            pipe.write(out[rows].tobytes())
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, read, rows))
+        for group in shares[0]:
+            solve(group)
+        for _, read, rows in children:
+            with open(read, "rb", closefd=False) as pipe:
+                sent.append(sum(pipe.readinto(memoryview(out[rows]).cast("B")) for out in outputs))
+    finally:
+        statuses = []
+        for pid, read, _ in children:
+            os.close(read)  # first, so that a child still writing fails instead of waiting for a reader
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (_, _, rows), got, status in zip(children, sent, statuses):
+        expected = sum(out[rows].nbytes for out in outputs)
+        if status != 0 or got < expected:
+            raise GridWorkerError(f"a grid worker exited with status {status} after sending {got} of {expected} bytes")
 
 
 def _matched_curves(problem: LiquidationProblem, t_nodes, work):
@@ -249,11 +321,11 @@ def _matched_curves(problem: LiquidationProblem, t_nodes, work):
     mean_volume, risk = left * mean_vol, problem.market.gamma * problem.market.sigma**2 * mean_vol
     last_cell, x = work.tau * work.vol[:, -1], np.arange(work.vol.shape[1] + 1) / work.vol.shape[1]
 
-    def write(q_hat, r, out, scratch):
-        price = -_cost_slope(cost, q_hat / mean_volume[r])
-        _ac_curve(q_hat, left[r] * np.sqrt(risk[r] * ham.curvature(price)), x, out, scratch)
+    def write(q_hat, out, scratch):
+        price = -_cost_slope(cost, q_hat / mean_volume)
+        _ac_curve(q_hat, left * np.sqrt(risk * ham.curvature(price)), x, out, scratch)
         out[:, 0], out[:, -1] = q_hat, 0.0
-        return -_cost_slope(cost, out[:, -2] / last_cell[r]) - work.b[r] * out[:, 1:].sum(axis=1)
+        return -_cost_slope(cost, out[:, -2] / last_cell) - work.b * out[:, 1:].sum(axis=1)
 
     return write
 

@@ -68,6 +68,23 @@ def block_direction_alone(patch):
     patch.setattr(solver, "_newton_direction", lambda c, e, b, now, tol, solo, work: direction(c, e, b, now, tol, False, work))
 
 
+def forking(patch, cpus=2):
+    """Count the children ``os.fork`` makes, with ``cpus`` CPUs to run on; returns the list of their pids."""
+    import os
+
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    patch.setattr(os, "fork", counted)
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return forks
+
+
 def solve_batch(problem, t_starts, q_starts, opts, start=None, work=None):
     """``solver._solve_batch`` with each member's ``member_result``, on rows of two arrays the call makes."""
     from blocktrade.solver import _solve_batch

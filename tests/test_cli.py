@@ -20,7 +20,7 @@ from blocktrade.cli import main, read_trajectory_csv, write_paths_csv, write_tra
 from blocktrade.config import _SCHEMA, ConfigError, parse_config
 from blocktrade.montecarlo import SimulationConfig
 from blocktrade.objective import eval_I
-from blocktrade.solver import Grid, SolveOptions, Trajectory
+from blocktrade.solver import Grid, SolveOptions, Trajectory, newton_solve
 from conftest import REFERENCE_CONFIG
 
 
@@ -619,8 +619,9 @@ def test_a_non_finite_grid_t_max_fails_before_any_solve(tmp_path, capsys, monkey
         (["0,1,,0", "0.5,0.5,inf,0.1", "1,0,1,0.2"], "must be finite"),
         (["0,1,,0", "0.5,0.5,1,0.1", "1,0,1,-inf"], "must be finite"),
         (["0,1,,0", "nan,0.5,1,0.1", "1,0,1,0.2"], "must be finite"),
+        (["0,1,,0", "0.5,0.5,7,0.1", "1,0,1,0.2"], "v on data row 1 is 7.0, but its q-step implies 1.0"),
     ],
-    ids=["header_only", "two_rows", "nan_q", "inf_v", "inf_p", "nan_t"],
+    ids=["header_only", "two_rows", "nan_q", "inf_v", "inf_p", "nan_t", "v_not_q"],
 )
 def test_read_trajectory_csv_rejects_a_short_or_non_finite_table(tmp_path, rows, message):
     path = tmp_path / "trajectory.csv"
@@ -628,6 +629,15 @@ def test_read_trajectory_csv_rejects_a_short_or_non_finite_table(tmp_path, rows,
     with pytest.raises(ValueError, match=message) as err:
         read_trajectory_csv(str(path))
     assert str(path) in str(err.value)
+
+
+def test_a_written_reference_trajectory_reads_back_bit_for_bit(tmp_path, reference_problem):
+    traj = newton_solve(reference_problem, SolveOptions(n_steps=1000))
+    write_trajectory_csv(str(tmp_path / "trajectory.csv"), traj)
+    back = read_trajectory_csv(str(tmp_path / "trajectory.csv"))
+    assert back.grid == traj.grid
+    for name in ("q", "v", "p"):
+        assert np.array_equal(getattr(back, name), getattr(traj, name))
 
 
 def test_paths_csv_makes_python_floats_a_block_at_a_time(tmp_path):

@@ -185,6 +185,17 @@ def test_samples_are_the_euler_law_from_one_stream(solved, n_paths):
     np.testing.assert_array_equal(result.samples, c + math.sqrt(result.euler_variance) * z)
 
 
+def test_standard_errors_are_those_of_a_normal_sample(solved):
+    # se_mean = sqrt(s^2 / n) and se_variance = s^2 sqrt(2 / (n - 1)), s^2 the unbiased variance of the kept sample
+    problem, traj = solved
+    cfg = SimulationConfig(n_paths=1000, n_substeps=2, seed=29)
+    result = simulate_cash(problem, traj, cfg, keep_samples=True)
+    variance = np.var(result.samples, ddof=1)
+    assert result.variance == pytest.approx(variance, rel=1e-9)
+    assert result.se_mean == pytest.approx(math.sqrt(variance / cfg.n_paths), rel=1e-9)
+    assert result.se_variance == pytest.approx(variance * math.sqrt(2.0 / (cfg.n_paths - 1)), rel=1e-9)
+
+
 def test_euler_law_converges_at_first_order(solved):
     # the scheme's exact mean and variance carry no sampling error, so they
     # show its bias alone: both gaps to the analytic law halve per doubling

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,7 +31,7 @@ from blocktrade.value_function import (
     check_structure,
     hj_residual,
 )
-from conftest import block_direction_alone, member_result, solve_batch
+from conftest import block_direction_alone, forking, member_result, solve_batch
 OPTS = SolveOptions(n_steps=500)
 
 
@@ -234,6 +236,28 @@ def test_value_blows_up_near_horizon(reference_problem):
     assert near >= 2.0 * far
 
 
+@pytest.mark.parametrize("deficit, flagged", [(0.8e-9, False), (1.2e-9, True)], ids=["forgiven", "flagged"])
+def test_convexity_forgives_a_deficit_of_1e_9_of_the_largest_value_and_no_more(reference_problem, deficit, flagged):
+    grid = build_grid(reference_problem, np.linspace(0.0, 0.9, 5), np.linspace(0.0, reference_problem.q0, 5), OPTS)
+    values = grid.values.copy()
+    values[-1, 2] = 0.5 * (values[-1, 1] + values[-1, 3]) + 0.5 * deficit * values.max()  # over the chord
+    checks = {check.name: check for check in check_structure(replace(grid, values=values)).checks}
+    assert checks["convex_q"].violations == flagged
+    assert all(checks[name].passed for name in ("monotone_t", "monotone_q", "singularity_bound"))
+
+
+def test_the_singularity_bound_flags_a_cell_planted_just_below_it(reference_problem):
+    # the bound V S L(q / (V S)) of a constant volume V over the time left S
+    grid = build_grid(reference_problem, np.linspace(0.0, 0.9, 5), np.linspace(0.0, reference_problem.q0, 5), OPTS)
+    assert check_structure(grid).ok
+    volume, left = reference_problem.volume.rate, reference_problem.horizon - grid.t_nodes[-1]
+    bound = volume * left * reference_problem.cost(grid.q_nodes[2] / (volume * left))
+    values = grid.values.copy()
+    values[-1, 2] = bound - 2e-9 * values.max()
+    checks = {check.name: check for check in check_structure(replace(grid, values=values)).checks}
+    assert checks["singularity_bound"].violations == 1
+
+
 def test_asymptotic_convergence_reference(reference_problem):
     result = asymptotic_convergence(
         reference_problem, 500_000.0, [0.5, 1.0, 2.0, 5.0], SolveOptions(n_steps=1000)
@@ -316,7 +340,7 @@ def matched_curve(problem, t_node, n_steps):
 
     def curve(q_hat):
         q, scratch = np.empty((2, 1, n_steps + 1))
-        return q[0], float(write(q_hat, slice(0, 1), q, scratch)[0])
+        return q[0], float(write(q_hat, q, scratch)[0])
 
     return curve
 
@@ -353,6 +377,7 @@ def forced_grid(problem, t_nodes, q_nodes, opts, forced, patch):
         return outcomes
 
     patch.setattr(value_function, "_solve_batch", forcing)
+    patch.setattr(value_function, "_FORK_WORK", math.inf)  # a forked child's records never reach this process
     return build_grid(problem, t_nodes, q_nodes, opts), record
 
 
@@ -419,7 +444,7 @@ def test_matched_curve_is_the_almgren_chriss_curve_for_a_quadratic_cost(quadrati
     work = Workspace(quadratic_problem, t_nodes, n_steps, len(t_nodes))
     curves, scratch = np.empty((2, len(t_nodes), n_steps + 1))
     for q_hat in (1e3, 2.5e5, 2e6):
-        value_function._matched_curves(quadratic_problem, t_nodes, work)(q_hat, slice(None), curves, scratch)
+        value_function._matched_curves(quadratic_problem, t_nodes, work)(q_hat, curves, scratch)
         for t, curve, grid in zip(t_nodes, curves, work.grids):
             rest = replace(quadratic_problem, q0=q_hat, horizon=quadratic_problem.horizon - t)
             exact = ac_trajectory(rest, grid.times - t)
@@ -438,11 +463,13 @@ def test_build_grid_rejects_a_super_quadratic_power_law_unsolved(reference_probl
             build_grid(problem, [0.0, 0.5], [0.0, 1e5, 2e5], OPTS)
 
 
-def test_a_warm_reference_surface_stays_under_the_traced_peak_of_copied_trajectories(reference_problem):
+def test_a_warm_reference_surface_stays_under_the_traced_peak_of_copied_trajectories(reference_problem, monkeypatch):
     # copying every converged cell out as a Trajectory and stacking the block's
     # rows again for its values peaked at 5.61 MB; writing the curves into the
     # build's ring of the last four columns peaked at 4.90 MB, 5.08 MB with the
-    # block's buffer of matched curves and 5.25 MB with its buffer of starts
+    # block's buffer of matched curves and 5.25 MB with its buffer of starts; in one
+    # process, since a forked child's allocations are not traced here
+    monkeypatch.setattr(value_function, "_FORK_WORK", math.inf)
     args = (reference_problem, np.linspace(0.0, 0.9, 21), np.linspace(0.0, reference_problem.q0, 21))
     build_grid(*args, SolveOptions(n_steps=1000))
     tracemalloc.start()
@@ -473,6 +500,7 @@ def test_block_values_are_eval_I_of_each_member_bit_for_bit(reference_problem, v
         return outcomes
 
     monkeypatch.setattr(value_function, "_solve_batch", recording)
+    monkeypatch.setattr(value_function, "_FORK_WORK", math.inf)  # every block recorded in this process
     # from the matched curve the first column takes up to three Newton steps (four
     # under the U-shaped volume), and a failed cell leaves the next one to start
     # from that curve alone: max_iter fails the earliest t-nodes of every column,
@@ -544,3 +572,86 @@ def test_grid_and_step_sizes_are_bounded(reference_problem, monkeypatch):
     with pytest.raises(ValueError, match="n_steps"):
         asymptotic_convergence(reference_problem, 1e5, [1e-6, 1.0], SolveOptions(n_steps=2))
     assert MAX_STEPS < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "volume, n_t, q_nodes, max_iter, members",
+    [
+        (None, 9, None, 50, 64),
+        (U_SHAPED, 9, None, 3, 64),
+        (None, 9, None, 6, 4),
+        (None, 9, np.array([0.0, 0.5, 5e5, 1e6]), 50, 64),
+        (None, 3, None, 50, 64),
+    ],
+    ids=["constant", "u_shaped_failures", "groups_of_3", "uneven_nodes", "three_t_nodes"],
+)
+def test_a_forked_build_has_the_bits_of_a_build_in_one_process(
+    reference_problem, volume, n_t, q_nodes, max_iter, members, monkeypatch
+):
+    # three t-nodes stay one group in one process: a group of one would shoot
+    problem = reference_problem if volume is None else replace(reference_problem, volume=volume)
+    t_nodes, opts = np.linspace(0.0, 0.9, n_t), SolveOptions(n_steps=100, max_iter=max_iter)
+    q_nodes = np.linspace(0.0, 2 * problem.q0, 9) if q_nodes is None else q_nodes
+    monkeypatch.setattr(value_function, "BATCH_MEMBERS", members)
+    monkeypatch.setattr(value_function, "_FORK_WORK", math.inf)
+    alone = build_grid(problem, t_nodes, q_nodes, opts)
+    forks = forking(monkeypatch)
+    monkeypatch.setattr(value_function, "_FORK_WORK", 0)
+    forked = build_grid(problem, t_nodes, q_nodes, opts)
+    assert len(forks) == (n_t > 3)
+    assert np.array_equal(forked.values.view(np.int64), alone.values.view(np.int64))
+    assert np.array_equal(forked.residuals.view(np.int64), alone.residuals.view(np.int64))
+    assert np.array_equal(forked.failed, alone.failed) and np.array_equal(forked.iterations, alone.iterations)
+    assert alone.failed.any() == (max_iter == 3)
+
+
+@pytest.mark.parametrize("exit_status", [1, 3], ids=["raises", "exits_3"])
+def test_a_failed_worker_fails_the_build_and_is_reaped(reference_problem, exit_status, monkeypatch):
+    parent, solve_batch = os.getpid(), value_function._solve_batch
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if exit_status == 3:
+                os._exit(3)
+            raise RuntimeError("a worker's solve failed")
+        return solve_batch(*args)
+
+    monkeypatch.setattr(value_function, "_solve_batch", failing)
+    monkeypatch.setattr(value_function, "_FORK_WORK", 0)
+    forks = forking(monkeypatch)
+    with pytest.raises(value_function.GridWorkerError, match=f"status {exit_status} after sending 0 of"):
+        build_grid(reference_problem, np.linspace(0.0, 0.9, 4), np.linspace(0.0, reference_problem.q0, 3), OPTS)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # no child is left to reap
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("condition", ["one_cpu", "python_thread", "little_work", "python_3_12", "not_linux"])
+def test_a_build_forks_only_where_forking_is_safe_and_pays(reference_problem, condition, monkeypatch):
+    args = (reference_problem, np.linspace(0.0, 0.9, 9), np.linspace(0.0, reference_problem.q0, 9))
+    opts = SolveOptions(n_steps=100)
+    expected = build_grid(*args, opts)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1 if condition == "one_cpu" else 2)))
+    # the grid's 9 x 8 x 101 cell-steps reach the threshold, one short of it for little_work
+    monkeypatch.setattr(value_function, "_FORK_WORK", 9 * 8 * 101 + (condition == "little_work"))
+    if condition == "python_3_12":
+        monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+    elif condition == "not_linux":
+        monkeypatch.setattr(sys, "platform", "darwin")
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    if condition == "python_thread":
+        thread.start()
+    try:
+        grid = build_grid(*args, opts)
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join(10)
+    assert not thread.is_alive()
+    assert np.array_equal(grid.values, expected.values)
