@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .market_model import LiquidationProblem
-from .solver import Trajectory
+from .solver import Trajectory, _check_counts
 
 __all__ = [
     "MAX_EULER_STEPS",
@@ -54,6 +54,7 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_counts(self, "n_paths", "n_substeps", "seed")
         if not 1 <= self.n_paths <= MAX_PATHS:
             raise ValueError(f"n_paths must be in [1, {MAX_PATHS}], got {self.n_paths}")
         if self.n_substeps < 1:

@@ -20,13 +20,13 @@ the linearized recurrences
     dp[j+1] = dp[j] + tau * gamma * sigma**2 * dq[j+1]
 
 with dq[0] = dq[J] = 0 and e[j] the local defect of the q-recurrence. A block
-solves them by the SPD primal Hessian in dq (LAPACK ``dptsv``; ``dgtsv`` where
-H'' vanishes). A solo solve uses affine shooting: the whole chain is an
-affine function of the single unknown dp[0], so two forward passes (dp[0] = 0
-and dp[0] = 1) pin it down. Over long horizons the homogeneous mode of the
-forward pass grows past what double precision can cancel, so a shooting
-direction that misses the linearized system by more than a threshold is
-replaced by the ``dgtsv`` solve.
+solves them by the SPD primal Hessian in dq (LAPACK ``dptsv``; ``dgtsv`` for a
+member where H'' is not positive). A solo solve, one member from the straight
+line, uses affine shooting: the whole chain is an affine function of the
+single unknown dp[0], so two forward passes (dp[0] = 0 and dp[0] = 1) pin it
+down. Over long horizons the homogeneous mode of the forward pass grows past
+what double precision can cancel, so a shooting direction that misses the
+linearized system by more than a threshold is replaced by the ``dgtsv`` solve.
 A solve converges when the larger of its two residuals, max |p-defect| and
 max |q-defect|, falls to the tolerance (1e-10 * q0 by default). Every start
 satisfies the p-recurrence, but a p-defect that a shooting or ``dgtsv`` step
@@ -42,26 +42,19 @@ iterations, where the power-law H' has strongly varying curvature.
 
 Solves run in blocks of members that share the problem, the horizon and the
 step count; each member has its own start (t_hat, q_hat), hence its own tau,
-volume row and tolerance. One Newton loop serves the whole block. ``_start``
-writes every member's starting curve into the block's rows at once: the
-curve the caller hands it (``build_grid`` hands each cell its own), or else
-the straight line from q_hat to zero. The members' tridiagonal systems sit
-one after another on the diagonal of one system with zero coupling entries
-(re-solved member by member if it fails or turns non-finite), and every
-other rule (line search, stopping) is applied per member. A block member's
-result is therefore bit for bit what the block direction gives it alone from
-the same start: its blockmates never affect it, and it keeps that direction
-when it shrinks to one member. Members leave as they converge or fail, and a
-failing member never stops the others; a converged member's q and p are
-copied into the caller's rows, and the block returns each member's
-``_Outcome`` (iterations, residual, history, or the failure). The loop's
-arrays live in a workspace (``_Workspace``, 19 doubles per member-step,
-which each t-node group of ``build_grid`` keeps for all its columns); only
-a halved step copies the rows it retries, and a shooting iteration makes
-only the kernel's two chains (4 (J+1) doubles), whose inputs it reads from
-the workspace in place. ``newton_solve`` and ``solve_from`` are one-member
-blocks from the straight line, which shoot, each in its own workspace, and
-build their ``Trajectory`` on the q and p rows they hand it.
+volume row and tolerance. One Newton loop serves the whole block and applies
+every rule (direction, line search, stopping) per member, so a member's
+result is bit for bit what the block direction gives it alone from the same
+start: its blockmates never affect it, and it keeps that direction when it
+shrinks to one member. ``_start`` writes every member's starting curve into
+the block's rows at once: the curve the caller hands it (``build_grid`` hands
+each cell its own), or else the straight line from q_hat to zero. Members
+leave as they converge or fail, and a failing member never stops the others;
+a converged member's q and p are copied into the caller's rows, and the block
+returns each member's ``_Outcome``. The loop's arrays live in a
+``_Workspace``. ``newton_solve`` and ``solve_from`` are one-member blocks from
+the straight line, the only solves that shoot, and build their ``Trajectory``
+on the q and p rows they hand it.
 """
 
 from __future__ import annotations
@@ -70,6 +63,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -180,12 +174,21 @@ class SolveOptions:
     max_iter: int = 50
 
     def __post_init__(self):
+        _check_counts(self, "n_steps", "max_iter")
         if not 2 <= self.n_steps <= MAX_STEPS:
             raise ValueError(f"n_steps must lie in [2, {MAX_STEPS}], got {self.n_steps}")
         if self.newton_tol is not None and not 0 < self.newton_tol < math.inf:
             raise ValueError("newton_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
+
+
+def _check_counts(options, *names):
+    """Raise a ValueError naming the first of the fields ``names`` of ``options`` that holds no integer (or a bool)."""
+    for name in names:
+        value = getattr(options, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -311,45 +314,35 @@ def _lapack():
 
 
 def _direction_by_banded(c, e, b, work=None):
-    """Pivoted tridiagonal solve (LAPACK dgtsv) of every member's linearized system in one call.
+    """Pivoted tridiagonal solve (LAPACK dgtsv) of one member's linearized system: c and e (1, J), b (1,).
 
-    Per member the unknowns are interleaved as (dp_0, dq_1, dp_1, ..., dq_{J-1},
-    dp_{J-1}, dp_J), with dq_0 = dq_J = 0 eliminated. The members' systems
-    follow one another on the diagonal with zero coupling entries, so no
-    finite pivot crosses a member boundary and each member gets the bits of its
-    one-row call. A singular or non-finite block is re-solved member by member,
-    which marks the singular ones and leaves the others those same bits.
-    Returns (K, J+1) dq and dp and the mask of singular members, written to
-    ``work`` (a ``_Workspace``) if given, with the bands dgtsv solves in place.
+    The unknowns are interleaved as (dp_0, dq_1, dp_1, ..., dq_{J-1}, dp_{J-1}, dp_J), with dq_0 = dq_J = 0
+    eliminated. Returns (1, J+1) dq and dp and whether the system is singular, in ``work`` if given.
     """
-    K, J = c.shape
-    sub, diag, sup, rhs = np.empty((4, K, 2 * J)) if work is None else work.bands[:, :K]
+    J = c.shape[1]
+    sub, diag, sup, rhs = np.empty((4, 2 * J)) if work is None else work.bands[:, 0]
     # row 2j: dq_{j+1} - dq_j - c_j dp_j = e_j;  row 2j+1: dp_{j+1} - dp_j - b dq_{j+1} = 0
     sub.fill(-1.0)  # dq_j in the q-rows, dp_j in the p-rows
-    sub[:, -1] = 0.0  # coupling to the next member
-    np.negative(c, out=diag[:, 0::2])  # dp_j in the q-rows
-    diag[:, 1::2] = -b[:, None]  # dq_{j+1} in the p-rows
-    diag[:, -1] = 1.0  # dp_J in the last p-row
+    np.negative(c[0], out=diag[0::2])  # dp_j in the q-rows
+    diag[1::2] = -b[0]  # dq_{j+1} in the p-rows
+    diag[-1] = 1.0  # dp_J in the last p-row
     sup.fill(1.0)  # dq_{j+1}, dp_{j+1}
-    sup[:, -2:] = 0.0  # dq_J is eliminated; coupling to the next member
-    rhs[:, 0::2], rhs[:, 1::2] = e, 0.0
-    *_, x, info = _lapack().dgtsv(sub.ravel()[:-1], diag.ravel(), sup.ravel()[:-1], rhs.ravel(), 1, 1, 1, 1)
-    x = x.reshape(K, 2 * J)
-    if K > 1 and (info != 0 or not (np.isfinite(x.min()) and np.isfinite(x.max()))):
-        alone = [_direction_by_banded(c[k : k + 1], e[k : k + 1], b[k : k + 1]) for k in range(K)]
-        return tuple(np.concatenate(rows) for rows in zip(*alone))
-    dq, dp = np.empty((2, K, J + 1)) if work is None else (work.dq[:K], work.dp[:K])
-    dq[:, 0], dq[:, 1:J], dq[:, J] = 0.0, x[:, 1:-1:2], 0.0
-    dp[:, :J], dp[:, J] = x[:, 0::2], x[:, -1]
-    return dq, dp, np.full(K, info != 0)
+    sup[-2] = 0.0  # dq_J is eliminated
+    rhs[0::2], rhs[1::2] = e[0], 0.0
+    *_, x, info = _lapack().dgtsv(sub[:-1], diag, sup[:-1], rhs, 1, 1, 1, 1)
+    dq, dp = np.empty((2, 1, J + 1)) if work is None else (work.dq[:1], work.dp[:1])
+    dq[0, 0], dq[0, 1:J], dq[0, J] = 0.0, x[1:-1:2], 0.0
+    dp[0, :J], dp[0, J] = x[0::2], x[-1]
+    return dq, dp, np.array([info != 0])
 
 
 def _direction_by_hessian(c, e, b, work=None):
-    """``_direction_by_banded``'s result from each member's primal Hessian in dq_1 .. dq_{J-1}: one dptsv call.
+    """Each member's direction from its primal Hessian in dq_1 .. dq_{J-1}: one dptsv call when every member is SPD.
 
     With w = 1 / c: (w_{i-1} + w_i + b) dq_i - w_{i-1} dq_{i-1} - w_i dq_{i+1} = e_{i-1} w_{i-1} - e_i w_i, then
-    dp_0 = (dq_1 - e_0) / c_0 and the p-recurrence. Members with a c_j not finite and positive take dgtsv in one
-    call. LDL^T carries a NaN across a zero coupling entry, so a failed or non-finite block goes member by member.
+    dp_0 = (dq_1 - e_0) / c_0 and the p-recurrence. The members' systems follow one another with zero coupling
+    entries, so each gets the bits of its one-row call. Any other block, or a call that fails or turns non-finite
+    (LDL^T carries a NaN across a zero coupling), goes member by member: dptsv alone, else ``_direction_by_banded``.
     """
     K, J = c.shape
     flat = (np.empty((4, K, 2 * J)) if work is None else work.bands[:, :K]).reshape(4, -1)
@@ -364,17 +357,20 @@ def _direction_by_hessian(c, e, b, work=None):
         diag += b[:, None]
         np.negative(w[:, 1:], out=off)
         off[:, -1] = 0.0  # coupling to the next member
-        off = off.ravel()[: max(off.size - 1, 1)]  # the wrapper wants one entry when there is one unknown
-        *_, x, info = _lapack().dptsv(diag.ravel(), off, rhs.ravel(), 1, 1, 1)
+        if off.size > 1:
+            *_, x, info = _lapack().dptsv(diag.ravel(), off.ravel()[:-1], rhs.ravel(), 1, 1, 1)
+        else:  # one unknown: dptsv would scale by 1 / diag where a block of such members divides
+            x, info = rhs / diag, 0
         x = x.reshape(K, J - 1)
         if info == 0 and (K == 1 or (np.isfinite(x.min()) and np.isfinite(x.max()))):
             dq[:, 0], dq[:, 1:J], dq[:, J] = 0.0, x, 0.0
             _p_recurrence(dq, (x[:, 0] - e[:, 0]) / c[:, 0], b[:, None], dp)
             return dq, dp, np.zeros(K, dtype=bool)
-    if K == 1 or not spd.any():  # H'' vanishes in every member, or dptsv failed alone
+    if K == 1:  # H'' is not positive somewhere, or dptsv failed
         return _direction_by_banded(c, e, b, work)
     singular = np.empty(K, dtype=bool)
-    for rows in np.eye(K, dtype=bool) if spd.all() else (spd, ~spd):  # each member alone, or each route at once
+    for k in range(K):
+        rows = slice(k, k + 1)
         dq[rows], dp[rows], singular[rows] = _direction_by_hessian(c[rows], e[rows], b[rows])
     return dq, dp, singular
 
@@ -550,13 +546,13 @@ def _solve_batch(
     """Solve from each (t_starts[k], q_starts[k]) to zero at the horizon, in one Newton loop.
 
     Member k starts from row k of ``start`` = (q rows (K, J+1), p[0] (K,)),
-    by default from the straight line (``_start``). A converged member's q
-    and p are written to the rows ``q_out[k]`` and ``p_out[k]`` ((K, J+1)
-    each); a failed member's rows are left as they were. Returns each member's
-    ``_Outcome``, in member order. Live members share the iteration counter,
-    so a member's count is the loop's count when it leaves. ``work``, if
-    given, is a ``_Workspace`` on the t-nodes ``t_starts``, for at least as
-    many members; else the call makes one.
+    by default from the straight line (``_start``); only a lone member without
+    ``start`` shoots. A converged member's q and p are written to the rows
+    ``q_out[k]`` and ``p_out[k]`` ((K, J+1) each); a failed member's rows are
+    left as they were. Returns each member's ``_Outcome``, in member order.
+    Live members share the iteration counter, so a member's count is the
+    loop's count when it leaves. ``work``, if given, is a ``_Workspace`` on the
+    t-nodes ``t_starts``, for at least as many members; else the call makes one.
     """
     ham = hamiltonian_of(problem.cost)
     ksq = problem.market.gamma * problem.market.sigma**2
@@ -566,7 +562,7 @@ def _solve_batch(
     tol = np.full(K, opts.newton_tol) if opts.newton_tol is not None else 1e-10 * q_starts
     block = _Block(work, np.maximum(tol, 1e-300), ksq)
     _start(block.tau_ksq, q_starts, block.q, block.p, start)
-    solo = K == 1  # a block keeps its direction when it shrinks to one member
+    solo = start is None and K == 1  # a block keeps its direction when it shrinks to one member
     block.current = block.residual(ham, slice(None), block.q, block.p, block.rq)
 
     results = [None] * K

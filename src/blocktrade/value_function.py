@@ -13,6 +13,7 @@ short of the terminal time.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import sys
 import threading
@@ -58,7 +59,7 @@ _FORK_WORK = 75_000
 
 
 class GridWorkerError(RuntimeError):
-    """A forked worker of ``build_grid`` failed or sent fewer bytes than its rows hold."""
+    """A forked worker of ``build_grid`` failed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,23 +144,23 @@ def build_grid(
     slots, and writes a block's start to one buffer: the slots summed oldest
     first from 0, each row with the weights of its stencil depth, plus the
     matched curves; the solver copies it and sets its boundary values and p.
-    A block takes its Newton directions from one ``dptsv`` call (``dgtsv``
-    where H'' vanishes), and a cell's result is bit for bit what that
-    direction gives it alone from the same start, so its blockmates never
-    affect it; a block of one cell shoots, so no group holds one t-node where
-    there are two. A group works in a ``solver._Workspace`` of its own (19
-    doubles per member-step) and three buffers of one double per member-step:
-    its matched curves, its start and its p rows, the scratch of the other two
-    before the solve. A block's converged curves overwrite the oldest slot of
-    the ring (zero deviations for a failed cell), are valued by one row-wise
-    ``_objective`` call, every cell with the bits of its own ``eval_I`` (NaN
-    for a failed one), and then lose their matched curves.
+    A block takes its Newton directions from one ``dptsv`` call, and a cell's
+    result is bit for bit what that direction gives it alone from the same
+    start, so neither its blockmates nor its group affect it. A group works
+    in a ``solver._Workspace`` of its own (19 doubles per member-step) and
+    three buffers of one double per member-step: its matched curves, its start
+    and its p rows, the scratch of the other two before the solve. A block's
+    converged curves overwrite the oldest slot of the ring (zero deviations
+    for a failed cell), are valued by one row-wise ``_objective`` call, every
+    cell with the bits of its own ``eval_I`` (NaN for a failed one), and then
+    lose their matched curves.
 
     The groups are independent, so a build of at least ``_FORK_WORK``
     cell-steps forks where that is safe: at least a group per CPU, the first
-    run of groups here and each other in an ``os.fork`` child, which sends its
-    rows back through a pipe (``GridWorkerError`` if it fails). A fork costs
-    no fresh import, as a spawned worker would. The bits do not depend on the
+    run of groups here and each other in an ``os.fork`` child, which writes
+    its rows to the outputs in anonymous shared memory (``GridWorkerError`` if
+    it fails); the ``ValueGrid`` holds copies. A fork costs no fresh import,
+    as a spawned worker would. The bits depend on neither the groups nor the
     number of processes. A cell's own ``solve_from`` shoots from the straight
     line, so the two agree only as far as shooting does: to 4.4e-16 relative
     on the reference grid, but not in the known defect of the ``solver``
@@ -192,10 +193,11 @@ def build_grid(
             "power-law exponents above 1 are only supported through the closed forms"
         )
 
-    values = np.zeros((len(t_nodes), len(q_nodes)))
-    failed = np.zeros_like(values, dtype=bool)
-    iterations = np.zeros_like(values, dtype=int)
-    residuals = np.zeros_like(values)
+    shape = (len(t_nodes), len(q_nodes))
+    values, failed, iterations, residuals = (  # zero-filled, and written in place by forked workers
+        np.frombuffer(mmap.mmap(-1, math.prod(shape) * np.dtype(kind).itemsize), kind).reshape(shape)
+        for kind in (float, bool, int, float)
+    )
     columns, plan = np.flatnonzero(q_nodes), []  # each solved column's node, depth, slots and weights
     for solved, k in enumerate(columns):
         depth = 1  # one column to the left, at any spacing, or more while evenly spaced with this one
@@ -241,64 +243,48 @@ def build_grid(
     forks = safe and len(t_nodes) * len(columns) * (opts.n_steps + 1) >= _FORK_WORK
     cpus = len(os.sched_getaffinity(0)) if forks else 1
     size = max(1, min(BATCH_MEMBERS, _BLOCK_DOUBLES // (opts.n_steps + 1)))
-    # at least a group per CPU, but none of one t-node where there are two: a block of one shoots
-    count = max(math.ceil(len(t_nodes) / size), min(cpus, len(t_nodes) // 2))
+    count = max(math.ceil(len(t_nodes) / size), min(cpus, len(t_nodes)))
     groups = [slice(rows[0], rows[-1] + 1) for rows in np.array_split(np.arange(len(t_nodes)), count)]
-    _fork_over(solve, groups, min(cpus, count), (values, failed, iterations, residuals))
+    _fork_over(solve, groups, min(cpus, count))
     return ValueGrid(
         t_nodes=t_nodes,
         q_nodes=q_nodes,
-        values=values,
+        values=values.copy(),
         epsilon=epsilon,
         problem=problem,
-        failed=failed,
-        iterations=iterations,
-        residuals=residuals,
+        failed=failed.copy(),
+        iterations=iterations.copy(),
+        residuals=residuals.copy(),
     )
 
 
-def _fork_over(solve, groups, workers, outputs):
+def _fork_over(solve, groups, workers):
     """``solve`` each of ``groups`` (row slices): the first of ``workers`` runs of them here, each other in a fork.
 
-    A child writes the raw bytes of its rows of each array of ``outputs`` to a
-    pipe and leaves by ``os._exit``, with 1 on any exception; the parent reads
-    them into its own rows, and reaps every child even when it raises itself.
+    ``solve`` writes to shared memory; a child leaves by ``os._exit``, with 1
+    on any exception, and the parent reaps every child even when it raises.
     """
     shares = [groups[len(groups) * w // workers : len(groups) * (w + 1) // workers] for w in range(workers)]
-    children, sent = [], []  # (pid, read end, rows) of each child; the bytes read from each
+    children = []
     try:
         for share in shares[1:]:
-            rows = slice(share[0].start, share[-1].stop)
-            read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
-                    os.close(read)
                     for group in share:
                         solve(group)
-                    with open(write, "wb") as pipe:
-                        for out in outputs:
-                            pipe.write(out[rows].tobytes())
                     status = 0
                 finally:
                     os._exit(status)
-            os.close(write)
-            children.append((pid, read, rows))
+            children.append(pid)
         for group in shares[0]:
             solve(group)
-        for _, read, rows in children:
-            with open(read, "rb", closefd=False) as pipe:
-                sent.append(sum(pipe.readinto(memoryview(out[rows]).cast("B")) for out in outputs))
     finally:
-        statuses = []
-        for pid, read, _ in children:
-            os.close(read)  # first, so that a child still writing fails instead of waiting for a reader
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for (_, _, rows), got, status in zip(children, sent, statuses):
-        expected = sum(out[rows].nbytes for out in outputs)
-        if status != 0 or got < expected:
-            raise GridWorkerError(f"a grid worker exited with status {status} after sending {got} of {expected} bytes")
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    for status in statuses:
+        if status != 0:
+            raise GridWorkerError(f"a grid worker exited with status {status}")
 
 
 def _matched_curves(problem: LiquidationProblem, t_nodes, work):

@@ -60,12 +60,12 @@ def member_result(problem, t_start, n_steps, q, p, outcome):
     return Trajectory(grid, q, p, (q[:-1] - q[1:]) / grid.tau, outcome.iterations, outcome.residual, *outcome[3:])
 
 
-def block_direction_alone(patch):
-    """Give a one-member block a block's Newton direction (``solo=False``), as a member of a larger block has."""
-    from blocktrade import solver
+def straight_line(problem, t_start, q_start, n_steps):
+    """One member's straight-line start as an explicit ``start``: a lone member handed it takes the block direction."""
+    from blocktrade.solver import Grid, initial_guess
 
-    direction = solver._newton_direction
-    patch.setattr(solver, "_newton_direction", lambda c, e, b, now, tol, solo, work: direction(c, e, b, now, tol, False, work))
+    guess = initial_guess(problem, Grid(n_steps=n_steps, t_start=t_start, t_end=problem.horizon), q_start)
+    return guess.q[None], guess.p[:1]
 
 
 def forking(patch, cpus=2):

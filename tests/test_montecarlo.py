@@ -24,6 +24,14 @@ def test_config_rejects_nonpositive_counts():
         SimulationConfig(n_substeps=0)
 
 
+@pytest.mark.parametrize("field", ["n_paths", "n_substeps", "seed"])
+@pytest.mark.parametrize("value", [1000.0, 2.5, True, "2"])
+def test_config_takes_integer_counts_only(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimulationConfig(**{field: value})
+    assert getattr(SimulationConfig(**{field: np.int64(2)}), field) == 2
+
+
 def test_config_bounds_path_count_and_seed():
     assert SimulationConfig(n_paths=MAX_PATHS).n_paths == MAX_PATHS  # a config, no allocation
     with pytest.raises(ValueError, match="n_paths"):

@@ -13,7 +13,7 @@ from blocktrade.closed_forms import ac_trajectory, theta_infinity
 from blocktrade.legendre import SingularCurvatureError
 from blocktrade.market_model import PiecewiseLinearVolume, PowerLawCost
 from blocktrade.objective import eval_I
-from blocktrade import value_function
+from blocktrade import solver, value_function
 from blocktrade.solver import (
     MAX_STEPS,
     _Workspace as Workspace,
@@ -31,8 +31,9 @@ from blocktrade.value_function import (
     check_structure,
     hj_residual,
 )
-from conftest import block_direction_alone, forking, member_result, solve_batch
+from conftest import forking, member_result, solve_batch
 OPTS = SolveOptions(n_steps=500)
+GRID_ARRAYS = ("values", "failed", "iterations", "residuals")
 
 
 def test_single_cell_equals_direct_solve(reference_problem):
@@ -312,11 +313,10 @@ def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, mo
     for name in ("values", "failed", "iterations", "residuals"):
         assert np.array_equal(getattr(split, name), getattr(grid, name), equal_nan=True)
 
-    # a block member is bit for bit a one-member batch on the block direction from
-    # the same start: its matched curve plus the deviations of the last four
-    # converged cells of its row from theirs, extrapolated (the q-nodes are evenly
-    # spaced), the stencil emptied by a failure
-    block_direction_alone(monkeypatch)
+    # a block member is bit for bit a one-member batch from the same start (which
+    # takes the block direction): its matched curve plus the deviations of the last
+    # four converged cells of its row from theirs, extrapolated (the q-nodes are
+    # evenly spaced), the stencil emptied by a failure
     for i in (0, 4, 8):
         matched, stencil = matched_curve(reference_problem, t_nodes[i], opts.n_steps), []
         for k, q in enumerate(q_nodes[1:], start=1):
@@ -574,6 +574,23 @@ def test_grid_and_step_sizes_are_bounded(reference_problem, monkeypatch):
     assert MAX_STEPS < 2_000_000
 
 
+def never_shoot(patch):
+    """Fail any shooting iteration, and so the build (or the forked worker) that runs one."""
+
+    def shot(*args):
+        raise AssertionError("a build shot")
+
+    patch.setattr(solver, "_propagate", shot)
+
+
+def same_grids(a, b):
+    """Every output of two builds, the floats compared as int64."""
+    return all(
+        np.array_equal(*(np.asarray(getattr(grid, name)).view(np.int64) for grid in (a, b)))
+        for name in ("values", "residuals")
+    ) and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in ("failed", "iterations"))
+
+
 @pytest.mark.parametrize(
     "volume, n_t, q_nodes, max_iter, members",
     [
@@ -588,7 +605,7 @@ def test_grid_and_step_sizes_are_bounded(reference_problem, monkeypatch):
 def test_a_forked_build_has_the_bits_of_a_build_in_one_process(
     reference_problem, volume, n_t, q_nodes, max_iter, members, monkeypatch
 ):
-    # three t-nodes stay one group in one process: a group of one would shoot
+    never_shoot(monkeypatch)
     problem = reference_problem if volume is None else replace(reference_problem, volume=volume)
     t_nodes, opts = np.linspace(0.0, 0.9, n_t), SolveOptions(n_steps=100, max_iter=max_iter)
     q_nodes = np.linspace(0.0, 2 * problem.q0, 9) if q_nodes is None else q_nodes
@@ -598,11 +615,46 @@ def test_a_forked_build_has_the_bits_of_a_build_in_one_process(
     forks = forking(monkeypatch)
     monkeypatch.setattr(value_function, "_FORK_WORK", 0)
     forked = build_grid(problem, t_nodes, q_nodes, opts)
-    assert len(forks) == (n_t > 3)
-    assert np.array_equal(forked.values.view(np.int64), alone.values.view(np.int64))
-    assert np.array_equal(forked.residuals.view(np.int64), alone.residuals.view(np.int64))
-    assert np.array_equal(forked.failed, alone.failed) and np.array_equal(forked.iterations, alone.iterations)
+    assert len(forks) == 1
+    assert same_grids(forked, alone)
     assert alone.failed.any() == (max_iter == 3)
+
+
+@pytest.mark.parametrize("max_iter", [50, 6])
+def test_a_rows_bits_do_not_depend_on_its_group(reference_problem, max_iter, monkeypatch):
+    # a t-node built alone is a group of one, which takes the block direction as any group does
+    never_shoot(monkeypatch)
+    opts = SolveOptions(n_steps=100, max_iter=max_iter)
+    t_nodes, q_nodes = np.linspace(0.0, 0.9, 9), np.linspace(0.0, 2 * reference_problem.q0, 9)
+    whole = build_grid(reference_problem, t_nodes, q_nodes, opts)
+    for i, t in enumerate(t_nodes):
+        alone = build_grid(reference_problem, [t], q_nodes, opts)
+        assert same_grids(alone, replace(whole, **{name: getattr(whole, name)[i : i + 1] for name in GRID_ARRAYS}))
+    # groups of at most two t-nodes, the last of one, forked
+    monkeypatch.setattr(value_function, "_BLOCK_DOUBLES", 2 * (opts.n_steps + 1) + opts.n_steps)
+    monkeypatch.setattr(value_function, "_FORK_WORK", 0)
+    forks = forking(monkeypatch)
+    assert same_grids(build_grid(reference_problem, t_nodes, q_nodes, opts), whole)
+    assert len(forks) == 1
+
+
+def test_a_later_fork_of_the_caller_leaves_the_grid_its_own(reference_problem, monkeypatch):
+    # the build's outputs are shared with its workers; the grid holds copies
+    monkeypatch.setattr(value_function, "_FORK_WORK", 0)
+    forks = forking(monkeypatch)
+    grid = build_grid(reference_problem, np.linspace(0.0, 0.9, 4), np.linspace(0.0, reference_problem.q0, 3), OPTS)
+    assert len(forks) == 1
+    kept = [getattr(grid, name).copy() for name in GRID_ARRAYS]
+    pid = os.fork()
+    if pid == 0:
+        try:
+            for name in GRID_ARRAYS:
+                getattr(grid, name)[:] = 1
+        finally:
+            os._exit(0)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    for name, before in zip(GRID_ARRAYS, kept):
+        assert np.array_equal(getattr(grid, name), before)
 
 
 @pytest.mark.parametrize("exit_status", [1, 3], ids=["raises", "exits_3"])
@@ -619,7 +671,7 @@ def test_a_failed_worker_fails_the_build_and_is_reaped(reference_problem, exit_s
     monkeypatch.setattr(value_function, "_solve_batch", failing)
     monkeypatch.setattr(value_function, "_FORK_WORK", 0)
     forks = forking(monkeypatch)
-    with pytest.raises(value_function.GridWorkerError, match=f"status {exit_status} after sending 0 of"):
+    with pytest.raises(value_function.GridWorkerError, match=f"status {exit_status}$"):
         build_grid(reference_problem, np.linspace(0.0, 0.9, 4), np.linspace(0.0, reference_problem.q0, 3), OPTS)
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):  # no child is left to reap
