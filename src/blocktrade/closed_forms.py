@@ -142,8 +142,8 @@ def _risk_scale(problem: LiquidationProblem, q: float) -> float:
     """
     if not isinstance(problem.volume, ConstantVolume):
         raise ValueError("infinite-horizon value requires a constant volume curve")
-    if q < 0:
-        raise ValueError("q must be nonnegative")
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"q must be nonnegative and finite, got {q}")
     m = problem.market
     return m.gamma * m.sigma**2 / (2.0 * problem.volume.rate)
 

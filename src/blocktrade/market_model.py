@@ -99,8 +99,8 @@ class PowerLawImpact:
 
     def integral(self, q: float) -> float:
         """Integral of F over [0, q]: the permanent-impact cost of selling q shares."""
-        if q < 0:
-            raise ValueError("q must be nonnegative")
+        if not 0.0 <= q < math.inf:
+            raise ValueError(f"q must be nonnegative and finite, got {q}")
         return self.k * q ** (1.0 + self.beta) / (1.0 + self.beta)
 
 
@@ -114,8 +114,8 @@ class CustomImpact:
         return _elementwise(self.fn, q)
 
     def integral(self, q: float) -> float:
-        if q < 0:
-            raise ValueError("q must be nonnegative")
+        if not 0.0 <= q < math.inf:
+            raise ValueError(f"q must be nonnegative and finite, got {q}")
         if q == 0:
             return 0.0
         from scipy.integrate import quad  # lazy: scipy.integrate dominates import time

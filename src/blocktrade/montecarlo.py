@@ -24,6 +24,7 @@ across schemes, not their bits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -107,13 +108,17 @@ def _affine_form(problem: LiquidationProblem, traj: Trajectory, n_sub: int):
 def euler_law(problem: LiquidationProblem, traj: Trajectory, n_substeps: int) -> tuple[float, float]:
     """Exact mean and variance of the Euler wealth: c and the sum of the squared weights.
 
-    More than ``MAX_EULER_STEPS`` Euler steps per path raise ``ValueError``.
+    The sum is ``math.fsum``'s, correctly rounded. An ``n_substeps`` that is
+    not an integer (or is a bool) or is below 1, and more than
+    ``MAX_EULER_STEPS`` Euler steps per path, raise ``ValueError``.
     """
+    if isinstance(n_substeps, bool) or not isinstance(n_substeps, numbers.Integral) or n_substeps < 1:
+        raise ValueError(f"n_substeps must be an integer of at least 1, got {n_substeps!r}")
     n_euler = traj.grid.n_steps * n_substeps
     if n_euler > MAX_EULER_STEPS:
         raise ValueError(f"n_steps * n_substeps must be at most {MAX_EULER_STEPS}, got {n_euler}")
     c, weights = _affine_form(problem, traj, n_substeps)
-    return c, math.fsum(weights * weights)
+    return c, math.fsum((weights * weights).tolist())
 
 
 def simulate_cash(
@@ -130,6 +135,12 @@ def simulate_cash(
     for a fixed seed. For a liquidating trajectory the terminal inventory is
     zero and the wealth is just the cash. More than ``MAX_EULER_STEPS`` Euler
     steps per path raise ``ValueError``.
+
+    The moments come from one centred pass over the draws, done in place: the
+    squared deviations from the sample mean are summed once, and that sum
+    gives both the unbiased variance and the second moment of the kurtosis.
+    This is the arithmetic of ``np.var(ddof=1)``, so the variance has its
+    bits. The kept ``samples`` are taken before the centring.
     """
     c, euler_variance = euler_law(problem, traj, cfg.n_substeps)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed)))
@@ -138,12 +149,13 @@ def simulate_cash(
 
     # moments of the noise, so a riskless schedule has variance exactly 0
     noise_mean = float(np.mean(noise))
-    variance = float(np.var(noise, ddof=1)) if cfg.n_paths > 1 else 0.0
+    samples = noise + c if keep_samples else None
+    squares = np.square(np.subtract(noise, noise_mean, out=noise), out=noise)
+    sum_sq = float(np.add.reduce(squares))
+    variance = sum_sq / (cfg.n_paths - 1) if cfg.n_paths > 1 else 0.0
     se_mean = math.sqrt(variance / cfg.n_paths)
     se_variance = variance * math.sqrt(2.0 / max(cfg.n_paths - 1, 1))
-    centered = noise - noise_mean
-    squares = np.square(centered, out=centered)
-    m2 = float(np.mean(squares))
+    m2 = sum_sq / cfg.n_paths
     m4 = float(np.dot(squares, squares)) / cfg.n_paths
     excess_kurtosis = m4 / (m2 * m2) - 3.0 if m2 > 0 else 0.0
     return SimulationResult(
@@ -155,5 +167,5 @@ def simulate_cash(
         n_paths=cfg.n_paths,
         euler_mean=c,
         euler_variance=euler_variance,
-        samples=np.add(noise, c, out=noise) if keep_samples else None,
+        samples=samples,
     )

@@ -181,6 +181,14 @@ def test_theta_infinity_rejects_time_varying_volume(reference_problem):
         theta_infinity(reference_problem, -1.0)
 
 
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("value", [theta_infinity, theta_infinity_quadrature])
+def test_theta_infinity_rejects_a_non_finite_or_negative_inventory(reference_problem, value, q):
+    with pytest.raises(ValueError, match="q must be nonnegative and finite"):
+        value(reference_problem, q)
+    assert value(reference_problem, 0.0) == 0.0
+
+
 def test_theta_infinity_custom_cost_equals_power_law(reference_problem):
     # wrapping the same power law as a black box must reproduce the closed form
     custom = CustomCost(fn=lambda r: 0.02 * abs(r) ** 1.65, sample_bound=1e9)

@@ -84,6 +84,14 @@ def test_pmi_integral_matches_reference_values():
         impact.integral(-1.0)
 
 
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("impact", [PowerLawImpact(k=4.5e-6, beta=0.75), CustomImpact(fn=math.tanh)])
+def test_pmi_integral_rejects_a_non_finite_or_negative_inventory(impact, q):
+    with pytest.raises(ValueError, match="q must be nonnegative and finite"):
+        impact.integral(q)
+    assert impact.integral(0.0) == 0.0
+
+
 def test_pmi_integral_custom_quadrature_against_analytic():
     # F(q) = tanh(q): integral over [0, q] is log(cosh(q))
     impact = CustomImpact(fn=math.tanh)

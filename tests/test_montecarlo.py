@@ -193,6 +193,33 @@ def test_samples_are_the_euler_law_from_one_stream(solved, n_paths):
     np.testing.assert_array_equal(result.samples, c + math.sqrt(result.euler_variance) * z)
 
 
+@pytest.mark.parametrize("n_paths", [1, 2, 4, 100_000])
+def test_moments_are_numpys_bit_for_bit(solved, n_paths):
+    # the one centred pass is np.var(ddof=1)'s arithmetic, and keeping the samples leaves the moments alone
+    problem, traj = solved
+    cfg = SimulationConfig(n_paths=n_paths, n_substeps=2, seed=31)
+    kept = simulate_cash(problem, traj, cfg, keep_samples=True)
+    c, euler_variance = euler_law(problem, traj, cfg.n_substeps)
+    z = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed))).standard_normal(n_paths)
+    noise = z * math.sqrt(euler_variance)
+    assert kept.mean == np.mean(noise) + c
+    assert kept.variance == (np.var(noise, ddof=1) if n_paths > 1 else 0.0)
+    squares = np.square(noise - np.mean(noise))
+    m2 = np.mean(squares)
+    assert kept.excess_kurtosis == (np.dot(squares, squares) / n_paths / (m2 * m2) - 3.0 if m2 > 0 else 0.0)
+    unkept = simulate_cash(problem, traj, cfg)
+    fields = ("mean", "variance", "se_mean", "se_variance", "excess_kurtosis", "n_paths", "euler_mean", "euler_variance")
+    assert [getattr(unkept, f) for f in fields] == [getattr(kept, f) for f in fields]
+
+
+@pytest.mark.parametrize("n_substeps", [0, -1, 1.5, True, 10.0**9])
+def test_euler_law_takes_a_positive_integer_substep_count(n_substeps):
+    # checked before the step bound: a huge float names the count, not the bound
+    problem = make_reference_problem()
+    with pytest.raises(ValueError, match="n_substeps must be an integer of at least 1"):
+        euler_law(problem, linear_trajectory(problem, 10), n_substeps)
+
+
 def test_standard_errors_are_those_of_a_normal_sample(solved):
     # se_mean = sqrt(s^2 / n) and se_variance = s^2 sqrt(2 / (n - 1)), s^2 the unbiased variance of the kept sample
     problem, traj = solved

@@ -9,6 +9,7 @@ from blocktrade.objective import eval_I
 from blocktrade.pricing import (
     GammaBracketError,
     PremiumFloorError,
+    floor_parts,
     implied_gamma,
     price_finite,
     price_infinite,
@@ -63,6 +64,15 @@ def test_price_infinite_small_block(reference_problem):
     assert d.necpr_inf == pytest.approx(2003.0, rel=0.01)
     assert d.pmi == pytest.approx(7187.0, rel=0.01)
     assert d.lec == pytest.approx(1000.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), -1.0])
+def test_a_non_finite_or_negative_block_is_refused(reference_problem, q):
+    for price in (price_infinite, floor_parts):
+        with pytest.raises(ValueError, match="q must be nonnegative and finite"):
+            price(reference_problem, q)
+    assert floor_parts(reference_problem, 0.0) == (0.0, 0.0)
+    assert price_infinite(reference_problem, 0.0).necpr_inf == 0.0
 
 
 def test_premium_components_nonnegative(reference_problem):
