@@ -69,14 +69,20 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
 def read_trajectory_csv(path: str) -> Trajectory:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "q", "v", "p"]:
-            raise ValueError(f"{path}: expected header t,q,v,p")
-        rows = [row for row in reader if row]
+        if next(reader, None) != ["t", "q", "v", "p"]:
+            raise ValueError(f"{path}:1: expected header t,q,v,p")
+        rows = []  # (t, q, v, p) of each data row; the first row's v is empty, and read as NaN
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                if row:
+                    t, q, v, p = row
+                    rows.append((float(t), float(q), float(v) if rows else np.nan, float(p)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if len(rows) < 3:
         raise ValueError(f"{path}: expected at least 3 data rows, got {len(rows)}")
-    t, q, p = (np.array([float(r[i]) for r in rows]) for i in (0, 1, 3))
-    v = np.array([float(r[2]) for r in rows[1:]])
+    t, q, v, p = (np.array(column) for column in zip(*rows))
+    v = v[1:]
     if not all(np.isfinite(a).all() for a in (t, q, v, p)):
         raise ValueError(f"{path}: t, q, v and p must be finite")
     if not _evenly_spaced(t):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import _cost_slope, _root
-from .market_model import ConstantVolume, LiquidationProblem, PowerLawCost, _on_array
+from .market_model import ConstantVolume, LiquidationProblem, PowerLawCost, _check_inventory, _on_array
 
 __all__ = [
     "ApplicabilityError",
@@ -142,8 +142,7 @@ def _risk_scale(problem: LiquidationProblem, q: float) -> float:
     """
     if not isinstance(problem.volume, ConstantVolume):
         raise ValueError("infinite-horizon value requires a constant volume curve")
-    if not 0.0 <= q < math.inf:
-        raise ValueError(f"q must be nonnegative and finite, got {q}")
+    _check_inventory(q)
     m = problem.market
     return m.gamma * m.sigma**2 / (2.0 * problem.volume.rate)
 

@@ -46,6 +46,12 @@ def _elementwise(fn, x):
     )
 
 
+def _check_inventory(q):
+    """Raise a ValueError unless the inventory q is nonnegative and finite."""
+    if not 0.0 <= q < math.inf:
+        raise ValueError(f"q must be nonnegative and finite, got {q}")
+
+
 @dataclass(frozen=True)
 class PowerLawCost:
     """Execution cost density ``eta * |rho| ** (1 + phi)`` of the participation rate."""
@@ -99,8 +105,7 @@ class PowerLawImpact:
 
     def integral(self, q: float) -> float:
         """Integral of F over [0, q]: the permanent-impact cost of selling q shares."""
-        if not 0.0 <= q < math.inf:
-            raise ValueError(f"q must be nonnegative and finite, got {q}")
+        _check_inventory(q)
         return self.k * q ** (1.0 + self.beta) / (1.0 + self.beta)
 
 
@@ -114,8 +119,7 @@ class CustomImpact:
         return _elementwise(self.fn, q)
 
     def integral(self, q: float) -> float:
-        if not 0.0 <= q < math.inf:
-            raise ValueError(f"q must be nonnegative and finite, got {q}")
+        _check_inventory(q)
         if q == 0:
             return 0.0
         from scipy.integrate import quad  # lazy: scipy.integrate dominates import time

@@ -24,14 +24,13 @@ across schemes, not their bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .market_model import LiquidationProblem
-from .solver import Trajectory, _check_counts
+from .solver import Trajectory, _check_counts, _is_count
 
 __all__ = [
     "MAX_EULER_STEPS",
@@ -112,7 +111,7 @@ def euler_law(problem: LiquidationProblem, traj: Trajectory, n_substeps: int) ->
     not an integer (or is a bool) or is below 1, and more than
     ``MAX_EULER_STEPS`` Euler steps per path, raise ``ValueError``.
     """
-    if isinstance(n_substeps, bool) or not isinstance(n_substeps, numbers.Integral) or n_substeps < 1:
+    if not _is_count(n_substeps) or n_substeps < 1:
         raise ValueError(f"n_substeps must be an integer of at least 1, got {n_substeps!r}")
     n_euler = traj.grid.n_steps * n_substeps
     if n_euler > MAX_EULER_STEPS:

@@ -183,11 +183,16 @@ class SolveOptions:
             raise ValueError("max_iter must be positive")
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_counts(options, *names):
     """Raise a ValueError naming the first of the fields ``names`` of ``options`` that holds no integer (or a bool)."""
     for name in names:
         value = getattr(options, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_count(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -418,16 +423,16 @@ def _newton_direction(c, e, b, current, tol, solo, work):
 class _Workspace:
     """The arrays a Newton block writes, and the data of its t-nodes: grid, tau, cell volumes, b.
 
-    Per member-step, for up to ``members`` rows: four dgtsv or dptsv bands (two
-    doubles each), c and e (also the line search's scratch), tau * V, dq, dp and two
-    copies of (q, p, rq), 19 doubles; the start is written into the first copy
-    of q and p.
+    Per member-step, one member per t-node: four dgtsv or dptsv bands (two doubles
+    each), c and e (also the line search's scratch), tau * V, dq, dp and two copies
+    of (q, p, rq), the state and the line search's candidate, 19 doubles; the start
+    is written into the first copy of q and p.
     A shooting direction is combined into dq and dp, and its defect against the
     linearized system uses the bands as scratch until a fallback dgtsv refills them.
     """
 
-    def __init__(self, problem: LiquidationProblem, t_nodes, n_steps: int, members: int):
-        T, market = problem.horizon, problem.market
+    def __init__(self, problem: LiquidationProblem, t_nodes, n_steps: int):
+        T, market, members = problem.horizon, problem.market, len(t_nodes)
         self.grids = [Grid(n_steps=n_steps, t_start=t, t_end=T) for t in t_nodes]
         self.tau = np.array([grid.tau for grid in self.grids])
         self.vol = np.array([grid.cell_volume(problem.volume) for grid in self.grids])
@@ -446,8 +451,8 @@ class _Block:
     def __init__(self, work, tol, ksq):
         K, ((q, p), rq) = len(work.grids), work.state
         self.member, self.tol, self.b, self.tau_ksq = np.arange(K), tol, work.b.copy(), work.tau[:, None] * ksq
-        self.tau_vol = np.multiply(work.tau[:, None], work.vol, out=work.tau_vol[:K])
-        self.q, self.p, self.rq, self.spare = q[0, :K], p[0, :K], rq[0, :K], (q[1, :K], p[1, :K], rq[1, :K])
+        self.tau_vol = np.multiply(work.tau[:, None], work.vol, out=work.tau_vol)
+        self.q, self.p, self.rq, self.spare = q[0], p[0], rq[0], (q[1], p[1], rq[1])
         self.scratch = work.c, work.e  # free outside the direction solve
 
     def keep(self, mask):
@@ -459,74 +464,59 @@ class _Block:
             for to, row in moves:  # onto a row already moved or dropped
                 rows[to] = rows[row]
             setattr(self, name, rows[: kept.size])
+        self.spare = tuple(a[: kept.size] for a in self.spare)
 
-    def residual(self, ham, rows, q, p, rq):
-        """Write the q-defects of (q, p), the members ``rows``, to ``rq``; return each row's max residual."""
+    def residual(self, ham, q, p, rq):
+        """Write the q-defects of every member's (q, p) to ``rq``; return each row's max residual."""
         rp, scratch = self.scratch[0][: len(q)], self.scratch[1][: len(q)]
-        _residual_arrays(ham, self.tau_ksq[rows], self.tau_vol[rows], q, p, out=(rp, rq, scratch))
+        _residual_arrays(ham, self.tau_ksq, self.tau_vol, q, p, out=(rp, rq, scratch))
         return _max_abs(rp, rq, out=(rp, scratch))
 
-    def candidate(self, ham, rows, alpha, dq, dp):
-        """Write rows + alpha * direction to the leading rows of ``spare``; return its max residuals."""
-        K = self.member[rows].size
-        q, p, rq = self.spare[0][:K], self.spare[1][:K], self.spare[2][:K]
-        np.add(self.q[rows], np.multiply(alpha, dq[rows], out=q), out=q)
-        np.add(self.p[rows], np.multiply(alpha, dp[rows], out=p), out=p)
-        return self.residual(ham, rows, q, p, rq)
+    def candidate(self, ham, alpha, dq, dp):
+        """Write state + alpha * direction to ``spare`` (alpha one step, or one per row); return its max residuals."""
+        q, p, rq = self.spare
+        np.add(self.q, np.multiply(alpha, dq, out=q), out=q)
+        np.add(self.p, np.multiply(alpha, dp, out=p), out=p)
+        return self.residual(ham, q, p, rq)
 
-    def take(self, rows, picks, m):
-        """Make the candidate's rows ``picks``, with max residuals ``m``, the state of members ``rows``."""
-        for row, pick in zip(rows.tolist(), picks.tolist()):
-            for state, spare in zip((self.q, self.p, self.rq), self.spare):
-                state[row] = spare[pick]
-        self.current[rows] = m
-
-    def swap(self, m):
-        """Make the whole candidate, with max residuals ``m``, the block's state."""
-        state, K = (self.q, self.p, self.rq), self.member.size
-        self.q, self.p, self.rq = (a[:K] for a in self.spare)
-        self.spare, self.current = state, m
+    def take(self, mask, m):
+        """Make the candidate's rows under ``mask``, with max residuals ``m``, the state: all of it by a swap."""
+        state = self.q, self.p, self.rq
+        if mask.all():
+            (self.q, self.p, self.rq), self.spare, self.current = self.spare, state, m
+        else:
+            for rows, spare in zip(state, self.spare):
+                np.copyto(rows, spare, where=mask[:, None])
+            np.copyto(self.current, m, where=mask)
 
 
 def _line_search(ham, block, dq, dp):
     """Halve each member's step until its residual falls; update ``block`` in place.
 
-    A member that no halving improves takes its least-bad finite step
-    (``max_iter`` guards against stalling). Returns each member's step length,
-    and the masks of the members that took the least-bad step and of those
-    for which no halving gave a finite residual. The full step is tried on the
-    whole block first, and when every member accepts it nothing else is made.
+    Each try makes the whole block's candidate and takes the rows it improves of
+    the members still without a step. A member that no halving improves takes
+    its least-bad finite step, a last try with a step per row (``max_iter``
+    guards against stalling). Returns each member's step length, and the masks
+    of the members that took the least-bad step and of those for which no
+    halving gave a finite residual. A full step every member takes is one try.
     """
     K = len(block.member)
+    pending, taken, alpha = np.ones(K, dtype=bool), np.zeros(K), 1.0
+    best, best_alpha = np.full(K, np.inf), np.zeros(K)  # least-bad finite residual so far, and its step
     with np.errstate(all="ignore"):
-        m = block.candidate(ham, slice(None), 1.0, dq, dp)
-        if (m < block.current).all():  # a non-finite m never passes
-            block.swap(m)
-            return np.ones(K), np.zeros(K, dtype=bool), np.zeros(K, dtype=bool)
-        pending, rows, taken, alpha = np.ones(K, dtype=bool), np.arange(K), np.zeros(K), 1.0
-        best, best_alpha = np.full(K, np.inf), np.zeros(K)  # least-bad finite residual so far, and its step
-        for halvings in range(MAX_HALVINGS + 1):
-            if halvings:
-                rows = np.flatnonzero(pending)
-                m = block.candidate(ham, rows, alpha, dq, dp)
-            accept = m < block.current[rows]
-            picks = np.flatnonzero(accept)
-            block.take(rows[picks], picks, m[picks])
-            taken[rows[picks]] = alpha
-            pending[rows[picks]] = False
-            if not pending.any():
+        for halvings in range(MAX_HALVINGS + 2):
+            fallback = halvings > MAX_HALVINGS  # no halving improved the members left
+            m = block.candidate(ham, best_alpha[:, None] if fallback else alpha, dq, dp)
+            accept = pending & (np.isfinite(best) if fallback else m < block.current)  # a NaN m never passes
+            block.take(accept, m)
+            np.copyto(taken, best_alpha if fallback else alpha, where=accept)
+            pending &= ~accept
+            if fallback or not pending.any():
                 break
-            better = ~accept & (m < best[rows])
-            best[rows[better]] = m[better]
-            best_alpha[rows[better]] = alpha
+            better = pending & (m < best)
+            best[better], best_alpha[better] = m[better], alpha
             alpha *= 0.5
-        found = np.isfinite(best)
-        fallback = np.flatnonzero(pending & found)
-        if fallback.size:
-            m = block.candidate(ham, fallback, best_alpha[fallback, None], dq, dp)
-            block.take(fallback, np.arange(fallback.size), m)
-            taken[fallback] = best_alpha[fallback]
-    return taken, pending & found, pending & ~found
+    return taken, accept & fallback, pending
 
 
 class _Outcome(NamedTuple):
@@ -552,18 +542,18 @@ def _solve_batch(
     left as they were. Returns each member's ``_Outcome``, in member order.
     Live members share the iteration counter, so a member's count is the
     loop's count when it leaves. ``work``, if given, is a ``_Workspace`` on the
-    t-nodes ``t_starts``, for at least as many members; else the call makes one.
+    t-nodes ``t_starts``; else the call makes one.
     """
     ham = hamiltonian_of(problem.cost)
     ksq = problem.market.gamma * problem.market.sigma**2
-    work = _Workspace(problem, t_starts, opts.n_steps, len(t_starts)) if work is None else work
+    work = _Workspace(problem, t_starts, opts.n_steps) if work is None else work
     K = len(work.grids)
     q_starts = np.asarray(q_starts, dtype=float)
     tol = np.full(K, opts.newton_tol) if opts.newton_tol is not None else 1e-10 * q_starts
     block = _Block(work, np.maximum(tol, 1e-300), ksq)
     _start(block.tau_ksq, q_starts, block.q, block.p, start)
     solo = start is None and K == 1  # a block keeps its direction when it shrinks to one member
-    block.current = block.residual(ham, slice(None), block.q, block.p, block.rq)
+    block.current = block.residual(ham, block.q, block.p, block.rq)
 
     results = [None] * K
     histories = [[] for _ in range(K)]

@@ -173,8 +173,8 @@ def build_grid(
     opts = opts or SolveOptions()
     T = problem.horizon
     epsilon = MARGIN * T if epsilon is None else epsilon
-    if epsilon < 0.01 * T:
-        raise ValueError("safety margin must be at least 1% of the horizon")
+    if not 0.01 * T <= epsilon < math.inf:
+        raise ValueError(f"safety margin must be at least 1% of the horizon and finite, got {epsilon}")
     t_nodes = np.asarray(t_nodes, dtype=float)
     q_nodes = np.asarray(q_nodes, dtype=float)
     for name, nodes in (("t_nodes", t_nodes), ("q_nodes", q_nodes)):
@@ -210,7 +210,7 @@ def build_grid(
     def solve(r):
         """Solve the group of t-nodes ``r`` (a slice) through every column, in a workspace and a ring of its own."""
         n = r.stop - r.start
-        work = _Workspace(problem, t_nodes[r], opts.n_steps, n)
+        work = _Workspace(problem, t_nodes[r], opts.n_steps)
         matched_curves = _matched_curves(problem, t_nodes[r], work)
         # each t-node's deviations of its converged q (the first J+1 entries) and p[0] (the last) from their
         # matched curves in the last _STENCIL solved columns, a ring whose oldest slot a column's results

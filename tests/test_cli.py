@@ -287,6 +287,25 @@ def test_a_non_finite_quoted_premium_fails_before_any_probe(tmp_path, capsys, mo
     assert "price.quoted_premium" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "flags, values, key",
+    [
+        (["--n-steps", "inf"], {}, "solve.n_steps"),
+        ([], {"solve.n_steps": "1e400"}, "solve.n_steps"),
+        ([], {"grid.n_t": "inf"}, "grid.n_t"),
+    ],
+    ids=["flag", "overflowing_key", "infinite_key"],
+)
+def test_an_infinite_count_is_a_config_error_naming_its_key(tmp_path, capsys, flags, values, key):
+    # int(inf) raised an OverflowError, which reached the error JSON as such
+    text = set_keys(BASE_CONFIG, values)
+    argv = ["solve", "--config", write_config(tmp_path, text), "--out-dir", str(tmp_path), *flags]
+    code, payload = run_cli(capsys, *argv)
+    assert code == 1
+    assert payload["error"]["type"] == "ConfigError"
+    assert f"bad value for {key!r}: expected an integer" in payload["error"]["message"]
+
+
 @pytest.mark.parametrize("key", ["problem.horizon", "market.sigma", "volume.rate", "solve.newton_tol"])
 def test_non_finite_input_exits_with_config_error(tmp_path, capsys, key):
     named = {"volume.rate": "volume.positive", "solve.newton_tol": "newton_tol"}.get(key, key)
@@ -613,6 +632,7 @@ def test_a_non_finite_grid_t_max_fails_before_any_solve(tmp_path, capsys, monkey
 @pytest.mark.parametrize(
     "rows, message",
     [
+        (None, ":1: expected header t,q,v,p"),
         ([], "at least 3 data rows, got 0"),
         (["0,1,,0", "0.5,0.5,1,0.1"], "at least 3 data rows, got 2"),
         (["0,1,,0", "0.5,nan,1,0.1", "1,0,1,0.2"], "must be finite"),
@@ -620,12 +640,14 @@ def test_a_non_finite_grid_t_max_fails_before_any_solve(tmp_path, capsys, monkey
         (["0,1,,0", "0.5,0.5,1,0.1", "1,0,1,-inf"], "must be finite"),
         (["0,1,,0", "nan,0.5,1,0.1", "1,0,1,0.2"], "must be finite"),
         (["0,1,,0", "0.5,0.5,7,0.1", "1,0,1,0.2"], "v on data row 1 is 7.0, but its q-step implies 1.0"),
+        (["0,1,,0", "0.5,0.5,1", "1,0,1,0.2"], ":3: not enough values to unpack \\(expected 4, got 3\\)"),
+        (["0,1,,0", "0.5,0.5,1,0.1", "1,zero,1,0.2"], ":4: could not convert string to float: 'zero'"),
     ],
-    ids=["header_only", "two_rows", "nan_q", "inf_v", "inf_p", "nan_t", "v_not_q"],
+    ids=["empty", "header_only", "two_rows", "nan_q", "inf_v", "inf_p", "nan_t", "v_not_q", "three_fields", "word"],
 )
 def test_read_trajectory_csv_rejects_a_short_or_non_finite_table(tmp_path, rows, message):
     path = tmp_path / "trajectory.csv"
-    path.write_text("\n".join(["t,q,v,p", *rows]) + "\n")
+    path.write_text("" if rows is None else "\n".join(["t,q,v,p", *rows]) + "\n")
     with pytest.raises(ValueError, match=message) as err:
         read_trajectory_csv(str(path))
     assert str(path) in str(err.value)

@@ -689,9 +689,9 @@ def test_steps_record_the_step_each_iteration_took(monkeypatch):
     tried = []  # every step length the line search evaluated, in order
     candidate = solver._Block.candidate
 
-    def logged(self, ham, rows, alpha, dq, dp):
+    def logged(self, ham, alpha, dq, dp):
         tried.append(alpha)
-        return candidate(self, ham, rows, alpha, dq, dp)
+        return candidate(self, ham, alpha, dq, dp)
 
     monkeypatch.setattr(solver._Block, "candidate", logged)
     with pytest.raises(NonConvergenceError) as info:
@@ -779,18 +779,78 @@ def test_line_search_stops_once_every_member_has_its_step(monkeypatch):
     # the first iteration takes alpha = 1 for the first member and 1/2 for the second
     problem = make_reference_problem(gamma=1e-7)
     starts = [(0.0, 5e5), (0.5, 5e5)]
-    tried = []  # (members evaluated, alpha) of every candidate
+    tried = []  # (members evaluated, alpha) of every candidate: each try evaluates the whole block
     candidate = solver._Block.candidate
 
-    def logged(self, ham, rows, alpha, dq, dp):
-        tried.append((self.member[rows].size, alpha))
-        return candidate(self, ham, rows, alpha, dq, dp)
+    def logged(self, ham, alpha, dq, dp):
+        tried.append((self.member.size, alpha))
+        return candidate(self, ham, alpha, dq, dp)
 
     monkeypatch.setattr(solver._Block, "candidate", logged)
     first, second = solve_batch(problem, *zip(*starts), SolveOptions(n_steps=200))
     assert first.steps == (1.0,) * 4 and second.steps == (0.5, 1.0, 1.0, 1.0)
     # no halving runs once both members have their step: one more call than iterations
-    assert tried == [(2, 1.0), (1, 0.5), (2, 1.0), (2, 1.0), (2, 1.0)]
+    assert tried == [(2, 1.0), (2, 0.5), (2, 1.0), (2, 1.0), (2, 1.0)]
+
+
+def test_one_search_takes_a_full_a_halved_and_a_least_bad_step_each_with_its_solo_bits(monkeypatch):
+    # at newton_tol = 1e-12 shares every member reaches its rounding floor; the sixth search of this
+    # block takes the full step for member 0, the least-bad step for member 1 and a halving for member 2
+    problem = make_reference_problem(gamma=2e-7)
+    starts = [(0.0, 1.5e6), (0.5, 5e4), (0.75, 1e5)]
+    opts = SolveOptions(n_steps=100, newton_tol=1e-12, max_iter=6)
+    searches, states = [], {}  # each search's (members, steps, least-bad, stuck); each solve's rows after it
+    line_search, solve = solver._line_search, "block"
+
+    def logged(ham, block, dq, dp):
+        taken, least_bad, stuck = line_search(ham, block, dq, dp)
+        searches.append((block.member.tolist(), taken.tolist(), least_bad.tolist(), stuck.tolist()))
+        for k, member in enumerate(block.member.tolist()):
+            states.setdefault((solve, member), []).append(np.stack((block.q[k], block.p[k])).view(np.int64))
+        return taken, least_bad, stuck
+
+    monkeypatch.setattr(solver, "_line_search", logged)
+    batched = solve_batch(problem, *zip(*starts), opts)
+    assert searches[5] == ([0, 1, 2], [1.0, 0.5, 0.5], [False, True, False], [False, False, False])
+    assert searches[0][1] == [1.0, 0.5, 0.25]  # the first search halves member 1 once and member 2 twice
+    for member, (t, q) in enumerate(starts):
+        solve = member
+        alone = solo_by_block_direction(problem, t, q, opts)
+        assert_same_outcome(batched[member], alone)
+        for name in ("history", "steps"):
+            got, expected = (np.asarray(getattr(r, name)) for r in (batched[member], alone))
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), name
+        assert batched[member].no_descent == alone.no_descent
+        block_rows, alone_rows = states["block", member], states[member, 0]
+        assert len(block_rows) == len(alone_rows) == opts.max_iter
+        assert all(np.array_equal(a, b) for a, b in zip(block_rows, alone_rows))
+
+
+def test_a_member_without_a_finite_candidate_fails_alone(reference_problem, monkeypatch):
+    # member 1's first direction is NaN: no step length gives it a finite residual, so it leaves
+    # with its starting residual, and the others keep their solo bits
+    opts = SolveOptions(n_steps=200)
+    starts = [(0.0, 5e5), (0.5, 5e5), (0.2, 1e5)]
+    newton_direction, calls = solver._newton_direction, []
+
+    def poisoned(c, e, *rest):
+        dq, dp, singular = newton_direction(c, e, *rest)
+        if not calls:
+            dq[1] = np.nan
+        calls.append(len(c))
+        return dq, dp, singular
+
+    monkeypatch.setattr(solver, "_newton_direction", poisoned)
+    batched = solve_batch(reference_problem, *zip(*starts), opts)
+    monkeypatch.undo()
+    assert calls[:2] == [3, 2]
+    failed = batched[1]
+    assert isinstance(failed, NonConvergenceError) and "line search found no finite candidate" in str(failed)
+    assert (failed.iterations, failed.history, failed.steps, failed.no_descent) == (0, (), (), 0)
+    guess = initial_guess(reference_problem, Grid(opts.n_steps, 0.5, reference_problem.horizon), 5e5)
+    assert failed.residual == discrete_residual(reference_problem, guess).max_abs
+    for member in (0, 2):
+        assert_same_outcome(batched[member], solo_by_block_direction(reference_problem, *starts[member], opts))
 
 
 def test_a_full_step_solo_iteration_evaluates_one_candidate(reference_problem, monkeypatch):
@@ -798,9 +858,9 @@ def test_a_full_step_solo_iteration_evaluates_one_candidate(reference_problem, m
     tried = []
     candidate = solver._Block.candidate
 
-    def logged(self, ham, rows, alpha, dq, dp):
+    def logged(self, ham, alpha, dq, dp):
         tried.append(alpha)
-        return candidate(self, ham, rows, alpha, dq, dp)
+        return candidate(self, ham, alpha, dq, dp)
 
     monkeypatch.setattr(solver._Block, "candidate", logged)
     traj = newton_solve(reference_problem, SolveOptions(n_steps=1000))
@@ -824,7 +884,7 @@ def test_a_shared_workspace_gives_a_solo_solve_the_bits_of_a_fresh_one(horizon, 
     monkeypatch.setattr(solver, "_direction_by_banded", counted)
     fresh = solve_batch(problem, [0.0], [problem.q0], opts)[0]
     assert len(banded) == fallbacks
-    work = solver._Workspace(problem, [0.0], opts.n_steps, 1)
+    work = solver._Workspace(problem, [0.0], opts.n_steps)
     for array in (work.bands, work.c, work.e, work.tau_vol, work.dq, work.dp, *work.state):
         array.fill(np.nan)
     for _ in range(2):
@@ -841,7 +901,7 @@ def test_a_warm_block_allocates_little_beyond_its_results(reference_problem):
     t_nodes = np.linspace(0.0, 0.9, 21)
     q_starts = [reference_problem.q0] * len(t_nodes)
     opts = SolveOptions(n_steps=1000)
-    work = solver._Workspace(reference_problem, t_nodes, opts.n_steps, len(t_nodes))
+    work = solver._Workspace(reference_problem, t_nodes, opts.n_steps)
     solve_batch(reference_problem, t_nodes, q_starts, opts, work=work)
     tracemalloc.start()
     try:
@@ -861,7 +921,7 @@ def test_a_warm_solo_solve_allocates_little_beyond_its_shooting_chains(horizon):
     # they and the kernel's input lists were allocated every iteration)
     problem = make_reference_problem(horizon=horizon)
     opts = SolveOptions(n_steps=1000)
-    work = solver._Workspace(problem, [0.0], opts.n_steps, 1)
+    work = solver._Workspace(problem, [0.0], opts.n_steps)
     q, p = np.empty((2, 1, opts.n_steps + 1))  # the caller's rows for the converged curve
     solver._solve_batch(problem, [0.0], [problem.q0], opts, q, p, work=work)
     tracemalloc.start()
@@ -880,7 +940,7 @@ def test_returned_trajectories_own_their_arrays(reference_problem):
     assert traj.q.base is None and traj.p.base is None
     starts = [(0.0, 5e5), (0.2, 3e5), (0.4, 1e5)]
     opts = SolveOptions(n_steps=100)
-    work = solver._Workspace(reference_problem, [t for t, _ in starts], opts.n_steps, len(starts))
+    work = solver._Workspace(reference_problem, [t for t, _ in starts], opts.n_steps)
     q, p = np.empty((2, len(starts), opts.n_steps + 1))
     solver._solve_batch(reference_problem, *zip(*starts), opts, q, p, work=work)
     assert q[:, 0].tolist() == [q0 for _, q0 in starts] and np.isfinite(p).all()

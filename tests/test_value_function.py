@@ -74,6 +74,17 @@ def test_build_grid_preconditions(reference_problem):
         build_grid(reference_problem, [0.5, 0.2], [0.0, 1e5], OPTS)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+def test_a_non_finite_safety_margin_is_refused_before_any_solve(reference_problem, monkeypatch, epsilon):
+    # a NaN margin passed the 1% bound: a t-node at 0.99 T was solved and the grid's epsilon was NaN
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(value_function, "_solve_batch", no_solve)
+    with pytest.raises(ValueError, match="safety margin must be at least 1% of the horizon and finite"):
+        build_grid(reference_problem, [0.0, 0.99 * reference_problem.horizon], [0.0, 1e5], OPTS, epsilon=epsilon)
+
+
 @pytest.mark.parametrize(
     "t_nodes, q_nodes",
     [([0.0, np.nan], [0.0, 1e5]), ([0.0, 0.5], [0.0, np.nan]), ([0.0, 0.5], [0.0, np.inf])],
@@ -336,7 +347,7 @@ def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, mo
 def matched_curve(problem, t_node, n_steps):
     """The writer of one t-node's matched curve: ``write(q_hat)`` returns the curve (J+1,) and its p[0]."""
     node = np.array([t_node])
-    write = value_function._matched_curves(problem, node, Workspace(problem, node, n_steps, 1))
+    write = value_function._matched_curves(problem, node, Workspace(problem, node, n_steps))
 
     def curve(q_hat):
         q, scratch = np.empty((2, 1, n_steps + 1))
@@ -441,7 +452,7 @@ def test_reference_surface_takes_at_most_520_iterations(reference_problem):
 def test_matched_curve_is_the_almgren_chriss_curve_for_a_quadratic_cost(quadratic_problem):
     # phi = 1 and a constant volume: kappa does not depend on the matching rate
     t_nodes, n_steps = np.linspace(0.0, 0.9, 7), 400
-    work = Workspace(quadratic_problem, t_nodes, n_steps, len(t_nodes))
+    work = Workspace(quadratic_problem, t_nodes, n_steps)
     curves, scratch = np.empty((2, len(t_nodes), n_steps + 1))
     for q_hat in (1e3, 2.5e5, 2e6):
         value_function._matched_curves(quadratic_problem, t_nodes, work)(q_hat, curves, scratch)
