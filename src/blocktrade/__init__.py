@@ -25,6 +25,7 @@ from .market_model import (
     PiecewiseLinearVolume,
     PowerLawCost,
     PowerLawImpact,
+    QuadratureError,
     ValidationReport,
     validate,
 )

@@ -139,6 +139,8 @@ class FailedCellsError(RuntimeError):
 
 
 def _cmd_grid(cfg: RunConfig, out_dir: str):
+    if cfg.problem.q0 == 0:
+        raise ConfigError("grid needs problem.q0 > 0: its q-nodes span [0, problem.q0]")
     T = cfg.problem.horizon
     t_max = cfg.grid_t_max if cfg.grid_t_max is not None else T - MARGIN * T
     t_nodes = np.linspace(0.0, t_max, cfg.grid_n_t)

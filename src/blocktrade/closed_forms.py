@@ -1,12 +1,12 @@
 """Closed-form trading curves and the time-unconstrained liquidation value.
 
 Two execution-cost families admit explicit optimal curves under a constant
-volume curve: the quadratic (Almgren-Chriss) case, whose curve is a ratio of
-hyperbolic sines, and the super-quadratic case for small inventories, whose
-curve is a power of a clipped affine function of time and dies out before the
-horizon. Both serve as oracles for the Newton solver. The third closed form
-is the infinite-horizon liquidation value, explicit for power-law costs: the
-integral of H^-1, taken from L alone by the Beltrami identity in quadrature.
+volume curve: the quadratic (Almgren-Chriss) case, a ratio of hyperbolic sines
+(a straight line where gamma * sigma**2 underflows to 0), and the super-quadratic
+case for small inventories, a power of a clipped affine function of time that dies
+out before the horizon. Both are oracles for the Newton solver. The third is the
+infinite-horizon value: explicit for power-law costs, and for any cost the integral
+of H^-1 from L alone (Beltrami identity) by ``market_model._integral``'s tanh-sinh rule.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import _cost_slope, _root
-from .market_model import ConstantVolume, LiquidationProblem, PowerLawCost, _check_inventory, _on_array
+from .market_model import ConstantVolume, LiquidationProblem, PowerLawCost, _check_inventory, _integral, _on_array
 
 __all__ = [
     "ApplicabilityError",
@@ -48,13 +48,15 @@ def _ac_curve(q0, kappa_s, x, out=None, scratch=None, shift=0.0):
     """q0 * sinh(k * (1 - x)) / sinh(k) at x = t / S, for each k = kappa * S in kappa_s: the Almgren-Chriss curves.
 
     Taken as q0 * e^(-k x) * expm1(2 k (x - 1)) / expm1(-2 k), which neither
-    overflows nor loses the curve for any k: the two exponents are outer
+    overflows nor loses the curve for any k > 0: the two exponents are outer
     products of kappa_s and x, one exp and one expm1, the second through
     ``scratch`` (made if None), and the result, shaped kappa_s.shape + x.shape,
-    goes to ``out``. ``shift`` = 2 adds 2 to the expm1 term, which gives
+    goes to ``out`` (made if None). ``shift`` = 2 adds 2 to the expm1 term, which gives
     -q0 * cosh(k * (1 - x)) / sinh(k).
     """
-    kappa_s = np.asarray(kappa_s, dtype=float)
+    flat = np.asarray(kappa_s) == 0  # gamma * sigma**2 underflowed: the k -> 0 limits, q0 * (1 - x) or -inf with shift
+    kappa_s = np.where(flat, 1.0, kappa_s)
+    out = np.empty(flat.shape + np.shape(x)) if out is None else out
     out = np.exp(np.multiply.outer(-kappa_s, x, out=out), out=out)
     tail = np.expm1(np.multiply.outer(2.0 * kappa_s, np.subtract(x, 1.0), out=scratch), out=scratch)
     if shift:
@@ -62,6 +64,7 @@ def _ac_curve(q0, kappa_s, x, out=None, scratch=None, shift=0.0):
     out *= tail
     scale = q0 / np.expm1(-2.0 * kappa_s)
     out *= np.reshape(scale, scale.shape + (1,) * np.ndim(x))
+    out[flat] = -np.inf if shift else q0 * (1.0 - x)
     return out
 
 
@@ -172,7 +175,4 @@ def _beltrami_price(cost, x):
 def theta_infinity_quadrature(problem: LiquidationProblem, q: float) -> float:
     """Quadrature route to the same value, from L alone: an independent cross-check of the closed form."""
     scale = _risk_scale(problem, q)
-    from scipy.integrate import quad  # lazy: scipy.integrate dominates import time
-
-    value, _ = quad(lambda x: _beltrami_price(problem.cost, scale * x * x), 0.0, q, epsrel=1e-9, limit=200)
-    return value
+    return _integral(lambda x: _beltrami_price(problem.cost, scale * x * x), q)

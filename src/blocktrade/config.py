@@ -234,6 +234,8 @@ def parse_config(path: str, overrides=()) -> RunConfig:
     for key in ("price.quoted_premium", "grid.t_max"):
         if not math.isfinite(pairs.get(key, 0.0)):
             raise ConfigError(f"{path}: {key} must be finite, got {pairs[key]}")
+    if "grid.t_max" in pairs and not 0.01 * problem.horizon <= problem.horizon - pairs["grid.t_max"] < problem.horizon:
+        raise ConfigError(f"{path}: grid.t_max must lie in (0, 0.99 * problem.horizon], got {pairs['grid.t_max']}")
 
     return RunConfig(
         problem=problem,

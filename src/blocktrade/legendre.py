@@ -72,11 +72,6 @@ class PowerLawHamiltonian:
 
     def curvature(self, p, out=None):
         c, e = self.coefficient, self.exponent
-        if self.phi == 1.0:
-            if out is None:
-                return _on_array(lambda a: np.full(a.shape, 1.0 / (2.0 * self.eta)), p)
-            out[...] = 1.0 / (2.0 * self.eta)
-            return out
         if self.phi > 1.0 and np.any(np.asarray(p) == 0.0):
             raise SingularCurvatureError(
                 f"H'' is singular at p=0 for phi={self.phi} > 1, so the Newton path cannot "

@@ -475,8 +475,17 @@ def test_readme_documents_exactly_the_schema_and_the_flags():
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     src = os.path.dirname(os.path.dirname(blocktrade.__file__))
-    # no command runs on a thread pool, so starting the CLI loads none
-    code = "import sys, blocktrade.cli; sys.exit(bool({'scipy.integrate', 'concurrent.futures'} & set(sys.modules)))"
+    # no command runs on a thread pool, so starting the CLI loads none; both integrals take the package's own rule
+    code = (
+        "import math, sys, blocktrade.cli\n"
+        "from dataclasses import replace\n"
+        "from blocktrade import CustomCost, CustomImpact, theta_infinity\n"
+        "from blocktrade.config import parse_config\n"
+        f"problem = parse_config({REFERENCE_CONFIG!r}).problem\n"
+        "theta_infinity(replace(problem, cost=CustomCost(lambda r: 0.02 * abs(r) ** 1.65, 1e9)), 1e5)\n"
+        "CustomImpact(math.tanh).integral(7.5)\n"
+        "sys.exit(bool({'scipy.integrate', 'concurrent.futures'} & set(sys.modules)))"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -612,8 +621,52 @@ def test_grid_t_max_alone_sets_the_last_time_node(tmp_path, capsys, monkeypatch)
     text = set_keys(BASE_CONFIG, {"grid.t_max": 0.995})
     code, payload = run_cli(capsys, "grid", "--config", write_config(tmp_path, text, "late.cfg"), "--out-dir", str(out))
     assert code == 1
-    assert payload["error"]["type"] == "ValueError"
-    assert "safety margin must be at least 1% of the horizon" in payload["error"]["message"]
+    assert payload["error"]["type"] == "ConfigError"
+    assert "grid.t_max must lie in (0, 0.99 * problem.horizon], got 0.995" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"grid.t_max": 1.5}, "grid.t_max must lie in (0, 0.99 * problem.horizon], got 1.5"),
+        ({"grid.t_max": 0}, "grid.t_max must lie in (0, 0.99 * problem.horizon], got 0.0"),
+        ({"problem.q0": 0}, "grid needs problem.q0 > 0"),
+    ],
+    ids=["past_horizon", "zero_t_max", "zero_q0"],
+)
+def test_a_grid_outside_its_range_is_a_config_error_naming_its_key(tmp_path, capsys, monkeypatch, values, message):
+    # each reached build_grid and answered a plain ValueError
+    monkeypatch.setattr("blocktrade.value_function._solve_batch", lambda *args, **kwargs: pytest.fail("a solve ran"))
+    out = tmp_path / "out"
+    text = set_keys(BASE_CONFIG, values)
+    code, payload = run_cli(capsys, "grid", "--config", write_config(tmp_path, text), "--out-dir", str(out))
+    assert code == 1
+    assert payload["error"]["type"] == "ConfigError"
+    assert message in payload["error"]["message"]
+    assert not (out / "value_grid.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "price", "decompose", "grid"])
+def test_a_cost_whose_transform_overflows_is_a_config_error_naming_cost_eta(tmp_path, capsys, command):
+    # eta ** (-1 / phi) in the transform's coefficient overflowed: an OverflowError reached the error JSON
+    text = set_keys(BASE_CONFIG, {"cost.eta": "1e-300"})
+    code, payload = run_cli(capsys, command, "--config", write_config(tmp_path, text), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert payload["error"]["type"] == "ConfigError"
+    assert "failed checks: cost.eta" in payload["error"]["message"]
+
+
+def test_grid_with_no_risk_writes_the_straight_lines(tmp_path, capsys):
+    # gamma * sigma**2 underflows to 0: every matched curve was 0 / 0, and every cell failed
+    out = tmp_path / "out"
+    text = set_keys(BASE_CONFIG, {"market.sigma": "1e-300"})
+    code, _ = run_cli(capsys, "grid", "--config", write_config(tmp_path, text), "--out-dir", str(out), "--n-steps", "300")
+    assert code == 0
+    report = json.loads((out / "hj_report.json").read_text())
+    assert report["failed_cells"] == 0
+    # with no risk the straight line is the optimum, and every matched curve is one already
+    assert report["newton_iterations"]["total"] == 0
+    assert report["structure_ok"] is True
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from blocktrade.closed_forms import (
     ApplicabilityError,
+    _ac_curve,
     _beltrami_price,
     SuperQuadraticParams,
     ac_speed,
@@ -20,6 +21,7 @@ from blocktrade.market_model import (
     PiecewiseLinearVolume,
     PowerLawCost,
     PowerLawImpact,
+    QuadratureError,
 )
 from blocktrade.legendre import hamiltonian_of
 from conftest import make_quadratic_problem, make_reference_problem
@@ -35,6 +37,15 @@ def unit_rate_problem():
         cost=PowerLawCost(eta=1.0, phi=1.0),
         impact=PowerLawImpact(k=0.0, beta=0.5),
     )
+
+
+def test_ac_curve_at_zero_kappa_is_the_straight_line(quadratic_problem):
+    # sigma**2 underflows, so kappa is 0: the curve is its limit, and the speed's factor cosh / sinh is infinite
+    flat = replace(quadratic_problem, market=replace(quadratic_problem.market, sigma=1e-300))
+    t = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(ac_trajectory(flat, t), flat.q0 * (1.0 - t))
+    assert ac_trajectory(flat, 0.25) == flat.q0 * 0.75
+    assert np.all(_ac_curve(1.0, np.zeros(2), t, shift=2.0) == -np.inf)
 
 
 def test_ac_trajectory_endpoints(quadratic_problem):
@@ -197,6 +208,18 @@ def test_theta_infinity_custom_cost_equals_power_law(reference_problem):
         assert theta_infinity(problem, q) == pytest.approx(
             theta_infinity(reference_problem, q), rel=1e-9
         )
+
+
+def test_theta_infinity_quadrature_raises_on_a_cancelling_cost(reference_problem):
+    # cosh(r) - 1 cancels near r = 0 and leaves the secant slope noisy: the rule's levels never settle. The
+    # same cost as 2 sinh(r / 2)**2 settles; its integral lies 4.7e-12 from a 30-digit one.
+    cancelling = CustomCost(lambda r: 0.01 * (np.cosh(r / 50) - 1.0), 1e4)
+    with pytest.raises(QuadratureError, match="tanh-sinh levels of steps"):
+        theta_infinity_quadrature(replace(reference_problem, cost=cancelling), 1e3)
+    stable = CustomCost(lambda r: 0.02 * np.sinh(r / 100) ** 2, 1e4)
+    assert theta_infinity_quadrature(replace(reference_problem, cost=stable), 1e3) == pytest.approx(
+        2.2360682104234176e-4, rel=1e-10
+    )
 
 
 @pytest.mark.parametrize("eta, phi", [(0.02, 0.65), (0.5, 1.0), (3.0, 0.3)])

@@ -99,6 +99,19 @@ def test_pmi_integral_custom_quadrature_against_analytic():
         assert impact.integral(q) == pytest.approx(math.log(math.cosh(q)), rel=1e-9)
 
 
+def test_pmi_integral_refines_where_the_first_level_misses():
+    # on [0, 2e6] tanh turns over within 1e-6 of the interval's length: 51 nodes do not settle it
+    nodes = []
+
+    def counted_tanh(x):
+        nodes.append(x)
+        return math.tanh(x)
+
+    q = 2e6
+    assert CustomImpact(fn=counted_tanh).integral(q) == pytest.approx(q - math.log(2.0), rel=1e-10, abs=0)
+    assert len(nodes) > 51
+
+
 def test_pmi_integral_convex_in_q():
     impact = PowerLawImpact(k=4.5e-6, beta=0.75)
     q = np.linspace(0.0, 1e6, 101)
