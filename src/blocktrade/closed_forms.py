@@ -77,6 +77,8 @@ def ac_trajectory(problem: LiquidationProblem, t):
 def ac_speed(problem: LiquidationProblem, t):
     """Selling speed companion to :func:`ac_trajectory`."""
     kappa, horizon = _require_ac(problem)
+    if kappa == 0.0:  # gamma * sigma**2 underflowed: the limit, the straight line's speed (else -0 * -inf)
+        return _on_array(lambda a: np.full(a.shape, problem.q0 / horizon), t)
     return _on_array(lambda a: -kappa * _ac_curve(problem.q0, kappa * horizon, a / horizon, shift=2.0), t)
 
 

@@ -35,6 +35,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's config file, parsed: the problem, the solve and Monte Carlo settings, and each command's inputs."""
     problem: LiquidationProblem
     solve: SolveOptions
     mc: SimulationConfig

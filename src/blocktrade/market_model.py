@@ -256,6 +256,7 @@ class LiquidationProblem:
 
 @dataclass(frozen=True)
 class Check:
+    """One named check of ``validate``: whether it passed, and why not."""
     name: str
     passed: bool
     detail: str = ""
@@ -263,6 +264,7 @@ class Check:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The checks ``validate`` ran on a problem; ``ok`` when every one passed."""
     checks: tuple[Check, ...]
 
     @property

@@ -49,6 +49,7 @@ SEED_SCHEME = 4
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """Monte Carlo settings: the number of paths, Euler substeps per solver cell and the seed."""
     n_paths: int = 100_000
     n_substeps: int = 1
     seed: int = 0

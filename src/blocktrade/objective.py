@@ -29,6 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CashComponents:
+    """The parts of the mean terminal cash: mark to market, less permanent impact and both execution costs; and its variance."""
     mtm: float
     pmi: float
     exec_nonlinear: float

@@ -24,9 +24,12 @@ solves them by the SPD primal Hessian in dq (LAPACK ``dptsv``; ``dgtsv`` for a
 member where H'' is not positive). A solo solve, one member from the straight
 line, uses affine shooting: the whole chain is an affine function of the
 single unknown dp[0], so two forward passes (dp[0] = 0 and dp[0] = 1) pin it
-down. Over long horizons the homogeneous mode of the forward pass grows past
-what double precision can cancel, so a shooting direction that misses the
-linearized system by more than a threshold is replaced by the ``dgtsv`` solve.
+down. One Python loop steps both and passes out dq alone, 2 (n_steps + 1)
+floats; each dp is then one cumulative sum of [dp[0], b dq[1], ...], exact as
+it adds left to right like the loop. Over long horizons the homogeneous mode
+of the forward pass grows past what double precision can cancel, so a
+shooting direction that misses the linearized system by more than a
+threshold is replaced by the ``dgtsv`` solve.
 A solve converges when the larger of its two residuals, max |p-defect| and
 max |q-defect|, falls to the tolerance (1e-10 * q0 by default). Every start
 satisfies the p-recurrence, but a p-defect that a shooting or ``dgtsv`` step
@@ -280,14 +283,15 @@ def discrete_residual(problem: LiquidationProblem, traj: Trajectory) -> Residual
 
 
 def _propagate(c, e, b):
-    """Both shooting passes of a solo solve in one loop on Python floats.
+    """Both shooting passes of a solo solve: (2, J+1) dq and dp, row 0 from dp[0] = 0, row 1 from dp[0] = 1.
 
-    Row 0 of the (2, J+1) dq and dp starts at dp[0] = 0, row 1 at dp[0] = 1.
+    One loop on Python floats steps both chains and hands out dq alone; each row of dp is then the
+    cumsum of [dp[0], b dq[1], b dq[2], ...], left to right as the loop's dp = dp + b * dq: the same bits.
     """
 
     def steps():
         dq0, dq1, dp0, dp1 = 0.0, 0.0, 0.0, 1.0
-        yield from (dq0, dq1, dp0, dp1)
+        yield from (dq0, dq1)
         for cj, ej in zip(c, e):
             dq0 = dq0 + cj * dp0 + ej
             dp0 = dp0 + b * dq0
@@ -295,11 +299,11 @@ def _propagate(c, e, b):
             dp1 = dp1 + b * dq1
             yield dq0
             yield dq1
-            yield dp0
-            yield dp1
 
-    chains = np.fromiter(steps(), float, 4 * (len(c) + 1)).reshape(-1, 2, 2).transpose(1, 2, 0)
-    return chains[0], chains[1]
+    dq = np.fromiter(steps(), float, 2 * (len(c) + 1)).reshape(-1, 2).T
+    dp = np.multiply(b, dq)
+    dp[:, 0] = 0.0, 1.0
+    return dq, np.cumsum(dp, axis=1, out=dp)
 
 
 @functools.lru_cache(maxsize=None)

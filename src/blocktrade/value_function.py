@@ -95,6 +95,7 @@ class HJResidualReport:
 
 @dataclass(frozen=True)
 class PropertyCheck:
+    """One structural property of a value grid: checked or not, passed or not, its violations and the worst."""
     name: str
     checked: bool
     passed: bool
@@ -104,6 +105,7 @@ class PropertyCheck:
 
 @dataclass(frozen=True)
 class StructureReport:
+    """The structural checks of a value grid; ``ok`` when every checked one passed."""
     checks: tuple[PropertyCheck, ...]
 
     @property
@@ -113,6 +115,7 @@ class StructureReport:
 
 @dataclass(frozen=True, eq=False)
 class AsymptoticResult:
+    """Finite-horizon values at growing horizons, their no-deadline limit and the gaps to it."""
     horizons: tuple[float, ...]
     values: np.ndarray
     limit: float

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -46,6 +48,16 @@ def test_ac_curve_at_zero_kappa_is_the_straight_line(quadratic_problem):
     assert np.array_equal(ac_trajectory(flat, t), flat.q0 * (1.0 - t))
     assert ac_trajectory(flat, 0.25) == flat.q0 * 0.75
     assert np.all(_ac_curve(1.0, np.zeros(2), t, shift=2.0) == -np.inf)
+
+
+def test_ac_speed_at_zero_kappa_is_the_straight_lines_speed_without_a_warning(quadratic_problem):
+    flat = replace(quadratic_problem, market=replace(quadratic_problem.market, sigma=1e-300))
+    t = np.linspace(0.0, 0.5, 6) * flat.horizon
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # -0 * -inf would warn "invalid value" and give NaN
+        speed, at_zero = ac_speed(flat, t), ac_speed(flat, 0.0)
+    assert speed.shape == t.shape and np.all(speed == flat.q0 / flat.horizon)
+    assert isinstance(at_zero, float) and at_zero == flat.q0 / flat.horizon
 
 
 def test_ac_trajectory_endpoints(quadratic_problem):

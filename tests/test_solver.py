@@ -509,12 +509,15 @@ def test_one_pass_kernel_equals_the_two_loop_chains_bit_for_bit(J, overflow):
         c = rng.uniform(0.0, 3.0, J)
         e = rng.normal(size=J) * 10.0 ** rng.uniform(-8, 3, J)
         b = 0.3
+    # both input kinds: lists, and memoryviews of rows of (1, J) arrays as _newton_direction passes
+    inputs = (c.tolist(), e.tolist()), (memoryview(c[None][0]), memoryview(e[None][0]))
     with np.errstate(all="ignore"):
-        dq, dp = _propagate(c.tolist(), e.tolist(), b)
-        for row, start in ((0, 0.0), (1, 1.0)):
-            dq_ref, dp_ref = two_loop_propagate(c.tolist(), e.tolist(), b, start)
-            assert_same_bits(dq[row], dq_ref)
-            assert_same_bits(dp[row], dp_ref)
+        for kind in inputs:
+            dq, dp = _propagate(*kind, b)
+            for row, start in ((0, 0.0), (1, 1.0)):
+                dq_ref, dp_ref = two_loop_propagate(c.tolist(), e.tolist(), b, start)
+                assert_same_bits(dq[row], dq_ref)
+                assert_same_bits(dp[row], dp_ref)
     if overflow and J == 1000:
         assert np.isinf(dq).any() and np.isnan(dq).any()
 

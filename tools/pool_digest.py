@@ -1,0 +1,101 @@
+"""Bit-identity digest of the benchmark's solves: one sha256 over every desk-pool solve and the reference surface.
+
+Each request of ``perfbench/reference/desk_pool.json`` is solved as the
+``desk`` workload prices it: the reference config's problem with the request's
+q0, horizon and gamma, at the stored ``n_steps``, then valued by ``eval_I``.
+The digest covers each solve's q and p (as bytes), iterations, history, steps,
+no_descent and NECPR, or the error text of a solve that fails. The 21 x 21
+surface of ``perfbench/reference/surface.json`` is then built on its stored
+nodes, and its values, failure mask, iterations and residuals go into the same
+digest. The reference files are read, never written. Two trees that print the
+same digest solve every request with the same bits.
+
+Run from the repository root (about 10 s):
+
+    PYTHONPATH=src python3 tools/pool_digest.py
+
+It prints the digest, the number of solves and failures, and the worst
+relative error against the stored NECPRs and surface values.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+from dataclasses import replace
+
+from blocktrade.config import parse_config
+from blocktrade.objective import eval_I
+from blocktrade.solver import NonConvergenceError, newton_solve
+from blocktrade.value_function import build_grid
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIG = os.path.join(ROOT, "configs", "reference.cfg")
+REFERENCE = os.path.join(ROOT, "perfbench", "reference")
+SURFACE_MARGIN = 0.05  # the surface's epsilon, as a fraction of the horizon
+
+
+def _load(name: str) -> dict:
+    with open(os.path.join(REFERENCE, name)) as fh:
+        return json.load(fh)
+
+
+def _relative(got: float, want: float) -> float:
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+def desk(digest, cfg) -> tuple[int, int, float]:
+    """Hash every desk-pool solve into ``digest``; returns solves, failures and the worst relative NECPR error."""
+    pool = _load("desk_pool.json")
+    opts = replace(cfg.solve, n_steps=pool["n_steps"])
+    failures, worst = 0, 0.0
+    for request in pool["requests"]:
+        market = replace(cfg.problem.market, gamma=request["gamma"])
+        problem = replace(cfg.problem, q0=request["q0"], horizon=request["horizon"], market=market)
+        try:
+            traj = newton_solve(problem, opts)
+        except NonConvergenceError as error:
+            failures += 1
+            record = (str(error), error.history, error.steps, error.no_descent)
+        else:
+            necpr = eval_I(problem, traj, psi=0.0)
+            record = (traj.iterations, traj.history, traj.steps, traj.no_descent, necpr)
+            digest.update(traj.q.tobytes() + traj.p.tobytes())
+            if request.get("necpr") is not None:
+                worst = max(worst, _relative(necpr, request["necpr"]))
+        digest.update(repr(record).encode())
+    return len(pool["requests"]), failures, worst
+
+
+def surface(digest, cfg) -> tuple[int, float]:
+    """Hash the reference surface into ``digest``; returns its failed cells and the worst relative value error."""
+    stored = _load("surface.json")
+    opts = replace(cfg.solve, n_steps=stored["n_steps"])
+    problem = cfg.problem
+    grid = build_grid(problem, stored["t_nodes"], stored["q_nodes"], opts, epsilon=SURFACE_MARGIN * problem.horizon)
+    for array in (grid.values, grid.failed, grid.iterations, grid.residuals):
+        digest.update(array.tobytes())
+    worst = max(
+        _relative(got, want)
+        for got_row, want_row in zip(grid.values.tolist(), stored["values"])
+        for got, want in zip(got_row, want_row)
+        if want is not None
+    )
+    return int(grid.failed.sum()), worst
+
+
+def main() -> int:
+    cfg = parse_config(CONFIG)
+    digest = hashlib.sha256()
+    solves, failures, desk_worst = desk(digest, cfg)
+    failed_cells, surface_worst = surface(digest, cfg)
+    print(f"sha256 {digest.hexdigest()}")
+    print(f"desk pool: {solves} solves, {failures} failed, worst relative NECPR error {desk_worst:.3e}")
+    print(f"surface: {failed_cells} failed cells, worst relative value error {surface_worst:.3e}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
