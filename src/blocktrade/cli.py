@@ -87,13 +87,12 @@ def read_trajectory_csv(path: str) -> Trajectory:
         raise ValueError(f"{path}: t, q, v and p must be finite")
     if not _evenly_spaced(t):
         raise ValueError(f"{path}: non-uniform time grid")
-    grid = Grid(n_steps=len(t) - 1, t_start=float(t[0]), t_end=float(t[-1]))
-    implied = (q[:-1] - q[1:]) / grid.tau
-    off = np.flatnonzero(np.abs(v - implied) > 1e-9 * np.max(np.abs(implied)))
+    traj = Trajectory(grid=Grid(n_steps=len(t) - 1, t_start=float(t[0]), t_end=float(t[-1])), q=q, p=p)
+    off = np.flatnonzero(np.abs(v - traj.v) > 1e-9 * np.max(np.abs(traj.v)))  # the v column is only checked
     if off.size:
         j = off[0]
-        raise ValueError(f"{path}: v on data row {j + 1} is {v[j]}, but its q-step implies {implied[j]}")
-    return Trajectory(grid=grid, q=q, p=p, v=v)
+        raise ValueError(f"{path}: v on data row {j + 1} is {v[j]}, but its q-step implies {traj.v[j]}")
+    return traj
 
 
 def write_paths_csv(path: str, samples: np.ndarray) -> None:

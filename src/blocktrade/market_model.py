@@ -299,9 +299,13 @@ def _superlinearity_points(cost: ExecutionCostModel) -> list[float]:
 def _cost_checks(cost: ExecutionCostModel) -> list[Check]:
     checks = []
     if isinstance(cost, PowerLawCost):
-        phi_ok = 0 < cost.phi < math.inf
-        with np.errstate(over="ignore"):  # the transform's coefficient holds eta ** (-1 / phi)
-            eta_ok = 0 < cost.eta < math.inf and not (phi_ok and np.power(cost.eta, -1.0 / cost.phi) == math.inf)
+        top = _superlinearity_points(cost)[-1]  # the largest rate sampled below
+        # the samples reach eta * top ** (1 + phi), and the transform's coefficient holds eta ** (-1 / phi)
+        with np.errstate(over="ignore"):
+            phi_ok = bool(0 < cost.phi < math.inf and np.power(top, 1.0 + cost.phi) < math.inf)
+            eta_ok = 0 < cost.eta < math.inf and not (
+                phi_ok and (np.power(cost.eta, -1.0 / cost.phi) == math.inf or cost(top) == math.inf)
+            )
         checks.append(Check("cost.eta", eta_ok, f"eta={cost.eta}"))
         checks.append(Check("cost.phi", phi_ok, f"phi={cost.phi}"))
         if not (eta_ok and phi_ok):
@@ -339,14 +343,15 @@ def _cost_checks(cost: ExecutionCostModel) -> list[Check]:
 
 def _impact_checks(impact: PermanentImpactModel, q_scale: float) -> list[Check]:
     checks = []
+    span = max(q_scale, 1.0)
     if isinstance(impact, PowerLawImpact):
-        k_ok = 0 <= impact.k < math.inf
         beta_ok = 0 < impact.beta <= 1
+        with np.errstate(over="ignore"):  # the samples reach k * span ** beta, and their second differences twice that
+            k_ok = bool(0 <= impact.k < math.inf and not (beta_ok and 2.0 * impact(span) == math.inf))
         checks.append(Check("impact.k", k_ok, f"k={impact.k}"))
         checks.append(Check("impact.beta", beta_ok, f"beta={impact.beta}"))
         if not (k_ok and beta_ok):
             return checks
-    span = max(q_scale, 1.0)
     grid = np.linspace(0.0, span, 201)
     values = impact(grid)
 

@@ -98,21 +98,20 @@ MAX_HALVINGS = 20  # step halvings the line search tries per iteration
 class NonConvergenceError(RuntimeError):
     """Newton iteration did not reach the residual tolerance.
 
-    ``history``, ``no_descent`` and ``steps`` are as in :class:`Trajectory`.
+    ``history``, ``no_descent``, ``steps`` and ``iterations`` are as in :class:`Trajectory`.
     """
 
     def __init__(
         self,
         message: str,
         residual: float,
-        iterations: int,
         history: tuple = (),
         no_descent: int = 0,
         steps: tuple = (),
     ):
-        super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
+        super().__init__(f"{message} (residual {residual:.3e} after {len(history)} iterations)")
         self.residual = residual
-        self.iterations = iterations
+        self.iterations = len(history)
         self.history = history
         self.no_descent = no_descent
         self.steps = steps
@@ -148,24 +147,31 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Discretized trading curve with its dual price and implied speeds.
+    """Discretized trading curve with its dual price, and the speeds and iteration count worked out from them.
 
     ``v[j]`` is the (constant) selling speed on the cell (t_j, t_{j+1}],
-    i.e. ``(q[j] - q[j+1]) / tau``. ``history`` holds the max residual after
-    each Newton iteration and ``steps`` the step length alpha it accepted (1,
-    or 2**-h after h halvings); ``no_descent`` counts the iterations in which
-    no step length lowered the residual, so the least-bad step was taken.
+    ``(q[j] - q[j+1]) / tau``. ``history`` holds the max residual after each
+    Newton iteration, so ``iterations`` is its length, and ``steps`` the step
+    length alpha it accepted (1, or 2**-h after h halvings); ``no_descent``
+    counts the iterations in which no step length lowered the residual, so
+    the least-bad step was taken.
     """
 
     grid: Grid
     q: np.ndarray
     p: np.ndarray
-    v: np.ndarray
-    iterations: int = 0
     max_residual: float = 0.0
     history: tuple = ()
     no_descent: int = 0
     steps: tuple = ()
+
+    @property
+    def v(self) -> np.ndarray:
+        return (self.q[:-1] - self.q[1:]) / self.grid.tau
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
 
 
 @dataclass(frozen=True)
@@ -211,10 +217,6 @@ class ResidualReport:
         return float(_max_abs(self.p_residual, self.q_residual))
 
 
-def _speeds(grid: Grid, q: np.ndarray) -> np.ndarray:
-    return (q[:-1] - q[1:]) / grid.tau
-
-
 def initial_guess(problem: LiquidationProblem, grid: Grid, q_start: Optional[float] = None) -> Trajectory:
     """Linear-liquidation starting point.
 
@@ -227,7 +229,7 @@ def initial_guess(problem: LiquidationProblem, grid: Grid, q_start: Optional[flo
     ksq = problem.market.gamma * problem.market.sigma**2
     q, p = np.empty(grid.n_steps + 1), np.empty(grid.n_steps + 1)
     _start(np.array([[grid.tau * ksq]]), np.array([q_start], dtype=float), q[None], p[None])
-    return Trajectory(grid=grid, q=q, p=p, v=_speeds(grid, q))
+    return Trajectory(grid=grid, q=q, p=p)
 
 
 def _start(tau_ksq, q_start, q, p, start=None):
@@ -528,7 +530,6 @@ class _Outcome(NamedTuple):
 
     message: Optional[str]
     residual: float
-    iterations: int
     history: tuple
     no_descent: int
     steps: tuple
@@ -544,9 +545,9 @@ def _solve_batch(
     ``start`` shoots. A converged member's q and p are written to the rows
     ``q_out[k]`` and ``p_out[k]`` ((K, J+1) each); a failed member's rows are
     left as they were. Returns each member's ``_Outcome``, in member order.
-    Live members share the iteration counter, so a member's count is the
-    loop's count when it leaves. ``work``, if given, is a ``_Workspace`` on the
-    t-nodes ``t_starts``; else the call makes one.
+    Live members share the iteration counter, so a member's history has one
+    entry per loop iteration before it leaves. ``work``, if given, is a
+    ``_Workspace`` on the t-nodes ``t_starts``; else the call makes one.
     """
     ham = hamiltonian_of(problem.cost)
     ksq = problem.market.gamma * problem.market.sigma**2
@@ -570,7 +571,7 @@ def _solve_batch(
         if message is None:
             q_out[member], p_out[member] = block.q[k], block.p[k]
         trail = (tuple(histories[member]), no_descent[member], tuple(steps[member]))
-        results[member] = _Outcome(message, float(block.current[k]), iterations, *trail)
+        results[member] = _Outcome(message, float(block.current[k]), *trail)
 
     def drop(mask, message):
         """Fail the rows under ``mask``; True while members are left."""
@@ -625,7 +626,7 @@ def _solve_one(problem: LiquidationProblem, t_start: float, q_start: float, opts
     if outcome.message is not None:
         raise NonConvergenceError(*outcome)
     grid = Grid(opts.n_steps, t_start, problem.horizon)
-    return Trajectory(grid, q, p, _speeds(grid, q), outcome.iterations, outcome.residual, *outcome[3:])
+    return Trajectory(grid, q, p, *outcome[1:])
 
 
 def newton_solve(problem: LiquidationProblem, opts: Optional[SolveOptions] = None) -> Trajectory:

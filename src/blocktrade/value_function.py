@@ -29,7 +29,6 @@ from .objective import _objective, eval_I
 from .solver import SolveOptions, _solve_batch, _Workspace, newton_solve
 
 __all__ = [
-    "BATCH_MEMBERS",
     "GridWorkerError",
     "MAX_GRID_NODES",
     "MARGIN",
@@ -45,10 +44,9 @@ __all__ = [
 ]
 
 
-BATCH_MEMBERS = 64  # cells solved together in one Newton block, at most
-# At most BATCH_MEMBERS * (n_steps + 1) doubles per block array, twice that per band
-# array: past the default step count the block shrinks so its memory stays put.
-_BLOCK_DOUBLES = BATCH_MEMBERS * 1001
+# Member-steps (t-nodes x (n_steps + 1)) a group holds at most: doubles per block array, twice that per
+# band array, so a group's memory stays put at any step count. 64 t-nodes at the default 1000 steps.
+_BLOCK_DOUBLES = 64 * 1001
 MAX_GRID_NODES = 1000  # per axis
 MARGIN = 0.05  # the default safety margin before the horizon, as a share of it
 _STRUCTURE_TOL = 1e-9  # structure checks forgive deficits this share of the largest value
@@ -131,7 +129,7 @@ def build_grid(
 ) -> ValueGrid:
     """Fill the grid in groups of t-nodes, each one inventory column at a time; the zero-inventory column is exact.
 
-    The t-nodes are split into groups of even size, at most ``BATCH_MEMBERS``
+    The t-nodes go into groups of even size, at most ``_BLOCK_DOUBLES`` member-steps
     each, and each group solves every column in increasing q as one Newton
     block (continuation in inventory). A cell starts from its t-node's matched
     Almgren-Chriss curve at its inventory (``_matched_curves``) plus a
@@ -202,9 +200,13 @@ def build_grid(
         for kind in (float, bool, int, float)
     )
     columns, plan = np.flatnonzero(q_nodes), []  # each solved column's node, depth, slots and weights
+    q_steps = np.diff(q_nodes).tolist()  # each window is tested as ``_evenly_spaced`` tests nodes, on Python floats
     for solved, k in enumerate(columns):
         depth = 1  # one column to the left, at any spacing, or more while evenly spaced with this one
-        while depth < min(k, _STENCIL) and _evenly_spaced(q_nodes[k - depth - 1 : k + 1]):
+        while depth < min(k, _STENCIL):
+            window = q_steps[k - depth - 1 : k]
+            if max(window) - min(window) > 1e-9 * max(window):
+                break
             depth += 1
         slots, new = [(solved - d) % _STENCIL for d in range(depth, 0, -1)], solved % _STENCIL
         weights = _weights(depth, q_nodes[k] / q_nodes[columns[solved - 1]])  # the first column reads no slot
@@ -231,7 +233,7 @@ def build_grid(
             q, q_hats = row[:, :-1], np.full(n, q_nodes[k])
             outcomes = _solve_batch(problem, t_nodes[r], q_hats, opts, q, p, (guess[:, :-1], guess[:, -1]), work)
             lost = np.array([outcome.message is not None for outcome in outcomes])
-            failed[r, k], iterations[r, k] = lost, [outcome.iterations for outcome in outcomes]
+            failed[r, k], iterations[r, k] = lost, [len(outcome.history) for outcome in outcomes]
             residuals[r, k] = [outcome.residual for outcome in outcomes]
             row[:, -1] = p[:, 0]
             row[lost] = base[lost]  # a failed cell's deviation is zero, never extrapolated
@@ -245,7 +247,7 @@ def build_grid(
     safe = sys.platform == "linux" and sys.version_info < (3, 12) and threading.active_count() == 1
     forks = safe and len(t_nodes) * len(columns) * (opts.n_steps + 1) >= _FORK_WORK
     cpus = len(os.sched_getaffinity(0)) if forks else 1
-    size = max(1, min(BATCH_MEMBERS, _BLOCK_DOUBLES // (opts.n_steps + 1)))
+    size = max(1, _BLOCK_DOUBLES // (opts.n_steps + 1))
     count = max(math.ceil(len(t_nodes) / size), min(cpus, len(t_nodes)))
     groups = [slice(rows[0], rows[-1] + 1) for rows in np.array_split(np.arange(len(t_nodes)), count)]
     _fork_over(solve, groups, min(cpus, count))

@@ -46,8 +46,7 @@ def linear_trajectory(problem, n_steps):
     grid = Grid(n_steps=n_steps, t_start=0.0, t_end=problem.horizon)
     j = np.arange(n_steps + 1)
     q = problem.q0 * (1.0 - j / n_steps)
-    v = (q[:-1] - q[1:]) / grid.tau
-    return Trajectory(grid=grid, q=q, p=np.zeros(n_steps + 1), v=v)
+    return Trajectory(grid=grid, q=q, p=np.zeros(n_steps + 1))
 
 
 def member_result(problem, t_start, n_steps, q, p, outcome):
@@ -57,7 +56,7 @@ def member_result(problem, t_start, n_steps, q, p, outcome):
     if outcome.message is not None:
         return NonConvergenceError(*outcome)
     grid = Grid(n_steps=n_steps, t_start=t_start, t_end=problem.horizon)
-    return Trajectory(grid, q, p, (q[:-1] - q[1:]) / grid.tau, outcome.iterations, outcome.residual, *outcome[3:])
+    return Trajectory(grid, q, p, *outcome[1:])
 
 
 def straight_line(problem, t_start, q_start, n_steps):

@@ -8,10 +8,11 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blocktrade
@@ -553,7 +554,6 @@ def _trajectory_table(path):
         grid=Grid(n_steps=3, t_start=0.0, t_end=0.75),
         q=np.array([3e5, 2e5, 1e5 / 3, 0.0]),
         p=np.array([-1e-3, -2.5e-3, -1e-300, 0.1]),
-        v=np.array([4e5, 4e5 / 3, 4e5 / 9]),
     )
     write_trajectory_csv(path, traj)
     t, q, v, p = traj.grid.times, traj.q, traj.v, traj.p
@@ -745,8 +745,7 @@ def _reject_constant(name):
 CONFIG_KEYS = [line.split(" = ")[0] for line in BASE_CONFIG.splitlines() if " = " in line]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+ANY_INPUT = dict(  # a command, a flag or config key, and the text put there
     command=st.sampled_from(list(cli._DISPATCH)),
     where=st.sampled_from(list(cli._FLAGS) + CONFIG_KEYS),
     text=st.one_of(
@@ -756,8 +755,10 @@ CONFIG_KEYS = [line.split(" = ")[0] for line in BASE_CONFIG.splitlines() if " = 
         st.integers().map(str),
     ),
 )
-def test_any_flag_or_config_value_answers_in_one_json_line(command, where, text):
-    # the commands return at once: this is about the input path alone
+
+
+def answer(command, where, text):
+    """``main``'s exit code, stdout and stderr with ``text`` at ``where``; the commands return at once."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         for name in cli._DISPATCH:
             patch.setitem(cli._DISPATCH, name, lambda cfg, out_dir: {})
@@ -776,10 +777,33 @@ def test_any_flag_or_config_value_answers_in_one_json_line(command, where, text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + ["--config", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(**ANY_INPUT)
+def test_any_flag_or_config_value_answers_in_one_json_line(command, where, text):
+    # the commands return at once: this is about the input path alone
+    code, out, err = answer(command, where, text)
     assert code in (0, 1)
-    lines = out.getvalue().split("\n")
+    lines = out.split("\n")
     assert len(lines) == 2 and lines[1] == ""  # exactly one line
     payload = json.loads(lines[0], parse_constant=_reject_constant)
     assert list(payload) == (["artifacts"] if code == 0 else ["error"])
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(**ANY_INPUT)
+@example(command="solve", where="cost.phi", text="902")  # power laws whose samples overflow
+@example(command="solve", where="cost.eta", text="1.797e308")
+@example(command="solve", where="impact.k", text="1.2e305")
+def test_any_flag_or_config_value_is_taken_or_a_config_error_without_a_warning(command, where, text):
+    # every warning is recorded, not raised, so the answer is the one a user sees, and there is none
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = answer(command, where, text)
+    payload = json.loads(out)
+    assert code == 0 or payload["error"]["type"] == "ConfigError", payload
+    assert [str(w.message) for w in caught] == [] and err == ""
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,3 +222,27 @@ def test_validate_rejects_non_finite_inputs(check, value):
     else:
         problem = replace(base, **{owner: replace(getattr(base, owner), **{name: value})})
     assert check in [c.name for c in validate(problem).failures()]
+
+
+@pytest.mark.parametrize(
+    "check, value",
+    [("cost.phi", 902.0), ("cost.phi", 102.0), ("cost.eta", 1.797e308), ("cost.eta", 1e304), ("impact.k", 1.2e305)],
+)
+def test_a_power_law_that_overflows_its_samples_fails_its_own_key_without_a_warning(check, value):
+    # L(1000) = eta * 1000 ** (1 + phi) and 2 F(q0) = 2 k q0 ** beta are the largest numbers validate samples
+    owner, name = check.split(".")
+    base = make_reference_problem()
+    problem = replace(base, **{owner: replace(getattr(base, owner), **{name: value})})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [c.name for c in validate(problem).failures()] == [check]
+
+
+@pytest.mark.parametrize("check, value", [("cost.phi", 101.0), ("cost.eta", 1e302), ("impact.k", 1e303)])
+def test_a_power_law_just_short_of_overflow_is_sampled(check, value):
+    owner, name = check.split(".")
+    base = make_reference_problem()
+    problem = replace(base, **{owner: replace(getattr(base, owner), **{name: value})})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check not in [c.name for c in validate(problem).failures()]

@@ -90,7 +90,7 @@ def test_moments_match_gaussian_law(solved):
 def test_holding_strategy_wealth_is_pure_price_risk(solved):
     problem, _ = solved
     grid = Grid(n_steps=100, t_start=0.0, t_end=1.0)
-    hold = Trajectory(grid=grid, q=np.full(101, problem.q0), p=np.zeros(101), v=np.zeros(100))
+    hold = Trajectory(grid=grid, q=np.full(101, problem.q0), p=np.zeros(101))
     result = simulate_cash(problem, hold, SimulationConfig(n_paths=40_000, n_substeps=1, seed=3))
     # no trading: mark-to-market wealth is q0 * S0 plus pure Brownian noise
     expected_mean = problem.q0 * problem.market.s0
@@ -103,7 +103,7 @@ def _half_liquidation(problem, n):
     """Sells half the block at constant speed over one day."""
     grid = Grid(n_steps=n, t_start=0.0, t_end=1.0)
     q = np.linspace(problem.q0, problem.q0 / 2, n + 1)
-    return Trajectory(grid=grid, q=q, p=np.zeros(n + 1), v=(q[:-1] - q[1:]) / grid.tau)
+    return Trajectory(grid=grid, q=q, p=np.zeros(n + 1))
 
 
 def test_partial_liquidation_matches_general_wealth_formula(solved):

@@ -49,7 +49,7 @@ def test_quadrature_convergence_on_closed_form_curve(quadratic_problem):
     for n in (200, 400):
         grid = Grid(n_steps=n, t_start=0.0, t_end=1.0)
         q = ac_trajectory(quadratic_problem, grid.times)
-        traj = Trajectory(grid=grid, q=q, p=np.zeros(n + 1), v=(q[:-1] - q[1:]) / grid.tau)
+        traj = Trajectory(grid=grid, q=q, p=np.zeros(n + 1))
         values[n] = eval_I(quadratic_problem, traj, psi=0.0)
     assert abs(values[200] - values[400]) < 0.005 * values[400]
 
@@ -86,7 +86,7 @@ def test_cash_moments_zero_inventory():
 def test_cash_moments_requires_liquidation(reference_problem):
     grid = Grid(n_steps=10, t_start=0.0, t_end=1.0)
     q = np.full(11, reference_problem.q0)
-    traj = Trajectory(grid=grid, q=q, p=np.zeros(11), v=np.zeros(10))
+    traj = Trajectory(grid=grid, q=q, p=np.zeros(11))
     with pytest.raises(ValueError):
         cash_moments(reference_problem, traj)
 

@@ -23,7 +23,9 @@ def test_the_desk_digest_repeats_counts_the_pinned_failure_and_meets_the_stored_
     monkeypatch.setattr(tool, "_load", lambda name: small)
     cfg = parse_config(tool.CONFIG)
     digests = hashlib.sha256(), hashlib.sha256()
-    (solves, failures, worst), again = (tool.desk(digest, cfg) for digest in digests)
-    assert (solves, failures) == (2, 1) and worst < 1e-9
-    assert again == (solves, failures, worst)
+    (converged, failed, worst), again = (tool.desk(digest, cfg) for digest in digests)
+    assert converged["requests"] == 1 and worst < 1e-9
+    # the pinned request's exact work: every iteration, halving and least-bad step it takes before it fails
+    assert failed == {"requests": 1, "iterations": 50, "halvings": 35, "no_descent": 36}
+    assert again == (converged, failed, worst)
     assert digests[0].hexdigest() == digests[1].hexdigest()

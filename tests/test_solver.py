@@ -97,6 +97,18 @@ def test_residual_affine_in_inventory_perturbation(reference_problem):
     assert report.p_residual[10] - base.p_residual[10] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_a_trajectory_works_out_its_speeds_from_its_curve_and_its_iterations_from_its_history(reference_problem):
+    traj = newton_solve(reference_problem, SolveOptions(n_steps=50))
+    assert traj.iterations == len(traj.history) == len(traj.steps) > 0
+    q = traj.q.copy()
+    q[10] += 1234.5
+    moved = replace(traj, q=q)  # no stale speeds: cell 9 sells 1234.5 shares less, cell 10 as many more
+    assert np.array_equal(moved.v, (q[:-1] - q[1:]) / traj.grid.tau)
+    assert moved.v[9] < traj.v[9] and moved.v[10] > traj.v[10]
+    bare = Trajectory(traj.grid, traj.q, traj.p)  # a complete curve, from no solve
+    assert np.array_equal(bare.v, traj.v) and bare.iterations == 0
+
+
 def test_converged_solution_certificate(reference_problem):
     opts = SolveOptions(n_steps=500)
     traj = newton_solve(reference_problem, opts)
@@ -909,11 +921,12 @@ def test_a_warm_block_allocates_little_beyond_its_results(reference_problem):
     tracemalloc.start()
     try:
         results = solve_batch(reference_problem, t_nodes, q_starts, opts, work=work)
+        speeds = [traj.v for traj in results]  # worked out on access: traced like q and p
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len({traj.iterations for traj in results}) > 1
-    returned = sum(traj.q.nbytes + traj.p.nbytes + traj.v.nbytes for traj in results)
+    returned = sum(traj.q.nbytes + traj.p.nbytes + v.nbytes for traj, v in zip(results, speeds))
     assert peak <= 1.25 * returned  # less than one (members x steps) array more
 
 
@@ -1097,7 +1110,7 @@ def test_solo_solve_is_the_exact_discrete_almgren_chriss_curve():
     problem = replace(make_reference_problem(horizon=3.5), cost=PowerLawCost(0.01, 1.0))
     traj = newton_solve(problem, SolveOptions(n_steps=1000))
     q = discrete_ac_curve(problem, traj.grid, problem.q0)
-    exact = Trajectory(grid=traj.grid, q=q, p=np.zeros_like(q), v=(q[:-1] - q[1:]) / traj.grid.tau)
+    exact = Trajectory(grid=traj.grid, q=q, p=np.zeros_like(q))
     assert np.max(np.abs(traj.q - q)) <= 1e-11 * problem.q0
     assert eval_I(problem, traj) == pytest.approx(eval_I(problem, exact), rel=1e-12)
 
@@ -1136,7 +1149,7 @@ def test_the_tail_of_a_minimizer_is_the_minimizer_from_its_node(horizon):
         tail = tight_solve(problem, t_j, q_j, n - j)
         assert tail.grid.tau == pytest.approx(full.grid.tau, rel=1e-14)
         assert np.max(np.abs(tail.q - full.q[j:])) <= 1e-12 * problem.q0
-        cut = Trajectory(grid=tail.grid, q=full.q[j:], p=full.p[j:], v=full.v[j:])
+        cut = Trajectory(grid=tail.grid, q=full.q[j:], p=full.p[j:])
         assert eval_I(problem, cut) == pytest.approx(eval_I(problem, tail), rel=1e-13)
 
 
@@ -1212,5 +1225,5 @@ def test_no_perturbation_that_keeps_both_endpoints_lowers_the_objective(problem)
                 bump = rng.normal(size=n + 1) if k % 2 else np.sin(np.pi * (k // 2 + 1) * nodes)
                 q = traj.q * (1.0 + scale * bump)  # q_n = 0 stays
                 q[0] = traj.q[0]
-                moved = Trajectory(grid=traj.grid, q=q, p=traj.p, v=(q[:-1] - q[1:]) / traj.grid.tau)
+                moved = Trajectory(grid=traj.grid, q=q, p=traj.p)
                 assert eval_I(problem, moved) > least

@@ -60,7 +60,7 @@ def test_grid_cells_match_closed_form_objective(quadratic_problem):
             probe = replace(quadratic_problem, q0=q, horizon=quadratic_problem.horizon - t)
             fine = Grid(n_steps=2000, t_start=0.0, t_end=probe.horizon)
             qs = ac_trajectory(probe, fine.times)
-            traj = Trajectory(grid=fine, q=qs, p=np.zeros(2001), v=(qs[:-1] - qs[1:]) / fine.tau)
+            traj = Trajectory(grid=fine, q=qs, p=np.zeros(2001))
             oracle = eval_I(probe, traj, psi=0.0)
             assert grid.values[i, k] == pytest.approx(oracle, rel=5e-3)
 
@@ -319,7 +319,7 @@ def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, mo
     assert np.all(grid.residuals[~grid.failed] <= tolerance[~grid.failed])
 
     # blockmates never affect a cell: columns split into blocks of 3 give the same bits
-    monkeypatch.setattr(value_function, "BATCH_MEMBERS", 4)
+    monkeypatch.setattr(value_function, "_BLOCK_DOUBLES", 4 * (opts.n_steps + 1))
     split = build_grid(reference_problem, t_nodes, q_nodes, opts)
     for name in ("values", "failed", "iterations", "residuals"):
         assert np.array_equal(getattr(split, name), getattr(grid, name), equal_nan=True)
@@ -585,6 +585,21 @@ def test_grid_and_step_sizes_are_bounded(reference_problem, monkeypatch):
     assert MAX_STEPS < 2_000_000
 
 
+def test_a_group_holds_at_most_its_block_of_member_steps(reference_problem, monkeypatch):
+    # room for 3 members of 101 steps, not 4: 8 t-nodes go in groups of 3, 3 and 2, each through both columns
+    opts, sizes, solve = SolveOptions(n_steps=100), [], value_function._solve_batch
+
+    def counted(problem, t_starts, *args):
+        sizes.append(len(t_starts))
+        return solve(problem, t_starts, *args)
+
+    monkeypatch.setattr(value_function, "_solve_batch", counted)
+    monkeypatch.setattr(value_function, "_FORK_WORK", math.inf)
+    monkeypatch.setattr(value_function, "_BLOCK_DOUBLES", 4 * (opts.n_steps + 1) - 1)
+    build_grid(reference_problem, np.linspace(0.0, 0.9, 8), [0.0, 2.5e5, 5e5], opts)
+    assert sizes == [3, 3, 3, 3, 2, 2]
+
+
 def never_shoot(patch):
     """Fail any shooting iteration, and so the build (or the forked worker) that runs one."""
 
@@ -620,7 +635,7 @@ def test_a_forked_build_has_the_bits_of_a_build_in_one_process(
     problem = reference_problem if volume is None else replace(reference_problem, volume=volume)
     t_nodes, opts = np.linspace(0.0, 0.9, n_t), SolveOptions(n_steps=100, max_iter=max_iter)
     q_nodes = np.linspace(0.0, 2 * problem.q0, 9) if q_nodes is None else q_nodes
-    monkeypatch.setattr(value_function, "BATCH_MEMBERS", members)
+    monkeypatch.setattr(value_function, "_BLOCK_DOUBLES", members * (opts.n_steps + 1))
     monkeypatch.setattr(value_function, "_FORK_WORK", math.inf)
     alone = build_grid(problem, t_nodes, q_nodes, opts)
     forks = forking(monkeypatch)

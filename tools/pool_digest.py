@@ -15,7 +15,11 @@ Run from the repository root (about 10 s):
     PYTHONPATH=src python3 tools/pool_digest.py
 
 It prints the digest, the number of solves and failures, and the worst
-relative error against the stored NECPRs and surface values.
+relative error against the stored NECPRs and surface values. Beside them it
+prints the exact work of the solves: over the converged requests and over the
+failed ones, the Newton iterations, the line-search halvings (entries of
+``steps`` below 1) and ``no_descent``; over the surface, the iterations of its
+cells.
 """
 
 from __future__ import annotations
@@ -46,31 +50,39 @@ def _relative(got: float, want: float) -> float:
     return abs(got - want) / abs(want) if want else abs(got)
 
 
-def desk(digest, cfg) -> tuple[int, int, float]:
-    """Hash every desk-pool solve into ``digest``; returns solves, failures and the worst relative NECPR error."""
+def desk(digest, cfg) -> tuple[dict, dict, float]:
+    """Hash every desk-pool solve into ``digest``; returns the work of the converged and of the failed requests
+    (each a dict of requests, iterations, halvings and no_descent) and the worst relative NECPR error."""
     pool = _load("desk_pool.json")
     opts = replace(cfg.solve, n_steps=pool["n_steps"])
-    failures, worst = 0, 0.0
+    converged, failed = ({"requests": 0, "iterations": 0, "halvings": 0, "no_descent": 0} for _ in range(2))
+    worst = 0.0
     for request in pool["requests"]:
         market = replace(cfg.problem.market, gamma=request["gamma"])
         problem = replace(cfg.problem, q0=request["q0"], horizon=request["horizon"], market=market)
         try:
             traj = newton_solve(problem, opts)
         except NonConvergenceError as error:
-            failures += 1
             record = (str(error), error.history, error.steps, error.no_descent)
+            work, solve = failed, error
         else:
             necpr = eval_I(problem, traj, psi=0.0)
             record = (traj.iterations, traj.history, traj.steps, traj.no_descent, necpr)
             digest.update(traj.q.tobytes() + traj.p.tobytes())
             if request.get("necpr") is not None:
                 worst = max(worst, _relative(necpr, request["necpr"]))
+            work, solve = converged, traj
         digest.update(repr(record).encode())
-    return len(pool["requests"]), failures, worst
+        work["requests"] += 1
+        work["iterations"] += solve.iterations
+        work["halvings"] += sum(step < 1.0 for step in solve.steps)
+        work["no_descent"] += solve.no_descent
+    return converged, failed, worst
 
 
-def surface(digest, cfg) -> tuple[int, float]:
-    """Hash the reference surface into ``digest``; returns its failed cells and the worst relative value error."""
+def surface(digest, cfg) -> tuple[int, int, float]:
+    """Hash the reference surface into ``digest``; returns its failed cells, its Newton iterations summed over
+    the cells and the worst relative value error."""
     stored = _load("surface.json")
     opts = replace(cfg.solve, n_steps=stored["n_steps"])
     problem = cfg.problem
@@ -83,17 +95,26 @@ def surface(digest, cfg) -> tuple[int, float]:
         for got, want in zip(got_row, want_row)
         if want is not None
     )
-    return int(grid.failed.sum()), worst
+    return int(grid.failed.sum()), int(grid.iterations.sum()), worst
 
 
 def main() -> int:
     cfg = parse_config(CONFIG)
     digest = hashlib.sha256()
-    solves, failures, desk_worst = desk(digest, cfg)
-    failed_cells, surface_worst = surface(digest, cfg)
+    converged, failed, desk_worst = desk(digest, cfg)
+    failed_cells, surface_iterations, surface_worst = surface(digest, cfg)
+    solves = converged["requests"] + failed["requests"]
     print(f"sha256 {digest.hexdigest()}")
-    print(f"desk pool: {solves} solves, {failures} failed, worst relative NECPR error {desk_worst:.3e}")
-    print(f"surface: {failed_cells} failed cells, worst relative value error {surface_worst:.3e}")
+    print(f"desk pool: {solves} solves, {failed['requests']} failed, worst relative NECPR error {desk_worst:.3e}")
+    for kind, work in (("converged", converged), ("failed", failed)):
+        print(
+            f"desk work, {work['requests']} {kind}: {work['iterations']} iterations, "
+            f"{work['halvings']} halvings, {work['no_descent']} no_descent"
+        )
+    print(
+        f"surface: {failed_cells} failed cells, {surface_iterations} iterations, "
+        f"worst relative value error {surface_worst:.3e}"
+    )
     return 0
 
 
