@@ -20,6 +20,8 @@ from .market_model import (
     PiecewiseLinearVolume,
     PowerLawCost,
     PowerLawImpact,
+    _inventory_fits,
+    _premium_fits,
     validate,
 )
 from .montecarlo import SimulationConfig
@@ -225,10 +227,13 @@ def parse_config(path: str, overrides=()) -> RunConfig:
         if not 3 <= pairs.get(key, 3) <= MAX_GRID_NODES:
             raise ConfigError(f"{path}: {key} must lie in [3, {MAX_GRID_NODES}], got {pairs[key]}")
 
-    # a negative block or a NaN/inf entry would only fail inside the solve
+    # a negative block, a NaN/inf entry or one past problem.q0's overflow rules would only fail inside a command
     q_list = pairs.get("price.q_list", (problem.q0,))
-    if not all(0 <= q < math.inf for q in q_list):
-        raise ConfigError(f"{path}: price.q_list entries must be finite and >= 0, got {q_list}")
+    if not all(_inventory_fits(q) and _premium_fits(problem.impact, q) for q in q_list):
+        raise ConfigError(
+            f"{path}: price.q_list entries must be finite and >= 0, with q * q and 1e4 times the PMI at q "
+            f"finite, got {q_list}"
+        )
     horizons = pairs.get("price.horizons")
     if not all(0 < T < math.inf for T in horizons or ()):
         raise ConfigError(f"{path}: price.horizons entries must be finite and > 0, got {horizons}")

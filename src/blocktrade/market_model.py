@@ -55,6 +55,16 @@ def _check_inventory(q):
         raise ValueError(f"q must be nonnegative and finite, got {q}")
 
 
+def _inventory_fits(q) -> bool:
+    """Whether q >= 0 and q * q is finite: the objective squares the inventory, and q ** (1 + beta) <= q * q past 1."""
+    return 0.0 <= q and q * q < math.inf
+
+
+def _premium_fits(impact: PowerLawImpact, q) -> bool:
+    """Whether the PMI at the inventory q, and 1e4 times it (in basis points), is finite."""
+    return 1e4 * impact.integral(q) < math.inf
+
+
 class QuadratureError(ValueError):
     """The last two levels of the tanh-sinh rule still disagree after its last halving of the step."""
 
@@ -348,6 +358,8 @@ def _impact_checks(impact: PermanentImpactModel, q_scale: float) -> list[Check]:
         beta_ok = 0 < impact.beta <= 1
         with np.errstate(over="ignore"):  # the samples reach k * span ** beta, and their second differences twice that
             k_ok = bool(0 <= impact.k < math.inf and not (beta_ok and 2.0 * impact(span) == math.inf))
+        if beta_ok:  # q_scale * q_scale is finite, and so is q_scale ** (1 + beta)
+            k_ok = k_ok and _premium_fits(impact, q_scale)
         checks.append(Check("impact.k", k_ok, f"k={impact.k}"))
         checks.append(Check("impact.beta", beta_ok, f"beta={impact.beta}"))
         if not (k_ok and beta_ok):
@@ -388,10 +400,11 @@ def validate(problem: LiquidationProblem) -> ValidationReport:
 
     A q0 of exactly zero is accepted as the degenerate empty liquidation
     (solver and pricing short-circuit it); negative inventories fail, and so
-    does every infinite or NaN parameter.
+    does every infinite or NaN parameter, a q0 whose square overflows and a
+    power-law impact whose PMI at q0, or 1e4 times it, does.
     """
     m = problem.market
-    q0_ok = 0 <= problem.q0 < math.inf
+    q0_ok = _inventory_fits(problem.q0)
     checks = [
         Check("problem.q0", q0_ok, f"q0={problem.q0}"),
         Check("problem.horizon", 0 < problem.horizon < math.inf, f"horizon={problem.horizon}"),
@@ -401,7 +414,7 @@ def validate(problem: LiquidationProblem) -> ValidationReport:
         Check("market.psi", 0 <= m.psi < math.inf, f"psi={m.psi}"),
     ]
     checks.extend(_cost_checks(problem.cost))
-    # a non-finite q0 has failed above; sample the impact on the unit range instead
+    # a q0 that failed above is not sampled: the impact is sampled on the unit range instead
     checks.extend(_impact_checks(problem.impact, problem.q0 if q0_ok else 0.0))
     checks.extend(_volume_checks(problem.volume, problem.horizon))
     return ValidationReport(tuple(checks))

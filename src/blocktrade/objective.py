@@ -29,12 +29,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CashComponents:
-    """The parts of the mean terminal cash: mark to market, less permanent impact and both execution costs; and its variance."""
+    """The parts of the mean terminal cash: mark to market, less permanent impact and both execution costs."""
     mtm: float
     pmi: float
     exec_nonlinear: float
     exec_linear: float
-    risk_var: float
 
 
 @dataclass(frozen=True)
@@ -114,19 +113,11 @@ def cash_moments(problem: LiquidationProblem, traj: Trajectory) -> CashDistribut
     pmi = problem.impact.integral(q0)
     exec_nonlinear = tau * cost
     exec_linear = m.psi * tau * speed
-    variance = m.sigma**2 * tau * q_sq
 
-    mean = mtm - pmi - exec_nonlinear - exec_linear
     return CashDistribution(
-        mean=mean,
-        variance=variance,
-        components=CashComponents(
-            mtm=mtm,
-            pmi=pmi,
-            exec_nonlinear=exec_nonlinear,
-            exec_linear=exec_linear,
-            risk_var=variance,
-        ),
+        mean=mtm - pmi - exec_nonlinear - exec_linear,
+        variance=m.sigma**2 * tau * q_sq,
+        components=CashComponents(mtm=mtm, pmi=pmi, exec_nonlinear=exec_nonlinear, exec_linear=exec_linear),
     )
 
 

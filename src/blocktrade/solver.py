@@ -53,11 +53,11 @@ shrinks to one member. ``_start`` writes every member's starting curve into
 the block's rows at once: the curve the caller hands it (``build_grid`` hands
 each cell its own), or else the straight line from q_hat to zero. Members
 leave as they converge or fail, and a failing member never stops the others;
-a converged member's q and p are copied into the caller's rows, and the block
-returns each member's ``_Outcome``. The loop's arrays live in a
-``_Workspace``. ``newton_solve`` and ``solve_from`` are one-member blocks from
-the straight line, the only solves that shoot, and build their ``Trajectory``
-on the q and p rows they hand it.
+the block returns each member's ``Trajectory``, on the caller's q and p rows
+that its converged curve is copied to, or its ``NonConvergenceError``. The
+loop's arrays live in a ``_Workspace``, which also holds the members' grids.
+``newton_solve`` and ``solve_from`` are one-member blocks from the straight
+line, the only solves that shoot, and raise the error or return the trajectory.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -98,19 +98,12 @@ MAX_HALVINGS = 20  # step halvings the line search tries per iteration
 class NonConvergenceError(RuntimeError):
     """Newton iteration did not reach the residual tolerance.
 
-    ``history``, ``no_descent``, ``steps`` and ``iterations`` are as in :class:`Trajectory`.
+    ``max_residual``, ``history``, ``no_descent``, ``steps`` and ``iterations`` are as in :class:`Trajectory`.
     """
 
-    def __init__(
-        self,
-        message: str,
-        residual: float,
-        history: tuple = (),
-        no_descent: int = 0,
-        steps: tuple = (),
-    ):
-        super().__init__(f"{message} (residual {residual:.3e} after {len(history)} iterations)")
-        self.residual = residual
+    def __init__(self, message: str, max_residual: float, history: tuple, no_descent: int, steps: tuple):
+        super().__init__(f"{message} (residual {max_residual:.3e} after {len(history)} iterations)")
+        self.max_residual = max_residual
         self.iterations = len(history)
         self.history = history
         self.no_descent = no_descent
@@ -525,33 +518,23 @@ def _line_search(ham, block, dq, dp):
     return taken, accept & fallback, pending
 
 
-class _Outcome(NamedTuple):
-    """How a block member ended: ``message`` names a failure (``NonConvergenceError(*outcome)``), None if converged."""
-
-    message: Optional[str]
-    residual: float
-    history: tuple
-    no_descent: int
-    steps: tuple
-
-
 def _solve_batch(
-    problem: LiquidationProblem, t_starts, q_starts, opts: SolveOptions, q_out, p_out, start=None, work=None
+    problem: LiquidationProblem, work: _Workspace, q_starts, opts: SolveOptions, q_out, p_out, start=None
 ) -> list:
-    """Solve from each (t_starts[k], q_starts[k]) to zero at the horizon, in one Newton loop.
+    """Solve from each (t_k, q_starts[k]) to zero at the horizon, in one Newton loop on ``work``.
 
-    Member k starts from row k of ``start`` = (q rows (K, J+1), p[0] (K,)),
-    by default from the straight line (``_start``); only a lone member without
-    ``start`` shoots. A converged member's q and p are written to the rows
-    ``q_out[k]`` and ``p_out[k]`` ((K, J+1) each); a failed member's rows are
-    left as they were. Returns each member's ``_Outcome``, in member order.
-    Live members share the iteration counter, so a member's history has one
-    entry per loop iteration before it leaves. ``work``, if given, is a
-    ``_Workspace`` on the t-nodes ``t_starts``; else the call makes one.
+    Member k runs on ``work.grids[k]``, from t_k, at the workspace's step count
+    J, and starts from row k of ``start`` = (q rows (K, J+1), p[0] (K,)), by
+    default from the straight line (``_start``); only a lone member without
+    ``start`` shoots. Returns each member's result, in member order: a
+    converged member's ``Trajectory``, on the rows ``q_out[k]`` and
+    ``p_out[k]`` ((K, J+1) each) that its q and p are copied to, or a failed
+    member's ``NonConvergenceError``, which leaves its rows as they were. Live
+    members share the iteration counter, so a member's history has one entry
+    per loop iteration before it leaves.
     """
     ham = hamiltonian_of(problem.cost)
     ksq = problem.market.gamma * problem.market.sigma**2
-    work = _Workspace(problem, t_starts, opts.n_steps) if work is None else work
     K = len(work.grids)
     q_starts = np.asarray(q_starts, dtype=float)
     tol = np.full(K, opts.newton_tol) if opts.newton_tol is not None else 1e-10 * q_starts
@@ -566,12 +549,19 @@ def _solve_batch(
     no_descent = [0] * K
 
     def record(k, message=None):
-        """Store row k's outcome, and its q and p if it converged (``message`` None)."""
+        """Store row k's result: its trajectory if it converged (``message`` None), else its error."""
         member = block.member[k]
+        trail = dict(
+            max_residual=float(block.current[k]),
+            history=tuple(histories[member]),
+            no_descent=no_descent[member],
+            steps=tuple(steps[member]),
+        )
         if message is None:
             q_out[member], p_out[member] = block.q[k], block.p[k]
-        trail = (tuple(histories[member]), no_descent[member], tuple(steps[member]))
-        results[member] = _Outcome(message, float(block.current[k]), *trail)
+            results[member] = Trajectory(work.grids[member], q_out[member], p_out[member], **trail)
+        else:
+            results[member] = NonConvergenceError(message, **trail)
 
     def drop(mask, message):
         """Fail the rows under ``mask``; True while members are left."""
@@ -621,12 +611,11 @@ def _solve_batch(
 
 
 def _solve_one(problem: LiquidationProblem, t_start: float, q_start: float, opts: SolveOptions) -> Trajectory:
-    q, p = np.empty(opts.n_steps + 1), np.empty(opts.n_steps + 1)
-    (outcome,) = _solve_batch(problem, [t_start], [q_start], opts, q[None], p[None])
-    if outcome.message is not None:
-        raise NonConvergenceError(*outcome)
-    grid = Grid(opts.n_steps, t_start, problem.horizon)
-    return Trajectory(grid, q, p, *outcome[1:])
+    q, p = np.empty((2, 1, opts.n_steps + 1))
+    (result,) = _solve_batch(problem, _Workspace(problem, [t_start], opts.n_steps), [q_start], opts, q, p)
+    if isinstance(result, NonConvergenceError):
+        raise result
+    return result
 
 
 def newton_solve(problem: LiquidationProblem, opts: Optional[SolveOptions] = None) -> Trajectory:

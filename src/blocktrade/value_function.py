@@ -26,7 +26,7 @@ from .closed_forms import _ac_curve, theta_infinity
 from .legendre import SingularCurvatureError, _cost_slope, hamiltonian_of
 from .market_model import LiquidationProblem, PowerLawCost
 from .objective import _objective, eval_I
-from .solver import SolveOptions, _solve_batch, _Workspace, newton_solve
+from .solver import NonConvergenceError, SolveOptions, _solve_batch, _Workspace, newton_solve
 
 __all__ = [
     "GridWorkerError",
@@ -231,10 +231,10 @@ def build_grid(
             base[:, -1] = matched_curves(q_nodes[k], base[:, :-1], p)
             _predict(weights[np.minimum(kept, depth)], [ring[slot] for slot in slots], base, guess, scratch)
             q, q_hats = row[:, :-1], np.full(n, q_nodes[k])
-            outcomes = _solve_batch(problem, t_nodes[r], q_hats, opts, q, p, (guess[:, :-1], guess[:, -1]), work)
-            lost = np.array([outcome.message is not None for outcome in outcomes])
-            failed[r, k], iterations[r, k] = lost, [len(outcome.history) for outcome in outcomes]
-            residuals[r, k] = [outcome.residual for outcome in outcomes]
+            results = _solve_batch(problem, work, q_hats, opts, q, p, (guess[:, :-1], guess[:, -1]))
+            lost = np.array([isinstance(result, NonConvergenceError) for result in results])
+            failed[r, k], iterations[r, k] = lost, [result.iterations for result in results]
+            residuals[r, k] = [result.max_residual for result in results]
             row[:, -1] = p[:, 0]
             row[lost] = base[lost]  # a failed cell's deviation is zero, never extrapolated
             kept = np.where(lost, 0, np.minimum(kept + 1, _STENCIL))

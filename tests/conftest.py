@@ -49,16 +49,6 @@ def linear_trajectory(problem, n_steps):
     return Trajectory(grid=grid, q=q, p=np.zeros(n_steps + 1))
 
 
-def member_result(problem, t_start, n_steps, q, p, outcome):
-    """A block member's result as a solo solve gives it: its trajectory on q and p, or its error."""
-    from blocktrade.solver import Grid, NonConvergenceError, Trajectory
-
-    if outcome.message is not None:
-        return NonConvergenceError(*outcome)
-    grid = Grid(n_steps=n_steps, t_start=t_start, t_end=problem.horizon)
-    return Trajectory(grid, q, p, *outcome[1:])
-
-
 def straight_line(problem, t_start, q_start, n_steps):
     """One member's straight-line start as an explicit ``start``: a lone member handed it takes the block direction."""
     from blocktrade.solver import Grid, initial_guess
@@ -85,9 +75,9 @@ def forking(patch, cpus=2):
 
 
 def solve_batch(problem, t_starts, q_starts, opts, start=None, work=None):
-    """``solver._solve_batch`` with each member's ``member_result``, on rows of two arrays the call makes."""
-    from blocktrade.solver import _solve_batch
+    """``solver._solve_batch`` on ``work``, by default a workspace on ``t_starts``, and on rows of two arrays it makes."""
+    from blocktrade.solver import _solve_batch, _Workspace
 
+    work = _Workspace(problem, t_starts, opts.n_steps) if work is None else work
     q, p = np.empty((2, len(t_starts), opts.n_steps + 1))
-    outcomes = _solve_batch(problem, t_starts, q_starts, opts, q, p, start, work)
-    return [member_result(problem, t, opts.n_steps, *member) for t, *member in zip(t_starts, q, p, outcomes)]
+    return _solve_batch(problem, work, q_starts, opts, q, p, start)

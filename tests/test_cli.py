@@ -656,6 +656,34 @@ def test_a_cost_whose_transform_overflows_is_a_config_error_naming_cost_eta(tmp_
     assert "failed checks: cost.eta" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "command, values, key",
+    [
+        ("implied-gamma", {"problem.q0": "1e200"}, "problem.q0"),  # OverflowError from q ** (1 + beta)
+        ("grid", {"problem.q0": "1e200"}, "problem.q0"),  # overflow in the objective's q**2, then FailedCellsError
+        ("grid", {"problem.q0": "1e160"}, "problem.q0"),
+        ("price", {"impact.k": "1e300"}, "impact.k"),  # inf in the payload: a plain ValueError from json
+        ("decompose", {"impact.k": "1e300"}, "impact.k"),  # exit 0 with inf in pmi and premium_bp
+        ("implied-gamma", {"impact.k": "1e300"}, "impact.k"),  # PremiumFloorError against the floor inf
+        ("price", {"impact.k": "1.5e298"}, "impact.k"),  # the PMI at q0 is finite, 1e4 times it is not
+        ("decompose", {"impact.k": "1.5e298"}, "impact.k"),
+        ("decompose", {"impact.k": "3e294"}, "price.q_list"),  # fits at q0, and 1e4 times the PMI at 1e6 overflows
+        ("decompose", {"price.q_list": "250000, 1e200"}, "price.q_list"),  # OverflowError from q ** (1 + beta)
+    ],
+    ids=["q0_implied_gamma", "q0_grid", "q0_1e160_grid", "k_price", "k_decompose", "k_implied_gamma",
+         "k_bp_price", "k_bp_decompose", "q_list_bp", "q_list_square"],
+)
+def test_a_block_too_large_for_a_double_is_a_config_error_naming_its_key(tmp_path, capsys, command, values, key):
+    text = set_keys(BASE_CONFIG, values)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        code = main([command, "--config", write_config(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    error = json.loads(out.strip().splitlines()[-1])["error"]
+    assert (code, error["type"], shown, err) == (1, "ConfigError", [], "")
+    assert re.search(rf"failed checks: {re.escape(key)}$|: {re.escape(key)} entries", error["message"])
+
+
 def test_grid_with_no_risk_writes_the_straight_lines(tmp_path, capsys):
     # gamma * sigma**2 underflows to 0: every matched curve was 0 / 0, and every cell failed
     out = tmp_path / "out"

@@ -226,10 +226,18 @@ def test_validate_rejects_non_finite_inputs(check, value):
 
 @pytest.mark.parametrize(
     "check, value",
-    [("cost.phi", 902.0), ("cost.phi", 102.0), ("cost.eta", 1.797e308), ("cost.eta", 1e304), ("impact.k", 1.2e305)],
+    [
+        ("cost.phi", 902.0),
+        ("cost.phi", 102.0),
+        ("cost.eta", 1.797e308),
+        ("cost.eta", 1e304),
+        ("impact.k", 1.2e305),
+        ("impact.k", 3.4e294),
+    ],
 )
 def test_a_power_law_that_overflows_its_samples_fails_its_own_key_without_a_warning(check, value):
-    # L(1000) = eta * 1000 ** (1 + phi) and 2 F(q0) = 2 k q0 ** beta are the largest numbers validate samples
+    # L(1000) = eta * 1000 ** (1 + phi), 2 F(q0) = 2 k q0 ** beta and 1e4 times the PMI at q0,
+    # 1e4 k q0 ** (1 + beta) / (1 + beta), are the largest numbers validate makes
     owner, name = check.split(".")
     base = make_reference_problem()
     problem = replace(base, **{owner: replace(getattr(base, owner), **{name: value})})
@@ -238,8 +246,18 @@ def test_a_power_law_that_overflows_its_samples_fails_its_own_key_without_a_warn
         assert [c.name for c in validate(problem).failures()] == [check]
 
 
-@pytest.mark.parametrize("check, value", [("cost.phi", 101.0), ("cost.eta", 1e302), ("impact.k", 1e303)])
+def test_an_impact_sampled_past_a_block_below_one_share_fails_impact_k_without_a_warning():
+    # at q0 = 0 the PMI is 0, but validate samples the impact up to q = 1, where 2 F(1) = 2 k overflows
+    base = make_reference_problem(q0=0.0)
+    problem = replace(base, impact=replace(base.impact, k=1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [c.name for c in validate(problem).failures()] == ["impact.k"]
+
+
+@pytest.mark.parametrize("check, value", [("cost.phi", 101.0), ("cost.eta", 1e302), ("impact.k", 3.3e294)])
 def test_a_power_law_just_short_of_overflow_is_sampled(check, value):
+    # at k = 3.3e294, 1e4 times the PMI at q0 is 1.77e308
     owner, name = check.split(".")
     base = make_reference_problem()
     problem = replace(base, **{owner: replace(getattr(base, owner), **{name: value})})

@@ -69,7 +69,6 @@ def test_cash_moments_decomposition(reference_problem):
     assert c.pmi == pytest.approx(24175.0, rel=0.01)
     assert c.exec_linear == pytest.approx(0.004 * reference_problem.q0, rel=1e-12)
     assert dist.variance >= 0.0
-    assert c.risk_var == dist.variance
     # exec_nonlinear + gamma/2 * variance is the optimal objective
     combined = c.exec_nonlinear + 0.5 * reference_problem.market.gamma * dist.variance
     assert combined == pytest.approx(REFERENCE_OPTIMUM, rel=1e-3)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ def test_newton_beats_linear_liquidation(reference_problem):
 def test_non_convergence_error_carries_residual(reference_problem):
     with pytest.raises(NonConvergenceError) as err:
         newton_solve(reference_problem, SolveOptions(n_steps=300, max_iter=1))
-    assert err.value.residual > 0
+    assert err.value.max_residual > 0
     assert err.value.iterations == 1
 
 
@@ -390,14 +391,13 @@ def test_hessian_direction_solves_linearized_system(J):
 def assert_same_outcome(batched, alone):
     """A block member's result is bit for bit its solo solve's, error or trajectory."""
     assert type(batched) is type(alone)
+    assert (batched.max_residual, batched.iterations) == (alone.max_residual, alone.iterations)
     if isinstance(alone, NonConvergenceError):
         assert str(batched) == str(alone)
-        assert (batched.residual, batched.iterations) == (alone.residual, alone.iterations)
         return
     assert batched.grid == alone.grid
     for name in ("q", "p", "v"):
         assert np.array_equal(getattr(batched, name), getattr(alone, name))
-    assert (batched.iterations, batched.max_residual) == (alone.iterations, alone.max_residual)
 
 
 def solo(problem, t, q, opts):
@@ -694,7 +694,7 @@ def test_history_and_least_bad_steps_explain_a_stall():
         newton_solve(problem, SolveOptions(n_steps=1000))
     err = info.value
     assert len(err.history) == err.iterations == 50
-    assert err.history[-1] == err.residual > 1e-10 * problem.q0
+    assert err.history[-1] == err.max_residual > 1e-10 * problem.q0
     assert err.no_descent == 36
 
 
@@ -783,8 +783,13 @@ def test_failing_member_is_returned_and_leaves_the_others_bit_identical(referenc
     # alone, the 2e6 block needs 8 iterations and the others at most 7
     opts = SolveOptions(n_steps=200, max_iter=7)
     starts = [(0.0, 5e5), (0.5, 1e5), (0.0, 2e6), (0.8, 5e3)]
-    batched = solve_batch(reference_problem, *zip(*starts), opts)
+    work = solver._Workspace(reference_problem, [t for t, _ in starts], opts.n_steps)
+    q_rows, p_rows = np.full((2, len(starts), opts.n_steps + 1), -1.0)
+    batched = solver._solve_batch(reference_problem, work, [q for _, q in starts], opts, q_rows, p_rows)
     assert [isinstance(r, NonConvergenceError) for r in batched] == [False, False, True, False]
+    assert (q_rows[2] == -1.0).all() and (p_rows[2] == -1.0).all()  # the failed member's rows are as they were
+    for k in (0, 1, 3):  # a converged member's curve is the caller's rows
+        assert np.shares_memory(batched[k].q, q_rows[k]) and np.shares_memory(batched[k].p, p_rows[k])
     for result, (t, q) in zip(batched, starts):
         assert_same_outcome(result, solo_by_block_direction(reference_problem, t, q, opts))
         assert_same_convergence(result, solo(reference_problem, t, q, opts))
@@ -863,7 +868,7 @@ def test_a_member_without_a_finite_candidate_fails_alone(reference_problem, monk
     assert isinstance(failed, NonConvergenceError) and "line search found no finite candidate" in str(failed)
     assert (failed.iterations, failed.history, failed.steps, failed.no_descent) == (0, (), (), 0)
     guess = initial_guess(reference_problem, Grid(opts.n_steps, 0.5, reference_problem.horizon), 5e5)
-    assert failed.residual == discrete_residual(reference_problem, guess).max_abs
+    assert failed.max_residual == discrete_residual(reference_problem, guess).max_abs
     for member in (0, 2):
         assert_same_outcome(batched[member], solo_by_block_direction(reference_problem, *starts[member], opts))
 
@@ -939,29 +944,39 @@ def test_a_warm_solo_solve_allocates_little_beyond_its_shooting_chains(horizon):
     opts = SolveOptions(n_steps=1000)
     work = solver._Workspace(problem, [0.0], opts.n_steps)
     q, p = np.empty((2, 1, opts.n_steps + 1))  # the caller's rows for the converged curve
-    solver._solve_batch(problem, [0.0], [problem.q0], opts, q, p, work=work)
+    solver._solve_batch(problem, work, [problem.q0], opts, q, p)
     tracemalloc.start()
     try:
-        solver._solve_batch(problem, [0.0], [problem.q0], opts, q, p, work=work)
+        solver._solve_batch(problem, work, [problem.q0], opts, q, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 4 * (opts.n_steps + 1) * 8
 
 
-def test_returned_trajectories_own_their_arrays(reference_problem):
-    # a solo solve's trajectory holds arrays of its own, and a block writes its
-    # members' curves to the caller's rows: no view pins the workspace
+def test_returned_trajectories_own_their_arrays(reference_problem, monkeypatch):
+    # a solo solve's trajectory outlives the workspace its solve made, and a block
+    # writes its members' curves to the caller's rows: no view pins the workspace
+    made, workspace = [], solver._Workspace
+
+    def tracked(*args):
+        work = workspace(*args)
+        made.extend(weakref.ref(a) for a in (work, work.bands, work.dq.base, *work.state))
+        return work
+
+    monkeypatch.setattr(solver, "_Workspace", tracked)
     traj = solve_from(reference_problem, 0.2, 3e5, SolveOptions(n_steps=100))
-    assert traj.q.base is None and traj.p.base is None
+    monkeypatch.undo()
+    assert len(made) == 5 and all(ref() is None for ref in made)
+    assert traj.q[0] == 3e5 and np.isfinite(traj.p).all()
     starts = [(0.0, 5e5), (0.2, 3e5), (0.4, 1e5)]
     opts = SolveOptions(n_steps=100)
     work = solver._Workspace(reference_problem, [t for t, _ in starts], opts.n_steps)
     q, p = np.empty((2, len(starts), opts.n_steps + 1))
-    solver._solve_batch(reference_problem, *zip(*starts), opts, q, p, work=work)
+    solver._solve_batch(reference_problem, work, [q0 for _, q0 in starts], opts, q, p)
     assert q[:, 0].tolist() == [q0 for _, q0 in starts] and np.isfinite(p).all()
     kept = q.copy(), p.copy()
-    solver._solve_batch(reference_problem, [0.0, 0.2, 0.4], [1e5, 2e5, 4e5], opts, *np.empty((2, 3, 101)), work=work)
+    solver._solve_batch(reference_problem, work, [1e5, 2e5, 4e5], opts, *np.empty((2, 3, 101)))
     assert np.array_equal(q, kept[0]) and np.array_equal(p, kept[1])  # a later block left them as they were
     for array in (q, p):
         assert not any(np.shares_memory(array, w) for w in (work.bands, work.dq, work.dp, *work.state))
