@@ -2,9 +2,9 @@
 
 from .closed_forms import (
     ApplicabilityError,
-    SuperQuadraticParams,
     ac_speed,
     ac_trajectory,
+    superquadratic_extinction_time,
     superquadratic_trajectory,
     theta_infinity,
     theta_infinity_quadrature,

@@ -12,7 +12,6 @@ of H^-1 from L alone (Beltrami identity) by ``market_model._integral``'s tanh-si
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +20,9 @@ from .market_model import ConstantVolume, LiquidationProblem, PowerLawCost, _che
 
 __all__ = [
     "ApplicabilityError",
-    "SuperQuadraticParams",
     "ac_trajectory",
     "ac_speed",
+    "superquadratic_extinction_time",
     "superquadratic_trajectory",
     "theta_infinity",
     "theta_infinity_quadrature",
@@ -82,50 +81,30 @@ def ac_speed(problem: LiquidationProblem, t):
     return _on_array(lambda a: -kappa * _ac_curve(problem.q0, kappa * horizon, a / horizon, shift=2.0), t)
 
 
-@dataclass(frozen=True)
-class SuperQuadraticParams:
-    """Inputs of the small-inventory closed form for costs eta * rho ** (2 + delta)."""
-
-    eta: float
-    delta: float
-    q0: float
-    horizon: float
-    volume_rate: float
-    gamma: float
-    sigma: float
-
-    def applicability_bound(self) -> float:
-        """Largest starting inventory for which the closed form is claimed."""
-        d, T, V = self.delta, self.horizon, self.volume_rate
-        risk = self.gamma * self.sigma**2 / (2.0 * self.eta * (1.0 + d))
-        return (
-            (d / (2.0 + d)) ** ((2.0 + d) / d)
-            * T ** ((2.0 + d) / d)
-            * V ** ((1.0 + d) / d)
-            * risk ** (1.0 / d)
-        )
-
-    def decay_rate(self) -> float:
-        """Slope of the curve in the q ** (delta / (2 + delta)) coordinate."""
-        d, V = self.delta, self.volume_rate
-        risk = self.gamma * self.sigma**2 / (2.0 * self.eta * (1.0 + d))
-        return (d / (2.0 + d)) * V ** ((1.0 + d) / (2.0 + d)) * risk ** (1.0 / (2.0 + d))
-
-    def extinction_time(self) -> float:
-        """Time at which the inventory hits zero, independent of the horizon."""
-        d = self.delta
-        return self.q0 ** (d / (2.0 + d)) / self.decay_rate()
+def _superquadratic(problem: LiquidationProblem) -> tuple[float, float]:
+    """delta = phi - 1 of the cost eta * rho ** (2 + delta), and the rate at which q ** (delta / (2 + delta)) falls."""
+    if not isinstance(problem.cost, PowerLawCost) or not problem.cost.phi > 1.0:
+        raise ValueError("closed form requires a super-quadratic cost (power law with phi > 1)")
+    if not isinstance(problem.volume, ConstantVolume):
+        raise ValueError("closed form requires a constant volume curve")
+    d, V, m = problem.cost.phi - 1.0, problem.volume.rate, problem.market
+    risk = m.gamma * m.sigma**2 / (2.0 * problem.cost.eta * (1.0 + d))
+    return d, (d / (2.0 + d)) * V ** ((1.0 + d) / (2.0 + d)) * risk ** (1.0 / (2.0 + d))
 
 
-def superquadratic_trajectory(params: SuperQuadraticParams, t):
-    """Optimal inventory for super-quadratic costs and small starting inventory."""
-    bound = params.applicability_bound()
-    if params.q0 > bound * (1.0 + 1e-12):
-        raise ApplicabilityError(
-            f"q0={params.q0} exceeds the small-inventory bound {bound}"
-        )
-    d = params.delta
-    start, rate = params.q0 ** (d / (2.0 + d)), params.decay_rate()
+def superquadratic_extinction_time(problem: LiquidationProblem) -> float:
+    """Time at which the small-inventory curve hits zero, independent of the horizon."""
+    d, rate = _superquadratic(problem)
+    return problem.q0 ** (d / (2.0 + d)) / rate
+
+
+def superquadratic_trajectory(problem: LiquidationProblem, t):
+    """Optimal inventory for super-quadratic costs and a small starting inventory: one that dies out by the horizon."""
+    d, rate = _superquadratic(problem)
+    bound = (rate * problem.horizon) ** ((2.0 + d) / d)  # the q0 whose curve dies out at the horizon
+    if problem.q0 > bound * (1.0 + 1e-12):
+        raise ApplicabilityError(f"q0={problem.q0} exceeds the small-inventory bound {bound}")
+    start = problem.q0 ** (d / (2.0 + d))
     return _on_array(lambda a: np.clip(start - rate * a, 0.0, None) ** ((2.0 + d) / d), t)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional
 
 from .market_model import (
@@ -20,8 +20,6 @@ from .market_model import (
     PiecewiseLinearVolume,
     PowerLawCost,
     PowerLawImpact,
-    _inventory_fits,
-    _premium_fits,
     validate,
 )
 from .montecarlo import SimulationConfig
@@ -185,6 +183,13 @@ def _options(cls, pairs: dict, section: str):
     return cls(**{name: pairs[key] for name, key in keys.items() if key in pairs})
 
 
+def _judge(problem: LiquidationProblem, where: str) -> None:
+    """Raise a ConfigError naming ``where`` and each failed check, unless ``validate`` passes ``problem``."""
+    failed = ", ".join(c.name for c in validate(problem).failures())
+    if failed:
+        raise ConfigError(f"{where} failed checks: {failed}")
+
+
 def parse_config(path: str, overrides=()) -> RunConfig:
     """Parse and validate a run configuration; see the README for the schema.
 
@@ -212,10 +217,7 @@ def parse_config(path: str, overrides=()) -> RunConfig:
         cost=cost,
         impact=impact,
     )
-    report = validate(problem)
-    if not report.ok:
-        failed = ", ".join(c.name for c in report.failures())
-        raise ConfigError(f"{path}: invalid problem, failed checks: {failed}")
+    _judge(problem, f"{path}: invalid problem,")
 
     try:
         solve = _options(SolveOptions, pairs, "solve")
@@ -227,16 +229,11 @@ def parse_config(path: str, overrides=()) -> RunConfig:
         if not 3 <= pairs.get(key, 3) <= MAX_GRID_NODES:
             raise ConfigError(f"{path}: {key} must lie in [3, {MAX_GRID_NODES}], got {pairs[key]}")
 
-    # a negative block, a NaN/inf entry or one past problem.q0's overflow rules would only fail inside a command
-    q_list = pairs.get("price.q_list", (problem.q0,))
-    if not all(_inventory_fits(q) and _premium_fits(problem.impact, q) for q in q_list):
-        raise ConfigError(
-            f"{path}: price.q_list entries must be finite and >= 0, with q * q and 1e4 times the PMI at q "
-            f"finite, got {q_list}"
-        )
-    horizons = pairs.get("price.horizons")
-    if not all(0 < T < math.inf for T in horizons or ()):
-        raise ConfigError(f"{path}: price.horizons entries must be finite and > 0, got {horizons}")
+    # each swept entry is judged as the whole problem a command will solve with it
+    q_list, horizons = pairs.get("price.q_list", (problem.q0,)), pairs.get("price.horizons")
+    for key, field, entries in (("price.q_list", "q0", q_list), ("price.horizons", "horizon", horizons or ())):
+        for entry in entries:
+            _judge(replace(problem, **{field: entry}), f"{path}: {key} entries: {entry}")
     for key in ("price.quoted_premium", "grid.t_max"):
         if not math.isfinite(pairs.get(key, 0.0)):
             raise ConfigError(f"{path}: {key} must be finite, got {pairs[key]}")

@@ -151,10 +151,11 @@ def build_grid(
     in a ``solver._Workspace`` of its own (19 doubles per member-step) and
     three buffers of one double per member-step: its matched curves, its start
     and its p rows, the scratch of the other two before the solve. A block's
-    converged curves overwrite the oldest slot of the ring (zero deviations
-    for a failed cell), are valued by one row-wise ``_objective`` call, every
-    cell with the bits of its own ``eval_I`` (NaN for a failed one), and then
-    lose their matched curves.
+    converged curves overwrite the oldest slot of the ring (a failed cell's
+    slot keeps finite stale numbers, which its emptied stencil reads with
+    weight 0), are valued by one row-wise ``_objective`` call, every cell with
+    the bits of its own ``eval_I`` (NaN for a failed one), and then lose their
+    matched curves.
 
     The groups are independent, so a build of at least ``_FORK_WORK``
     cell-steps forks where that is safe: at least a group per CPU, the first
@@ -200,7 +201,7 @@ def build_grid(
         for kind in (float, bool, int, float)
     )
     columns, plan = np.flatnonzero(q_nodes), []  # each solved column's node, depth, slots and weights
-    q_steps = np.diff(q_nodes).tolist()  # each window is tested as ``_evenly_spaced`` tests nodes, on Python floats
+    q_steps = np.diff(q_nodes).tolist()  # each window's steps agree to 1e-9 relative, tested on Python floats
     for solved, k in enumerate(columns):
         depth = 1  # one column to the left, at any spacing, or more while evenly spaced with this one
         while depth < min(k, _STENCIL):
@@ -236,7 +237,6 @@ def build_grid(
             failed[r, k], iterations[r, k] = lost, [result.iterations for result in results]
             residuals[r, k] = [result.max_residual for result in results]
             row[:, -1] = p[:, 0]
-            row[lost] = base[lost]  # a failed cell's deviation is zero, never extrapolated
             kept = np.where(lost, 0, np.minimum(kept + 1, _STENCIL))
             v = (q[:, :-1] - q[:, 1:]) / work.tau[:, None]
             values[r, k] = np.where(lost, np.nan, _objective(problem, work.tau, work.vol, q, v))
@@ -346,11 +346,6 @@ def _predict(weights, deviations, curves, out, scratch):
     out += curves
 
 
-def _evenly_spaced(nodes) -> bool:
-    steps = np.diff(nodes)
-    return np.max(steps) - np.min(steps) <= 1e-9 * np.max(steps)
-
-
 def hj_residual(grid: ValueGrid) -> HJResidualReport:
     """Plug central differences of the grid into the Hamilton-Jacobi equation.
 
@@ -427,10 +422,10 @@ def check_structure(grid: ValueGrid) -> StructureReport:
     else:
         checks.append(PropertyCheck("monotone_q", checked=False, passed=True))
 
-    if th.shape[1] >= 3:
-        if not _evenly_spaced(grid.q_nodes):
-            raise ValueError("convexity check requires uniform q spacing")
-        summarize("convex_q", th[:, :-2] - 2.0 * th[:, 1:-1] + th[:, 2:])
+    if th.shape[1] >= 3:  # the second difference on any spacing; both weights are 1 on an even one
+        left, right = np.diff(grid.q_nodes)[:-1], np.diff(grid.q_nodes)[1:]
+        a, c = 2.0 * right / (left + right), 2.0 * left / (left + right)
+        summarize("convex_q", a * th[:, :-2] - 2.0 * th[:, 1:-1] + c * th[:, 2:])
     else:
         checks.append(PropertyCheck("convex_q", checked=False, passed=True))
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blocktrade import PowerLawCost
+from blocktrade import ConstantVolume, LiquidationProblem, MarketParams, PowerLawCost, PowerLawImpact
 from blocktrade.config import parse_config
 
 # The reference stock of configs/reference.cfg: a liquid large-cap stock,
@@ -27,6 +27,18 @@ def make_reference_problem(gamma=None, q0=None, horizon=None, psi=None):
 def make_quadratic_problem(eta=0.01, **changes):
     """Quadratic-cost variant with a closed-form optimal curve."""
     return replace(make_reference_problem(**changes), cost=PowerLawCost(eta=eta, phi=1.0))
+
+
+def make_superquadratic_problem(q0=0.25, phi=3.0):
+    """Cost rho ** (1 + phi), unit volume, gamma * sigma**2 = 6: at phi = 3, q0 = 0.25 dies out at the horizon 1."""
+    return LiquidationProblem(
+        q0=q0,
+        horizon=1.0,
+        market=MarketParams(s0=1.0, sigma=1.0, gamma=6.0),
+        volume=ConstantVolume(1.0),
+        cost=PowerLawCost(eta=1.0, phi=phi),
+        impact=PowerLawImpact(k=0.0, beta=1.0),
+    )
 
 
 @pytest.fixture

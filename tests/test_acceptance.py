@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from blocktrade.closed_forms import (
-    SuperQuadraticParams,
     ac_trajectory,
+    superquadratic_extinction_time,
     superquadratic_trajectory,
     theta_infinity,
     theta_infinity_quadrature,
@@ -25,7 +25,7 @@ from blocktrade.objective import cash_moments, eval_I
 from blocktrade.pricing import implied_gamma, price_finite
 from blocktrade.solver import SolveOptions, newton_solve
 from blocktrade.value_function import build_grid, check_structure, hj_residual
-from conftest import make_quadratic_problem, make_reference_problem
+from conftest import make_quadratic_problem, make_reference_problem, make_superquadratic_problem
 
 GAMMAS = (5e-7, 1e-6, 2e-6)
 NECPR_INF_TABLE = {5e-7: 5263.0, 1e-6: 6915.0, 2e-6: 9087.0}
@@ -146,22 +146,19 @@ def test_criterion_4_quadratic_cost_oracle():
 
 
 def test_criterion_5_superquadratic_oracle():
-    params = SuperQuadraticParams(
-        eta=1.0, delta=2.0, q0=0.1, horizon=1.0, volume_rate=1.0, gamma=6.0, sigma=1.0
-    )
-    assert params.q0 <= params.applicability_bound()
-    t_end = params.extinction_time()
+    problem = make_superquadratic_problem(q0=0.1)  # past the small-inventory bound the oracle raises
+    t_end = superquadratic_extinction_time(problem)
     h = 1e-7
     left = (
-        superquadratic_trajectory(params, t_end - h) - superquadratic_trajectory(params, t_end)
+        superquadratic_trajectory(problem, t_end - h) - superquadratic_trajectory(problem, t_end)
     ) / h
     right = (
-        superquadratic_trajectory(params, t_end + h) - superquadratic_trajectory(params, t_end)
+        superquadratic_trajectory(problem, t_end + h) - superquadratic_trajectory(problem, t_end)
     ) / h
-    tol = 1e-6 * params.q0 / params.horizon
+    tol = 1e-6 * problem.q0 / problem.horizon
     check(
         "5.smooth_extinction",
-        abs(left) <= tol and abs(right) <= tol and t_end < params.horizon,
+        abs(left) <= tol and abs(right) <= tol and t_end < problem.horizon,
         f"one-sided slopes ({left:.2e}, {right:.2e}) at t_end={t_end:.4f}, tol {tol:.2e}",
     )
 

@@ -85,13 +85,24 @@ def test_missing_file_is_an_error():
 
 
 def test_volume_csv_config(tmp_path):
-    (tmp_path / "vol.csv").write_text("time,volume\n0,4000000\n1.5,6000000\n")
+    (tmp_path / "vol.csv").write_text("time,volume\n0,4000000\n1.5,6000000\n2,6000000\n")  # past every horizon
     text = BASE_CONFIG.replace(
         "volume.type = constant\nvolume.rate = 5000000",
         "volume.type = csv\nvolume.path = vol.csv",
     )
     cfg = parse_config(write_config(tmp_path, text))
     assert cfg.problem.volume(0.75) == pytest.approx(5e6)
+
+
+def test_a_horizon_past_the_volume_csv_is_a_config_error(tmp_path, capsys):
+    # each price.horizons entry is judged as problem.horizon is: the volume was once held flat past its last knot
+    (tmp_path / "vol.csv").write_text("time,volume\n0,5000000\n1,4000000\n")
+    text = set_keys(BASE_CONFIG, {"volume.type": "csv", "volume.path": "vol.csv", "price.horizons": "0.5, 2.0"})
+    out = tmp_path / "out"
+    code, payload = run_cli(capsys, "price", "--config", write_config(tmp_path, text), "--out-dir", str(out))
+    assert code == 1 and payload["error"]["type"] == "ConfigError"
+    assert payload["error"]["message"].endswith("price.horizons entries: 2.0 failed checks: volume.covers_horizon")
+    assert not (out / "price.json").exists()
 
 
 def test_solve_round_trip(tmp_path, capsys):
@@ -656,6 +667,15 @@ def test_a_cost_whose_transform_overflows_is_a_config_error_naming_cost_eta(tmp_
     assert "failed checks: cost.eta" in payload["error"]["message"]
 
 
+# q0 * s0 or 1e4 * psi * q0 overflows: price answered a plain ValueError from json, decompose wrote inf in lec
+# and premium_bp, and simulate warned of an overflow first
+_VALUE_OVERFLOWS = [
+    (key, value, command)
+    for key, value in (("market.s0", "1e305"), ("market.s0", "1e303"), ("market.psi", "1e305"), ("market.psi", "1e300"))
+    for command in ("price", "decompose", "simulate")
+]
+
+
 @pytest.mark.parametrize(
     "command, values, key",
     [
@@ -669,9 +689,13 @@ def test_a_cost_whose_transform_overflows_is_a_config_error_naming_cost_eta(tmp_
         ("decompose", {"impact.k": "1.5e298"}, "impact.k"),
         ("decompose", {"impact.k": "3e294"}, "price.q_list"),  # fits at q0, and 1e4 times the PMI at 1e6 overflows
         ("decompose", {"price.q_list": "250000, 1e200"}, "price.q_list"),  # OverflowError from q ** (1 + beta)
-    ],
+        ("decompose", {"market.s0": "3e302"}, "price.q_list"),  # q0 * s0 fits, and 1e6 * s0 overflows
+        ("decompose", {"market.psi": "3e298"}, "price.q_list"),  # the LEC in basis points fits at q0, not at 1e6
+    ]
+    + [(command, {key: value}, key) for key, value, command in _VALUE_OVERFLOWS],
     ids=["q0_implied_gamma", "q0_grid", "q0_1e160_grid", "k_price", "k_decompose", "k_implied_gamma",
-         "k_bp_price", "k_bp_decompose", "q_list_bp", "q_list_square"],
+         "k_bp_price", "k_bp_decompose", "q_list_bp", "q_list_square", "q_list_s0", "q_list_psi"]
+    + [f"{key[7:]}_{value}_{command}" for key, value, command in _VALUE_OVERFLOWS],
 )
 def test_a_block_too_large_for_a_double_is_a_config_error_naming_its_key(tmp_path, capsys, command, values, key):
     text = set_keys(BASE_CONFIG, values)

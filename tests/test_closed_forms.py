@@ -8,9 +8,10 @@ from blocktrade.closed_forms import (
     ApplicabilityError,
     _ac_curve,
     _beltrami_price,
-    SuperQuadraticParams,
+    _superquadratic,
     ac_speed,
     ac_trajectory,
+    superquadratic_extinction_time,
     superquadratic_trajectory,
     theta_infinity,
     theta_infinity_quadrature,
@@ -26,7 +27,7 @@ from blocktrade.market_model import (
     QuadratureError,
 )
 from blocktrade.legendre import hamiltonian_of
-from conftest import make_quadratic_problem, make_reference_problem
+from conftest import make_quadratic_problem, make_reference_problem, make_superquadratic_problem
 
 
 def unit_rate_problem():
@@ -124,51 +125,76 @@ def test_ac_curve_and_speed_are_the_sinh_forms_where_those_are_exact(horizon):
     np.testing.assert_allclose(ac_speed(problem, t), sinh_v, rtol=1e-14, atol=0.0)
 
 
-def sq_params(**overrides):
-    base = dict(eta=1.0, delta=2.0, q0=0.25, horizon=1.0, volume_rate=1.0, gamma=6.0, sigma=1.0)
-    base.update(overrides)
-    return SuperQuadraticParams(**base)
-
-
 def test_superquadratic_bound_equality_case():
     # these inputs sit exactly on the applicability bound: extinction at the horizon
-    params = sq_params()
-    assert params.applicability_bound() == pytest.approx(0.25, rel=1e-12)
-    assert params.extinction_time() == pytest.approx(1.0, rel=1e-12)
-    assert superquadratic_trajectory(params, 0.0) == pytest.approx(0.25, rel=1e-14)
-    assert superquadratic_trajectory(params, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert superquadratic_trajectory(params, 2.0) == 0.0
+    problem = make_superquadratic_problem()
+    assert superquadratic_extinction_time(problem) == pytest.approx(1.0, rel=1e-12)
+    assert superquadratic_trajectory(problem, 0.0) == pytest.approx(0.25, rel=1e-14)
+    assert superquadratic_trajectory(problem, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert superquadratic_trajectory(problem, 2.0) == 0.0
 
 
 def test_superquadratic_rejects_large_inventory():
     with pytest.raises(ApplicabilityError):
-        superquadratic_trajectory(sq_params(q0=0.3), 0.0)
+        superquadratic_trajectory(make_superquadratic_problem(q0=0.3), 0.0)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda p: replace(p, cost=PowerLawCost(eta=1.0, phi=1.0)),
+        lambda p: replace(p, cost=PowerLawCost(eta=1.0, phi=0.65)),
+        lambda p: replace(p, cost=CustomCost(fn=lambda r: abs(r) ** 4.0, sample_bound=1e3)),
+        lambda p: replace(p, volume=PiecewiseLinearVolume(((0.0, 1.0), (1.0, 2.0)))),
+    ],
+    ids=["quadratic", "subquadratic", "custom_cost", "piecewise_volume"],
+)
+def test_superquadratic_closed_form_refuses_any_other_problem(change):
+    problem = change(make_superquadratic_problem(q0=0.1))
+    with pytest.raises(ValueError, match="closed form requires"):
+        superquadratic_extinction_time(problem)
+    with pytest.raises(ValueError, match="closed form requires"):
+        superquadratic_trajectory(problem, 0.0)
+
+
+@pytest.mark.parametrize("phi, q0", [(3.0, 0.1), (1.7, 0.01)])
+def test_superquadratic_curve_keeps_the_beltrami_first_integral_at_zero(phi, q0):
+    # the curve dies out before the horizon binds, so V L(v / V) (1 + delta) = gamma sigma**2 q**2 / 2 along it,
+    # with L(rho) = eta rho ** (2 + delta) and delta = phi - 1
+    problem = make_superquadratic_problem(q0=q0, phi=phi)
+    t_end = superquadratic_extinction_time(problem)
+    assert t_end < problem.horizon
+    t, h = np.linspace(0.1, 0.9, 9) * t_end, 1e-6 * t_end
+    q = superquadratic_trajectory(problem, t)
+    v = (superquadratic_trajectory(problem, t - h) - superquadratic_trajectory(problem, t + h)) / (2.0 * h)
+    m = problem.market
+    np.testing.assert_allclose(phi * problem.cost(v), 0.5 * m.gamma * m.sigma**2 * q**2, rtol=1e-6)
 
 
 def test_superquadratic_smooth_at_extinction():
-    params = sq_params(q0=0.1)
-    t_end = params.extinction_time()
-    assert t_end < params.horizon
+    problem = make_superquadratic_problem(q0=0.1)
+    t_end = superquadratic_extinction_time(problem)
+    assert t_end < problem.horizon
     h = 1e-7
-    left = (superquadratic_trajectory(params, t_end - h) - superquadratic_trajectory(params, t_end)) / h
-    right = (superquadratic_trajectory(params, t_end + h) - superquadratic_trajectory(params, t_end)) / h
-    scale = params.q0 / params.horizon
+    left = (superquadratic_trajectory(problem, t_end - h) - superquadratic_trajectory(problem, t_end)) / h
+    right = (superquadratic_trajectory(problem, t_end + h) - superquadratic_trajectory(problem, t_end)) / h
+    scale = problem.q0 / problem.horizon
     assert abs(left) <= 1e-6 * scale
     assert abs(right) <= 1e-6 * scale
 
 
 def test_superquadratic_not_twice_differentiable_at_extinction():
     # delta = 2 gives q ~ (t_end - t)^2 before extinction: curvature jumps
-    params = sq_params(q0=0.1)
-    t_end = params.extinction_time()
+    problem = make_superquadratic_problem(q0=0.1)
+    t_end = superquadratic_extinction_time(problem)
     h = 1e-4
-    inside = superquadratic_trajectory(params, t_end - 2 * h) - 2 * superquadratic_trajectory(
-        params, t_end - h
-    ) + superquadratic_trajectory(params, t_end)
-    outside = superquadratic_trajectory(params, t_end + 2 * h) - 2 * superquadratic_trajectory(
-        params, t_end + h
-    ) + superquadratic_trajectory(params, t_end)
-    assert inside / h**2 == pytest.approx(2.0 * params.decay_rate() ** 2, rel=1e-3)
+    inside = superquadratic_trajectory(problem, t_end - 2 * h) - 2 * superquadratic_trajectory(
+        problem, t_end - h
+    ) + superquadratic_trajectory(problem, t_end)
+    outside = superquadratic_trajectory(problem, t_end + 2 * h) - 2 * superquadratic_trajectory(
+        problem, t_end + h
+    ) + superquadratic_trajectory(problem, t_end)
+    assert inside / h**2 == pytest.approx(2.0 * _superquadratic(problem)[1] ** 2, rel=1e-3)
     assert outside == 0.0
 
 

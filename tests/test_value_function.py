@@ -168,15 +168,11 @@ def test_hj_residual_requires_at_least_3x3(reference_problem):
         hj_residual(grid)
 
 
-def test_structure_checks_pass_on_solved_grid(reference_problem):
-    grid = build_grid(
-        reference_problem,
-        np.linspace(0.0, 0.9, 9),
-        np.linspace(0.0, reference_problem.q0, 9),
-        OPTS,
-    )
+@pytest.mark.parametrize("spacing", [np.linspace(0.0, 1.0, 9), (np.arange(11) / 10) ** 2], ids=["even", "uneven"])
+def test_structure_checks_pass_on_solved_grid(reference_problem, spacing):
+    grid = build_grid(reference_problem, np.linspace(0.0, 0.9, 9), reference_problem.q0 * spacing, OPTS)
     report = check_structure(grid)
-    assert report.ok
+    assert report.ok and not grid.failed.any()
     names = {c.name for c in report.checks if c.checked}
     assert names == {"monotone_t", "monotone_q", "convex_q", "singularity_bound"}
 
@@ -256,6 +252,18 @@ def test_convexity_forgives_a_deficit_of_1e_9_of_the_largest_value_and_no_more(r
     checks = {check.name: check for check in check_structure(replace(grid, values=values)).checks}
     assert checks["convex_q"].violations == flagged
     assert all(checks[name].passed for name in ("monotone_t", "monotone_q", "singularity_bound"))
+
+
+def test_convexity_is_the_second_difference_on_any_q_spacing(reference_problem):
+    # a value linear in q has no deficit at uneven q-nodes; with the two neighbours' weights swapped, the
+    # steps 2e5 then 1e5 would read a deficit of 2 * (1e5 - 2e5) per unit slope
+    q_nodes = np.array([0.0, 1.0, 3.0, 4.0, 7.0]) * 1e5
+    t_nodes = np.linspace(0.0, 0.9, 3)
+    values = 1e3 * (1.0 + t_nodes[:, None]) + q_nodes[None, :]
+    grid = ValueGrid(t_nodes, q_nodes, values, 0.1, reference_problem, np.zeros(values.shape, dtype=bool))
+    checks = {check.name: check for check in check_structure(grid).checks}
+    assert checks["convex_q"].checked and checks["convex_q"].passed
+    assert checks["convex_q"].violations == 0 and abs(checks["convex_q"].worst) <= 1e-9 * values.max()
 
 
 def test_the_singularity_bound_flags_a_cell_planted_just_below_it(reference_problem):
