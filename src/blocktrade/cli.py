@@ -26,7 +26,7 @@ from .montecarlo import MAX_EULER_STEPS, SEED_SCHEME, euler_law, simulate_cash
 from .objective import cash_moments, eval_I
 from .pricing import floor_parts, implied_gamma, price_finite
 from .solver import Grid, Trajectory, newton_solve
-from .value_function import MARGIN, build_grid, check_structure, hj_residual
+from .value_function import build_grid, check_structure, hj_residual
 
 __all__ = ["main", "run_command", "write_trajectory_csv", "read_trajectory_csv", "write_paths_csv"]
 
@@ -141,11 +141,9 @@ class FailedCellsError(RuntimeError):
 def _cmd_grid(cfg: RunConfig, out_dir: str):
     if cfg.problem.q0 == 0:
         raise ConfigError("grid needs problem.q0 > 0: its q-nodes span [0, problem.q0]")
-    T = cfg.problem.horizon
-    t_max = cfg.grid_t_max if cfg.grid_t_max is not None else T - MARGIN * T
-    t_nodes = np.linspace(0.0, t_max, cfg.grid_n_t)
+    t_nodes = np.linspace(0.0, cfg.grid_t_max, cfg.grid_n_t)
     q_nodes = np.linspace(0.0, cfg.problem.q0, cfg.grid_n_q)
-    grid = build_grid(cfg.problem, t_nodes, q_nodes, cfg.solve, epsilon=T - t_max)
+    grid = build_grid(cfg.problem, t_nodes, q_nodes, cfg.solve, epsilon=cfg.problem.horizon - cfg.grid_t_max)
     rows = ([_fmt(t), *map(_fmt, values)] for t, values in zip(grid.t_nodes, grid.values))
     yield "grid", "value_grid.csv", (["t", *map(_fmt, grid.q_nodes)], rows)
 
@@ -231,7 +229,7 @@ def _cmd_implied_gamma(cfg: RunConfig, out_dir: str):
     yield "implied_gamma", "implied_gamma.json", {
         "gamma": implied_gamma(cfg.problem, cfg.quoted_premium),
         "quoted_premium": cfg.quoted_premium,
-        "floor": sum(floor_parts(cfg.problem, cfg.problem.q0)),
+        "floor": sum(floor_parts(cfg.problem)),
     }
 
 

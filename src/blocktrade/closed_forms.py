@@ -117,7 +117,7 @@ def _theta_inf_constant(eta: float, phi: float) -> float:
     )
 
 
-def _risk_scale(problem: LiquidationProblem, q: float) -> float:
+def _risk_scale(problem: LiquidationProblem) -> float:
     """gamma * sigma**2 / (2 V) of the infinite-horizon value, for a constant volume V only.
 
     Refused for time-varying volume curves: the limit is only established for
@@ -126,21 +126,21 @@ def _risk_scale(problem: LiquidationProblem, q: float) -> float:
     """
     if not isinstance(problem.volume, ConstantVolume):
         raise ValueError("infinite-horizon value requires a constant volume curve")
-    _check_inventory(q)
+    _check_inventory(problem.q0)  # a problem built in code may skip ``validate``
     m = problem.market
     return m.gamma * m.sigma**2 / (2.0 * problem.volume.rate)
 
 
-def theta_infinity(problem: LiquidationProblem, q: float) -> float:
-    """Liquidation value with no time constraint (constant volume only).
+def theta_infinity(problem: LiquidationProblem) -> float:
+    """Liquidation value of the block q0 with no time constraint (constant volume only).
 
     Closed form for power-law costs, quadrature of the Beltrami price otherwise.
     """
     if not isinstance(problem.cost, PowerLawCost):
-        return theta_infinity_quadrature(problem, q)
-    scale = _risk_scale(problem, q)
+        return theta_infinity_quadrature(problem)
+    scale = _risk_scale(problem)
     eta, phi = problem.cost.eta, problem.cost.phi
-    return _theta_inf_constant(eta, phi) * scale ** (phi / (1.0 + phi)) * q ** (
+    return _theta_inf_constant(eta, phi) * scale ** (phi / (1.0 + phi)) * problem.q0 ** (
         (1.0 + 3.0 * phi) / (1.0 + phi)
     )
 
@@ -153,7 +153,7 @@ def _beltrami_price(cost, x):
     return _on_array(lambda a: _cost_slope(cost, _root(cost, beltrami, a)), x)
 
 
-def theta_infinity_quadrature(problem: LiquidationProblem, q: float) -> float:
+def theta_infinity_quadrature(problem: LiquidationProblem) -> float:
     """Quadrature route to the same value, from L alone: an independent cross-check of the closed form."""
-    scale = _risk_scale(problem, q)
-    return _integral(lambda x: _beltrami_price(problem.cost, scale * x * x), q)
+    scale = _risk_scale(problem)
+    return _integral(lambda x: _beltrami_price(problem.cost, scale * x * x), problem.q0)

@@ -24,7 +24,7 @@ from .market_model import (
 )
 from .montecarlo import SimulationConfig
 from .solver import SolveOptions
-from .value_function import MAX_GRID_NODES
+from .value_function import MARGIN, MAX_GRID_NODES
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
@@ -44,7 +44,7 @@ class RunConfig:
     quoted_premium: Optional[float]
     grid_n_t: int
     grid_n_q: int
-    grid_t_max: Optional[float]
+    grid_t_max: float
     dump_paths: bool
 
 
@@ -234,6 +234,9 @@ def parse_config(path: str, overrides=()) -> RunConfig:
     for key, field, entries in (("price.q_list", "q0", q_list), ("price.horizons", "horizon", horizons or ())):
         for entry in entries:
             _judge(replace(problem, **{field: entry}), f"{path}: {key} entries: {entry}")
+    # bounds simulate's sum v_i s_i at twice mc.n_substeps (the speeds sum to q0 / tau, and no price exceeds s0)
+    if not problem.q0 * problem.market.s0 * 2 * solve.n_steps * mc.n_substeps / problem.horizon < math.inf:
+        raise ConfigError(f"{path}: q0 * s0 * 2 * n_steps * n_substeps / horizon overflows, failed checks: market.s0")
     for key in ("price.quoted_premium", "grid.t_max"):
         if not math.isfinite(pairs.get(key, 0.0)):
             raise ConfigError(f"{path}: {key} must be finite, got {pairs[key]}")
@@ -249,6 +252,6 @@ def parse_config(path: str, overrides=()) -> RunConfig:
         quoted_premium=pairs.get("price.quoted_premium"),
         grid_n_t=pairs.get("grid.n_t", 21),
         grid_n_q=pairs.get("grid.n_q", 21),
-        grid_t_max=pairs.get("grid.t_max"),
+        grid_t_max=pairs.get("grid.t_max", problem.horizon - MARGIN * problem.horizon),
         dump_paths=pairs.get("mc.dump_paths", False),
     )

@@ -84,8 +84,9 @@ def _cell_sums(problem: LiquidationProblem, vol, q, v):
     return cost, speed, q_sq
 
 
-def _objective(problem: LiquidationProblem, tau, vol, q, v, psi: float = 0.0):
-    """``eval_I`` of each row of q and v, with tau (...,) and vol as in ``_cell_sums``; no grid checks."""
+def _objective(problem: LiquidationProblem, tau, vol, q, psi: float = 0.0):
+    """``eval_I`` of each row of q, with tau (...,) and vol as in ``_cell_sums``; no grid checks."""
+    v = (q[..., :-1] - q[..., 1:]) / np.expand_dims(tau, -1)  # ``Trajectory.v`` of each row
     cost, speed, q_sq = _cell_sums(problem, vol, q, v)
     m = problem.market
     return tau * cost + psi * tau * speed + 0.5 * m.gamma * m.sigma**2 * tau * q_sq
@@ -95,7 +96,7 @@ def eval_I(problem: LiquidationProblem, traj: Trajectory, psi: float = 0.0) -> f
     """Execution costs plus half the risk-aversion-weighted cash variance."""
     _check_grid(problem, traj, full_horizon=False)
     vol = traj.grid.cell_volume(problem.volume)
-    return float(_objective(problem, traj.grid.tau, vol, traj.q, traj.v, psi))
+    return float(_objective(problem, traj.grid.tau, vol, traj.q, psi))
 
 
 def cash_moments(problem: LiquidationProblem, traj: Trajectory) -> CashDistribution:

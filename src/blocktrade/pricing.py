@@ -60,14 +60,14 @@ def _bp(mtm: float, premium: float) -> float:
     return 1e4 * premium / mtm if mtm > 0 else 0.0
 
 
-def floor_parts(problem: LiquidationProblem, q: float) -> tuple[float, float]:
-    """(PMI, LEC) of a block of q shares; their sum is the premium floor, which no risk aversion moves."""
-    return problem.impact.integral(q), problem.market.psi * q
+def floor_parts(problem: LiquidationProblem) -> tuple[float, float]:
+    """(PMI, LEC) of the block q0; their sum is the premium floor, which no risk aversion moves."""
+    return problem.impact.integral(problem.q0), problem.market.psi * problem.q0
 
 
-def _assemble(problem: LiquidationProblem, q: float, necpr_T, necpr_inf) -> PriceDecomposition:
-    mtm = q * problem.market.s0
-    pmi, lec = floor_parts(problem, q)
+def _assemble(problem: LiquidationProblem, necpr_T, necpr_inf) -> PriceDecomposition:
+    mtm = problem.q0 * problem.market.s0
+    pmi, lec = floor_parts(problem)
     price_T = mtm - pmi - lec - necpr_T if necpr_T is not None else None
     price_inf = mtm - pmi - lec - necpr_inf if necpr_inf is not None else None
     return PriceDecomposition(
@@ -94,19 +94,14 @@ def price_finite(problem: LiquidationProblem, opts: Optional[SolveOptions] = Non
     The infinite-horizon column is filled too whenever the volume curve is
     constant, since it comes for free in closed form.
     """
-    q = problem.q0
     necpr_T = _necpr_T(problem, opts)
-    necpr_inf = (
-        theta_infinity(problem, q) if isinstance(problem.volume, ConstantVolume) else None
-    )
-    return _assemble(problem, q, necpr_T, necpr_inf)
+    necpr_inf = theta_infinity(problem) if isinstance(problem.volume, ConstantVolume) else None
+    return _assemble(problem, necpr_T, necpr_inf)
 
 
-def price_infinite(problem: LiquidationProblem, q: Optional[float] = None) -> PriceDecomposition:
-    """Closed-form price with no liquidation deadline (constant volume only)."""
-    if q is None:
-        q = problem.q0
-    return _assemble(problem, q, None, theta_infinity(problem, q))
+def price_infinite(problem: LiquidationProblem) -> PriceDecomposition:
+    """Closed-form price of the block q0 with no liquidation deadline (constant volume only)."""
+    return _assemble(problem, None, theta_infinity(problem))
 
 
 def implied_gamma(
@@ -130,8 +125,7 @@ def implied_gamma(
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     if not math.isfinite(quoted_premium):
         raise ValueError(f"quoted_premium must be finite, got {quoted_premium}")
-    q = problem.q0
-    floor = sum(floor_parts(problem, q))
+    floor = sum(floor_parts(problem))
     target = quoted_premium - floor
     if target <= 0:
         raise PremiumFloorError(
@@ -142,7 +136,7 @@ def implied_gamma(
         probe = replace(problem, market=replace(problem.market, gamma=gamma))
         if finite_horizon:
             return _necpr_T(probe, opts)
-        return theta_infinity(probe, q)
+        return theta_infinity(probe)
 
     lo, hi = GAMMA_BRACKET
     f_lo, f_hi = necpr(lo), necpr(hi)

@@ -104,10 +104,13 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, max_residual: float, history: tuple, no_descent: int, steps: tuple):
         super().__init__(f"{message} (residual {max_residual:.3e} after {len(history)} iterations)")
         self.max_residual = max_residual
-        self.iterations = len(history)
         self.history = history
         self.no_descent = no_descent
         self.steps = steps
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
 
 
 @dataclass(frozen=True)
@@ -225,10 +228,10 @@ def initial_guess(problem: LiquidationProblem, grid: Grid, q_start: Optional[flo
     return Trajectory(grid=grid, q=q, p=p)
 
 
-def _start(tau_ksq, q_start, q, p, start=None):
+def _start(b, q_start, q, p, start=None):
     """Write K members' starting (q, p) to the (K, J+1) rows q and p.
 
-    ``tau_ksq`` (K, 1) is each member's tau * (gamma * sigma**2), ``q_start``
+    ``b`` (K, 1) is each member's tau * (gamma * sigma**2), ``q_start``
     (K,) its inventory. ``start`` = (q rows (K, J+1), p[0] (K,)) is copied;
     without it the start is the straight line from q_start to zero with
     p[0] = 0. Both boundary values are set exactly, and p is the forward pass
@@ -240,7 +243,7 @@ def _start(tau_ksq, q_start, q, p, start=None):
     else:
         q[:], p0 = start
     q[:, 0], q[:, -1] = q_start, 0.0
-    _p_recurrence(q, p0, tau_ksq, p)
+    _p_recurrence(q, p0, b, p)
 
 
 def _p_recurrence(q, p0, b, p):
@@ -251,11 +254,11 @@ def _p_recurrence(q, p0, b, p):
     p[:, 0] = p0
 
 
-def _residual_arrays(ham, tau_ksq, tau_vol, q, p, out=None):
+def _residual_arrays(ham, b, tau_vol, q, p, out=None):
     """Defects of both recurrences along the last axis, one row per member; ``out`` = (rp, rq, scratch)."""
     rp, rq, scratch = np.empty((3, *q[..., 1:].shape)) if out is None else out
     np.subtract(p[..., 1:], p[..., :-1], out=rp)
-    rp -= np.multiply(tau_ksq, q[..., 1:], out=scratch)
+    rp -= np.multiply(b, q[..., 1:], out=scratch)
     np.subtract(q[..., 1:], q[..., :-1], out=rq)
     rq -= np.multiply(tau_vol, ham.slope(p[..., :-1], out=scratch), out=scratch)
     return rp, rq
@@ -435,7 +438,7 @@ class _Workspace:
         self.grids = [Grid(n_steps=n_steps, t_start=t, t_end=T) for t in t_nodes]
         self.tau = np.array([grid.tau for grid in self.grids])
         self.vol = np.array([grid.cell_volume(problem.volume) for grid in self.grids])
-        self.b = self.tau * market.gamma * market.sigma**2
+        self.b = self.tau * (market.gamma * market.sigma**2)
         self.bands = np.empty((4, members, 2 * n_steps))
         self.c, self.e, self.tau_vol = np.empty((3, members, n_steps))
         self.dq, self.dp = np.empty((2, members, n_steps + 1))
@@ -445,11 +448,11 @@ class _Workspace:
 class _Block:
     """Row-per-member arrays of the members still iterating, and what is fixed per member."""
 
-    __slots__ = ("member", "tol", "b", "tau_ksq", "current", "tau_vol", "q", "p", "rq", "spare", "scratch")
+    __slots__ = ("member", "tol", "b", "current", "tau_vol", "q", "p", "rq", "spare", "scratch")
 
-    def __init__(self, work, tol, ksq):
+    def __init__(self, work, tol):
         K, ((q, p), rq) = len(work.grids), work.state
-        self.member, self.tol, self.b, self.tau_ksq = np.arange(K), tol, work.b.copy(), work.tau[:, None] * ksq
+        self.member, self.tol, self.b = np.arange(K), tol, work.b.copy()
         self.tau_vol = np.multiply(work.tau[:, None], work.vol, out=work.tau_vol)
         self.q, self.p, self.rq, self.spare = q[0], p[0], rq[0], (q[1], p[1], rq[1])
         self.scratch = work.c, work.e  # free outside the direction solve
@@ -468,7 +471,7 @@ class _Block:
     def residual(self, ham, q, p, rq):
         """Write the q-defects of every member's (q, p) to ``rq``; return each row's max residual."""
         rp, scratch = self.scratch[0][: len(q)], self.scratch[1][: len(q)]
-        _residual_arrays(ham, self.tau_ksq, self.tau_vol, q, p, out=(rp, rq, scratch))
+        _residual_arrays(ham, self.b[:, None], self.tau_vol, q, p, out=(rp, rq, scratch))
         return _max_abs(rp, rq, out=(rp, scratch))
 
     def candidate(self, ham, alpha, dq, dp):
@@ -534,12 +537,11 @@ def _solve_batch(
     per loop iteration before it leaves.
     """
     ham = hamiltonian_of(problem.cost)
-    ksq = problem.market.gamma * problem.market.sigma**2
     K = len(work.grids)
     q_starts = np.asarray(q_starts, dtype=float)
     tol = np.full(K, opts.newton_tol) if opts.newton_tol is not None else 1e-10 * q_starts
-    block = _Block(work, np.maximum(tol, 1e-300), ksq)
-    _start(block.tau_ksq, q_starts, block.q, block.p, start)
+    block = _Block(work, np.maximum(tol, 1e-300))
+    _start(block.b[:, None], q_starts, block.q, block.p, start)
     solo = start is None and K == 1  # a block keeps its direction when it shrinks to one member
     block.current = block.residual(ham, block.q, block.p, block.rq)
 

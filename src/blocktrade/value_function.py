@@ -217,7 +217,7 @@ def build_grid(
         """Solve the group of t-nodes ``r`` (a slice) through every column, in a workspace and a ring of its own."""
         n = r.stop - r.start
         work = _Workspace(problem, t_nodes[r], opts.n_steps)
-        matched_curves = _matched_curves(problem, t_nodes[r], work)
+        matched_curves = _matched_curves(problem, work)
         # each t-node's deviations of its converged q (the first J+1 entries) and p[0] (the last) from their
         # matched curves in the last _STENCIL solved columns, a ring whose oldest slot a column's results
         # overwrite; kept counts each t-node's valid slots
@@ -238,8 +238,7 @@ def build_grid(
             residuals[r, k] = [result.max_residual for result in results]
             row[:, -1] = p[:, 0]
             kept = np.where(lost, 0, np.minimum(kept + 1, _STENCIL))
-            v = (q[:, :-1] - q[:, 1:]) / work.tau[:, None]
-            values[r, k] = np.where(lost, np.nan, _objective(problem, work.tau, work.vol, q, v))
+            values[r, k] = np.where(lost, np.nan, _objective(problem, work.tau, work.vol, q))
             row -= base
 
     # forking needs Linux, one Python thread (another could hold a lock the child needs) and Python below
@@ -292,23 +291,23 @@ def _fork_over(solve, groups, workers):
             raise GridWorkerError(f"a grid worker exited with status {status}")
 
 
-def _matched_curves(problem: LiquidationProblem, t_nodes, work):
-    """The writer of each t-node's Almgren-Chriss curve from q_hat, matched at its mean rate.
+def _matched_curves(problem: LiquidationProblem, work):
+    """The writer of the Almgren-Chriss curve from q_hat of each t-node of ``work``, matched at its mean rate.
 
     With S the time left and V the mean cell volume of a t-node,
     kappa**2 = gamma * sigma**2 * V * H''(p) at the price p = -L'(q_hat / (S V))
     of the mean rate: for phi = 1 and a constant volume, the exact curve of
-    the quadratic cost. ``write(q_hat, r, out, scratch)`` writes the curves of
-    the t-nodes ``r`` (a slice) to ``out``, with ``scratch`` for the second
-    exponent of ``closed_forms._ac_curve``, and returns their p[0]: the price
-    whose p-recurrence along the curve ends at -L' of its last-cell rate. The
+    the quadratic cost. ``write(q_hat, out, scratch)`` writes the curves to
+    ``out``, a row per t-node, with ``scratch`` for the second exponent of
+    ``closed_forms._ac_curve``, and returns their p[0]: the price whose
+    p-recurrence along the curve ends at -L' of its last-cell rate. The
     end is where the price is smallest, so a relative error there costs Newton
     the most: p[0] at -L' of the first-cell rate missed that end by 6.5 times
     its size at T = 5, and took more iterations than the predictor of the
     curves themselves in 153 cells of the 32 grids named in ``build_grid``.
     """
     ham, cost = hamiltonian_of(problem.cost), problem.cost
-    left, mean_vol = problem.horizon - t_nodes, work.vol.mean(axis=1)
+    left, mean_vol = np.array([grid.t_end - grid.t_start for grid in work.grids]), work.vol.mean(axis=1)
     mean_volume, risk = left * mean_vol, problem.market.gamma * problem.market.sigma**2 * mean_vol
     last_cell, x = work.tau * work.vol[:, -1], np.arange(work.vol.shape[1] + 1) / work.vol.shape[1]
 
@@ -441,17 +440,16 @@ def check_structure(grid: ValueGrid) -> StructureReport:
 
 def asymptotic_convergence(
     problem: LiquidationProblem,
-    q: float,
     horizons: Sequence[float],
     opts: Optional[SolveOptions] = None,
 ) -> AsymptoticResult:
-    """Liquidation values of q over growing horizons against the closed-form limit.
+    """Liquidation values of the block q0 over growing horizons against the closed-form limit.
 
     The step count scales with the horizon so every solve runs at the same
     time resolution. The limit comes first, so a volume curve it refuses
     (anything but constant) fails before any solve.
     """
-    limit = theta_infinity(problem, q)
+    limit = theta_infinity(problem)
     horizons = tuple(float(T) for T in horizons)
     if not horizons or not all(0.0 < T < math.inf for T in horizons):
         raise ValueError(f"horizons must be one or more positive finite times, got {horizons}")
@@ -465,7 +463,7 @@ def asymptotic_convergence(
 
     values = []
     for T, probe_opts in zip(horizons, scaled):
-        probe = replace(problem, horizon=T, q0=q)
+        probe = replace(problem, horizon=T)
         values.append(eval_I(probe, newton_solve(probe, probe_opts), psi=0.0))
     values = np.asarray(values)
     return AsymptoticResult(

@@ -52,7 +52,7 @@ def first_table():
         rows[gamma] = {
             "pmi": problem.impact.integral(problem.q0),
             "lec": problem.market.psi * problem.q0,
-            "necpr_inf": theta_infinity(problem, problem.q0),
+            "necpr_inf": theta_infinity(problem),
             "necpr_T": eval_I(problem, traj, psi=0.0),
         }
     elapsed = time.perf_counter() - start
@@ -112,7 +112,7 @@ def test_criterion_2_second_table(q0, pmi_t, lec_t, inf_t, fin_t):
     traj = newton_solve(problem, SolveOptions(n_steps=1000))
     pmi = problem.impact.integral(q0)
     lec = problem.market.psi * q0
-    inf_v = theta_infinity(problem, q0)
+    inf_v = theta_infinity(problem)
     fin_v = eval_I(problem, traj, psi=0.0)
     check(f"2.pmi[q0={q0:g}]", abs(pmi / pmi_t - 1) <= 0.01, f"{pmi:.1f} vs {pmi_t} (tol 1%)")
     check(f"2.lec[q0={q0:g}]", math.isclose(lec, lec_t, rel_tol=1e-12), f"{lec} vs {lec_t}")
@@ -167,14 +167,14 @@ def test_criterion_6_theta_infinity_consistency():
     problem = make_reference_problem()
     worst = 0.0
     for q in (1e3, 1e5, 1e6):
-        closed = theta_infinity(problem, q)
-        quad = theta_infinity_quadrature(problem, q)
+        closed = theta_infinity(make_reference_problem(q0=q))
+        quad = theta_infinity_quadrature(make_reference_problem(q0=q))
         worst = max(worst, abs(closed / quad - 1))
     check("6.quadrature", worst <= 1e-7, f"max relative gap {worst:.2e} <= 1e-7")
     phi = problem.cost.phi
     expected = (1 + 3 * phi) / (1 + phi)
     slope = math.log(
-        theta_infinity(problem, 1e6) / theta_infinity(problem, 1e4)
+        theta_infinity(make_reference_problem(q0=1e6)) / theta_infinity(make_reference_problem(q0=1e4))
     ) / math.log(1e6 / 1e4)
     check("6.slope", abs(slope - expected) <= 1e-6, f"log-log slope {slope:.8f} vs {expected:.8f}")
 
@@ -271,7 +271,7 @@ def test_criterion_10_implied_gamma_round_trip():
         quoted = (
             probe.impact.integral(probe.q0)
             + probe.market.psi * probe.q0
-            + theta_infinity(probe, probe.q0)
+            + theta_infinity(probe)
         )
         recovered = implied_gamma(problem, quoted)
         worst = max(worst, abs(recovered / gamma - 1))

@@ -85,13 +85,44 @@ def test_missing_file_is_an_error():
 
 
 def test_volume_csv_config(tmp_path):
-    (tmp_path / "vol.csv").write_text("time,volume\n0,4000000\n1.5,6000000\n2,6000000\n")  # past every horizon
+    # past every horizon; a blank row is skipped
+    (tmp_path / "vol.csv").write_text("time,volume\n0,4000000\n\n1.5,6000000\n2,6000000\n")
     text = BASE_CONFIG.replace(
         "volume.type = constant\nvolume.rate = 5000000",
         "volume.type = csv\nvolume.path = vol.csv",
     )
     cfg = parse_config(write_config(tmp_path, text))
+    assert cfg.problem.volume.knots == ((0.0, 4e6), (1.5, 6e6), (2.0, 6e6))
     assert cfg.problem.volume(0.75) == pytest.approx(5e6)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,5000000\n", "need at least two knots"),
+        ("0,5000000\n2,5000000,1\n", "vol.csv:3: expected two columns"),
+        ("0,5000000\n2,many\n", "vol.csv:3: could not convert string to float: 'many'"),
+    ],
+    ids=["one_knot", "three_columns", "word"],
+)
+def test_a_malformed_volume_csv_is_a_config_error(tmp_path, rows, message):
+    (tmp_path / "vol.csv").write_text("time,volume\n" + rows)
+    text = set_keys(BASE_CONFIG, {"volume.type": "csv", "volume.path": "vol.csv"})
+    with pytest.raises(ConfigError, match=f"run.cfg: volume csv: .*{message}"):
+        parse_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("no", False), ("false", False), ("0", False), ("True", True), ("yes", True), ("1", True), ("maybe", None)],
+)
+def test_mc_dump_paths_takes_the_words_of_true_and_false_only(tmp_path, text, value):
+    path = write_config(tmp_path, set_keys(BASE_CONFIG, {"mc.dump_paths": text}))
+    if value is None:
+        with pytest.raises(ConfigError, match="bad value for 'mc.dump_paths': expected a boolean, got 'maybe'"):
+            parse_config(path)
+    else:
+        assert parse_config(path).dump_paths is value
 
 
 def test_a_horizon_past_the_volume_csv_is_a_config_error(tmp_path, capsys):
@@ -457,6 +488,13 @@ def test_argument_errors_answer_with_the_error_json(capsys, argv, message):
     assert message in error["message"]
 
 
+def test_run_command_refuses_an_unknown_command_before_writing(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="unknown command 'plot'"):
+        cli.run_command("plot", parse_config(write_config(tmp_path)), str(out))
+    assert not out.exists()
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -494,7 +532,7 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
         "from blocktrade import CustomCost, CustomImpact, theta_infinity\n"
         "from blocktrade.config import parse_config\n"
         f"problem = parse_config({REFERENCE_CONFIG!r}).problem\n"
-        "theta_infinity(replace(problem, cost=CustomCost(lambda r: 0.02 * abs(r) ** 1.65, 1e9)), 1e5)\n"
+        "theta_infinity(replace(problem, cost=CustomCost(lambda r: 0.02 * abs(r) ** 1.65, 1e9), q0=1e5))\n"
         "CustomImpact(math.tanh).integral(7.5)\n"
         "sys.exit(bool({'scipy.integrate', 'concurrent.futures'} & set(sys.modules)))"
     )
@@ -674,6 +712,9 @@ _VALUE_OVERFLOWS = [
     for key, value in (("market.s0", "1e305"), ("market.s0", "1e303"), ("market.psi", "1e305"), ("market.psi", "1e300"))
     for command in ("price", "decompose", "simulate")
 ]
+# q0 * s0 fits, and the sum of v_i s_i in the Euler wealth does not: simulate warned of an overflow in matmul, then
+# answered a plain ValueError from json (at 6e298 only the law at twice mc.n_substeps overflowed)
+_EULER_OVERFLOWS = [(command, s0) for s0 in ("6e298", "1e299", "1e300") for command in ("price", "simulate")]
 
 
 @pytest.mark.parametrize(
@@ -692,10 +733,12 @@ _VALUE_OVERFLOWS = [
         ("decompose", {"market.s0": "3e302"}, "price.q_list"),  # q0 * s0 fits, and 1e6 * s0 overflows
         ("decompose", {"market.psi": "3e298"}, "price.q_list"),  # the LEC in basis points fits at q0, not at 1e6
     ]
-    + [(command, {key: value}, key) for key, value, command in _VALUE_OVERFLOWS],
+    + [(command, {key: value}, key) for key, value, command in _VALUE_OVERFLOWS]
+    + [(command, {"market.s0": s0}, "market.s0") for command, s0 in _EULER_OVERFLOWS],
     ids=["q0_implied_gamma", "q0_grid", "q0_1e160_grid", "k_price", "k_decompose", "k_implied_gamma",
          "k_bp_price", "k_bp_decompose", "q_list_bp", "q_list_square", "q_list_s0", "q_list_psi"]
-    + [f"{key[7:]}_{value}_{command}" for key, value, command in _VALUE_OVERFLOWS],
+    + [f"{key[7:]}_{value}_{command}" for key, value, command in _VALUE_OVERFLOWS]
+    + [f"euler_s0_{s0}_{command}" for command, s0 in _EULER_OVERFLOWS],
 )
 def test_a_block_too_large_for_a_double_is_a_config_error_naming_its_key(tmp_path, capsys, command, values, key):
     text = set_keys(BASE_CONFIG, values)
@@ -706,6 +749,17 @@ def test_a_block_too_large_for_a_double_is_a_config_error_naming_its_key(tmp_pat
     error = json.loads(out.strip().splitlines()[-1])["error"]
     assert (code, error["type"], shown, err) == (1, "ConfigError", [], "")
     assert re.search(rf"failed checks: {re.escape(key)}$|: {re.escape(key)} entries", error["message"])
+
+
+def test_the_largest_price_whose_euler_wealth_fits_simulates_without_a_warning(tmp_path, capsys):
+    # q0 * s0 * 2 * n_steps * n_substeps / horizon is 1.6e308 at s0 = 4e298; every warning is an error here
+    out = tmp_path / "out"
+    text = set_keys(BASE_CONFIG, {"market.s0": "4e298"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_cli(capsys, "simulate", "--config", write_config(tmp_path, text), "--out-dir", str(out))
+    assert code == 0
+    assert json.loads((out / "simulation.json").read_text())["euler_gap"]["n_substeps"] == [4, 8]
 
 
 def test_grid_with_no_risk_writes_the_straight_lines(tmp_path, capsys):
@@ -747,8 +801,10 @@ def test_a_non_finite_grid_t_max_fails_before_any_solve(tmp_path, capsys, monkey
         (["0,1,,0", "0.5,0.5,7,0.1", "1,0,1,0.2"], "v on data row 1 is 7.0, but its q-step implies 1.0"),
         (["0,1,,0", "0.5,0.5,1", "1,0,1,0.2"], ":3: not enough values to unpack \\(expected 4, got 3\\)"),
         (["0,1,,0", "0.5,0.5,1,0.1", "1,zero,1,0.2"], ":4: could not convert string to float: 'zero'"),
+        (["0,1,,0", "0.5,0.5,1,0.1", "1.5,0,0.5,0.2"], ": non-uniform time grid"),
     ],
-    ids=["empty", "header_only", "two_rows", "nan_q", "inf_v", "inf_p", "nan_t", "v_not_q", "three_fields", "word"],
+    ids=["empty", "header_only", "two_rows", "nan_q", "inf_v", "inf_p", "nan_t", "v_not_q", "three_fields", "word",
+         "uneven"],
 )
 def test_read_trajectory_csv_rejects_a_short_or_non_finite_table(tmp_path, rows, message):
     path = tmp_path / "trajectory.csv"

@@ -199,25 +199,25 @@ def test_superquadratic_not_twice_differentiable_at_extinction():
 
 
 def test_theta_infinity_reference_values(reference_problem):
-    assert theta_infinity(reference_problem, 0.0) == 0.0
-    assert theta_infinity(reference_problem, 500_000.0) == pytest.approx(6915.0, rel=0.01)
+    assert theta_infinity(replace(reference_problem, q0=0.0)) == 0.0
+    assert theta_infinity(reference_problem) == pytest.approx(6915.0, rel=0.01)
     high = make_reference_problem(gamma=2e-6)
-    assert theta_infinity(high, 500_000.0) == pytest.approx(9087.0, rel=0.01)
+    assert theta_infinity(high) == pytest.approx(9087.0, rel=0.01)
     low = make_reference_problem(gamma=5e-7)
-    assert theta_infinity(low, 500_000.0) == pytest.approx(5263.0, rel=0.01)
+    assert theta_infinity(low) == pytest.approx(5263.0, rel=0.01)
 
 
 def test_theta_infinity_closed_form_versus_quadrature(reference_problem):
     for q in (1e3, 1e5, 1e6):
-        closed = theta_infinity(reference_problem, q)
-        quad = theta_infinity_quadrature(reference_problem, q)
+        closed = theta_infinity(replace(reference_problem, q0=q))
+        quad = theta_infinity_quadrature(replace(reference_problem, q0=q))
         assert closed == pytest.approx(quad, rel=1e-10)
 
 
 def test_theta_infinity_scaling_law(reference_problem):
     phi = reference_problem.cost.phi
     expo = (1 + 3 * phi) / (1 + phi)
-    ratios = [theta_infinity(reference_problem, q) / q**expo for q in (1e4, 1e5, 5e5, 2e6)]
+    ratios = [theta_infinity(replace(reference_problem, q0=q)) / q**expo for q in (1e4, 1e5, 5e5, 2e6)]
     for r in ratios[1:]:
         assert r == pytest.approx(ratios[0], rel=1e-9)
 
@@ -225,17 +225,17 @@ def test_theta_infinity_scaling_law(reference_problem):
 def test_theta_infinity_rejects_time_varying_volume(reference_problem):
     problem = replace(reference_problem, volume=PiecewiseLinearVolume(((0.0, 4e6), (1.0, 5e6))))
     with pytest.raises(ValueError):
-        theta_infinity(problem, 1e5)
+        theta_infinity(problem)
     with pytest.raises(ValueError):
-        theta_infinity(reference_problem, -1.0)
+        theta_infinity(replace(reference_problem, q0=-1.0))
 
 
 @pytest.mark.parametrize("q", [float("nan"), float("inf"), -1.0])
 @pytest.mark.parametrize("value", [theta_infinity, theta_infinity_quadrature])
 def test_theta_infinity_rejects_a_non_finite_or_negative_inventory(reference_problem, value, q):
     with pytest.raises(ValueError, match="q must be nonnegative and finite"):
-        value(reference_problem, q)
-    assert value(reference_problem, 0.0) == 0.0
+        value(replace(reference_problem, q0=q))
+    assert value(replace(reference_problem, q0=0.0)) == 0.0
 
 
 def test_theta_infinity_custom_cost_equals_power_law(reference_problem):
@@ -243,8 +243,8 @@ def test_theta_infinity_custom_cost_equals_power_law(reference_problem):
     custom = CustomCost(fn=lambda r: 0.02 * abs(r) ** 1.65, sample_bound=1e9)
     problem = replace(reference_problem, cost=custom)
     for q in (1e4, 5e5):
-        assert theta_infinity(problem, q) == pytest.approx(
-            theta_infinity(reference_problem, q), rel=1e-9
+        assert theta_infinity(replace(problem, q0=q)) == pytest.approx(
+            theta_infinity(replace(reference_problem, q0=q)), rel=1e-9
         )
 
 
@@ -253,9 +253,9 @@ def test_theta_infinity_quadrature_raises_on_a_cancelling_cost(reference_problem
     # same cost as 2 sinh(r / 2)**2 settles; its integral lies 4.7e-12 from a 30-digit one.
     cancelling = CustomCost(lambda r: 0.01 * (np.cosh(r / 50) - 1.0), 1e4)
     with pytest.raises(QuadratureError, match="tanh-sinh levels of steps"):
-        theta_infinity_quadrature(replace(reference_problem, cost=cancelling), 1e3)
+        theta_infinity_quadrature(replace(reference_problem, cost=cancelling, q0=1e3))
     stable = CustomCost(lambda r: 0.02 * np.sinh(r / 100) ** 2, 1e4)
-    assert theta_infinity_quadrature(replace(reference_problem, cost=stable), 1e3) == pytest.approx(
+    assert theta_infinity_quadrature(replace(reference_problem, cost=stable, q0=1e3)) == pytest.approx(
         2.2360682104234176e-4, rel=1e-10
     )
 

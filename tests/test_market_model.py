@@ -25,6 +25,14 @@ def test_validate_reference_problem_ok():
     assert report.ok, str(report)
 
 
+def test_a_validation_report_prints_a_line_per_check_with_its_status_and_detail():
+    report = validate(make_reference_problem(q0=-1.0))
+    lines = str(report).splitlines()
+    assert len(lines) == len(report.checks)
+    assert lines[0] == "FAIL problem.q0 (q0=-1.0)"
+    assert "ok   problem.horizon (horizon=1.0)" in lines and "ok   cost.increasing" in lines
+
+
 def test_validate_negative_eta_fails():
     problem = replace(make_reference_problem(), cost=PowerLawCost(eta=-1.0, phi=0.65))
     report = validate(problem)

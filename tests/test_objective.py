@@ -90,6 +90,14 @@ def test_cash_moments_requires_liquidation(reference_problem):
         cash_moments(reference_problem, traj)
 
 
+def test_cash_moments_requires_a_curve_from_time_zero(reference_problem):
+    grid = Grid(n_steps=10, t_start=0.5, t_end=1.0)
+    traj = Trajectory(grid=grid, q=np.linspace(reference_problem.q0, 0.0, 11), p=np.zeros(11))
+    with pytest.raises(ValueError, match="full-horizon trajectory must start at t=0"):
+        cash_moments(reference_problem, traj)
+    assert eval_I(reference_problem, traj) > 0.0  # the objective values a curve from any time
+
+
 def test_variance_bounded_by_worst_case(reference_problem):
     traj = newton_solve(reference_problem, SolveOptions(n_steps=500))
     dist = cash_moments(reference_problem, traj)

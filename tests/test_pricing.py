@@ -35,7 +35,7 @@ def test_price_finite_reference_decomposition(reference_problem):
 def test_price_zero_block(reference_problem):
     d = price_finite(replace(reference_problem, q0=0.0), OPTS)
     assert d.mtm == d.pmi == d.lec == d.necpr_T == d.price_T == 0.0
-    d_inf = price_infinite(reference_problem, q=0.0)
+    d_inf = price_infinite(replace(reference_problem, q0=0.0))
     assert d_inf.price_inf == 0.0
     assert d_inf.necpr_T is None
 
@@ -50,7 +50,7 @@ def test_closed_form_routes_refuse_time_varying_volume_before_any_solve(referenc
     with pytest.raises(ValueError, match="constant volume"):
         implied_gamma(problem, 24175.0 + 2000.0 + 6915.0)
     with pytest.raises(ValueError, match="constant volume"):
-        value_function.asymptotic_convergence(problem, 5e5, [0.5, 1.0])
+        value_function.asymptotic_convergence(problem, [0.5, 1.0])
 
 
 def test_price_infinite_low_gamma():
@@ -60,7 +60,7 @@ def test_price_infinite_low_gamma():
 
 
 def test_price_infinite_small_block(reference_problem):
-    d = price_infinite(reference_problem, q=250_000.0)
+    d = price_infinite(replace(reference_problem, q0=250_000.0))
     assert d.necpr_inf == pytest.approx(2003.0, rel=0.01)
     assert d.pmi == pytest.approx(7187.0, rel=0.01)
     assert d.lec == pytest.approx(1000.0, rel=1e-12)
@@ -70,9 +70,9 @@ def test_price_infinite_small_block(reference_problem):
 def test_a_non_finite_or_negative_block_is_refused(reference_problem, q):
     for price in (price_infinite, floor_parts):
         with pytest.raises(ValueError, match="q must be nonnegative and finite"):
-            price(reference_problem, q)
-    assert floor_parts(reference_problem, 0.0) == (0.0, 0.0)
-    assert price_infinite(reference_problem, 0.0).necpr_inf == 0.0
+            price(replace(reference_problem, q0=q))
+    assert floor_parts(replace(reference_problem, q0=0.0)) == (0.0, 0.0)
+    assert price_infinite(replace(reference_problem, q0=0.0)).necpr_inf == 0.0
 
 
 def test_premium_components_nonnegative(reference_problem):
@@ -147,7 +147,7 @@ def test_finite_route_never_computes_the_no_deadline_value(reference_problem, mo
 def test_premium_monotone_and_convex_in_block_size(reference_problem):
     qs = np.linspace(50_000.0, 1_500_000.0, 10)
     premiums = np.array(
-        [d.mtm - d.price_inf for d in (price_infinite(reference_problem, q=q) for q in qs)]
+        [d.mtm - d.price_inf for d in (price_infinite(replace(reference_problem, q0=q)) for q in qs)]
     )
     assert np.all(np.diff(premiums) >= 0)
     second = premiums[:-2] - 2 * premiums[1:-1] + premiums[2:]
@@ -159,7 +159,7 @@ def test_premium_nonincreasing_in_horizon(reference_problem):
     for T in (0.25, 0.5, 1.0, 2.0):
         problem = replace(reference_problem, horizon=T)
         values.append(eval_I(problem, newton_solve(problem, OPTS), psi=0.0))
-    floor = theta_infinity(reference_problem, 500_000.0)
+    floor = theta_infinity(reference_problem)
     assert all(a >= b - 1e-9 * abs(a) for a, b in zip(values, values[1:]))
     assert all(v >= floor - 1e-9 * floor for v in values)
 
@@ -167,7 +167,7 @@ def test_premium_nonincreasing_in_horizon(reference_problem):
 def test_premium_bp_superlinear_in_size(reference_problem):
     bps = []
     for q in (250_000.0, 500_000.0, 1_000_000.0):
-        d = price_infinite(reference_problem, q=q)
+        d = price_infinite(replace(reference_problem, q0=q))
         bps.append(d.premium_bp_inf)
     assert bps[0] < bps[1] < bps[2]
 
@@ -177,7 +177,7 @@ def test_necpr_inf_log_log_slope(reference_problem):
     expected = (1 + 3 * phi) / (1 + phi)
     q1, q2 = 1e5, 1e6
     slope = (
-        np.log(theta_infinity(reference_problem, q2) / theta_infinity(reference_problem, q1))
+        np.log(theta_infinity(replace(reference_problem, q0=q2)) / theta_infinity(replace(reference_problem, q0=q1)))
         / np.log(q2 / q1)
     )
     assert slope == pytest.approx(expected, abs=1e-6)

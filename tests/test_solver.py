@@ -187,6 +187,31 @@ def test_non_convergence_error_carries_residual(reference_problem):
     assert err.value.iterations == 1
 
 
+def without_risk(problem):
+    """``problem`` with gamma * sigma**2 underflowed to 0: p is constant along every curve that meets its recurrence."""
+    return replace(problem, market=replace(problem.market, sigma=1e-300))
+
+
+def test_a_solo_solve_from_a_price_without_curvature_fails_as_degenerate(reference_problem):
+    # the straight line's p = 0 holds all along, where H'' vanishes for phi < 1: no direction exists
+    with pytest.raises(NonConvergenceError, match="degenerate linearization") as err:
+        newton_solve(without_risk(reference_problem), SolveOptions(n_steps=50))
+    assert err.value.iterations == 0 and err.value.steps == ()
+
+
+def test_a_degenerate_member_leaves_the_block_and_its_blockmate_keeps_its_bits(reference_problem):
+    # member 0 starts on the straight line at p = 0, member 1 off its optimum at p < 0, where H'' > 0
+    problem, opts, q0 = without_risk(reference_problem), SolveOptions(n_steps=50), reference_problem.q0
+    x = np.linspace(0.0, 1.0, opts.n_steps + 1)
+    q_rows, p_starts = np.array([q0 * (1.0 - x), 0.5 * q0 * (1.0 - x) ** 2]), np.array([0.0, -0.02])
+    degenerate, converged = solve_batch(problem, [0.0, 0.5], [q0, 0.5 * q0], opts, (q_rows, p_starts))
+    assert isinstance(degenerate, NonConvergenceError) and "degenerate linearization" in str(degenerate)
+    assert degenerate.iterations == 0
+    assert converged.iterations > 0 and converged.max_residual <= 1e-10 * 0.5 * q0
+    assert np.allclose(converged.q, 0.5 * q0 * (1.0 - x), rtol=0.0, atol=1e-9 * q0)  # no risk: the straight line
+    assert_same_outcome(converged, solve_batch(problem, [0.5], [0.5 * q0], opts, (q_rows[1:], p_starts[1:]))[0])
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_start_extrapolates_a_polynomial_in_inventory(m):
     # the start of a value-surface cell is a base curve plus the deviations
@@ -988,6 +1013,21 @@ def test_solve_options_take_integer_counts_only(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         SolveOptions(**{field: value})
     assert getattr(SolveOptions(**{field: np.int64(100)}), field) == 100
+
+
+@pytest.mark.parametrize(
+    "n_steps, t_start, t_end, message",
+    [(1, 0.0, 1.0, "n_steps must be at least 2"), (10, 0.5, 0.5, "t_end must exceed"), (10, 0.5, 0.25, "t_end must exceed")],
+)
+def test_a_grid_needs_two_cells_on_a_window_forward_in_time(n_steps, t_start, t_end, message):
+    with pytest.raises(ValueError, match=message):
+        Grid(n_steps=n_steps, t_start=t_start, t_end=t_end)
+
+
+def test_solve_options_allow_one_iteration_and_no_fewer():
+    assert SolveOptions(max_iter=1).max_iter == 1
+    with pytest.raises(ValueError, match="max_iter must be positive"):
+        SolveOptions(max_iter=0)
 
 
 def test_step_count_is_bounded():

@@ -110,7 +110,7 @@ def test_build_grid_rejects_an_empty_axis_unsolved(reference_problem, axis, monk
         build_grid(reference_problem, nodes["t_nodes"], nodes["q_nodes"], OPTS)
 
 
-@pytest.mark.parametrize("horizons", [[], [np.nan, 1.0], [0.0, 1.0], [-1.0, 1.0], [1.0, np.inf]])
+@pytest.mark.parametrize("horizons", [[], [np.nan, 1.0], [0.0, 1.0], [-1.0, 1.0], [1.0, np.inf], [1.0, 0.5]])
 def test_asymptotic_convergence_rejects_invalid_horizons_unsolved(reference_problem, horizons, monkeypatch):
     # before, these raised IndexError, an accidental ValueError from math.ceil and ZeroDivisionError
     def no_solve(*args):
@@ -118,7 +118,7 @@ def test_asymptotic_convergence_rejects_invalid_horizons_unsolved(reference_prob
 
     monkeypatch.setattr(value_function, "newton_solve", no_solve)
     with pytest.raises(ValueError, match="horizons"):
-        asymptotic_convergence(reference_problem, 1e5, horizons)
+        asymptotic_convergence(reference_problem, horizons)
 
 
 def test_failed_cells_are_masked(reference_problem):
@@ -211,14 +211,14 @@ def test_failed_cells_violate_every_check_that_reads_them(reference_problem):
         assert check.checked and not check.passed and check.violations > 0 and check.worst == 0.0
 
 
-def test_single_column_grid_checks_degrade(reference_problem):
-    grid = build_grid(reference_problem, [0.0, 0.3, 0.6], [2e5], OPTS)
-    report = check_structure(grid)
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["monotone_t"].checked
-    assert by_name["singularity_bound"].checked
-    assert not by_name["monotone_q"].checked
-    assert not by_name["convex_q"].checked
+@pytest.mark.parametrize(
+    "t_nodes, q_nodes, unchecked",
+    [([0.0, 0.3, 0.6], [2e5], {"monotone_q", "convex_q"}), ([0.3], [0.0, 1e5, 2e5], {"monotone_t"})],
+    ids=["one_column", "one_t_node"],
+)
+def test_a_grid_of_one_column_or_one_t_node_skips_the_checks_it_cannot_make(reference_problem, t_nodes, q_nodes, unchecked):
+    report = check_structure(build_grid(reference_problem, t_nodes, q_nodes, OPTS))
+    assert {c.name for c in report.checks if not c.checked} == unchecked
     assert report.ok
 
 
@@ -279,17 +279,15 @@ def test_the_singularity_bound_flags_a_cell_planted_just_below_it(reference_prob
 
 
 def test_asymptotic_convergence_reference(reference_problem):
-    result = asymptotic_convergence(
-        reference_problem, 500_000.0, [0.5, 1.0, 2.0, 5.0], SolveOptions(n_steps=1000)
-    )
+    result = asymptotic_convergence(reference_problem, [0.5, 1.0, 2.0, 5.0], SolveOptions(n_steps=1000))
     assert np.all(np.diff(result.values) <= 1e-8 * result.values[0])
-    assert result.limit == pytest.approx(theta_infinity(reference_problem, 500_000.0), rel=1e-14)
+    assert result.limit == pytest.approx(theta_infinity(reference_problem), rel=1e-14)
     assert abs(result.gaps[-1]) / result.limit < 0.01
     assert np.all(result.gaps >= -1e-8 * result.limit)
 
 
 def test_asymptotic_convergence_zero_inventory(reference_problem):
-    result = asymptotic_convergence(reference_problem, 0.0, [0.5, 1.0], SolveOptions(n_steps=200))
+    result = asymptotic_convergence(replace(reference_problem, q0=0.0), [0.5, 1.0], SolveOptions(n_steps=200))
     assert np.all(result.values == 0.0)
     assert result.limit == 0.0
 
@@ -354,7 +352,7 @@ def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, mo
 def matched_curve(problem, t_node, n_steps):
     """The writer of one t-node's matched curve: ``write(q_hat)`` returns the curve (J+1,) and its p[0]."""
     node = np.array([t_node])
-    write = value_function._matched_curves(problem, node, Workspace(problem, node, n_steps))
+    write = value_function._matched_curves(problem, Workspace(problem, node, n_steps))
 
     def curve(q_hat):
         q, scratch = np.empty((2, 1, n_steps + 1))
@@ -465,7 +463,7 @@ def test_matched_curve_is_the_almgren_chriss_curve_for_a_quadratic_cost(quadrati
     work = Workspace(quadratic_problem, t_nodes, n_steps)
     curves, scratch = np.empty((2, len(t_nodes), n_steps + 1))
     for q_hat in (1e3, 2.5e5, 2e6):
-        value_function._matched_curves(quadratic_problem, t_nodes, work)(q_hat, curves, scratch)
+        value_function._matched_curves(quadratic_problem, work)(q_hat, curves, scratch)
         for t, curve, grid in zip(t_nodes, curves, work.grids):
             rest = replace(quadratic_problem, q0=q_hat, horizon=quadratic_problem.horizon - t)
             exact = ac_trajectory(rest, grid.times - t)
@@ -591,7 +589,7 @@ def test_grid_and_step_sizes_are_bounded(reference_problem, monkeypatch):
         build_grid(reference_problem, too_many, [0.0, 1e5], OPTS)
     # the last horizon would need 2e6 steps at the first one's resolution
     with pytest.raises(ValueError, match="n_steps"):
-        asymptotic_convergence(reference_problem, 1e5, [1e-6, 1.0], SolveOptions(n_steps=2))
+        asymptotic_convergence(reference_problem, [1e-6, 1.0], SolveOptions(n_steps=2))
     assert MAX_STEPS < 2_000_000
 
 
