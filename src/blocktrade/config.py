@@ -235,8 +235,10 @@ def parse_config(path: str, overrides=()) -> RunConfig:
         for entry in entries:
             _judge(replace(problem, **{field: entry}), f"{path}: {key} entries: {entry}")
     # bounds simulate's sum v_i s_i at twice mc.n_substeps (the speeds sum to q0 / tau, and no price exceeds s0)
-    if not problem.q0 * problem.market.s0 * 2 * solve.n_steps * mc.n_substeps / problem.horizon < math.inf:
-        raise ConfigError(f"{path}: q0 * s0 * 2 * n_steps * n_substeps / horizon overflows, failed checks: market.s0")
+    wealth = problem.q0 * problem.market.s0 * 2 * solve.n_steps * mc.n_substeps
+    if not wealth / problem.horizon < math.inf:  # the horizon fails where only the division by it overflows
+        key = "market.s0" if wealth == math.inf else "problem.horizon"
+        raise ConfigError(f"{path}: q0 * s0 * 2 * n_steps * n_substeps / horizon overflows, failed checks: {key}")
     for key in ("price.quoted_premium", "grid.t_max"):
         if not math.isfinite(pairs.get(key, 0.0)):
             raise ConfigError(f"{path}: {key} must be finite, got {pairs[key]}")

@@ -51,13 +51,18 @@ result is bit for bit what the block direction gives it alone from the same
 start: its blockmates never affect it, and it keeps that direction when it
 shrinks to one member. ``_start`` writes every member's starting curve into
 the block's rows at once: the curve the caller hands it (``build_grid`` hands
-each cell its own), or else the straight line from q_hat to zero. Members
-leave as they converge or fail, and a failing member never stops the others;
-the block returns each member's ``Trajectory``, on the caller's q and p rows
-that its converged curve is copied to, or its ``NonConvergenceError``. The
-loop's arrays live in a ``_Workspace``, which also holds the members' grids.
+each cell its own, built on ``_matched_curves``), or else the straight line
+from q_hat to zero. Members leave as they converge or fail, and a failing
+member never stops the others; the block returns each member's
+``Trajectory``, on the caller's q and p rows that its converged curve is
+copied to, or its ``NonConvergenceError``. The loop's arrays live in a
+``_Workspace``, which also holds the members' grids.
 ``newton_solve`` and ``solve_from`` are one-member blocks from the straight
-line, the only solves that shoot, and raise the error or return the trajectory.
+line, the only solves that shoot. One whose shooting fails is solved once more
+in the same workspace, as a block of one from its matched Almgren-Chriss curve
+(``_matched_curves``), which takes the Hessian direction and clears the
+p-defect shooting leaves. Each attempt runs up to ``max_iter`` iterations, and
+either result holds the history, steps and no_descent of both attempts.
 """
 
 from __future__ import annotations
@@ -68,12 +73,13 @@ import importlib.util
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .legendre import hamiltonian_of
+from .closed_forms import _ac_curve
+from .legendre import _cost_slope, hamiltonian_of
 from .market_model import LiquidationProblem
 
 __all__ = [
@@ -102,11 +108,14 @@ class NonConvergenceError(RuntimeError):
     """
 
     def __init__(self, message: str, max_residual: float, history: tuple, no_descent: int, steps: tuple):
-        super().__init__(f"{message} (residual {max_residual:.3e} after {len(history)} iterations)")
+        super().__init__(message)
         self.max_residual = max_residual
         self.history = history
         self.no_descent = no_descent
         self.steps = steps
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (residual {self.max_residual:.3e} after {len(self.history)} iterations)"
 
     @property
     def iterations(self) -> int:
@@ -244,6 +253,36 @@ def _start(b, q_start, q, p, start=None):
         q[:], p0 = start
     q[:, 0], q[:, -1] = q_start, 0.0
     _p_recurrence(q, p0, b, p)
+
+
+def _matched_curves(problem: LiquidationProblem, work):
+    """The writer of the Almgren-Chriss curve from q_hat of each t-node of ``work``, matched at its mean rate.
+
+    With S the time left and V the mean cell volume of a t-node,
+    kappa**2 = gamma * sigma**2 * V * H''(p) at the price p = -L'(q_hat / (S V))
+    of the mean rate: for phi = 1 and a constant volume, the exact curve of
+    the quadratic cost. ``write(q_hat, out, scratch)`` writes the curves to
+    ``out``, a row per t-node, with ``scratch`` for the second exponent of
+    ``closed_forms._ac_curve``, and returns their p[0]: the price whose
+    p-recurrence along the curve ends at -L' of its last-cell rate. The
+    end is where the price is smallest, so a relative error there costs Newton
+    the most: p[0] at -L' of the first-cell rate missed that end by 6.5 times
+    its size at T = 5, and took more iterations than the predictor of the
+    curves themselves in 153 cells of the 32 grids named in
+    ``value_function.build_grid``.
+    """
+    ham, cost = hamiltonian_of(problem.cost), problem.cost
+    left, mean_vol = np.array([grid.t_end - grid.t_start for grid in work.grids]), work.vol.mean(axis=1)
+    mean_volume, risk = left * mean_vol, problem.market.gamma * problem.market.sigma**2 * mean_vol
+    last_cell, x = work.tau * work.vol[:, -1], np.arange(work.vol.shape[1] + 1) / work.vol.shape[1]
+
+    def write(q_hat, out, scratch):
+        price = -_cost_slope(cost, q_hat / mean_volume)
+        _ac_curve(q_hat, left * np.sqrt(risk * ham.curvature(price)), x, out, scratch)
+        out[:, 0], out[:, -1] = q_hat, 0.0
+        return -_cost_slope(cost, out[:, -2] / last_cell) - work.b * out[:, 1:].sum(axis=1)
+
+    return write
 
 
 def _p_recurrence(q, p0, b, p):
@@ -614,9 +653,15 @@ def _solve_batch(
 
 def _solve_one(problem: LiquidationProblem, t_start: float, q_start: float, opts: SolveOptions) -> Trajectory:
     q, p = np.empty((2, 1, opts.n_steps + 1))
-    (result,) = _solve_batch(problem, _Workspace(problem, [t_start], opts.n_steps), [q_start], opts, q, p)
-    if isinstance(result, NonConvergenceError):
-        raise result
+    work = _Workspace(problem, [t_start], opts.n_steps)
+    (result,) = _solve_batch(problem, work, [q_start], opts, q, p)
+    if isinstance(result, NonConvergenceError):  # shooting failed: once more, as a block of one from the matched curve
+        p0 = _matched_curves(problem, work)(q_start, q, p)
+        shot, (result,) = result, _solve_batch(problem, work, [q_start], opts, q, p, (q, p0))
+        trail = {name: getattr(shot, name) + getattr(result, name) for name in ("history", "steps", "no_descent")}
+        if isinstance(result, Trajectory):
+            return replace(result, **trail)
+        raise NonConvergenceError(result.args[0], result.max_residual, **trail)
     return result
 
 

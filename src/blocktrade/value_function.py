@@ -22,11 +22,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closed_forms import _ac_curve, theta_infinity
-from .legendre import SingularCurvatureError, _cost_slope, hamiltonian_of
+from .closed_forms import theta_infinity
+from .legendre import SingularCurvatureError, hamiltonian_of
 from .market_model import LiquidationProblem, PowerLawCost
 from .objective import _objective, eval_I
-from .solver import NonConvergenceError, SolveOptions, _solve_batch, _Workspace, newton_solve
+from .solver import NonConvergenceError, SolveOptions, _matched_curves, _solve_batch, _Workspace, newton_solve
 
 __all__ = [
     "GridWorkerError",
@@ -289,35 +289,6 @@ def _fork_over(solve, groups, workers):
     for status in statuses:
         if status != 0:
             raise GridWorkerError(f"a grid worker exited with status {status}")
-
-
-def _matched_curves(problem: LiquidationProblem, work):
-    """The writer of the Almgren-Chriss curve from q_hat of each t-node of ``work``, matched at its mean rate.
-
-    With S the time left and V the mean cell volume of a t-node,
-    kappa**2 = gamma * sigma**2 * V * H''(p) at the price p = -L'(q_hat / (S V))
-    of the mean rate: for phi = 1 and a constant volume, the exact curve of
-    the quadratic cost. ``write(q_hat, out, scratch)`` writes the curves to
-    ``out``, a row per t-node, with ``scratch`` for the second exponent of
-    ``closed_forms._ac_curve``, and returns their p[0]: the price whose
-    p-recurrence along the curve ends at -L' of its last-cell rate. The
-    end is where the price is smallest, so a relative error there costs Newton
-    the most: p[0] at -L' of the first-cell rate missed that end by 6.5 times
-    its size at T = 5, and took more iterations than the predictor of the
-    curves themselves in 153 cells of the 32 grids named in ``build_grid``.
-    """
-    ham, cost = hamiltonian_of(problem.cost), problem.cost
-    left, mean_vol = np.array([grid.t_end - grid.t_start for grid in work.grids]), work.vol.mean(axis=1)
-    mean_volume, risk = left * mean_vol, problem.market.gamma * problem.market.sigma**2 * mean_vol
-    last_cell, x = work.tau * work.vol[:, -1], np.arange(work.vol.shape[1] + 1) / work.vol.shape[1]
-
-    def write(q_hat, out, scratch):
-        price = -_cost_slope(cost, q_hat / mean_volume)
-        _ac_curve(q_hat, left * np.sqrt(risk * ham.curvature(price)), x, out, scratch)
-        out[:, 0], out[:, -1] = q_hat, 0.0
-        return -_cost_slope(cost, out[:, -2] / last_cell) - work.b * out[:, 1:].sum(axis=1)
-
-    return write
 
 
 def _weights(depth: int, s: float) -> np.ndarray:

@@ -715,6 +715,8 @@ _VALUE_OVERFLOWS = [
 # q0 * s0 fits, and the sum of v_i s_i in the Euler wealth does not: simulate warned of an overflow in matmul, then
 # answered a plain ValueError from json (at 6e298 only the law at twice mc.n_substeps overflowed)
 _EULER_OVERFLOWS = [(command, s0) for s0 in ("6e298", "1e299", "1e300") for command in ("price", "simulate")]
+# q0 * s0 * 2 * n_steps * n_substeps fits, and only the division by the horizon 1e-300 overflows: the horizon fails
+_TINY_HORIZON = ("solve", "grid", "simulate")
 
 
 @pytest.mark.parametrize(
@@ -734,11 +736,13 @@ _EULER_OVERFLOWS = [(command, s0) for s0 in ("6e298", "1e299", "1e300") for comm
         ("decompose", {"market.psi": "3e298"}, "price.q_list"),  # the LEC in basis points fits at q0, not at 1e6
     ]
     + [(command, {key: value}, key) for key, value, command in _VALUE_OVERFLOWS]
-    + [(command, {"market.s0": s0}, "market.s0") for command, s0 in _EULER_OVERFLOWS],
+    + [(command, {"market.s0": s0}, "market.s0") for command, s0 in _EULER_OVERFLOWS]
+    + [(command, {"problem.horizon": "1e-300"}, "problem.horizon") for command in _TINY_HORIZON],
     ids=["q0_implied_gamma", "q0_grid", "q0_1e160_grid", "k_price", "k_decompose", "k_implied_gamma",
          "k_bp_price", "k_bp_decompose", "q_list_bp", "q_list_square", "q_list_s0", "q_list_psi"]
     + [f"{key[7:]}_{value}_{command}" for key, value, command in _VALUE_OVERFLOWS]
-    + [f"euler_s0_{s0}_{command}" for command, s0 in _EULER_OVERFLOWS],
+    + [f"euler_s0_{s0}_{command}" for command, s0 in _EULER_OVERFLOWS]
+    + [f"euler_horizon_{command}" for command in _TINY_HORIZON],
 )
 def test_a_block_too_large_for_a_double_is_a_config_error_naming_its_key(tmp_path, capsys, command, values, key):
     text = set_keys(BASE_CONFIG, values)
@@ -773,6 +777,22 @@ def test_grid_with_no_risk_writes_the_straight_lines(tmp_path, capsys):
     # with no risk the straight line is the optimum, and every matched curve is one already
     assert report["newton_iterations"]["total"] == 0
     assert report["structure_ok"] is True
+
+
+@pytest.mark.parametrize("key", ["market.sigma", "market.gamma"])
+@pytest.mark.parametrize("command", ["solve", "price", "decompose", "simulate"])
+def test_a_single_solve_with_no_risk_writes_its_artifacts_without_a_warning(tmp_path, capsys, command, key):
+    # shooting fails here: a degenerate linearization at sigma = 1e-300, where gamma * sigma**2 underflows
+    # to 0, and a stall at residual 6.5e199 at gamma = 1e-300; the retry from the matched curve converges
+    out = tmp_path / "out"
+    text = set_keys(BASE_CONFIG, {key: "1e-300"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", write_config(tmp_path, text), "--out-dir", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert (code, stderr) == (0, "")
+    artifacts = json.loads(stdout.strip().splitlines()[-1])["artifacts"]
+    assert artifacts and all(os.path.isfile(path) for path in artifacts.values())
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -1,8 +1,11 @@
 import hashlib
 import importlib.util
 import os
+from dataclasses import replace
 
 from blocktrade.config import parse_config
+from blocktrade.solver import NonConvergenceError, newton_solve
+from conftest import solve_batch
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "pool_digest.py")
 
@@ -14,6 +17,10 @@ def load_tool():
     return module
 
 
+def halvings(solve):
+    return sum(step < 1.0 for step in solve.steps)
+
+
 def test_the_desk_digest_repeats_counts_the_pinned_failure_and_meets_the_stored_necprs(monkeypatch):
     # tools/pool_digest.py solves all 1201 requests (seconds); here the first drawn one and the pinned one
     tool = load_tool()
@@ -22,10 +29,29 @@ def test_the_desk_digest_repeats_counts_the_pinned_failure_and_meets_the_stored_
     assert small["requests"][-1]["pinned"]
     monkeypatch.setattr(tool, "_load", lambda name: small)
     cfg = parse_config(tool.CONFIG)
+    opts = replace(cfg.solve, n_steps=pool["n_steps"])
+    first, pinned = (tool.problem_of(cfg, request) for request in small["requests"])
     digests = hashlib.sha256(), hashlib.sha256()
-    (converged, failed, worst), again = (tool.desk(digest, cfg) for digest in digests)
-    assert converged["requests"] == 1 and worst < 1e-9
-    # the pinned request's exact work: every iteration, halving and least-bad step it takes before it fails
-    assert failed == {"requests": 1, "iterations": 50, "halvings": 35, "no_descent": 36}
-    assert again == (converged, failed, worst)
+    (converged, failed, worst, calls), again = (tool.desk(digest, cfg) for digest in digests)
+    assert worst < 1e-9 and failed["requests"] == 0
+    # the pinned request's shooting attempt fails: every iteration, halving and least-bad step it takes
+    with tool.counting_calls("_propagate", "_direction_by_banded") as shooting:
+        (shot,) = solve_batch(pinned, [0.0], [pinned.q0], opts)
+        alone = newton_solve(first, opts)
+    assert isinstance(shot, NonConvergenceError)
+    assert (shot.iterations, halvings(shot), shot.no_descent) == (50, 35, 36)
+    # its retry converges in 5 full steps: both requests converge, and the work counts both attempts
+    assert converged == {
+        "requests": 2,
+        "iterations": alone.iterations + 55,
+        "halvings": halvings(alone) + 35,
+        "no_descent": alone.no_descent + 36,
+    }
+    # one retry, which neither shoots nor falls back to dgtsv
+    assert calls == {
+        "shooting kernels": shooting["_propagate"],
+        "dgtsv fallbacks": shooting["_direction_by_banded"],
+        "block retries": 1,
+    }
+    assert again == (converged, failed, worst, calls)
     assert digests[0].hexdigest() == digests[1].hexdigest()

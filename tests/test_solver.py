@@ -181,10 +181,16 @@ def test_newton_beats_linear_liquidation(reference_problem):
 
 
 def test_non_convergence_error_carries_residual(reference_problem):
-    with pytest.raises(NonConvergenceError) as err:
-        newton_solve(reference_problem, SolveOptions(n_steps=300, max_iter=1))
-    assert err.value.max_residual > 0
-    assert err.value.iterations == 1
+    opts = SolveOptions(n_steps=300, max_iter=1)
+    shot = solo(reference_problem, 0.0, reference_problem.q0, opts)
+    assert isinstance(shot, NonConvergenceError)
+    assert shot.max_residual > 0
+    assert shot.iterations == 1
+    # the retry from the matched curve gets max_iter iterations of its own, and its error carries both attempts
+    with pytest.raises(NonConvergenceError, match="after 2 iterations") as err:
+        newton_solve(reference_problem, opts)
+    assert err.value.iterations == 2 and err.value.history[:1] == shot.history
+    assert 0 < err.value.max_residual == err.value.history[-1] < shot.max_residual
 
 
 def without_risk(problem):
@@ -194,9 +200,14 @@ def without_risk(problem):
 
 def test_a_solo_solve_from_a_price_without_curvature_fails_as_degenerate(reference_problem):
     # the straight line's p = 0 holds all along, where H'' vanishes for phi < 1: no direction exists
-    with pytest.raises(NonConvergenceError, match="degenerate linearization") as err:
-        newton_solve(without_risk(reference_problem), SolveOptions(n_steps=50))
-    assert err.value.iterations == 0 and err.value.steps == ()
+    problem, opts = without_risk(reference_problem), SolveOptions(n_steps=50)
+    shot = solo(problem, 0.0, problem.q0, opts)
+    assert isinstance(shot, NonConvergenceError) and "degenerate linearization" in str(shot)
+    assert shot.iterations == 0 and shot.steps == ()
+    # the retry starts on the matched curve, here the straight line at the price of its rate, where H'' > 0
+    traj = newton_solve(problem, opts)
+    assert traj.iterations == 0 and traj.max_residual <= 1e-10 * problem.q0
+    assert np.allclose(traj.q, problem.q0 * np.linspace(1.0, 0.0, opts.n_steps + 1), rtol=0.0, atol=1e-9 * problem.q0)
 
 
 def test_a_degenerate_member_leaves_the_block_and_its_blockmate_keeps_its_bits(reference_problem):
@@ -426,10 +437,9 @@ def assert_same_outcome(batched, alone):
 
 
 def solo(problem, t, q, opts):
-    try:
-        return solve_from(problem, t, q, opts)
-    except NonConvergenceError as exc:
-        return exc
+    """The shooting attempt of ``solve_from`` alone: one member from the straight line, without the retry."""
+    (result,) = solve_batch(problem, [t], [q], opts)
+    return result
 
 
 def solo_by_block_direction(problem, t, q, opts):
@@ -714,13 +724,17 @@ def test_long_horizon_batch_takes_the_fallback_and_matches_solo_solves(monkeypat
 
 def test_history_and_least_bad_steps_explain_a_stall():
     # shooting's rounding noise keeps this request above the default tolerance
-    problem = make_reference_problem(gamma=7.16e-6, q0=2.92e5, horizon=1.0)
-    with pytest.raises(NonConvergenceError, match="stalled") as info:
-        newton_solve(problem, SolveOptions(n_steps=1000))
-    err = info.value
+    problem, opts = make_reference_problem(gamma=7.16e-6, q0=2.92e5, horizon=1.0), SolveOptions(n_steps=1000)
+    err = solo(problem, 0.0, problem.q0, opts)
+    assert isinstance(err, NonConvergenceError) and "stalled" in str(err)
     assert len(err.history) == err.iterations == 50
     assert err.history[-1] == err.max_residual > 1e-10 * problem.q0
     assert err.no_descent == 36
+    # the retry from the matched curve converges in 5 full steps, and the trajectory keeps both attempts' record
+    traj = newton_solve(problem, opts)
+    assert traj.history[:50] == err.history and traj.steps[:50] == err.steps
+    assert (traj.iterations, traj.steps[50:], traj.no_descent) == (55, (1.0,) * 5, 36)
+    assert traj.history[-1] == traj.max_residual <= 1e-10 * problem.q0
 
 
 def test_steps_record_the_step_each_iteration_took(monkeypatch):
@@ -734,9 +748,8 @@ def test_steps_record_the_step_each_iteration_took(monkeypatch):
         return candidate(self, ham, alpha, dq, dp)
 
     monkeypatch.setattr(solver._Block, "candidate", logged)
-    with pytest.raises(NonConvergenceError) as info:
-        newton_solve(problem, SolveOptions(n_steps=1000))
-    err = info.value
+    err = solo(problem, 0.0, problem.q0, SolveOptions(n_steps=1000))
+    assert isinstance(err, NonConvergenceError)
     # each iteration first tries alpha = 1.0; a least-bad step is re-evaluated as an array
     starts = [i for i, alpha in enumerate(tried) if type(alpha) is float and alpha == 1.0]
     searches = [tried[a:b] for a, b in zip(starts, starts[1:] + [len(tried)])]
@@ -746,6 +759,10 @@ def test_steps_record_the_step_each_iteration_took(monkeypatch):
             assert step == 1.0
         assert step == float(np.squeeze(search[-1]))
     assert min(err.steps) < 1.0 and sum(type(s[-1]) is not float for s in searches) == err.no_descent
+    # newton_solve repeats those searches, then the retry's: five full steps, recorded after the shooting ones
+    shooting = len(tried)
+    retried = newton_solve(problem, SolveOptions(n_steps=1000))
+    assert tried[2 * shooting :] == [1.0] * 5 and retried.steps == err.steps + (1.0,) * 5
 
     traj = newton_solve(make_quadratic_problem(), SolveOptions(n_steps=200))
     assert traj.steps == (1.0,) * traj.iterations
@@ -871,30 +888,36 @@ def test_one_search_takes_a_full_a_halved_and_a_least_bad_step_each_with_its_sol
         assert all(np.array_equal(a, b) for a, b in zip(block_rows, alone_rows))
 
 
-def test_a_member_without_a_finite_candidate_fails_alone(reference_problem, monkeypatch):
-    # member 1's first direction is NaN: no step length gives it a finite residual, so it leaves
-    # with its starting residual, and the others keep their solo bits
+@pytest.mark.parametrize(
+    "starts, poisoned", [([(0.0, 5e5), (0.5, 5e5), (0.2, 1e5)], 1), ([(0.5, 5e5)], 0)], ids=["blockmates", "lone"]
+)
+def test_a_member_without_a_finite_candidate_fails_alone(reference_problem, monkeypatch, starts, poisoned):
+    # the poisoned member's first direction is NaN: no step length gives it a finite residual, so it
+    # leaves with its starting residual, and the others keep their solo bits; a lone member ends the
+    # loop. Each member is handed the straight line, so a lone one takes the block direction too
     opts = SolveOptions(n_steps=200)
-    starts = [(0.0, 5e5), (0.5, 5e5), (0.2, 1e5)]
+    lines = [straight_line(reference_problem, t, q, opts.n_steps) for t, q in starts]
+    start = np.concatenate([q for q, _ in lines]), np.concatenate([p0 for _, p0 in lines])
     newton_direction, calls = solver._newton_direction, []
 
-    def poisoned(c, e, *rest):
+    def poison(c, e, *rest):
         dq, dp, singular = newton_direction(c, e, *rest)
         if not calls:
-            dq[1] = np.nan
+            dq[poisoned] = np.nan
         calls.append(len(c))
         return dq, dp, singular
 
-    monkeypatch.setattr(solver, "_newton_direction", poisoned)
-    batched = solve_batch(reference_problem, *zip(*starts), opts)
+    monkeypatch.setattr(solver, "_newton_direction", poison)
+    batched = solve_batch(reference_problem, *zip(*starts), opts, start)
     monkeypatch.undo()
-    assert calls[:2] == [3, 2]
-    failed = batched[1]
+    assert calls[:2] == ([3, 2] if len(starts) > 1 else [1])
+    failed = batched[poisoned]
     assert isinstance(failed, NonConvergenceError) and "line search found no finite candidate" in str(failed)
     assert (failed.iterations, failed.history, failed.steps, failed.no_descent) == (0, (), (), 0)
-    guess = initial_guess(reference_problem, Grid(opts.n_steps, 0.5, reference_problem.horizon), 5e5)
+    t, q = starts[poisoned]
+    guess = initial_guess(reference_problem, Grid(opts.n_steps, t, reference_problem.horizon), q)
     assert failed.max_residual == discrete_residual(reference_problem, guess).max_abs
-    for member in (0, 2):
+    for member in set(range(len(starts))) - {poisoned}:
         assert_same_outcome(batched[member], solo_by_block_direction(reference_problem, *starts[member], opts))
 
 
@@ -1176,6 +1199,55 @@ def tight_solve(problem, t_start, q_start, n_steps):
     first, second = solve_batch(problem, [t_start] * 2, [q_start] * 2, opts)
     assert isinstance(first, Trajectory) and np.array_equal(first.q, second.q)
     return first
+
+
+def sweep_draw(seed):
+    """The reference problem with a power-law cost and a constant volume, and a step count: T, gamma, q0, the
+    volume, eta and n drawn log-uniform and phi uniform over the sweep ranges, by a generator seeded ``seed``."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+    horizon, gamma, q0 = log_uniform(0.05, 20.0), log_uniform(1e-7, 1e-5), log_uniform(5e4, 2e6)
+    phi = float(rng.uniform(0.3, 1.0))
+    rate, eta, n = log_uniform(1e6, 2e7), log_uniform(1e-3, 1.0), round(log_uniform(50, 3000))
+    problem = make_reference_problem(gamma=gamma, q0=q0, horizon=horizon)
+    return replace(problem, cost=PowerLawCost(eta, phi), volume=ConstantVolume(rate)), n
+
+
+RETRIED = [  # (problem, n): shooting fails on each, and the retry from the matched curve converges
+    (make_reference_problem(gamma=7.16e-6, q0=2.92e5, horizon=1.0), 1000),  # the desk workload's pinned request
+    (make_reference_problem(gamma=2.25e-6, q0=5.09e5, horizon=1.84), 500),  # a stall of a random scan
+    (without_risk(make_reference_problem()), 1000),  # degenerate linearization
+    (make_reference_problem(gamma=1e-300), 1000),  # a stall at residual 6.5e199
+]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=st.integers(0, 2**32 - 1).map(sweep_draw))
+@example(case=RETRIED[0])
+@example(case=RETRIED[1])
+@example(case=RETRIED[2])
+@example(case=RETRIED[3])
+def test_every_solo_solve_converges_across_the_sweep_ranges(case):
+    problem, n = case
+    traj = newton_solve(problem, SolveOptions(n_steps=n))
+    assert traj.max_residual <= 1e-10 * problem.q0
+
+
+@pytest.mark.parametrize("problem, n", RETRIED, ids=["pinned", "stall", "sigma_1e-300", "gamma_1e-300"])
+def test_a_retried_solo_solve_prices_the_discrete_minimizer(problem, n):
+    opts = SolveOptions(n_steps=n)
+    (shot,) = solve_batch(problem, [0.0], [problem.q0], opts)
+    assert isinstance(shot, NonConvergenceError)
+    traj = newton_solve(problem, opts)
+    assert traj.iterations >= shot.iterations and traj.history[: shot.iterations] == shot.history
+    # with gamma * sigma**2 at 0 or 2.5e-301 the straight line is the minimizer; tight_solve, a block from it
+    # where H''(0) = 0, fails there as shooting does
+    risk_free = problem.market.gamma * problem.market.sigma**2 < 1e-200
+    exact = linear_trajectory(problem, n) if risk_free else tight_solve(problem, 0.0, problem.q0, n)
+    assert eval_I(problem, traj, psi=0.0) == pytest.approx(eval_I(problem, exact, psi=0.0), rel=1e-12, abs=0.0)
 
 
 def test_a_least_bad_step_rescues_a_solo_solve_to_the_discrete_minimizer():

@@ -293,18 +293,18 @@ def test_asymptotic_convergence_zero_inventory(reference_problem):
 
 
 def solve_from_loop(problem, t_nodes, q_nodes, opts):
-    """Values, failure mask and iteration counts of one ``solve_from`` per cell."""
+    """Values, failure mask and iteration counts of the shooting attempt of one ``solve_from`` per cell."""
     values = np.zeros((len(t_nodes), len(q_nodes)))
     failed = np.zeros_like(values, dtype=bool)
     iterations = np.zeros_like(values, dtype=int)
     for i, t in enumerate(t_nodes):
         for k, q in enumerate(q_nodes[1:], start=1):
-            try:
-                traj = solve_from(problem, t, q, opts)
-            except NonConvergenceError as exc:
-                values[i, k], failed[i, k], iterations[i, k] = np.nan, True, exc.iterations
+            (traj,) = solve_batch(problem, [t], [q], opts)  # one member without a start: it shoots, and no retry
+            iterations[i, k] = traj.iterations
+            if isinstance(traj, NonConvergenceError):
+                values[i, k], failed[i, k] = np.nan, True
             else:
-                values[i, k], iterations[i, k] = eval_I(problem, traj, psi=0.0), traj.iterations
+                values[i, k] = eval_I(problem, traj, psi=0.0)
     return values, failed, iterations
 
 
@@ -323,6 +323,16 @@ def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, mo
     assert np.allclose(grid.values[~failed], values[~failed], rtol=1e-12, atol=0.0)
     tolerance = np.broadcast_to(1e-10 * q_nodes, grid.values.shape)
     assert np.all(grid.residuals[~grid.failed] <= tolerance[~grid.failed])
+    # where shooting fails, solve_from retries as a block of one from the cell's matched curve, with the bits of
+    # that block after the shooting attempt's record
+    for i, k in zip(*np.nonzero(failed)):
+        curve, p0 = matched_curve(reference_problem, t_nodes[i], opts.n_steps)(q_nodes[k])
+        start = curve[None], np.array([p0])
+        (retry,) = solve_batch(reference_problem, [t_nodes[i]], [q_nodes[k]], opts, start)
+        traj = solve_from(reference_problem, t_nodes[i], q_nodes[k], opts)
+        assert (traj.iterations, traj.max_residual) == (iterations[i, k] + retry.iterations, retry.max_residual)
+        assert np.array_equal(traj.q, retry.q)
+        assert eval_I(reference_problem, traj, psi=0.0) == pytest.approx(grid.values[i, k], rel=1e-12, abs=0.0)
 
     # blockmates never affect a cell: columns split into blocks of 3 give the same bits
     monkeypatch.setattr(value_function, "_BLOCK_DOUBLES", 4 * (opts.n_steps + 1))
@@ -352,7 +362,7 @@ def test_grid_in_blocks_equals_a_solve_from_loop(reference_problem, max_iter, mo
 def matched_curve(problem, t_node, n_steps):
     """The writer of one t-node's matched curve: ``write(q_hat)`` returns the curve (J+1,) and its p[0]."""
     node = np.array([t_node])
-    write = value_function._matched_curves(problem, Workspace(problem, node, n_steps))
+    write = solver._matched_curves(problem, Workspace(problem, node, n_steps))
 
     def curve(q_hat):
         q, scratch = np.empty((2, 1, n_steps + 1))
@@ -463,7 +473,7 @@ def test_matched_curve_is_the_almgren_chriss_curve_for_a_quadratic_cost(quadrati
     work = Workspace(quadratic_problem, t_nodes, n_steps)
     curves, scratch = np.empty((2, len(t_nodes), n_steps + 1))
     for q_hat in (1e3, 2.5e5, 2e6):
-        value_function._matched_curves(quadratic_problem, work)(q_hat, curves, scratch)
+        solver._matched_curves(quadratic_problem, work)(q_hat, curves, scratch)
         for t, curve, grid in zip(t_nodes, curves, work.grids):
             rest = replace(quadratic_problem, q0=q_hat, horizon=quadratic_problem.horizon - t)
             exact = ac_trajectory(rest, grid.times - t)

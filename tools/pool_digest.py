@@ -18,8 +18,12 @@ It prints the digest, the number of solves and failures, and the worst
 relative error against the stored NECPRs and surface values. Beside them it
 prints the exact work of the solves: over the converged requests and over the
 failed ones, the Newton iterations, the line-search halvings (entries of
-``steps`` below 1) and ``no_descent``; over the surface, the iterations of its
-cells.
+``steps`` below 1) and ``no_descent``; over the whole pool, the shooting
+kernels (calls of ``solver._propagate``), the ``dgtsv`` fallbacks (calls of
+``solver._direction_by_banded``) and the block retries (calls of
+``solver._solve_batch`` past one per request), counted by wrapping those
+functions in this process only, which leaves every bit as it is; over the
+surface, the iterations of its cells.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
+from blocktrade import solver
 from blocktrade.config import parse_config
 from blocktrade.objective import eval_I
 from blocktrade.solver import NonConvergenceError, newton_solve
@@ -50,34 +56,67 @@ def _relative(got: float, want: float) -> float:
     return abs(got - want) / abs(want) if want else abs(got)
 
 
-def desk(digest, cfg) -> tuple[dict, dict, float]:
+def problem_of(cfg, request: dict):
+    """The reference problem with a desk request's q0, horizon and gamma."""
+    market = replace(cfg.problem.market, gamma=request["gamma"])
+    return replace(cfg.problem, q0=request["q0"], horizon=request["horizon"], market=market)
+
+
+@contextmanager
+def counting_calls(*names):
+    """Count the calls of the ``solver`` functions ``names`` while the block runs: yields a dict by name."""
+    calls, originals = dict.fromkeys(names, 0), {name: getattr(solver, name) for name in names}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return call
+
+    try:
+        for name in names:
+            setattr(solver, name, counted(name))
+        yield calls
+    finally:
+        for name, function in originals.items():
+            setattr(solver, name, function)
+
+
+def desk(digest, cfg) -> tuple[dict, dict, float, dict]:
     """Hash every desk-pool solve into ``digest``; returns the work of the converged and of the failed requests
-    (each a dict of requests, iterations, halvings and no_descent) and the worst relative NECPR error."""
+    (each a dict of requests, iterations, halvings and no_descent), the worst relative NECPR error and the solver's
+    calls over the pool (shooting kernels, dgtsv fallbacks and block retries)."""
     pool = _load("desk_pool.json")
     opts = replace(cfg.solve, n_steps=pool["n_steps"])
     converged, failed = ({"requests": 0, "iterations": 0, "halvings": 0, "no_descent": 0} for _ in range(2))
     worst = 0.0
-    for request in pool["requests"]:
-        market = replace(cfg.problem.market, gamma=request["gamma"])
-        problem = replace(cfg.problem, q0=request["q0"], horizon=request["horizon"], market=market)
-        try:
-            traj = newton_solve(problem, opts)
-        except NonConvergenceError as error:
-            record = (str(error), error.history, error.steps, error.no_descent)
-            work, solve = failed, error
-        else:
-            necpr = eval_I(problem, traj, psi=0.0)
-            record = (traj.iterations, traj.history, traj.steps, traj.no_descent, necpr)
-            digest.update(traj.q.tobytes() + traj.p.tobytes())
-            if request.get("necpr") is not None:
-                worst = max(worst, _relative(necpr, request["necpr"]))
-            work, solve = converged, traj
-        digest.update(repr(record).encode())
-        work["requests"] += 1
-        work["iterations"] += solve.iterations
-        work["halvings"] += sum(step < 1.0 for step in solve.steps)
-        work["no_descent"] += solve.no_descent
-    return converged, failed, worst
+    with counting_calls("_propagate", "_direction_by_banded", "_solve_batch") as calls:
+        for request in pool["requests"]:
+            problem = problem_of(cfg, request)
+            try:
+                traj = newton_solve(problem, opts)
+            except NonConvergenceError as error:
+                record = (str(error), error.history, error.steps, error.no_descent)
+                work, solve = failed, error
+            else:
+                necpr = eval_I(problem, traj, psi=0.0)
+                record = (traj.iterations, traj.history, traj.steps, traj.no_descent, necpr)
+                digest.update(traj.q.tobytes() + traj.p.tobytes())
+                if request.get("necpr") is not None:
+                    worst = max(worst, _relative(necpr, request["necpr"]))
+                work, solve = converged, traj
+            digest.update(repr(record).encode())
+            work["requests"] += 1
+            work["iterations"] += solve.iterations
+            work["halvings"] += sum(step < 1.0 for step in solve.steps)
+            work["no_descent"] += solve.no_descent
+    kernels = {
+        "shooting kernels": calls["_propagate"],
+        "dgtsv fallbacks": calls["_direction_by_banded"],
+        "block retries": calls["_solve_batch"] - len(pool["requests"]),  # newton_solve makes one call per attempt
+    }
+    return converged, failed, worst, kernels
 
 
 def surface(digest, cfg) -> tuple[int, int, float]:
@@ -101,7 +140,7 @@ def surface(digest, cfg) -> tuple[int, int, float]:
 def main() -> int:
     cfg = parse_config(CONFIG)
     digest = hashlib.sha256()
-    converged, failed, desk_worst = desk(digest, cfg)
+    converged, failed, desk_worst, kernels = desk(digest, cfg)
     failed_cells, surface_iterations, surface_worst = surface(digest, cfg)
     solves = converged["requests"] + failed["requests"]
     print(f"sha256 {digest.hexdigest()}")
@@ -111,6 +150,7 @@ def main() -> int:
             f"desk work, {work['requests']} {kind}: {work['iterations']} iterations, "
             f"{work['halvings']} halvings, {work['no_descent']} no_descent"
         )
+    print("desk solver calls: " + ", ".join(f"{count} {name}" for name, count in kernels.items()))
     print(
         f"surface: {failed_cells} failed cells, {surface_iterations} iterations, "
         f"worst relative value error {surface_worst:.3e}"
