@@ -110,7 +110,6 @@ def _cmd_solve(cfg: RunConfig, out_dir: str):
         "iterations": traj.iterations,
         "n_steps": traj.grid.n_steps,
         "history": list(traj.history),
-        "no_descent": traj.no_descent,
         "steps": list(traj.steps),
     }
 
@@ -247,7 +246,10 @@ def run_command(command: str, cfg: RunConfig, out_dir: str) -> dict:
     """Run one subcommand; returns a name -> path map of the artifacts it wrote."""
     if command not in _DISPATCH:
         raise ValueError(f"unknown command {command!r}")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {out_dir} cannot be made a directory: {exc}") from None
     artifacts = {}
     for name, file_name, content in _DISPATCH[command](cfg, out_dir):
         path = os.path.join(out_dir, file_name)

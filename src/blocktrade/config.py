@@ -113,22 +113,26 @@ _SCHEMA = {
 
 
 def _read_pairs(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from None
     pairs = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in pairs:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            pairs[key] = _parse_value(key, value, f"{path}:{lineno}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key in pairs:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        pairs[key] = _parse_value(key, value, f"{path}:{lineno}")
     return pairs
 
 

@@ -41,7 +41,8 @@ shooting solve can report convergence on a curve far from the exact discrete
 Almgren-Chriss curve. On the reference stock with eta = 0.01 and T = 3.5 a
 p-defect of 1.0e-6 passes, the q-residual is 9e-17 * q0 and the
 curve is 5.3e-5 * q0 away. A step-halving line search guards the early
-iterations, where the power-law H' has strongly varying curvature.
+iterations, where the power-law H' has strongly varying curvature; a member
+that no step length improves has stalled, and fails at that iteration.
 
 Solves run in blocks of members that share the problem, the horizon and the
 step count; each member has its own start (t_hat, q_hat), hence its own tau,
@@ -62,7 +63,7 @@ line, the only solves that shoot. One whose shooting fails is solved once more
 in the same workspace, as a block of one from its matched Almgren-Chriss curve
 (``_matched_curves``), which takes the Hessian direction and clears the
 p-defect shooting leaves. Each attempt runs up to ``max_iter`` iterations, and
-either result holds the history, steps and no_descent of both attempts.
+either result holds the history and steps of both attempts.
 """
 
 from __future__ import annotations
@@ -104,14 +105,13 @@ MAX_HALVINGS = 20  # step halvings the line search tries per iteration
 class NonConvergenceError(RuntimeError):
     """Newton iteration did not reach the residual tolerance.
 
-    ``max_residual``, ``history``, ``no_descent``, ``steps`` and ``iterations`` are as in :class:`Trajectory`.
+    ``max_residual``, ``history``, ``steps`` and ``iterations`` are as in :class:`Trajectory`.
     """
 
-    def __init__(self, message: str, max_residual: float, history: tuple, no_descent: int, steps: tuple):
+    def __init__(self, message: str, max_residual: float, history: tuple, steps: tuple):
         super().__init__(message)
         self.max_residual = max_residual
         self.history = history
-        self.no_descent = no_descent
         self.steps = steps
 
     def __str__(self) -> str:
@@ -157,9 +157,7 @@ class Trajectory:
     ``v[j]`` is the (constant) selling speed on the cell (t_j, t_{j+1}],
     ``(q[j] - q[j+1]) / tau``. ``history`` holds the max residual after each
     Newton iteration, so ``iterations`` is its length, and ``steps`` the step
-    length alpha it accepted (1, or 2**-h after h halvings); ``no_descent``
-    counts the iterations in which no step length lowered the residual, so
-    the least-bad step was taken.
+    length alpha it accepted (1, or 2**-h after h halvings).
     """
 
     grid: Grid
@@ -167,7 +165,6 @@ class Trajectory:
     p: np.ndarray
     max_residual: float = 0.0
     history: tuple = ()
-    no_descent: int = 0
     steps: tuple = ()
 
     @property
@@ -535,29 +532,23 @@ def _line_search(ham, block, dq, dp):
     """Halve each member's step until its residual falls; update ``block`` in place.
 
     Each try makes the whole block's candidate and takes the rows it improves of
-    the members still without a step. A member that no halving improves takes
-    its least-bad finite step, a last try with a step per row (``max_iter``
-    guards against stalling). Returns each member's step length, and the masks
-    of the members that took the least-bad step and of those for which no
-    halving gave a finite residual. A full step every member takes is one try.
+    the members still without a step; a NaN residual never improves. Returns each
+    member's step length and the mask of the members that none of alpha = 1,
+    1/2, ..., 2**-MAX_HALVINGS improves: they have stalled. A full step every
+    member takes is one try.
     """
-    K = len(block.member)
-    pending, taken, alpha = np.ones(K, dtype=bool), np.zeros(K), 1.0
-    best, best_alpha = np.full(K, np.inf), np.zeros(K)  # least-bad finite residual so far, and its step
+    pending, taken, alpha = np.ones(len(block.member), dtype=bool), np.zeros(len(block.member)), 1.0
     with np.errstate(all="ignore"):
-        for halvings in range(MAX_HALVINGS + 2):
-            fallback = halvings > MAX_HALVINGS  # no halving improved the members left
-            m = block.candidate(ham, best_alpha[:, None] if fallback else alpha, dq, dp)
-            accept = pending & (np.isfinite(best) if fallback else m < block.current)  # a NaN m never passes
+        for _ in range(MAX_HALVINGS + 1):
+            m = block.candidate(ham, alpha, dq, dp)
+            accept = pending & (m < block.current)  # a NaN m never passes
             block.take(accept, m)
-            np.copyto(taken, best_alpha if fallback else alpha, where=accept)
+            np.copyto(taken, alpha, where=accept)
             pending &= ~accept
-            if fallback or not pending.any():
+            if not pending.any():
                 break
-            better = pending & (m < best)
-            best[better], best_alpha[better] = m[better], alpha
             alpha *= 0.5
-    return taken, accept & fallback, pending
+    return taken, pending
 
 
 def _solve_batch(
@@ -587,7 +578,6 @@ def _solve_batch(
     results = [None] * K
     histories = [[] for _ in range(K)]
     steps = [[] for _ in range(K)]
-    no_descent = [0] * K
 
     def record(k, message=None):
         """Store row k's result: its trajectory if it converged (``message`` None), else its error."""
@@ -595,7 +585,6 @@ def _solve_batch(
         trail = dict(
             max_residual=float(block.current[k]),
             history=tuple(histories[member]),
-            no_descent=no_descent[member],
             steps=tuple(steps[member]),
         )
         if message is None:
@@ -637,15 +626,14 @@ def _solve_batch(
             if not drop(singular, "degenerate linearization (H'' vanishes along the whole path)"):
                 break
             dq, dp = dq[~singular], dp[~singular]
-        alpha, least_bad, stuck = _line_search(ham, block, dq, dp)
-        for member, residual, step, took_least_bad, failed in zip(
-            block.member.tolist(), block.current.tolist(), alpha.tolist(), least_bad.tolist(), stuck.tolist()
+        alpha, stalled = _line_search(ham, block, dq, dp)
+        for member, residual, step, failed in zip(
+            block.member.tolist(), block.current.tolist(), alpha.tolist(), stalled.tolist()
         ):
             if not failed:
                 histories[member].append(residual)
                 steps[member].append(step)
-                no_descent[member] += took_least_bad
-        if stuck.any() and not drop(stuck, "line search found no finite candidate"):
+        if stalled.any() and not drop(stalled, "Newton iteration stalled: no step length lowers the residual"):
             break
         iterations += 1
     return results
@@ -658,7 +646,7 @@ def _solve_one(problem: LiquidationProblem, t_start: float, q_start: float, opts
     if isinstance(result, NonConvergenceError):  # shooting failed: once more, as a block of one from the matched curve
         p0 = _matched_curves(problem, work)(q_start, q, p)
         shot, (result,) = result, _solve_batch(problem, work, [q_start], opts, q, p, (q, p0))
-        trail = {name: getattr(shot, name) + getattr(result, name) for name in ("history", "steps", "no_descent")}
+        trail = {name: getattr(shot, name) + getattr(result, name) for name in ("history", "steps")}
         if isinstance(result, Trajectory):
             return replace(result, **trail)
         raise NonConvergenceError(result.args[0], result.max_residual, **trail)

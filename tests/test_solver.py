@@ -722,23 +722,23 @@ def test_long_horizon_batch_takes_the_fallback_and_matches_solo_solves(monkeypat
         assert_same_convergence(result, solo(problem, t, q, opts))
 
 
-def test_history_and_least_bad_steps_explain_a_stall():
-    # shooting's rounding noise keeps this request above the default tolerance
+def test_history_and_steps_explain_a_stall():
+    # shooting's rounding noise keeps this request above the default tolerance: at its 15th iteration no
+    # step length lowers the residual, and it fails there with the record of the 14 iterations before
     problem, opts = make_reference_problem(gamma=7.16e-6, q0=2.92e5, horizon=1.0), SolveOptions(n_steps=1000)
     err = solo(problem, 0.0, problem.q0, opts)
-    assert isinstance(err, NonConvergenceError) and "stalled" in str(err)
-    assert len(err.history) == err.iterations == 50
+    assert isinstance(err, NonConvergenceError) and "no step length lowers the residual" in str(err)
+    assert len(err.history) == len(err.steps) == err.iterations == 14
     assert err.history[-1] == err.max_residual > 1e-10 * problem.q0
-    assert err.no_descent == 36
     # the retry from the matched curve converges in 5 full steps, and the trajectory keeps both attempts' record
     traj = newton_solve(problem, opts)
-    assert traj.history[:50] == err.history and traj.steps[:50] == err.steps
-    assert (traj.iterations, traj.steps[50:], traj.no_descent) == (55, (1.0,) * 5, 36)
+    assert traj.history[:14] == err.history and traj.steps[:14] == err.steps
+    assert (traj.iterations, traj.steps[14:]) == (19, (1.0,) * 5)
     assert traj.history[-1] == traj.max_residual <= 1e-10 * problem.q0
 
 
 def test_steps_record_the_step_each_iteration_took(monkeypatch):
-    # the stalling request halves its steps and takes least-bad ones
+    # the stalling request halves its steps, and its last search takes none
     problem = make_reference_problem(gamma=7.16e-6, q0=2.92e5, horizon=1.0)
     tried = []  # every step length the line search evaluated, in order
     candidate = solver._Block.candidate
@@ -750,15 +750,13 @@ def test_steps_record_the_step_each_iteration_took(monkeypatch):
     monkeypatch.setattr(solver._Block, "candidate", logged)
     err = solo(problem, 0.0, problem.q0, SolveOptions(n_steps=1000))
     assert isinstance(err, NonConvergenceError)
-    # each iteration first tries alpha = 1.0; a least-bad step is re-evaluated as an array
-    starts = [i for i, alpha in enumerate(tried) if type(alpha) is float and alpha == 1.0]
+    # each iteration tries alpha = 1, 1/2, ... until one lowers the residual; the stalled one tries all 21
+    starts = [i for i, alpha in enumerate(tried) if alpha == 1.0]
     searches = [tried[a:b] for a, b in zip(starts, starts[1:] + [len(tried)])]
-    assert len(err.steps) == len(searches) == err.iterations
-    for step, search in zip(err.steps, searches):
-        if len(search) == 1:  # no halving
-            assert step == 1.0
-        assert step == float(np.squeeze(search[-1]))
-    assert min(err.steps) < 1.0 and sum(type(s[-1]) is not float for s in searches) == err.no_descent
+    assert len(err.steps) == len(searches) - 1 == err.iterations
+    assert all(search == [2.0**-h for h in range(len(search))] for search in searches)
+    assert [search[-1] for search in searches[:-1]] == list(err.steps) and min(err.steps) < 1.0
+    assert len(searches[-1]) == solver.MAX_HALVINGS + 1
     # newton_solve repeats those searches, then the retry's: five full steps, recorded after the shooting ones
     shooting = len(tried)
     retried = newton_solve(problem, SolveOptions(n_steps=1000))
@@ -773,7 +771,6 @@ def test_converged_history_ends_at_the_reported_residual(reference_problem):
     assert len(traj.history) == traj.iterations
     assert traj.history[-1] == traj.max_residual
     assert all(a > b for a, b in zip(traj.history, traj.history[1:]))
-    assert traj.no_descent == 0
 
 
 ENVELOPE_PROBLEMS = [
@@ -855,25 +852,26 @@ def test_line_search_stops_once_every_member_has_its_step(monkeypatch):
     assert tried == [(2, 1.0), (2, 0.5), (2, 1.0), (2, 1.0), (2, 1.0)]
 
 
-def test_one_search_takes_a_full_a_halved_and_a_least_bad_step_each_with_its_solo_bits(monkeypatch):
+def test_one_search_takes_a_full_and_a_halved_step_and_stalls_a_member_each_with_its_solo_bits(monkeypatch):
     # at newton_tol = 1e-12 shares every member reaches its rounding floor; the sixth search of this
-    # block takes the full step for member 0, the least-bad step for member 1 and a halving for member 2
+    # block takes the full step for member 0, no step for member 1, which fails alone, and a halving for member 2
     problem = make_reference_problem(gamma=2e-7)
     starts = [(0.0, 1.5e6), (0.5, 5e4), (0.75, 1e5)]
     opts = SolveOptions(n_steps=100, newton_tol=1e-12, max_iter=6)
-    searches, states = [], {}  # each search's (members, steps, least-bad, stuck); each solve's rows after it
+    searches, states = [], {}  # each search's (members, steps, stalled); each solve's rows after it
     line_search, solve = solver._line_search, "block"
 
     def logged(ham, block, dq, dp):
-        taken, least_bad, stuck = line_search(ham, block, dq, dp)
-        searches.append((block.member.tolist(), taken.tolist(), least_bad.tolist(), stuck.tolist()))
+        taken, stalled = line_search(ham, block, dq, dp)
+        searches.append((block.member.tolist(), taken.tolist(), stalled.tolist()))
         for k, member in enumerate(block.member.tolist()):
             states.setdefault((solve, member), []).append(np.stack((block.q[k], block.p[k])).view(np.int64))
-        return taken, least_bad, stuck
+        return taken, stalled
 
     monkeypatch.setattr(solver, "_line_search", logged)
     batched = solve_batch(problem, *zip(*starts), opts)
-    assert searches[5] == ([0, 1, 2], [1.0, 0.5, 0.5], [False, True, False], [False, False, False])
+    assert searches[5] == ([0, 1, 2], [1.0, 0.0, 0.5], [False, True, False])
+    assert "no step length" in str(batched[1]) and batched[1].iterations == 5  # the record of the searches before
     assert searches[0][1] == [1.0, 0.5, 0.25]  # the first search halves member 1 once and member 2 twice
     for member, (t, q) in enumerate(starts):
         solve = member
@@ -882,7 +880,6 @@ def test_one_search_takes_a_full_a_halved_and_a_least_bad_step_each_with_its_sol
         for name in ("history", "steps"):
             got, expected = (np.asarray(getattr(r, name)) for r in (batched[member], alone))
             assert np.array_equal(got.view(np.int64), expected.view(np.int64)), name
-        assert batched[member].no_descent == alone.no_descent
         block_rows, alone_rows = states["block", member], states[member, 0]
         assert len(block_rows) == len(alone_rows) == opts.max_iter
         assert all(np.array_equal(a, b) for a, b in zip(block_rows, alone_rows))
@@ -891,10 +888,10 @@ def test_one_search_takes_a_full_a_halved_and_a_least_bad_step_each_with_its_sol
 @pytest.mark.parametrize(
     "starts, poisoned", [([(0.0, 5e5), (0.5, 5e5), (0.2, 1e5)], 1), ([(0.5, 5e5)], 0)], ids=["blockmates", "lone"]
 )
-def test_a_member_without_a_finite_candidate_fails_alone(reference_problem, monkeypatch, starts, poisoned):
-    # the poisoned member's first direction is NaN: no step length gives it a finite residual, so it
-    # leaves with its starting residual, and the others keep their solo bits; a lone member ends the
-    # loop. Each member is handed the straight line, so a lone one takes the block direction too
+def test_a_member_with_only_nan_candidates_stalls_alone(reference_problem, monkeypatch, starts, poisoned):
+    # the poisoned member's first direction is NaN: a NaN residual never lowers its own, so no step length
+    # improves it and it leaves with its starting residual, and the others keep their solo bits; a lone
+    # member ends the loop. Each member is handed the straight line, so a lone one takes the block direction too
     opts = SolveOptions(n_steps=200)
     lines = [straight_line(reference_problem, t, q, opts.n_steps) for t, q in starts]
     start = np.concatenate([q for q, _ in lines]), np.concatenate([p0 for _, p0 in lines])
@@ -912,8 +909,8 @@ def test_a_member_without_a_finite_candidate_fails_alone(reference_problem, monk
     monkeypatch.undo()
     assert calls[:2] == ([3, 2] if len(starts) > 1 else [1])
     failed = batched[poisoned]
-    assert isinstance(failed, NonConvergenceError) and "line search found no finite candidate" in str(failed)
-    assert (failed.iterations, failed.history, failed.steps, failed.no_descent) == (0, (), (), 0)
+    assert isinstance(failed, NonConvergenceError) and "no step length lowers the residual" in str(failed)
+    assert (failed.iterations, failed.history, failed.steps) == (0, (), ())
     t, q = starts[poisoned]
     guess = initial_guess(reference_problem, Grid(opts.n_steps, t, reference_problem.horizon), q)
     assert failed.max_residual == discrete_residual(reference_problem, guess).max_abs
@@ -1193,10 +1190,15 @@ def test_solo_solve_is_the_exact_discrete_almgren_chriss_curve():
     assert eval_I(problem, traj) == pytest.approx(eval_I(problem, exact), rel=1e-12)
 
 
-def tight_solve(problem, t_start, q_start, n_steps):
-    """A two-member block of one start (the dgtsv direction) at 1e-14 * q0: the discrete minimizer to rounding."""
+def tight_solve(problem, t_start, q_start, n_steps, matched=False):
+    """A two-member block of one start at 1e-14 * q0: the discrete minimizer to rounding. The start is the straight
+    line (the dgtsv direction where H''(0) = 0), or with ``matched`` the matched Almgren-Chriss curve."""
     opts = SolveOptions(n_steps=n_steps, newton_tol=1e-14 * problem.q0, max_iter=200)
-    first, second = solve_batch(problem, [t_start] * 2, [q_start] * 2, opts)
+    work, start = solver._Workspace(problem, [t_start] * 2, n_steps), None
+    if matched:
+        q = np.empty((2, n_steps + 1))
+        start = q, solver._matched_curves(problem, work)(q_start, q, np.empty_like(q))
+    first, second = solve_batch(problem, [t_start] * 2, [q_start] * 2, opts, start, work)
     assert isinstance(first, Trajectory) and np.array_equal(first.q, second.q)
     return first
 
@@ -1250,17 +1252,25 @@ def test_a_retried_solo_solve_prices_the_discrete_minimizer(problem, n):
     assert eval_I(problem, traj, psi=0.0) == pytest.approx(eval_I(problem, exact, psi=0.0), rel=1e-12, abs=0.0)
 
 
-def test_a_least_bad_step_rescues_a_solo_solve_to_the_discrete_minimizer():
-    # one of 12 rescues among 20332 random solo solves (phi 0.30-0.37, T <= 0.2): no halving of
-    # its first step lowers the residual, so it takes the least-bad step 2**-20 and converges
+def test_a_solo_solve_that_no_first_step_improves_converges_through_the_retry():
+    # one of 12 such solves among 20332 random solo solves (phi 0.30-0.37, T <= 0.2): no step length
+    # lowers the straight line's residual, so shooting stalls at iteration 0 and the retry converges
     problem = replace(
         make_reference_problem(gamma=1.64e-7, q0=146886.0, horizon=0.2),
         cost=PowerLawCost(0.82, 0.305),
         volume=ConstantVolume(8575781.0),
     )
-    traj = newton_solve(problem, SolveOptions(n_steps=66))
-    assert (traj.iterations, traj.no_descent, traj.steps[0]) == (8, 1, 2.0**-20)
-    tight = tight_solve(problem, 0.0, problem.q0, 66)
+    opts = SolveOptions(n_steps=66)
+    shot = solo(problem, 0.0, problem.q0, opts)
+    assert isinstance(shot, NonConvergenceError) and "no step length lowers the residual" in str(shot)
+    assert (shot.iterations, shot.steps) == (0, ())
+    traj = newton_solve(problem, opts)
+    assert traj.max_residual <= 1e-10 * problem.q0
+    # tight_solve's block from the straight line stalls at iteration 0 as well; one from the matched curve does not
+    tight_opts = SolveOptions(n_steps=66, newton_tol=1e-14 * problem.q0, max_iter=200)
+    for line in solve_batch(problem, [0.0] * 2, [problem.q0] * 2, tight_opts):
+        assert isinstance(line, NonConvergenceError) and line.iterations == 0
+    tight = tight_solve(problem, 0.0, problem.q0, 66, matched=True)
     assert np.max(np.abs(traj.q - tight.q)) <= 1e-12 * problem.q0
     assert eval_I(problem, traj) == pytest.approx(eval_I(problem, tight), rel=1e-12)
 

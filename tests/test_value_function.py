@@ -398,9 +398,7 @@ def forced_grid(problem, t_nodes, q_nodes, opts, forced, patch):
         for m, (member, result) in enumerate(zip(work.grids, results)):
             i = int(np.flatnonzero(t_nodes == member.t_start)[0])
             if (i, k) in forced:
-                results[m] = result = NonConvergenceError(
-                    "forced", result.max_residual, result.history, result.no_descent, result.steps
-                )
+                results[m] = result = NonConvergenceError("forced", result.max_residual, result.history, result.steps)
             lost = isinstance(result, NonConvergenceError)
             record[i, k] = start[0][m].copy(), start[1][m], q[m].copy(), p[m, 0], lost
         return results

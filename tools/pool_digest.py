@@ -3,8 +3,8 @@
 Each request of ``perfbench/reference/desk_pool.json`` is solved as the
 ``desk`` workload prices it: the reference config's problem with the request's
 q0, horizon and gamma, at the stored ``n_steps``, then valued by ``eval_I``.
-The digest covers each solve's q and p (as bytes), iterations, history, steps,
-no_descent and NECPR, or the error text of a solve that fails. The 21 x 21
+The digest covers each solve's q and p (as bytes), iterations, history, steps
+and NECPR, or the error text of a solve that fails. The 21 x 21
 surface of ``perfbench/reference/surface.json`` is then built on its stored
 nodes, and its values, failure mask, iterations and residuals go into the same
 digest. The reference files are read, never written. Two trees that print the
@@ -17,8 +17,8 @@ Run from the repository root (about 10 s):
 It prints the digest, the number of solves and failures, and the worst
 relative error against the stored NECPRs and surface values. Beside them it
 prints the exact work of the solves: over the converged requests and over the
-failed ones, the Newton iterations, the line-search halvings (entries of
-``steps`` below 1) and ``no_descent``; over the whole pool, the shooting
+failed ones, the Newton iterations and the line-search halvings (entries of
+``steps`` below 1); over the whole pool, the shooting
 kernels (calls of ``solver._propagate``), the ``dgtsv`` fallbacks (calls of
 ``solver._direction_by_banded``) and the block retries (calls of
 ``solver._solve_batch`` past one per request), counted by wrapping those
@@ -85,11 +85,11 @@ def counting_calls(*names):
 
 def desk(digest, cfg) -> tuple[dict, dict, float, dict]:
     """Hash every desk-pool solve into ``digest``; returns the work of the converged and of the failed requests
-    (each a dict of requests, iterations, halvings and no_descent), the worst relative NECPR error and the solver's
+    (each a dict of requests, iterations and halvings), the worst relative NECPR error and the solver's
     calls over the pool (shooting kernels, dgtsv fallbacks and block retries)."""
     pool = _load("desk_pool.json")
     opts = replace(cfg.solve, n_steps=pool["n_steps"])
-    converged, failed = ({"requests": 0, "iterations": 0, "halvings": 0, "no_descent": 0} for _ in range(2))
+    converged, failed = ({"requests": 0, "iterations": 0, "halvings": 0} for _ in range(2))
     worst = 0.0
     with counting_calls("_propagate", "_direction_by_banded", "_solve_batch") as calls:
         for request in pool["requests"]:
@@ -97,11 +97,11 @@ def desk(digest, cfg) -> tuple[dict, dict, float, dict]:
             try:
                 traj = newton_solve(problem, opts)
             except NonConvergenceError as error:
-                record = (str(error), error.history, error.steps, error.no_descent)
+                record = (str(error), error.history, error.steps)
                 work, solve = failed, error
             else:
                 necpr = eval_I(problem, traj, psi=0.0)
-                record = (traj.iterations, traj.history, traj.steps, traj.no_descent, necpr)
+                record = (traj.iterations, traj.history, traj.steps, necpr)
                 digest.update(traj.q.tobytes() + traj.p.tobytes())
                 if request.get("necpr") is not None:
                     worst = max(worst, _relative(necpr, request["necpr"]))
@@ -110,7 +110,6 @@ def desk(digest, cfg) -> tuple[dict, dict, float, dict]:
             work["requests"] += 1
             work["iterations"] += solve.iterations
             work["halvings"] += sum(step < 1.0 for step in solve.steps)
-            work["no_descent"] += solve.no_descent
     kernels = {
         "shooting kernels": calls["_propagate"],
         "dgtsv fallbacks": calls["_direction_by_banded"],
@@ -148,7 +147,7 @@ def main() -> int:
     for kind, work in (("converged", converged), ("failed", failed)):
         print(
             f"desk work, {work['requests']} {kind}: {work['iterations']} iterations, "
-            f"{work['halvings']} halvings, {work['no_descent']} no_descent"
+            f"{work['halvings']} halvings"
         )
     print("desk solver calls: " + ", ".join(f"{count} {name}" for name, count in kernels.items()))
     print(
