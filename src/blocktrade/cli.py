@@ -12,7 +12,6 @@ Failures exit nonzero with a machine-readable error JSON on stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
@@ -25,10 +24,10 @@ from .config import ConfigError, RunConfig, parse_config
 from .montecarlo import MAX_EULER_STEPS, SEED_SCHEME, euler_law, simulate_cash
 from .objective import cash_moments, eval_I
 from .pricing import floor_parts, implied_gamma, price_finite
-from .solver import Grid, Trajectory, newton_solve
+from .solver import Trajectory, newton_solve
 from .value_function import build_grid, check_structure, hj_residual
 
-__all__ = ["main", "run_command", "write_trajectory_csv", "read_trajectory_csv", "write_paths_csv"]
+__all__ = ["main", "run_command"]
 
 PATHS_BLOCK = 50_000  # samples of paths.csv made Python floats at a time
 
@@ -62,44 +61,6 @@ def _paths_table(samples: np.ndarray):
     return ["path", "wealth"], ((str(i), _fmt(x)) for i, x in enumerate(itertools.chain.from_iterable(blocks)))
 
 
-def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    _write_csv(path, *_trajectory_table(traj))
-
-
-def read_trajectory_csv(path: str) -> Trajectory:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["t", "q", "v", "p"]:
-            raise ValueError(f"{path}:1: expected header t,q,v,p")
-        rows = []  # (t, q, v, p) of each data row; the first row's v is empty, and read as NaN
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                if row:
-                    t, q, v, p = row
-                    rows.append((float(t), float(q), float(v) if rows else np.nan, float(p)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if len(rows) < 3:
-        raise ValueError(f"{path}: expected at least 3 data rows, got {len(rows)}")
-    t, q, v, p = (np.array(column) for column in zip(*rows))
-    v = v[1:]
-    if not all(np.isfinite(a).all() for a in (t, q, v, p)):
-        raise ValueError(f"{path}: t, q, v and p must be finite")
-    steps = np.diff(t)
-    if np.max(steps) - np.min(steps) > 1e-9 * np.max(steps):
-        raise ValueError(f"{path}: non-uniform time grid")
-    traj = Trajectory(grid=Grid(n_steps=len(t) - 1, t_start=float(t[0]), t_end=float(t[-1])), q=q, p=p)
-    off = np.flatnonzero(np.abs(v - traj.v) > 1e-9 * np.max(np.abs(traj.v)))  # the v column is only checked
-    if off.size:
-        j = off[0]
-        raise ValueError(f"{path}: v on data row {j + 1} is {v[j]}, but its q-step implies {traj.v[j]}")
-    return traj
-
-
-def write_paths_csv(path: str, samples: np.ndarray) -> None:
-    _write_csv(path, *_paths_table(samples))
-
-
 def _cmd_solve(cfg: RunConfig, out_dir: str):
     traj = newton_solve(cfg.problem, cfg.solve)
     yield "trajectory", "trajectory.csv", _trajectory_table(traj)
@@ -114,8 +75,16 @@ def _cmd_solve(cfg: RunConfig, out_dir: str):
     }
 
 
+def _priced(problem, opts):
+    """``price_finite``'s decomposition, refused where a premium in basis points of the MtM q0 * s0 overflows."""
+    d = price_finite(problem, opts)
+    if not all(bp is None or bp < np.inf for bp in (d.premium_bp_T, d.premium_bp_inf)):
+        raise ConfigError(f"the premium in basis points of the MtM {d.mtm} overflows, failed checks: market.s0")
+    return d
+
+
 def _cmd_price(cfg: RunConfig, out_dir: str):
-    payload = asdict(price_finite(cfg.problem, cfg.solve))
+    payload = asdict(_priced(cfg.problem, cfg.solve))
     if cfg.horizons:
         payload["necpr_by_horizon"] = [
             {"horizon": T, "necpr": price_finite(replace(cfg.problem, horizon=T), cfg.solve).necpr_T}
@@ -127,7 +96,7 @@ def _cmd_price(cfg: RunConfig, out_dir: str):
 def _cmd_decompose(cfg: RunConfig, out_dir: str):
     rows = []
     for q in cfg.q_list:
-        d = price_finite(replace(cfg.problem, q0=q), cfg.solve)
+        d = _priced(replace(cfg.problem, q0=q), cfg.solve)
         necpr_inf = _fmt(d.necpr_inf) if d.necpr_inf is not None else ""
         rows.append([_fmt(q), _fmt(d.pmi), _fmt(d.lec), necpr_inf, _fmt(d.necpr_T), _fmt(d.premium_bp_T)])
     yield "decomposition", "decomposition.csv", (["q", "pmi", "lec", "necpr_inf", "necpr_T", "premium_bp"], rows)
@@ -138,10 +107,10 @@ class FailedCellsError(RuntimeError):
 
 
 def _cmd_grid(cfg: RunConfig, out_dir: str):
-    if cfg.problem.q0 == 0:
-        raise ConfigError("grid needs problem.q0 > 0: its q-nodes span [0, problem.q0]")
-    t_nodes = np.linspace(0.0, cfg.grid_t_max, cfg.grid_n_t)
     q_nodes = np.linspace(0.0, cfg.problem.q0, cfg.grid_n_q)
+    if not np.all(np.diff(q_nodes) > 0):
+        raise ConfigError(f"grid needs problem.q0 > 0 with distinct q-nodes in [0, problem.q0], got {cfg.problem.q0}")
+    t_nodes = np.linspace(0.0, cfg.grid_t_max, cfg.grid_n_t)
     grid = build_grid(cfg.problem, t_nodes, q_nodes, cfg.solve, epsilon=cfg.problem.horizon - cfg.grid_t_max)
     rows = ([_fmt(t), *map(_fmt, values)] for t, values in zip(grid.t_nodes, grid.values))
     yield "grid", "value_grid.csv", (["t", *map(_fmt, grid.q_nodes)], rows)
@@ -196,6 +165,8 @@ def _euler_gap(cfg: RunConfig, traj: Trajectory, result, analytic):
 
 
 def _cmd_simulate(cfg: RunConfig, out_dir: str):
+    if cfg.solve.n_steps * cfg.mc.n_substeps > MAX_EULER_STEPS:
+        raise ConfigError(f"simulate needs solve.n_steps * mc.n_substeps at most {MAX_EULER_STEPS}")
     traj = newton_solve(cfg.problem, cfg.solve)
     result = simulate_cash(cfg.problem, traj, cfg.mc, keep_samples=cfg.dump_paths)
     analytic = cash_moments(cfg.problem, traj)
@@ -278,10 +249,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
-    parser = _Parser(
-        prog="blocktrade",
-        description="Optimal liquidation curves and block-trade pricing",
-    )
+    parser = _Parser(prog="blocktrade", description="Optimal liquidation curves and block-trade pricing")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _DISPATCH:
         p = sub.add_parser(name)

@@ -44,7 +44,8 @@ def _require_ac(problem: LiquidationProblem) -> tuple[float, float]:
 
 
 def _ac_curve(q0, kappa_s, x, out=None, scratch=None, shift=0.0):
-    """q0 * sinh(k * (1 - x)) / sinh(k) at x = t / S, for each k = kappa * S in kappa_s: the Almgren-Chriss curves.
+    """q0 * sinh(k * (1 - x)) / sinh(k) at x = t / S, for each k = kappa * S in kappa_s (and its own q0, if q0 is
+    an array of kappa_s's shape): the Almgren-Chriss curves.
 
     Taken as q0 * e^(-k x) * expm1(2 k (x - 1)) / expm1(-2 k), which neither
     overflows nor loses the curve for any k > 0: the two exponents are outer
@@ -63,7 +64,8 @@ def _ac_curve(q0, kappa_s, x, out=None, scratch=None, shift=0.0):
     out *= tail
     scale = q0 / np.expm1(-2.0 * kappa_s)
     out *= np.reshape(scale, scale.shape + (1,) * np.ndim(x))
-    out[flat] = -np.inf if shift else q0 * (1.0 - x)
+    if flat.any():  # each flat row takes its own q0
+        out[flat] = -np.inf if shift else np.multiply.outer(np.broadcast_to(q0, flat.shape)[flat], 1.0 - x)
     return out
 
 

@@ -48,10 +48,6 @@ class RunConfig:
     dump_paths: bool
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
 def _parse_int(text: str) -> int:
     value = float(text)
     if not math.isfinite(value) or value != int(value):
@@ -75,40 +71,36 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(s) for s in items)
 
 
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
 # key -> (parser, required)
 _SCHEMA = {
-    "problem.q0": (_parse_float, True),
-    "problem.horizon": (_parse_float, True),
-    "market.s0": (_parse_float, True),
-    "market.sigma": (_parse_float, True),
-    "market.gamma": (_parse_float, True),
-    "market.psi": (_parse_float, False),
-    "cost.type": (_parse_str, True),
-    "cost.eta": (_parse_float, False),
-    "cost.phi": (_parse_float, False),
-    "impact.type": (_parse_str, True),
-    "impact.k": (_parse_float, False),
-    "impact.beta": (_parse_float, False),
-    "volume.type": (_parse_str, True),
-    "volume.rate": (_parse_float, False),
-    "volume.path": (_parse_str, False),
+    "problem.q0": (float, True),
+    "problem.horizon": (float, True),
+    "market.s0": (float, True),
+    "market.sigma": (float, True),
+    "market.gamma": (float, True),
+    "market.psi": (float, False),
+    "cost.type": (str.strip, True),
+    "cost.eta": (float, False),
+    "cost.phi": (float, False),
+    "impact.type": (str.strip, True),
+    "impact.k": (float, False),
+    "impact.beta": (float, False),
+    "volume.type": (str.strip, True),
+    "volume.rate": (float, False),
+    "volume.path": (str.strip, False),
     "solve.n_steps": (_parse_int, False),
-    "solve.newton_tol": (_parse_float, False),
+    "solve.newton_tol": (float, False),
     "solve.max_iter": (_parse_int, False),
     "mc.n_paths": (_parse_int, False),
     "mc.n_substeps": (_parse_int, False),
     "mc.seed": (_parse_int, False),
     "mc.dump_paths": (_parse_bool, False),
     "price.q_list": (_parse_float_list, False),
-    "price.quoted_premium": (_parse_float, False),
+    "price.quoted_premium": (float, False),
     "price.horizons": (_parse_float_list, False),
     "grid.n_t": (_parse_int, False),
     "grid.n_q": (_parse_int, False),
-    "grid.t_max": (_parse_float, False),
+    "grid.t_max": (float, False),
 }
 
 

@@ -400,8 +400,8 @@ def validate(problem: LiquidationProblem) -> ValidationReport:
 
     A q0 of exactly zero is accepted as the degenerate empty liquidation
     (solver and pricing short-circuit it); negative inventories fail, and so
-    does every infinite or NaN parameter, a q0 whose square overflows, an s0
-    whose mark-to-market value q0 * s0 does, a psi whose LEC in basis points,
+    does every infinite or NaN parameter, a q0 or sigma whose square overflows,
+    an s0 whose mark-to-market value q0 * s0 does, a psi whose LEC in basis points,
     1e4 * psi * q0, does, and a power-law impact whose PMI at q0, or 1e4 times
     it, does.
     """
@@ -412,7 +412,7 @@ def validate(problem: LiquidationProblem) -> ValidationReport:
         Check("problem.q0", q0_ok, f"q0={problem.q0}"),
         Check("problem.horizon", 0 < problem.horizon < math.inf, f"horizon={problem.horizon}"),
         Check("market.s0", 0 < m.s0 < math.inf and q0 * m.s0 < math.inf, f"s0={m.s0}"),
-        Check("market.sigma", 0 < m.sigma < math.inf, f"sigma={m.sigma}"),
+        Check("market.sigma", 0 < m.sigma and m.sigma * m.sigma < math.inf, f"sigma={m.sigma}"),
         Check("market.gamma", 0 < m.gamma < math.inf, f"gamma={m.gamma}"),
         Check("market.psi", 0 <= m.psi < math.inf and 1e4 * (m.psi * q0) < math.inf, f"psi={m.psi}"),
     ]

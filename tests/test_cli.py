@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import blocktrade
 from blocktrade import cli
-from blocktrade.cli import main, read_trajectory_csv, write_paths_csv, write_trajectory_csv
+from blocktrade.cli import main
 from blocktrade.config import _SCHEMA, ConfigError, parse_config
 from blocktrade.montecarlo import SimulationConfig
 from blocktrade.objective import eval_I
@@ -45,6 +45,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip().splitlines()[-1]
     return code, json.loads(out)
+
+
+def read_trajectory(path):
+    """The trajectory.csv at ``path`` as a Trajectory, on the grid its t column spans; its v column is checked."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["t", "q", "v", "p"] and rows[0][2] == ""
+    t, q, p = (np.array([float(row[i]) for row in rows]) for i in (0, 1, 3))
+    traj = Trajectory(grid=Grid(n_steps=len(rows) - 1, t_start=t[0], t_end=t[-1]), q=q, p=p)
+    assert np.array_equal(traj.grid.times, t) and np.array_equal(traj.v, [float(row[2]) for row in rows[1:]])
+    return traj
 
 
 def test_parse_reference_config(tmp_path):
@@ -167,7 +178,7 @@ def test_solve_round_trip(tmp_path, capsys):
     code, payload = run_cli(capsys, "solve", "--config", cfg_path, "--out-dir", str(out))
     assert code == 0
     summary = json.loads((out / "solve_summary.json").read_text())
-    traj = read_trajectory_csv(str(out / "trajectory.csv"))
+    traj = read_trajectory(out / "trajectory.csv")
     problem = parse_config(cfg_path).problem
     rescored = eval_I(problem, traj, psi=problem.market.psi)
     assert rescored == pytest.approx(summary["objective"], rel=1e-9)
@@ -218,7 +229,7 @@ def test_trading_curves_ordered_by_risk_aversion(tmp_path, capsys):
             capsys, "solve", "--config", cfg_path, "--out-dir", str(out), "--n-steps", "400"
         )
         assert code == 0
-        curves[gamma] = read_trajectory_csv(str(out / "trajectory.csv")).q
+        curves[gamma] = read_trajectory(out / "trajectory.csv").q
     # higher risk aversion liquidates faster: its curve lies below
     assert np.all(curves["2e-6"] <= curves["1e-6"] + 1e-6)
     assert np.all(curves["1e-6"] <= curves["5e-7"] + 1e-6)
@@ -547,47 +558,27 @@ def test_readme_documents_exactly_the_schema_and_the_flags():
     assert set(re.findall(r"`(--[a-z-]+)`", flags)) == {"--config", "--out-dir", *cli._FLAGS}
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+def test_the_cli_a_solve_and_grid_leave_scipy_integrate_linalg_and_thread_pools_unloaded(tmp_path):
+    # no command runs on a thread pool, so starting the CLI loads none; both integrals take the package's own rule,
+    # and a solve's fallback takes dgtsv and the grid's blocks take dptsv, both from scipy's LAPACK extension alone
     src = os.path.dirname(os.path.dirname(blocktrade.__file__))
-    # no command runs on a thread pool, so starting the CLI loads none; both integrals take the package's own rule
     code = (
         "import math, sys, blocktrade.cli\n"
         "from dataclasses import replace\n"
         "from blocktrade import CustomCost, CustomImpact, theta_infinity\n"
         "from blocktrade.config import parse_config\n"
-        f"problem = parse_config({REFERENCE_CONFIG!r}).problem\n"
-        "theta_infinity(replace(problem, cost=CustomCost(lambda r: 0.02 * abs(r) ** 1.65, 1e9), q0=1e5))\n"
-        "CustomImpact(math.tanh).integral(7.5)\n"
-        "sys.exit(bool({'scipy.integrate', 'concurrent.futures'} & set(sys.modules)))"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
-def test_cli_and_a_reference_solve_leave_scipy_linalg_unloaded():
-    src = os.path.dirname(os.path.dirname(blocktrade.__file__))
-    code = (
-        "import sys, blocktrade.cli\n"
-        "from blocktrade.config import parse_config\n"
         "from blocktrade.solver import newton_solve\n"
         f"cfg = parse_config({REFERENCE_CONFIG!r})\n"
+        "theta_infinity(replace(cfg.problem, cost=CustomCost(lambda r: 0.02 * abs(r) ** 1.65, 1e9), q0=1e5))\n"
+        "CustomImpact(math.tanh).integral(7.5)\n"
         "newton_solve(cfg.problem, cfg.solve)\n"
-        "sys.exit('scipy.linalg' in sys.modules)"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
-def test_grid_on_the_reference_config_leaves_scipy_linalg_unloaded(tmp_path):
-    # the blocks take dgtsv, loaded from scipy's LAPACK extension alone
-    src = os.path.dirname(os.path.dirname(blocktrade.__file__))
-    code = (
-        "import sys, blocktrade.cli\n"
         f"code = blocktrade.cli.main(['grid', '--config', {REFERENCE_CONFIG!r}, '--out-dir', {str(tmp_path)!r}])\n"
-        "sys.exit(code or 'scipy.linalg' in sys.modules)"
+        "print('loaded:', *sorted({'scipy.integrate', 'concurrent.futures', 'scipy.linalg'} & set(sys.modules)))\n"
+        "sys.exit(code)"
     )
     env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout.splitlines()[-1], done.stderr) == (0, "loaded:", "")
     assert (tmp_path / "value_grid.csv").exists()
 
 
@@ -628,7 +619,7 @@ def _trajectory_table(path):
         q=np.array([3e5, 2e5, 1e5 / 3, 0.0]),
         p=np.array([-1e-3, -2.5e-3, -1e-300, 0.1]),
     )
-    write_trajectory_csv(path, traj)
+    cli._write_csv(path, *cli._trajectory_table(traj))
     t, q, v, p = traj.grid.times, traj.q, traj.v, traj.p
     rows = [[_fmt(t[j]), _fmt(q[j]), _fmt(v[j - 1]) if j else "", _fmt(p[j])] for j in range(4)]
     assert rows[0][2] == ""  # no cell ends at t = 0
@@ -655,7 +646,7 @@ PATH_SAMPLES = np.array([-1.5e7, 0.1, 1e-300, 2.0 / 3.0, -0.0, 123456789.125, 5e
 
 
 def _paths_table(path):
-    write_paths_csv(path, PATH_SAMPLES)  # ten samples in blocks of 4 cross two block boundaries
+    cli._write_csv(path, *cli._paths_table(PATH_SAMPLES))  # ten samples in blocks of 4 cross two block boundaries
     return ["path", "wealth"], [[i, _fmt(x)] for i, x in enumerate(PATH_SAMPLES)]
 
 
@@ -719,6 +710,33 @@ def test_a_grid_outside_its_range_is_a_config_error_naming_its_key(tmp_path, cap
     assert not (out / "value_grid.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, values, message",
+    [
+        ("simulate", {"mc.n_substeps": 1001}, "simulate needs solve.n_steps * mc.n_substeps at most 1000000"),
+        ("grid", {"problem.q0": "5e-324"}, "grid needs problem.q0 > 0 with distinct q-nodes in [0, problem.q0]"),
+    ],
+    ids=["simulate_substeps", "grid_subnormal_q0"],
+)
+def test_a_config_one_command_cannot_run_is_refused_before_its_solve_and_solve_runs_it(
+    tmp_path, capsys, monkeypatch, command, values, message
+):
+    # simulate solved, then answered a plain ValueError from euler_law; grid's q-nodes collapsed on 5e-324, and
+    # build_grid answered a plain ValueError
+    cfg_path = write_config(tmp_path, set_keys(BASE_CONFIG, values))
+    code, _ = run_cli(capsys, "solve", "--config", cfg_path, "--out-dir", str(tmp_path / "solved"))
+    assert code == 0
+    monkeypatch.setattr(cli, "newton_solve", lambda *args: pytest.fail("a solve ran"))
+    monkeypatch.setattr("blocktrade.value_function._solve_batch", lambda *args, **kwargs: pytest.fail("a solve ran"))
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg_path, "--out-dir", str(out)])
+    stdout, stderr = capsys.readouterr()
+    error = json.loads(stdout.strip().splitlines()[-1])["error"]
+    assert (code, error["type"], stderr) == (1, "ConfigError", "")
+    assert error["message"].startswith(message)
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("command", ["solve", "price", "decompose", "grid"])
 def test_a_cost_whose_transform_overflows_is_a_config_error_naming_cost_eta(tmp_path, capsys, command):
     # eta ** (-1 / phi) in the transform's coefficient overflowed: an OverflowError reached the error JSON
@@ -779,6 +797,32 @@ def test_a_block_too_large_for_a_double_is_a_config_error_naming_its_key(tmp_pat
     assert re.search(rf"failed checks: {re.escape(key)}$|: {re.escape(key)} entries", error["message"])
 
 
+@pytest.mark.parametrize("command", list(cli._DISPATCH))
+def test_a_sigma_whose_square_overflows_is_a_config_error_for_every_command(tmp_path, capsys, command):
+    # validate passed sigma = 1.4e154, and every command answered an OverflowError from sigma**2
+    text = set_keys(BASE_CONFIG, {"market.sigma": "1.4e154"})
+    code = main([command, "--config", write_config(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    error = json.loads(out.strip().splitlines()[-1])["error"]
+    assert (code, error["type"], err) == (1, "ConfigError", "")
+    assert error["message"].endswith("invalid problem, failed checks: market.sigma")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, artifact", [("price", "price.json"), ("decompose", "decomposition.csv")])
+def test_a_premium_whose_basis_points_overflow_is_a_config_error_naming_market_s0(tmp_path, capsys, command, artifact):
+    # at s0 = 1e-310, 1e4 * premium / (q0 * s0) is inf: price answered a plain ValueError from the JSON writer,
+    # and decompose wrote inf in every premium_bp cell and exited 0
+    out = tmp_path / "out"
+    text = set_keys(BASE_CONFIG, {"market.s0": "1e-310"})
+    code = main([command, "--config", write_config(tmp_path, text), "--out-dir", str(out), "--n-steps", "200"])
+    stdout, stderr = capsys.readouterr()
+    error = json.loads(stdout.strip().splitlines()[-1])["error"]
+    assert (code, error["type"], stderr) == (1, "ConfigError", "")
+    assert error["message"].endswith("overflows, failed checks: market.s0")
+    assert not (out / artifact).exists()
+
+
 def test_the_largest_price_whose_euler_wealth_fits_simulates_without_a_warning(tmp_path, capsys):
     # q0 * s0 * 2 * n_steps * n_substeps / horizon is 1.6e308 at s0 = 4e298; every warning is an error here
     out = tmp_path / "out"
@@ -832,36 +876,10 @@ def test_a_non_finite_grid_t_max_fails_before_any_solve(tmp_path, capsys, monkey
     assert "grid.t_max must be finite" in payload["error"]["message"]
 
 
-@pytest.mark.parametrize(
-    "rows, message",
-    [
-        (None, ":1: expected header t,q,v,p"),
-        ([], "at least 3 data rows, got 0"),
-        (["0,1,,0", "0.5,0.5,1,0.1"], "at least 3 data rows, got 2"),
-        (["0,1,,0", "0.5,nan,1,0.1", "1,0,1,0.2"], "must be finite"),
-        (["0,1,,0", "0.5,0.5,inf,0.1", "1,0,1,0.2"], "must be finite"),
-        (["0,1,,0", "0.5,0.5,1,0.1", "1,0,1,-inf"], "must be finite"),
-        (["0,1,,0", "nan,0.5,1,0.1", "1,0,1,0.2"], "must be finite"),
-        (["0,1,,0", "0.5,0.5,7,0.1", "1,0,1,0.2"], "v on data row 1 is 7.0, but its q-step implies 1.0"),
-        (["0,1,,0", "0.5,0.5,1", "1,0,1,0.2"], ":3: not enough values to unpack \\(expected 4, got 3\\)"),
-        (["0,1,,0", "0.5,0.5,1,0.1", "1,zero,1,0.2"], ":4: could not convert string to float: 'zero'"),
-        (["0,1,,0", "0.5,0.5,1,0.1", "1.5,0,0.5,0.2"], ": non-uniform time grid"),
-    ],
-    ids=["empty", "header_only", "two_rows", "nan_q", "inf_v", "inf_p", "nan_t", "v_not_q", "three_fields", "word",
-         "uneven"],
-)
-def test_read_trajectory_csv_rejects_a_short_or_non_finite_table(tmp_path, rows, message):
-    path = tmp_path / "trajectory.csv"
-    path.write_text("" if rows is None else "\n".join(["t,q,v,p", *rows]) + "\n")
-    with pytest.raises(ValueError, match=message) as err:
-        read_trajectory_csv(str(path))
-    assert str(path) in str(err.value)
-
-
 def test_a_written_reference_trajectory_reads_back_bit_for_bit(tmp_path, reference_problem):
     traj = newton_solve(reference_problem, SolveOptions(n_steps=1000))
-    write_trajectory_csv(str(tmp_path / "trajectory.csv"), traj)
-    back = read_trajectory_csv(str(tmp_path / "trajectory.csv"))
+    cli._write_csv(str(tmp_path / "trajectory.csv"), *cli._trajectory_table(traj))
+    back = read_trajectory(tmp_path / "trajectory.csv")
     assert back.grid == traj.grid
     for name in ("q", "v", "p"):
         assert np.array_equal(getattr(back, name), getattr(traj, name))
@@ -873,7 +891,7 @@ def test_paths_csv_makes_python_floats_a_block_at_a_time(tmp_path, monkeypatch):
     samples = np.linspace(-1e7, 1e7, 4 * cli.PATHS_BLOCK)
     tracemalloc.start()
     try:
-        write_paths_csv(str(tmp_path / "paths.csv"), samples)
+        cli._write_csv(str(tmp_path / "paths.csv"), *cli._paths_table(samples))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -51,6 +51,18 @@ def test_ac_curve_at_zero_kappa_is_the_straight_line(quadratic_problem):
     assert np.all(_ac_curve(1.0, np.zeros(2), t, shift=2.0) == -np.inf)
 
 
+def test_ac_curve_with_a_q0_per_row_is_each_rows_own_curve():
+    # a flat row once took the whole q0 array in q0 * (1 - x): "operands could not be broadcast together"
+    x = np.linspace(0.0, 1.0, 67)
+    q0, kappa_s = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, 30.0])
+    rows = _ac_curve(q0, kappa_s, x)
+    for row, q, k in zip(rows, q0, kappa_s):
+        assert row.tobytes() == _ac_curve(q, np.array([k]), x)[0].tobytes()
+    assert np.array_equal(rows[1], 2.0 * (1.0 - x))
+    shifted = _ac_curve(q0, kappa_s, x, shift=2.0)
+    assert np.all(shifted[1] == -np.inf) and np.isfinite(shifted[[0, 2]]).all()
+
+
 def test_ac_speed_at_zero_kappa_is_the_straight_lines_speed_without_a_warning(quadratic_problem):
     flat = replace(quadratic_problem, market=replace(quadratic_problem.market, sigma=1e-300))
     t = np.linspace(0.0, 0.5, 6) * flat.horizon

@@ -478,6 +478,22 @@ def test_matched_curve_is_the_almgren_chriss_curve_for_a_quadratic_cost(quadrati
             np.testing.assert_allclose(curve, exact, rtol=0.0, atol=1e-14 * q_hat)
 
 
+@pytest.mark.parametrize("sigma", [0.5, 1e-300], ids=["curved", "flat"])
+def test_matched_curves_with_a_q_hat_per_t_node_are_each_nodes_own(reference_problem, sigma):
+    # at sigma = 1e-300 gamma * sigma**2 underflows and every curve is the straight line, whose q0 * (1 - x) took
+    # the whole q_hat array: "operands could not be broadcast together with shapes (2,) (67,)"
+    problem = replace(reference_problem, market=replace(reference_problem.market, sigma=sigma))
+    t_nodes, q_hat, n_steps = [0.0, 0.5], np.array([2.5e5, 7.5e5]), 66
+    curves, scratch = np.empty((2, 2, n_steps + 1))
+    p0 = solver._matched_curves(problem, Workspace(problem, t_nodes, n_steps))(q_hat, curves, scratch)
+    for t, q, curve, start in zip(t_nodes, q_hat, curves, p0):
+        alone, spare = np.empty((2, 1, n_steps + 1))
+        alone_p0 = solver._matched_curves(problem, Workspace(problem, [t], n_steps))(np.full(1, q), alone, spare)
+        assert curve.tobytes() == alone[0].tobytes() and start.tobytes() == alone_p0[0].tobytes()
+        if sigma == 1e-300:
+            assert np.array_equal(curve, q * (1.0 - np.arange(n_steps + 1) / n_steps))
+
+
 def test_build_grid_rejects_a_super_quadratic_power_law_unsolved(reference_problem, monkeypatch):
     # the matched start's price is never 0, so H'' stays finite there; the check comes first
     def no_solve(*args):
