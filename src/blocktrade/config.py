@@ -238,8 +238,10 @@ def parse_config(path: str, overrides=()) -> RunConfig:
     for key in ("price.quoted_premium", "grid.t_max"):
         if not math.isfinite(pairs.get(key, 0.0)):
             raise ConfigError(f"{path}: {key} must be finite, got {pairs[key]}")
-    if "grid.t_max" in pairs and not 0.01 * problem.horizon <= problem.horizon - pairs["grid.t_max"] < problem.horizon:
+    if "grid.t_max" in pairs and not 0 < pairs["grid.t_max"] <= 0.99 * problem.horizon:
         raise ConfigError(f"{path}: grid.t_max must lie in (0, 0.99 * problem.horizon], got {pairs['grid.t_max']}")
+    t_max = pairs.get("grid.t_max", problem.horizon - MARGIN * problem.horizon)
+    _judge(replace(problem, horizon=problem.horizon - t_max), f"{path}: the grid's last t-node {t_max}")
 
     return RunConfig(
         problem=problem,
@@ -250,6 +252,6 @@ def parse_config(path: str, overrides=()) -> RunConfig:
         quoted_premium=pairs.get("price.quoted_premium"),
         grid_n_t=pairs.get("grid.n_t", 21),
         grid_n_q=pairs.get("grid.n_q", 21),
-        grid_t_max=pairs.get("grid.t_max", problem.horizon - MARGIN * problem.horizon),
+        grid_t_max=t_max,
         dump_paths=pairs.get("mc.dump_paths", False),
     )

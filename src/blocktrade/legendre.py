@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .market_model import CustomCost, ExecutionCostModel, PowerLawCost, _on_array
+from .market_model import _TINY, CustomCost, ExecutionCostModel, PowerLawCost, _on_array
 
 __all__ = [
     "PowerLawHamiltonian",
@@ -30,7 +30,6 @@ __all__ = [
 
 _SECANT_STEP = 1e-5
 _BEND_STEP = 1e-4  # relative step of the difference of secant slopes that gives L''
-_TINY = np.finfo(float).tiny  # a secant already at |p| here puts the argmax at 0
 _HALVINGS = 54  # the root lies in (hi/2, hi], so 54 halvings of [0, hi] reach one ulp
 _MAX_STEPS = 1074  # halvings of 1 down to the smallest positive double
 

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _QUAD_RTOL, _QUAD_HALVINGS = 1e-10, 6  # _integral: two levels' relative agreement, and its halvings of the step
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def _on_array(fn, x):
@@ -310,11 +311,12 @@ def _cost_checks(cost: ExecutionCostModel) -> list[Check]:
     checks = []
     if isinstance(cost, PowerLawCost):
         top = _superlinearity_points(cost)[-1]  # the largest rate sampled below
-        # the samples reach eta * top ** (1 + phi), and the transform's coefficient holds eta ** (-1 / phi)
+        # the samples reach eta * top ** (1 + phi), and the transform's coefficient holds eta ** (-1 / phi),
+        # which must be a normal double: H' multiplies it by |p| ** (1 / phi), and prices grow like eta
         with np.errstate(over="ignore"):
             phi_ok = bool(0 < cost.phi < math.inf and np.power(top, 1.0 + cost.phi) < math.inf)
             eta_ok = 0 < cost.eta < math.inf and not (
-                phi_ok and (np.power(cost.eta, -1.0 / cost.phi) == math.inf or cost(top) == math.inf)
+                phi_ok and (not _TINY <= np.power(cost.eta, -1.0 / cost.phi) < math.inf or cost(top) == math.inf)
             )
         checks.append(Check("cost.eta", eta_ok, f"eta={cost.eta}"))
         checks.append(Check("cost.phi", phi_ok, f"phi={cost.phi}"))
@@ -403,7 +405,9 @@ def validate(problem: LiquidationProblem) -> ValidationReport:
     does every infinite or NaN parameter, a q0 or sigma whose square overflows,
     an s0 whose mark-to-market value q0 * s0 does, a psi whose LEC in basis points,
     1e4 * psi * q0, does, and a power-law impact whose PMI at q0, or 1e4 times
-    it, does.
+    it, does. Once every other check passes, ``volume.mean_rate`` fails where L
+    overflows at q0 / (horizon * max volume): the volume-weighted mean rate of
+    every liquidating curve is at least that, so some cell's cost overflows.
     """
     m = problem.market
     q0_ok = _inventory_fits(problem.q0)
@@ -419,4 +423,9 @@ def validate(problem: LiquidationProblem) -> ValidationReport:
     checks.extend(_cost_checks(problem.cost))
     checks.extend(_impact_checks(problem.impact, q0))
     checks.extend(_volume_checks(problem.volume, problem.horizon))
+    if all(c.passed for c in checks):  # a custom cost is not known past its sample bound, and passes there
+        rate = q0 / (problem.horizon * problem.volume.hi)
+        with np.errstate(over="ignore"):
+            fits = rate > getattr(problem.cost, "sample_bound", math.inf) or problem.cost(rate) < math.inf
+        checks.append(Check("volume.mean_rate", fits, f"cost at rate q0 / (horizon * max volume) = {rate}"))
     return ValidationReport(tuple(checks))

@@ -42,7 +42,7 @@ Almgren-Chriss curve. On the reference stock with eta = 0.01 and T = 3.5 a
 p-defect of 1.0e-6 passes, the q-residual is 9e-17 * q0 and the
 curve is 5.3e-5 * q0 away. A step-halving line search guards the early
 iterations, where the power-law H' has strongly varying curvature; a member
-that no step length improves has stalled, and fails at that iteration.
+that no step length improves has stalled.
 
 Solves run in blocks of members that share the problem, the horizon and the
 step count; each member has its own start (t_hat, q_hat), hence its own tau,
@@ -53,8 +53,10 @@ start: its blockmates never affect it, and it keeps that direction when it
 shrinks to one member. ``_start`` writes every member's starting curve into
 the block's rows at once: the curve the caller hands it (``build_grid`` hands
 each cell its own, built on ``_matched_curves``), or else the straight line
-from q_hat to zero. Members leave as they converge or fail, and a failing
-member never stops the others; the block returns each member's
+from q_hat to zero. Members leave at the top of an iteration only, as they
+converge, turn non-finite or run out of iterations, or with the failure the
+iteration before wrote to their row (a singular linearization or a stall);
+a failing member never stops the others. The block returns each member's
 ``Trajectory``, on the caller's q and p rows that its converged curve is
 copied to, or its ``NonConvergenceError``. The loop's arrays live in a
 ``_Workspace``, which also holds the members' grids.
@@ -71,6 +73,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import numbers
 import os
@@ -269,7 +272,9 @@ def _matched_curves(problem: LiquidationProblem, work):
     ``value_function.build_grid``.
     """
     ham, cost = hamiltonian_of(problem.cost), problem.cost
-    left, mean_vol = np.array([grid.t_end - grid.t_start for grid in work.grids]), work.vol.mean(axis=1)
+    left = np.array([grid.t_end - grid.t_start for grid in work.grids])
+    # the bits of vol.mean for volumes above 2**-1002, scaled so that the sum of MAX_STEPS < 2**20 cells cannot overflow
+    mean_vol = 2.0**20 * (2.0**-20 * work.vol).mean(axis=1)
     mean_volume, risk = left * mean_vol, problem.market.gamma * problem.market.sigma**2 * mean_vol
     last_cell, x = work.tau * work.vol[:, -1], np.arange(work.vol.shape[1] + 1) / work.vol.shape[1]
 
@@ -443,18 +448,18 @@ def _newton_direction(c, e, b, current, tol, solo, work):
     """
     if not solo:
         return _direction_by_hessian(c, e, b, work)
-    (dq0, dq1), (dp0, dp1) = _propagate(memoryview(c[0]), memoryview(e[0]), float(b[0]))
-    end, denom = float(dq0[-1]), float(dq1[-1]) - float(dq0[-1])
-    if math.isfinite(denom) and denom != 0.0 and math.isfinite(end):
-        s = -end / denom
-        dq, dp = work.dq[0], work.dp[0]  # dq0 + s * (dq1 - dq0), and the same for dp
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # chains that overflow fail the defect test
+        (dq0, dq1), (dp0, dp1) = _propagate(memoryview(c[0]), memoryview(e[0]), float(b[0]))
+        end, denom = float(dq0[-1]), float(dq1[-1]) - float(dq0[-1])
+        if math.isfinite(denom) and denom != 0.0 and math.isfinite(end):
+            s = -end / denom
+            dq, dp = work.dq[0], work.dp[0]  # dq0 + s * (dq1 - dq0), and the same for dp
             np.add(np.multiply(np.subtract(dq1, dq0, out=dq), s, out=dq), dq0, out=dq)
             np.add(np.multiply(np.subtract(dp1, dp0, out=dp), s, out=dp), dp0, out=dp)
             dq[0] = dq[-1] = 0.0  # boundary is exact; cancel the rounding of the affine combination
             defect = _linear_defect(c[0], e[0], b[0], dq, dp, work.bands[:3, 0, : c.shape[1]])
-        if defect <= max(0.01 * current[0], 0.1 * tol[0]):
-            return dq[None], dp[None], np.zeros(1, dtype=bool)
+            if defect <= max(0.01 * current[0], 0.1 * tol[0]):
+                return dq[None], dp[None], np.zeros(1, dtype=bool)
     return _direction_by_banded(c, e, b, work)
 
 
@@ -482,13 +487,17 @@ class _Workspace:
 
 
 class _Block:
-    """Row-per-member arrays of the members still iterating, and what is fixed per member."""
+    """Row-per-member arrays of the members still iterating, and what is fixed per member.
 
-    __slots__ = ("member", "tol", "b", "current", "tau_vol", "q", "p", "rq", "spare", "scratch")
+    ``failure`` holds each row's reason to fail, "" while it has none; a row that gets one leaves at the top of the
+    next iteration.
+    """
+
+    __slots__ = ("member", "tol", "b", "current", "failure", "tau_vol", "q", "p", "rq", "spare", "scratch")
 
     def __init__(self, work, tol):
         K, ((q, p), rq) = len(work.grids), work.state
-        self.member, self.tol, self.b = np.arange(K), tol, work.b.copy()
+        self.member, self.tol, self.b, self.failure = np.arange(K), tol, work.b.copy(), np.full(K, "", dtype=object)
         self.tau_vol = np.multiply(work.tau[:, None], work.vol, out=work.tau_vol)
         self.q, self.p, self.rq, self.spare = q[0], p[0], rq[0], (q[1], p[1], rq[1])
         self.scratch = work.c, work.e  # free outside the direction solve
@@ -529,26 +538,26 @@ class _Block:
 
 
 def _line_search(ham, block, dq, dp):
-    """Halve each member's step until its residual falls; update ``block`` in place.
+    """Halve the step of each member without a failure until its residual falls; update ``block`` in place.
 
     Each try makes the whole block's candidate and takes the rows it improves of
     the members still without a step; a NaN residual never improves. Returns each
-    member's step length and the mask of the members that none of alpha = 1,
-    1/2, ..., 2**-MAX_HALVINGS improves: they have stalled. A full step every
-    member takes is one try.
+    member's step length. A member that none of alpha = 1, 1/2, ..., 2**-MAX_HALVINGS
+    improves has stalled, and gets that failure. A full step every member takes is one try.
     """
-    pending, taken, alpha = np.ones(len(block.member), dtype=bool), np.zeros(len(block.member)), 1.0
+    pending, taken, alpha = block.failure == "", np.zeros(len(block.member)), 1.0
     with np.errstate(all="ignore"):
         for _ in range(MAX_HALVINGS + 1):
+            if not pending.any():
+                break
             m = block.candidate(ham, alpha, dq, dp)
             accept = pending & (m < block.current)  # a NaN m never passes
             block.take(accept, m)
             np.copyto(taken, alpha, where=accept)
             pending &= ~accept
-            if not pending.any():
-                break
             alpha *= 0.5
-    return taken, pending
+    block.failure[pending] = "Newton iteration stalled: no step length lowers the residual"
+    return taken
 
 
 def _solve_batch(
@@ -562,9 +571,11 @@ def _solve_batch(
     ``start`` shoots. Returns each member's result, in member order: a
     converged member's ``Trajectory``, on the rows ``q_out[k]`` and
     ``p_out[k]`` ((K, J+1) each) that its q and p are copied to, or a failed
-    member's ``NonConvergenceError``, which leaves its rows as they were. Live
-    members share the iteration counter, so a member's history has one entry
-    per loop iteration before it leaves.
+    member's ``NonConvergenceError``, which leaves its rows as they were.
+    Members leave at the top of an iteration only: converged, non-finite, out
+    of iterations, or failed in the iteration before by a singular
+    linearization or a stalled line search. Live members share the iteration
+    counter, so a member's history has one entry per iteration it completed.
     """
     ham = hamiltonian_of(problem.cost)
     K = len(work.grids)
@@ -574,69 +585,38 @@ def _solve_batch(
     _start(block.b[:, None], q_starts, block.q, block.p, start)
     solo = start is None and K == 1  # a block keeps its direction when it shrinks to one member
     block.current = block.residual(ham, block.q, block.p, block.rq)
+    results, histories, steps = [None] * K, [[] for _ in range(K)], [[] for _ in range(K)]
 
-    results = [None] * K
-    histories = [[] for _ in range(K)]
-    steps = [[] for _ in range(K)]
-
-    def record(k, message=None):
-        """Store row k's result: its trajectory if it converged (``message`` None), else its error."""
-        member = block.member[k]
-        trail = dict(
-            max_residual=float(block.current[k]),
-            history=tuple(histories[member]),
-            steps=tuple(steps[member]),
-        )
-        if message is None:
-            q_out[member], p_out[member] = block.q[k], block.p[k]
-            results[member] = Trajectory(work.grids[member], q_out[member], p_out[member], **trail)
-        else:
-            results[member] = NonConvergenceError(message, **trail)
-
-    def drop(mask, message):
-        """Fail the rows under ``mask``; True while members are left."""
-        for k in np.flatnonzero(mask):
-            record(k, message)
-        block.keep(~mask)
-        return bool(block.member.size)
-
-    iterations = 0
-    while True:
-        current = block.current
-        going = np.isfinite(current) & (current > block.tol)  # a NaN residual never converges
-        if iterations >= opts.max_iter:
-            going[:] = False
+    for iterations in itertools.count():
+        current, failure = block.current, block.failure
+        # a NaN residual never converges, and a member with a failure has a finite one above its tolerance
+        going = (failure == "") & np.isfinite(current) & (current > block.tol) & (iterations < opts.max_iter)
         if not going.all():
-            for k in np.flatnonzero(~going):
-                if current[k] <= block.tol[k]:
-                    record(k)
-                elif not math.isfinite(current[k]):
-                    record(k, "non-finite residual")
+            for k in np.flatnonzero(~going).tolist():
+                member, residual = block.member[k], float(current[k])
+                trail = dict(max_residual=residual, history=tuple(histories[member]), steps=tuple(steps[member]))
+                if failure[k] or not residual <= block.tol[k]:  # failed, non-finite or out of iterations
+                    unmet = "Newton iteration stalled" if math.isfinite(residual) else "non-finite residual"
+                    results[member] = NonConvergenceError(failure[k] or unmet, **trail)
                 else:
-                    record(k, "Newton iteration stalled")
+                    q_out[member], p_out[member] = block.q[k], block.p[k]
+                    results[member] = Trajectory(work.grids[member], q_out[member], p_out[member], **trail)
             if not going.any():
-                break
+                return results
             block.keep(going)
 
         c = ham.curvature(block.p[:, :-1], out=work.c[: block.member.size])
         c *= block.tau_vol
         e = np.negative(block.rq, out=work.e[: len(c)])
         dq, dp, singular = _newton_direction(c, e, block.b, block.current, block.tol, solo, work)
-        if singular.any():
-            if not drop(singular, "degenerate linearization (H'' vanishes along the whole path)"):
-                break
-            dq, dp = dq[~singular], dp[~singular]
-        alpha, stalled = _line_search(ham, block, dq, dp)
+        block.failure[singular] = "degenerate linearization (H'' vanishes along the whole path)"
+        alpha = _line_search(ham, block, dq, dp)
         for member, residual, step, failed in zip(
-            block.member.tolist(), block.current.tolist(), alpha.tolist(), stalled.tolist()
+            block.member.tolist(), block.current.tolist(), alpha.tolist(), block.failure.tolist()
         ):
             if not failed:
                 histories[member].append(residual)
                 steps[member].append(step)
-        if stalled.any() and not drop(stalled, "Newton iteration stalled: no step length lowers the residual"):
-            break
-        iterations += 1
-    return results
 
 
 def _solve_one(problem: LiquidationProblem, t_start: float, q_start: float, opts: SolveOptions) -> Trajectory:

@@ -757,7 +757,8 @@ _VALUE_OVERFLOWS = [
 # q0 * s0 fits, and the sum of v_i s_i in the Euler wealth does not: simulate warned of an overflow in matmul, then
 # answered a plain ValueError from json (at 6e298 only the law at twice mc.n_substeps overflowed)
 _EULER_OVERFLOWS = [(command, s0) for s0 in ("6e298", "1e299", "1e300") for command in ("price", "simulate")]
-# q0 * s0 * 2 * n_steps * n_substeps fits, and only the division by the horizon 1e-300 overflows: the horizon fails
+# q0 * s0 * 2 * n_steps * n_substeps fits, and only the division by the horizon 1e-300 overflows: the horizon fails.
+# At the volume 1e300: at the config's own volume the cost at the mean rate overflows first, and the volume fails
 _TINY_HORIZON = ("solve", "grid", "simulate")
 
 
@@ -779,12 +780,14 @@ _TINY_HORIZON = ("solve", "grid", "simulate")
     ]
     + [(command, {key: value}, key) for key, value, command in _VALUE_OVERFLOWS]
     + [(command, {"market.s0": s0}, "market.s0") for command, s0 in _EULER_OVERFLOWS]
-    + [(command, {"problem.horizon": "1e-300"}, "problem.horizon") for command in _TINY_HORIZON],
+    + [(command, {"problem.horizon": "1e-300", "volume.rate": "1e300"}, "problem.horizon") for command in _TINY_HORIZON]
+    + [(command, {"problem.horizon": "1e-300"}, "volume.mean_rate") for command in _TINY_HORIZON],
     ids=["q0_implied_gamma", "q0_grid", "q0_1e160_grid", "k_price", "k_decompose", "k_implied_gamma",
          "k_bp_price", "k_bp_decompose", "q_list_bp", "q_list_square", "q_list_s0", "q_list_psi"]
     + [f"{key[7:]}_{value}_{command}" for key, value, command in _VALUE_OVERFLOWS]
     + [f"euler_s0_{s0}_{command}" for command, s0 in _EULER_OVERFLOWS]
-    + [f"euler_horizon_{command}" for command in _TINY_HORIZON],
+    + [f"euler_horizon_{command}" for command in _TINY_HORIZON]
+    + [f"mean_rate_horizon_{command}" for command in _TINY_HORIZON],
 )
 def test_a_block_too_large_for_a_double_is_a_config_error_naming_its_key(tmp_path, capsys, command, values, key):
     text = set_keys(BASE_CONFIG, values)
@@ -795,6 +798,43 @@ def test_a_block_too_large_for_a_double_is_a_config_error_naming_its_key(tmp_pat
     error = json.loads(out.strip().splitlines()[-1])["error"]
     assert (code, error["type"], shown, err) == (1, "ConfigError", [], "")
     assert re.search(rf"failed checks: {re.escape(key)}$|: {re.escape(key)} entries", error["message"])
+
+
+# each answered a typed error after numpy's warnings on stderr: shooting's chains overflowed (gamma, sigma and
+# the horizon), the transform's coefficient underflowed (eta), the cost at the mean rate overflowed (the small
+# volumes), the sum of the cell volumes did (1e308); at the horizon 1e16 grid.t_max = 0.9 failed its own rule,
+# as T - 0.9 rounds to T; and at 2e-181 only the grid's last t-node, with 0.1 days left, overflows the cost
+_EXTREMES = [
+    ("solve", {"market.gamma": "1e12"}, "NonConvergenceError"),
+    ("price", {"market.sigma": "1e12"}, "NonConvergenceError"),
+    ("decompose", {"problem.horizon": "1e12"}, "NonConvergenceError"),
+    ("simulate", {"problem.horizon": "1e15", "solve.n_steps": 200}, "NonConvergenceError"),
+    ("price", {"cost.eta": "1e201"}, "ConfigError"),
+    ("grid", {"cost.eta": "1e300"}, "ConfigError"),
+    ("price", {"volume.rate": "1e-185"}, "ConfigError"),
+    ("grid", {"volume.rate": "1e-300"}, "ConfigError"),
+    ("solve", {"volume.rate": "1e308", "solve.n_steps": 200}, "NonConvergenceError"),
+    ("price", {"problem.horizon": "1e16"}, "NonConvergenceError"),
+    ("grid", {"volume.rate": "2e-181", "price.q_list": "500000", "price.horizons": "1.0"}, "ConfigError"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, values, answer",
+    _EXTREMES,
+    ids=["gamma", "sigma", "horizon", "horizon_1e15", "eta_1e201", "eta_1e300", "volume_1e-185", "volume_1e-300",
+         "volume_1e308", "horizon_1e16", "volume_last_t_node"],
+)
+def test_an_extreme_input_answers_a_typed_error_without_a_warning(tmp_path, capsys, command, values, answer):
+    text = set_keys(BASE_CONFIG, values)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        code = main([command, "--config", write_config(tmp_path, text), "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    (line,) = out.strip().splitlines()
+    assert (code, json.loads(line)["error"]["type"], [str(w.message) for w in shown], err) == (1, answer, [], "")
+    if values.get("volume.rate") == "2e-181":  # the problem itself passes
+        assert json.loads(line)["error"]["message"].endswith("the grid's last t-node 0.9 failed checks: volume.mean_rate")
 
 
 @pytest.mark.parametrize("command", list(cli._DISPATCH))

@@ -15,7 +15,7 @@ from blocktrade.market_model import (
     PowerLawImpact,
     validate,
 )
-from conftest import make_reference_problem
+from conftest import make_quadratic_problem, make_reference_problem
 
 from dataclasses import replace
 
@@ -245,9 +245,10 @@ def test_validate_rejects_non_finite_inputs(check, value):
 )
 def test_a_power_law_that_overflows_its_samples_fails_its_own_key_without_a_warning(check, value):
     # L(1000) = eta * 1000 ** (1 + phi), 2 F(q0) = 2 k q0 ** beta and 1e4 times the PMI at q0,
-    # 1e4 k q0 ** (1 + beta) / (1 + beta), are the largest numbers validate makes
+    # 1e4 k q0 ** (1 + beta) / (1 + beta), are the largest numbers validate makes; the cost is quadratic,
+    # where eta ** (-1 / phi) stays normal at eta = 1e304 and only L(1000) overflows
     owner, name = check.split(".")
-    base = make_reference_problem()
+    base = make_quadratic_problem()
     problem = replace(base, **{owner: replace(getattr(base, owner), **{name: value})})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -263,11 +264,41 @@ def test_an_impact_sampled_past_a_block_below_one_share_fails_impact_k_without_a
         assert [c.name for c in validate(problem).failures()] == ["impact.k"]
 
 
+@pytest.mark.parametrize(
+    "eta, phi, passed",
+    [
+        (9.423801280538566e199, 0.65, True),  # eta ** (-1 / phi) is 2.2250738585072014e-308, the smallest normal
+        (9.423801280538568e199, 0.65, False),
+        (1e201, 0.65, False),
+        (1e300, 0.65, False),
+        (1e300, 1.0, True),
+    ],
+)
+def test_an_eta_whose_transform_coefficient_underflows_fails_cost_eta_without_a_warning(eta, phi, passed):
+    # H' multiplies eta ** (-1 / phi) by |p| ** (1 / phi), with prices near eta: from eta = 1e201 at phi = 0.65
+    # the power overflowed, and price answered a non-finite residual after warnings
+    base = make_reference_problem()
+    problem = replace(base, cost=PowerLawCost(eta=eta, phi=phi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [c.name for c in validate(problem).failures()] == ([] if passed else ["cost.eta"])
+
+
+@pytest.mark.parametrize("rate, passed", [(1e-180, True), (1e-185, False), (1e-300, False), (1e308, True)])
+def test_a_volume_too_small_for_the_mean_rate_fails_volume_mean_rate_without_a_warning(rate, passed):
+    # some cell of every liquidating curve trades at least q0 / (T V), where L overflows from V = 1e-185
+    problem = replace(make_reference_problem(), volume=ConstantVolume(rate))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [c.name for c in validate(problem).failures()] == ([] if passed else ["volume.mean_rate"])
+
+
 @pytest.mark.parametrize("check, value", [("cost.phi", 101.0), ("cost.eta", 1e302), ("impact.k", 3.3e294)])
 def test_a_power_law_just_short_of_overflow_is_sampled(check, value):
-    # at k = 3.3e294, 1e4 times the PMI at q0 is 1.77e308
+    # at k = 3.3e294, 1e4 times the PMI at q0 is 1.77e308; the cost is quadratic, where L(1000) = 1e308 at
+    # eta = 1e302 (at phi = 0.65 eta ** (-1 / phi) falls below the smallest normal double from eta = 9.4e199)
     owner, name = check.split(".")
-    base = make_reference_problem()
+    base = make_quadratic_problem()
     problem = replace(base, **{owner: replace(getattr(base, owner), **{name: value})})
     with warnings.catch_warnings():
         warnings.simplefilter("error")

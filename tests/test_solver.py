@@ -223,6 +223,47 @@ def test_a_degenerate_member_leaves_the_block_and_its_blockmate_keeps_its_bits(r
     assert_same_outcome(converged, solve_batch(problem, [0.5], [0.5 * q0], opts, (q_rows[1:], p_starts[1:]))[0])
 
 
+def test_members_that_converge_stall_degenerate_and_go_on_in_one_iteration_each_keep_their_one_member_bits(
+    reference_problem,
+):
+    # without risk p is constant along a curve, and the optimum is the straight line at the price of its rate:
+    # member 0 starts 1e-6 off that price and converges by its first step, member 1 goes on, member 2 at p = 0
+    # has no curvature, and member 3 at p = -1e-300 so little that every step length overshoots
+    problem, opts, q0 = without_risk(reference_problem), SolveOptions(n_steps=50), reference_problem.q0
+    x, cost = np.linspace(0.0, 1.0, opts.n_steps + 1), problem.cost
+    rate_price = -(1.0 + cost.phi) * cost.eta * (q0 / problem.volume.rate) ** cost.phi  # t = 0, S = 1
+    t_starts, q_starts = [0.0, 0.5, 0.2, 0.4], [q0, 0.5 * q0, q0, q0]
+    q_rows = np.array([q0 * (1.0 - x), 0.5 * q0 * (1.0 - x) ** 2, q0 * (1.0 - x), q0 * (1.0 - x)])
+    p_starts = np.array([rate_price * (1.0 + 1e-6), -0.02, 0.0, -1e-300])
+    block = solve_batch(problem, t_starts, q_starts, opts, (q_rows, p_starts))
+    assert [isinstance(r, Trajectory) for r in block] == [True, True, False, False]
+    assert [r.iterations for r in block[:1] + block[2:]] == [1, 0, 0] and block[1].iterations > 1
+    assert "degenerate linearization" in str(block[2]) and "no step length lowers" in str(block[3])
+    for k, result in enumerate(block):
+        rows = slice(k, k + 1)
+        (alone,) = solve_batch(problem, t_starts[rows], q_starts[rows], opts, (q_rows[rows], p_starts[rows]))
+        assert str(result) == str(alone)
+        for name in ("max_residual", "history", "steps") + (("q", "p") if isinstance(alone, Trajectory) else ()):
+            got, expected = (np.asarray(getattr(r, name), dtype=float) for r in (result, alone))
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (k, name)
+
+
+@pytest.mark.parametrize("changes", [dict(gamma=1e12), dict(horizon=1e15)], ids=["gamma", "horizon"])
+def test_a_solo_solve_whose_shooting_chains_overflow_fails_typed_without_a_warning(changes):
+    # the chains' products b * dq overflowed, and numpy warned of it before the defect test sent the step to dgtsv
+    with pytest.raises(NonConvergenceError):
+        newton_solve(make_reference_problem(**changes), SolveOptions(n_steps=200))
+
+
+def test_matched_curves_of_a_volume_whose_cell_sum_overflows_are_finite():
+    # at 1e308 the 200 cells' sum overflowed in vol.mean, and the curves were NaN after a warning
+    problem = replace(make_reference_problem(), volume=ConstantVolume(1e308))
+    work = solver._Workspace(problem, [0.0, 0.5], 200)
+    out, scratch = np.empty((2, 2, 201))
+    p0 = solver._matched_curves(problem, work)(np.array([5e5, 2e5]), out, scratch)
+    assert np.isfinite(p0).all() and np.isfinite(out).all()
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_start_extrapolates_a_polynomial_in_inventory(m):
     # the start of a value-surface cell is a base curve plus the deviations
@@ -858,15 +899,15 @@ def test_one_search_takes_a_full_and_a_halved_step_and_stalls_a_member_each_with
     problem = make_reference_problem(gamma=2e-7)
     starts = [(0.0, 1.5e6), (0.5, 5e4), (0.75, 1e5)]
     opts = SolveOptions(n_steps=100, newton_tol=1e-12, max_iter=6)
-    searches, states = [], {}  # each search's (members, steps, stalled); each solve's rows after it
+    searches, states = [], {}  # each search's (members, steps, failed); each solve's rows after it
     line_search, solve = solver._line_search, "block"
 
     def logged(ham, block, dq, dp):
-        taken, stalled = line_search(ham, block, dq, dp)
-        searches.append((block.member.tolist(), taken.tolist(), stalled.tolist()))
+        taken = line_search(ham, block, dq, dp)
+        searches.append((block.member.tolist(), taken.tolist(), (block.failure != "").tolist()))
         for k, member in enumerate(block.member.tolist()):
             states.setdefault((solve, member), []).append(np.stack((block.q[k], block.p[k])).view(np.int64))
-        return taken, stalled
+        return taken
 
     monkeypatch.setattr(solver, "_line_search", logged)
     batched = solve_batch(problem, *zip(*starts), opts)
